@@ -20,7 +20,9 @@ void IntervalIndex::Erase(uint64_t payload) {
 }
 
 void IntervalIndex::RebuildIfNeeded() const {
-  if (!dirty_ && sorted_.size() == entries_.size()) return;
+  if (!dirty_) return;
+  std::lock_guard<std::mutex> lock(rebuild_mu_);
+  if (!dirty_) return;  // a concurrent query rebuilt it first
   sorted_ = entries_;
   std::sort(sorted_.begin(), sorted_.end(),
             [](const Entry& a, const Entry& b) { return a.begin < b.begin; });

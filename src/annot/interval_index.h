@@ -1,8 +1,10 @@
 #ifndef BDBMS_ANNOT_INTERVAL_INDEX_H_
 #define BDBMS_ANNOT_INTERVAL_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <vector>
 
 #include "table/table.h"
@@ -14,6 +16,11 @@ namespace bdbms {
 // interval array sorted by begin plus an implicit segment tree of max
 // ends — is rebuilt lazily on the first query after a modification.
 // Point and range stabbing run in O(log n + k) once built.
+//
+// Mutators need exclusive access, but queries may run concurrently (the
+// owning AnnotationTable holds only a shared latch for them): the lazy
+// rebuild is serialized by a mutex behind an atomic dirty flag, so
+// queries of a clean index take no lock.
 //
 // The annotation manager uses one per annotation table to find the regions
 // covering a cell or row range without scanning every region.
@@ -49,7 +56,8 @@ class IntervalIndex {
       const std::function<void(RowId, RowId, uint64_t)>& fn) const;
 
   std::vector<Entry> entries_;
-  mutable bool dirty_ = false;
+  mutable std::atomic<bool> dirty_{false};
+  mutable std::mutex rebuild_mu_;
   mutable std::vector<Entry> sorted_;   // sorted by begin
   mutable std::vector<RowId> max_end_;  // segment tree over sorted_
 };

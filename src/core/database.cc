@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <variant>
 
@@ -192,12 +193,12 @@ Result<QueryResult> Database::Execute(std::string_view sql,
       case TxnStmt::Kind::kBegin:
         return BeginTxn(token);
       case TxnStmt::Kind::kCommit: {
-        auto r = CommitTxn(token);
+        auto r = FinishTxn(token, /*commit=*/true);
         MaybeDeferredCheckpoint();
         return r;
       }
       case TxnStmt::Kind::kRollback:
-        return RollbackTxn(token);
+        return FinishTxn(token, /*commit=*/false);
     }
   }
 
@@ -206,6 +207,7 @@ Result<QueryResult> Database::Execute(std::string_view sql,
   // CHECKPOINT is handled here, not in the executor: it operates on the
   // WAL/checkpoint files the facade owns, and must never itself be
   // journaled (replaying it would re-truncate the log mid-recovery).
+  // Without a durable store it falls through to the executor's no-op.
   if (std::holds_alternative<CheckpointStmt>(stmt.node)) {
     {
       SharedGateLock g(&gate_);
@@ -219,172 +221,178 @@ Result<QueryResult> Database::Execute(std::string_view sql,
       return Status::FailedPrecondition(
           "CHECKPOINT cannot run inside a transaction");
     }
-    if (!dur_) {
-      SharedGateLock g(&gate_);
-      Executor executor(MakeContext(), user);
-      return executor.Execute(stmt);  // deliberate no-op + message
+    if (dur_) {
+      BDBMS_RETURN_IF_ERROR(Checkpoint());
+      const uint64_t lsn = durability_stats().last_lsn;
+      QueryResult result;
+      result.message = "CHECKPOINT complete (lsn " + std::to_string(lsn) + ")";
+      return result;
     }
-    (void)LockExclusiveNoTxns(nullptr);
-    Status s;
-    uint64_t lsn = 0;
-    {
-      std::lock_guard<std::mutex> w(writer_mu_);
-      s = CheckpointLocked();
-      if (dur_) lsn = dur_->last_lsn;
-    }
-    gate_.UnlockExclusive();
-    BDBMS_RETURN_IF_ERROR(s);
-    QueryResult result;
-    result.message = "CHECKPOINT complete (lsn " + std::to_string(lsn) + ")";
-    return result;
   }
 
-  const bool mutating = StatementMutatesState(stmt);
+  if (t) return RunStatement(*t, stmt, sql, user);
 
-  if (t) {
-    return ExecuteInTxn(t, stmt, sql, user, mutating);
-  }
-
-  if (!mutating) {
-    return ExecuteRead(stmt, user);
-  }
-
-  // Autocommit: the statement is its own mini-transaction. Classification
-  // happens under the shared gate (rule/approval changes are exclusive,
-  // so the answer cannot shift mid-hold); concurrent DML then executes
-  // under the same hold, everything else re-enters exclusively.
-  auto result = [&]() -> Result<QueryResult> {
-    {
-      SharedGateLock g(&gate_);
-      if (Classify(stmt) == StmtClass::kConcurrentDml) {
-        return ExecuteConcurrent(stmt, sql, user);
-      }
-    }
-    return ExecuteExclusive(stmt, sql, user);
-  }();
+  // Autocommit: the statement runs as an implicit single-statement
+  // transaction, committed before RunStatement returns.
+  TxnState implicit;
+  implicit.implicit = true;
+  auto result = RunStatement(implicit, stmt, sql, user);
+  if (implicit.escalated) gate_.UnlockExclusive();
   MaybeDeferredCheckpoint();
   return result;
 }
 
-Result<QueryResult> Database::ExecuteRead(const Statement& stmt,
-                                          const std::string& user) {
-  SharedGateLock g(&gate_);
-  MvccSnapshot snap;
-  {
-    // Capture + registration are one atomic step under txn_mu_: the GC
-    // computes the oldest live snapshot under the same mutex, so a
-    // version can never be vacuumed between a reader choosing its CSN
-    // and announcing it.
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    snap.csn = last_completed_csn_.load(std::memory_order_acquire);
-    read_snapshots_.insert(snap.csn);
+Result<QueryResult> Database::RunStatement(TxnState& t, const Statement& stmt,
+                                           std::string_view sql,
+                                           const std::string& user) {
+  if (t.doomed) {
+    return Status::FailedPrecondition(
+        "transaction is aborted, commands ignored until end of "
+        "transaction block");
   }
-  ExecContext ctx = MakeContext();
-  ctx.snapshot = &snap;
-  Executor executor(std::move(ctx), user);
-  auto result = executor.Execute(stmt);
-  {
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    read_snapshots_.erase(read_snapshots_.find(snap.csn));
+  if (!StatementMutatesState(stmt)) {
+    // An escalated transaction owns the gate exclusively and reads its
+    // in-place writes directly.
+    if (t.escalated) return ExecuteUnder(stmt, user, nullptr, nullptr);
+    SharedGateLock g(&gate_);
+    if (!t.implicit) return ExecuteUnder(stmt, user, &t.snapshot, nullptr);
+    {
+      // Capture + registration are one atomic step under txn_mu_: the GC
+      // computes the oldest live snapshot under the same mutex, so a
+      // version can never be vacuumed between a reader choosing its CSN
+      // and announcing it. Reads never take writer_mu_.
+      std::lock_guard<std::mutex> lock(txn_mu_);
+      t.snapshot.csn = last_completed_csn_.load(std::memory_order_acquire);
+      read_snapshots_.insert(t.snapshot.csn);
+    }
+    auto result = ExecuteUnder(stmt, user, &t.snapshot, nullptr);
+    {
+      std::lock_guard<std::mutex> lock(txn_mu_);
+      read_snapshots_.erase(read_snapshots_.find(t.snapshot.csn));
+    }
+    TryVacuum();
+    return result;
   }
-  TryVacuumAfterRead();
-  return result;
+  if (!t.escalated) {
+    {
+      // Classification happens under the shared gate (rule/approval
+      // changes are exclusive, so the answer cannot shift mid-hold), and
+      // versioned DML executes under that same hold.
+      SharedGateLock g(&gate_);
+      if (Classify(stmt) == StmtClass::kConcurrentDml) {
+        return RunMutation(t, stmt, sql, user);
+      }
+    }
+    // The statement needs the exclusive path: escalate. The shared hold
+    // above is released first — waiting for exclusive while holding
+    // shared would deadlock on ourselves.
+    Status escalated = LockExclusiveNoTxns(&t);
+    if (!escalated.ok()) {
+      std::lock_guard<std::mutex> w(writer_mu_);
+      DoomLocked(t);
+      return escalated;
+    }
+    t.escalated = true;
+    std::lock_guard<std::mutex> w(writer_mu_);
+    t.clock_at_escalation = clock_.Peek();
+    // Only this transaction is alive, and from here on it reads the
+    // newest state (its snapshot is abandoned); every retained version
+    // is garbage. Its own uncommitted versions survive — their events
+    // carry a txn id, not a CSN, so the vacuum keeps them.
+    VacuumAllLocked(UINT64_MAX);
+  }
+  return RunMutation(t, stmt, sql, user);
 }
 
-Result<QueryResult> Database::ExecuteConcurrent(const Statement& stmt,
-                                                std::string_view sql,
-                                                const std::string& user) {
-  // Caller holds the shared gate. writer_mu_ serializes this against
-  // other mutating statements, commits and vacuums; readers sail past on
-  // table latches and snapshot visibility.
+Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
+                                          std::string_view sql,
+                                          const std::string& user) {
+  // Caller holds the gate: shared for versioned DML, exclusive once the
+  // transaction escalated. writer_mu_ serializes this against other
+  // mutating statements, commits and vacuums; readers sail past on table
+  // latches and snapshot visibility. An implicit transaction takes its
+  // snapshot, executes, journals and stamps in this one hold, so
+  // concurrent autocommit writers never see each other's uncommitted
+  // versions.
   std::lock_guard<std::mutex> w(writer_mu_);
-  if (dur_ && !dur_->wal) {
-    return Status::FailedPrecondition(
-        "durable store is unusable after a write failure; reopen");
-  }
+  // The latch must refuse BEFORE execution: applying the statement in
+  // memory and then reporting FailedPrecondition would let a retrying
+  // caller stack up unjournaled in-memory effects.
+  BDBMS_RETURN_IF_ERROR(WritableLocked());
+  if (t.implicit) BeginLocked(t);
+  const bool versioned = !t.escalated;
   const uint64_t clock_before = clock_.Peek();
   PendingStatement ps;
   if (dur_) CaptureBases(&ps);
-  MvccWriter writer;
-  writer.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  writer.snapshot_csn = last_completed_csn_.load(std::memory_order_acquire);
-  MvccSnapshot snap{writer.snapshot_csn, writer.txn_id};
-  undo_.Begin();
-  mvcc_state_.writer = &writer;
-  ExecContext ctx = MakeContext();
-  ctx.snapshot = &snap;
-  Executor executor(std::move(ctx), user);
-  auto result = executor.Execute(stmt);
-  mvcc_state_.writer = nullptr;
+  BindUndo(&t.undo);
+  const UndoLog::Mark mark = t.undo.MarkPoint();
+  auto result = ExecuteUnder(stmt, user, versioned ? &t.snapshot : nullptr,
+                             versioned ? &t.writer : nullptr);
   if (!result.ok()) {
-    // Mid-statement failure (including a first-updater-wins conflict):
-    // compensate every partial effect, newest first, then restore the
-    // clock so the failed attempt is invisible.
-    undo_.RollbackAll();
-    clock_.Reset(clock_before);
+    if (t.implicit || result.status().IsSerializationFailure()) {
+      // First updater wins, and this transaction lost: per snapshot
+      // isolation the whole transaction aborts, not just the statement.
+      // An implicit transaction is just this statement.
+      DoomLocked(t);
+    } else {
+      // Statement-level savepoint: undo this statement's effects only;
+      // the transaction stays open.
+      t.undo.RollbackTo(mark);
+      clock_.Reset(clock_before);
+      BindUndo(&undo_);
+    }
     return result.status();
   }
-  undo_.Stop();
+  BindUndo(&undo_);
   ++mutation_epoch_;
-  uint64_t csn = 0;
-  if (!writer.rows.empty() || !writer.annotations.empty()) {
-    csn = next_csn_.fetch_add(1, std::memory_order_relaxed);
-    StampWriteSet(writer, csn);
-    last_completed_csn_.store(csn, std::memory_order_release);
-  }
+  ++t.own_mutations;
   if (dur_) {
     ps.user = user;
     ps.sql = std::string(sql);
     ps.clock_before = clock_before;
-    ps.versioned = 1;
-    ps.snapshot = writer.snapshot_csn;
-    BDBMS_RETURN_IF_ERROR(LogCommitted(ps, csn));
+    ps.versioned = versioned ? 1 : 0;
+    ps.snapshot = versioned ? t.snapshot.csn : 0;
+    t.pending.push_back(std::move(ps));
   }
-  TryVacuumLocked();
+  if (t.implicit) {
+    BDBMS_RETURN_IF_ERROR(CommitLocked(t));
+    TryVacuumLocked();
+  }
   return result;
 }
 
-Result<QueryResult> Database::ExecuteExclusive(const Statement& stmt,
-                                               std::string_view sql,
-                                               const std::string& user) {
-  // Cannot fail for a non-transaction caller: it waits (rather than
-  // aborts) until open transactions drain.
-  (void)LockExclusiveNoTxns(nullptr);
-  auto result = [&]() -> Result<QueryResult> {
-    std::lock_guard<std::mutex> w(writer_mu_);
-    if (dur_ && !dur_->wal) {
-      // The latch must refuse BEFORE execution: applying the statement
-      // in memory and then reporting FailedPrecondition would let a
-      // retrying caller stack up unjournaled in-memory effects.
-      return Status::FailedPrecondition(
-          "durable store is unusable after a write failure; reopen");
-    }
-    // No transaction and no reader is alive, so every retained version
-    // is garbage; the legacy paths below expect chain-free heaps.
-    VacuumAllLocked(UINT64_MAX);
-    const uint64_t clock_before = clock_.Peek();
-    PendingStatement ps;
-    if (dur_) CaptureBases(&ps);
-    undo_.Begin();
-    Executor executor(MakeContext(), user);
-    auto r = executor.Execute(stmt);
-    if (!r.ok()) {
-      undo_.RollbackAll();
-      clock_.Reset(clock_before);
-      return r.status();
-    }
-    undo_.Stop();
-    ++mutation_epoch_;
-    if (dur_) {
-      ps.user = user;
-      ps.sql = std::string(sql);
-      ps.clock_before = clock_before;
-      BDBMS_RETURN_IF_ERROR(LogCommitted(ps, 0));
-    }
-    return r;
-  }();
-  gate_.UnlockExclusive();
+Result<QueryResult> Database::ExecuteUnder(const Statement& stmt,
+                                           const std::string& user,
+                                           const MvccSnapshot* snapshot,
+                                           MvccWriter* writer) {
+  // Only mutating statements (under writer_mu_) install a writer; a
+  // reader must leave the ambient one alone.
+  if (writer) mvcc_state_.writer = writer;
+  ExecContext ctx = MakeContext();
+  ctx.snapshot = snapshot;
+  Executor executor(std::move(ctx), user);
+  auto result = executor.Execute(stmt);
+  if (writer) mvcc_state_.writer = nullptr;
   return result;
+}
+
+Status Database::WritableLocked() const {
+  if (dur_ && !dur_->wal) {
+    return Status::FailedPrecondition(
+        "durable store is unusable after a write failure; reopen");
+  }
+  return Status::Ok();
+}
+
+void Database::BeginLocked(TxnState& t) {
+  t.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+  t.snapshot = MvccSnapshot{last_completed_csn_.load(std::memory_order_acquire),
+                            t.txn_id};
+  t.writer.txn_id = t.txn_id;
+  t.writer.snapshot_csn = t.snapshot.csn;
+  t.clock_at_begin = clock_.Peek();
+  t.epoch_at_begin = mutation_epoch_;
+  t.undo.Begin();
 }
 
 Result<QueryResult> Database::BeginTxn(const void* token) {
@@ -395,23 +403,13 @@ Result<QueryResult> Database::BeginTxn(const void* token) {
   // with any in-flight commit; BEGIN never touches the gate, so any
   // number of transactions may be open at once.
   std::lock_guard<std::mutex> w(writer_mu_);
-  if (dur_ && !dur_->wal) {
-    return Status::FailedPrecondition(
-        "durable store is unusable after a write failure; reopen");
-  }
+  BDBMS_RETURN_IF_ERROR(WritableLocked());
   auto t = std::make_unique<TxnState>();
-  t->undo = std::make_unique<UndoLog>();
-  t->undo->Begin();
-  t->clock_at_begin = clock_.Peek();
-  t->epoch_at_begin = mutation_epoch_;
   {
+    // Snapshot capture + registration are one step under txn_mu_, as
+    // for a read statement.
     std::lock_guard<std::mutex> lock(txn_mu_);
-    t->txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-    t->snapshot =
-        MvccSnapshot{last_completed_csn_.load(std::memory_order_acquire),
-                     t->txn_id};
-    t->writer.txn_id = t->txn_id;
-    t->writer.snapshot_csn = t->snapshot.csn;
+    BeginLocked(*t);
     txns_[token] = std::move(t);
   }
   QueryResult result;
@@ -419,93 +417,59 @@ Result<QueryResult> Database::BeginTxn(const void* token) {
   return result;
 }
 
-Result<QueryResult> Database::CommitTxn(const void* token) {
+Result<QueryResult> Database::FinishTxn(const void* token, bool commit) {
   TxnState* t = FindTxn(token);
   if (!t) {
     return Status::FailedPrecondition("no transaction in progress");
   }
-  if (t->doomed) {
-    // A doomed transaction was already rolled back at the conflict; the
-    // COMMIT merely closes it (PostgreSQL reports ROLLBACK here too).
-    EndTxn(token);
-    QueryResult result;
-    result.message = "ROLLBACK";
-    return result;
-  }
+  // A doomed transaction was already rolled back at the conflict; COMMIT
+  // merely closes it (PostgreSQL reports ROLLBACK here too).
   const size_t statements = t->pending.size();
-  auto commit_body = [&]() -> Result<QueryResult> {
+  Status s = Status::Ok();
+  if (!t->doomed) {
+    std::optional<SharedGateLock> g;  // an escalated txn holds exclusive
+    if (!t->escalated) g.emplace(&gate_);
     std::lock_guard<std::mutex> w(writer_mu_);
-    const bool wrote =
-        !t->writer.rows.empty() || !t->writer.annotations.empty();
-    uint64_t csn = 0;
-    if (wrote) csn = next_csn_.fetch_add(1, std::memory_order_relaxed);
-    if (dur_ && !t->pending.empty()) {
-      Status logged = LogTxnCommitted(t, csn);
-      if (!logged.ok()) {
-        // The journal rejected the transaction, so it must not commit
-        // in memory either: unwind everything and report the failure.
-        BindUndo(t->undo.get());
-        t->undo->RollbackAll();
-        BindUndo(&undo_);
-        t->writer.Clear();
-        ApplyRollbackClockPolicy(*t);
-        return logged;
-      }
+    if (commit) {
+      s = CommitLocked(*t);
+    } else {
+      DoomLocked(*t);
     }
-    // Stamp before Stop(): a storage object parked by an in-transaction
-    // DROP lives inside the undo log until Stop() releases it, and the
-    // stamping pass needs the liveness filter to compare against it.
-    StampWriteSet(t->writer, csn);
-    t->undo->Stop();
-    if (wrote) last_completed_csn_.store(csn, std::memory_order_release);
-    QueryResult result;
+  }
+  const bool committed = !t->doomed;
+  EndTxn(token);
+  BDBMS_RETURN_IF_ERROR(s);
+  QueryResult result;
+  if (!committed) {
+    result.message = "ROLLBACK";
+  } else {
     result.message = "COMMIT (" + std::to_string(statements) +
                      (statements == 1 ? " statement)" : " statements)");
-    return result;
-  };
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (t->escalated) return commit_body();  // gate already held exclusively
-    SharedGateLock g(&gate_);
-    return commit_body();
-  }();
-  EndTxn(token);
-  {
-    // Retire versions the finished snapshot was pinning.
-    std::unique_lock<std::mutex> w(writer_mu_, std::try_to_lock);
-    if (w.owns_lock()) TryVacuumLocked();
   }
   return result;
 }
 
-Result<QueryResult> Database::RollbackTxn(const void* token) {
-  TxnState* t = FindTxn(token);
-  if (!t) {
-    return Status::FailedPrecondition("no transaction in progress");
-  }
-  if (!t->doomed) {
-    auto rollback_body = [&] {
-      std::lock_guard<std::mutex> w(writer_mu_);
-      BindUndo(t->undo.get());
-      t->undo->RollbackAll();
-      BindUndo(&undo_);
-      t->writer.Clear();
-      ApplyRollbackClockPolicy(*t);
-    };
-    if (t->escalated) {
-      rollback_body();
-    } else {
-      SharedGateLock g(&gate_);
-      rollback_body();
+Status Database::CommitLocked(TxnState& t) {
+  const bool wrote = !t.writer.rows.empty() || !t.writer.annotations.empty();
+  const uint64_t csn =
+      wrote ? next_csn_.fetch_add(1, std::memory_order_relaxed) : 0;
+  if (dur_ && !t.pending.empty()) {
+    Status logged = JournalLocked(t, csn);
+    if (!logged.ok()) {
+      // The journal rejected the transaction, so it must not commit in
+      // memory either: unwind everything and report the failure.
+      DoomLocked(t);
+      return logged;
     }
   }
-  EndTxn(token);
-  {
-    std::unique_lock<std::mutex> w(writer_mu_, std::try_to_lock);
-    if (w.owns_lock()) TryVacuumLocked();
-  }
-  QueryResult result;
-  result.message = "ROLLBACK";
-  return result;
+  // Journal first, then stamp and publish. Stamp before Stop(): a storage
+  // object parked by a DROP lives inside the undo log until Stop()
+  // releases it, and the stamping pass needs the liveness filter to
+  // compare against it.
+  StampWriteSet(t.writer, csn);
+  t.undo.Stop();
+  if (wrote) last_completed_csn_.store(csn, std::memory_order_release);
+  return Status::Ok();
 }
 
 void Database::EndTxn(const void* token) {
@@ -521,157 +485,27 @@ void Database::EndTxn(const void* token) {
     txn_cv_.notify_all();
   }
   if (escalated) gate_.UnlockExclusive();
+  TryVacuum();  // retire versions the finished snapshot was pinning
 }
 
-Result<QueryResult> Database::ExecuteInTxn(TxnState* t, const Statement& stmt,
-                                           std::string_view sql,
-                                           const std::string& user,
-                                           bool mutating) {
-  if (t->doomed) {
-    return Status::FailedPrecondition(
-        "transaction is aborted, commands ignored until end of "
-        "transaction block");
-  }
-  if (!mutating) {
-    if (t->escalated) {
-      // The transaction owns the gate exclusively; legacy reads see its
-      // in-place writes directly.
-      Executor executor(MakeContext(), user);
-      return executor.Execute(stmt);
-    }
-    SharedGateLock g(&gate_);
-    ExecContext ctx = MakeContext();
-    ctx.snapshot = &t->snapshot;
-    Executor executor(std::move(ctx), user);
-    return executor.Execute(stmt);
-  }
-  if (!t->escalated) {
-    {
-      SharedGateLock g(&gate_);
-      if (Classify(stmt) == StmtClass::kConcurrentDml) {
-        return ExecuteTxnDml(t, stmt, sql, user);
-      }
-    }
-    // The statement needs the exclusive path: escalate. The shared hold
-    // above is released first — waiting for exclusive while holding
-    // shared would deadlock on ourselves.
-    Status escalated = LockExclusiveNoTxns(t);
-    if (!escalated.ok()) {
-      std::lock_guard<std::mutex> w(writer_mu_);
-      DoomLocked(t);
-      return escalated;
-    }
-    t->escalated = true;
-    {
-      std::lock_guard<std::mutex> w(writer_mu_);
-      t->clock_at_escalation = clock_.Peek();
-      // Only this transaction is alive, and from here on it reads the
-      // newest state (its snapshot is abandoned); every retained version
-      // is garbage. Its own uncommitted versions survive — their events
-      // carry a txn id, not a CSN, so the vacuum keeps them.
-      VacuumAllLocked(UINT64_MAX);
-    }
-  }
-  return ExecuteTxnExclusive(t, stmt, sql, user);
-}
-
-Result<QueryResult> Database::ExecuteTxnDml(TxnState* t, const Statement& stmt,
-                                            std::string_view sql,
-                                            const std::string& user) {
-  // Caller holds the shared gate.
-  std::lock_guard<std::mutex> w(writer_mu_);
-  if (dur_ && !dur_->wal) {
-    return Status::FailedPrecondition(
-        "durable store is unusable after a write failure; reopen");
-  }
-  const uint64_t clock_before = clock_.Peek();
-  PendingStatement ps;
-  if (dur_) CaptureBases(&ps);
-  BindUndo(t->undo.get());
-  const UndoLog::Mark mark = t->undo->MarkPoint();
-  mvcc_state_.writer = &t->writer;
-  ExecContext ctx = MakeContext();
-  ctx.snapshot = &t->snapshot;
-  Executor executor(std::move(ctx), user);
-  auto result = executor.Execute(stmt);
-  mvcc_state_.writer = nullptr;
-  if (!result.ok()) {
-    if (result.status().IsSerializationFailure()) {
-      // First updater wins, and this transaction lost: per snapshot
-      // isolation the whole transaction aborts, not just the statement.
-      DoomLocked(t);
-      BindUndo(&undo_);
-      return result.status();
-    }
-    // Statement-level savepoint: undo this statement's effects only; the
-    // transaction stays open.
-    t->undo->RollbackTo(mark);
-    clock_.Reset(clock_before);
-    BindUndo(&undo_);
-    return result.status();
-  }
+void Database::DoomLocked(TxnState& t) {
+  BindUndo(&t.undo);
+  t.undo.RollbackAll();
   BindUndo(&undo_);
-  ++mutation_epoch_;
-  ++t->own_mutations;
-  if (dur_) {
-    ps.user = user;
-    ps.sql = std::string(sql);
-    ps.clock_before = clock_before;
-    ps.versioned = 1;
-    ps.snapshot = t->snapshot.csn;
-    t->pending.push_back(std::move(ps));
-  }
-  return result;
-}
-
-Result<QueryResult> Database::ExecuteTxnExclusive(TxnState* t,
-                                                  const Statement& stmt,
-                                                  std::string_view sql,
-                                                  const std::string& user) {
-  // The transaction holds the gate exclusively; writer_mu_ still guards
-  // the durable counters against durability_stats() observers.
-  std::lock_guard<std::mutex> w(writer_mu_);
-  if (dur_ && !dur_->wal) {
-    return Status::FailedPrecondition(
-        "durable store is unusable after a write failure; reopen");
-  }
-  const uint64_t clock_before = clock_.Peek();
-  PendingStatement ps;
-  if (dur_) CaptureBases(&ps);
-  BindUndo(t->undo.get());
-  const UndoLog::Mark mark = t->undo->MarkPoint();
-  Executor executor(MakeContext(), user);
-  auto result = executor.Execute(stmt);
-  if (!result.ok()) {
-    t->undo->RollbackTo(mark);
-    clock_.Reset(clock_before);
-    BindUndo(&undo_);
-    return result.status();
-  }
-  BindUndo(&undo_);
-  ++mutation_epoch_;
-  ++t->own_mutations;
-  if (dur_) {
-    ps.user = user;
-    ps.sql = std::string(sql);
-    ps.clock_before = clock_before;
-    t->pending.push_back(std::move(ps));
-  }
-  return result;
-}
-
-void Database::DoomLocked(TxnState* t) {
-  t->undo->RollbackAll();
-  t->writer.Clear();
-  t->pending.clear();
+  t.writer.Clear();
+  t.pending.clear();
+  ApplyRollbackClockPolicy(t);
   // The doomed flag also un-pins the transaction's snapshot from GC
   // (ComputeOldestCsnLocked skips doomed entries), so an abandoned
   // conflicted session cannot stall version reclamation.
-  t->doomed = true;
+  t.doomed = true;
 }
 
 Status Database::LockExclusiveNoTxns(const TxnState* self) {
-  if (self) {
+  // Only an explicit transaction can be drained by another escalation;
+  // everyone else simply waits.
+  const bool may_abort = self != nullptr && !self->implicit;
+  if (may_abort) {
     std::lock_guard<std::mutex> lock(txn_mu_);
     if (escalations_waiting_ > 0) {
       // Two open transactions draining each other would deadlock; the
@@ -693,7 +527,7 @@ Status Database::LockExclusiveNoTxns(const TxnState* self) {
       }
     }
     if (!others) {
-      if (self) --escalations_waiting_;
+      if (may_abort) --escalations_waiting_;
       return Status::Ok();  // exclusive gate held
     }
     // Open transactions do not hold the gate between statements, so
@@ -804,10 +638,10 @@ void Database::TryVacuumLocked() {
   VacuumAllLocked(oldest);
 }
 
-void Database::TryVacuumAfterRead() {
-  // A finished reader may have been the oldest snapshot. Skip if a
-  // mutating statement currently owns writer_mu_ — its commit will
-  // vacuum anyway.
+void Database::TryVacuum() {
+  // A finished reader or transaction may have been the oldest snapshot.
+  // Skip if a mutating statement currently owns writer_mu_ — its commit
+  // will vacuum anyway.
   std::unique_lock<std::mutex> w(writer_mu_, std::try_to_lock);
   if (!w.owns_lock()) return;
   TryVacuumLocked();
@@ -833,97 +667,38 @@ uint64_t Database::version_count() const {
   return total;
 }
 
-Status Database::LogCommitted(const PendingStatement& ps, uint64_t csn) {
-  if (!dur_->wal) {
-    // Unreachable via Execute (the latch refuses before execution);
-    // kept as defense for future direct callers.
-    return Status::FailedPrecondition(
-        "durable store is unusable after a write failure; reopen");
+Status Database::JournalLocked(const TxnState& t, uint64_t csn) {
+  BDBMS_RETURN_IF_ERROR(WritableLocked());
+  // An implicit transaction is one bare statement record carrying its
+  // commit CSN. An explicit one is a BEGIN-framed group: begin marker,
+  // buffered statements, commit marker carrying the CSN.
+  std::vector<WalRecord> records;
+  if (!t.implicit) {
+    WalRecord begin;
+    begin.clock = t.clock_at_begin;
+    begin.kind = WalRecordKind::kTxnBegin;
+    records.push_back(std::move(begin));
   }
-  WalRecord rec;
-  rec.lsn = dur_->last_lsn + 1;
-  rec.clock = ps.clock_before;
-  rec.user = ps.user;
-  rec.sql = ps.sql;
-  rec.versioned = ps.versioned;
-  rec.snapshot = ps.snapshot;
-  rec.csn = csn;
-  rec.row_bases = ps.row_bases;
-  rec.ann_bases = ps.ann_bases;
-  Status appended = dur_->wal->Append(rec);
-  if (!appended.ok()) {
-    // The log may now end in a torn record. Latch the writer dead: a
-    // later commit appended after torn bytes would be fsync-acked yet
-    // silently discarded by recovery (the scan stops at the tear).
-    TearDownWal();
-    return appended;
-  }
-  dur_->last_lsn = rec.lsn;
-  uint64_t interval = dur_->options.group_commit_interval;
-  if (interval == 0) interval = 1;
-  if (dur_->wal->unsynced() >= interval) {
-    Status synced = dur_->wal->Sync();
-    if (!synced.ok()) {
-      // After a failed fsync the kernel may have dropped the dirty
-      // pages; nothing appended afterwards could be trusted either.
-      TearDownWal();
-      return synced;
-    }
-  }
-  ++dur_->statements_since_checkpoint;
-  if (dur_->options.checkpoint_interval > 0 &&
-      dur_->statements_since_checkpoint >= dur_->options.checkpoint_interval) {
-    // The statement IS durably committed at this point, and this thread
-    // may hold only the shared gate — the checkpoint itself needs the
-    // exclusive side. Defer it to after the hold ends; a failure there
-    // is recorded and retried, never reported against this statement.
-    checkpoint_due_.store(true, std::memory_order_relaxed);
-  }
-  return Status::Ok();
-}
-
-Status Database::LogTxnCommitted(TxnState* t, uint64_t csn) {
-  if (!dur_->wal) {
-    return Status::FailedPrecondition(
-        "durable store is unusable after a write failure; reopen");
-  }
-  uint64_t lsn = dur_->last_lsn;
-  auto append = [&](WalRecord rec) -> Status {
-    rec.lsn = ++lsn;
-    Status appended = dur_->wal->Append(rec);
-    if (!appended.ok()) {
-      // Same latch discipline as LogCommitted. A partially appended
-      // group is harmless on its own — recovery discards any begin
-      // marker without a commit marker — but nothing appended after the
-      // tear could be trusted.
-      TearDownWal();
-    }
-    return appended;
-  };
-  WalRecord begin;
-  begin.clock = t->clock_at_begin;
-  begin.kind = WalRecordKind::kTxnBegin;
-  BDBMS_RETURN_IF_ERROR(append(std::move(begin)));
   uint8_t any_versioned = 0;
-  for (const PendingStatement& p : t->pending) {
+  for (const PendingStatement& p : t.pending) {
     WalRecord rec;
     rec.clock = p.clock_before;
     rec.user = p.user;
     rec.sql = p.sql;
-    rec.kind = WalRecordKind::kStatement;
     rec.versioned = p.versioned;
     rec.snapshot = p.snapshot;
+    if (t.implicit) rec.csn = csn;
     rec.row_bases = p.row_bases;
     rec.ann_bases = p.ann_bases;
     any_versioned |= p.versioned;
-    BDBMS_RETURN_IF_ERROR(append(std::move(rec)));
+    records.push_back(std::move(rec));
   }
-  WalRecord commit;
-  commit.clock = clock_.Peek();
-  commit.kind = WalRecordKind::kTxnCommit;
-  commit.versioned = any_versioned;
-  commit.csn = csn;
-  {
+  if (!t.implicit) {
+    WalRecord commit;
+    commit.clock = clock_.Peek();
+    commit.kind = WalRecordKind::kTxnCommit;
+    commit.versioned = any_versioned;
+    commit.csn = csn;
     // Commit-time id counters: replay applies these as a max-advance
     // after the group's members, restoring the high-water mark that
     // other transactions' statement-time allocations pushed past this
@@ -932,20 +707,44 @@ Status Database::LogTxnCommitted(TxnState* t, uint64_t csn) {
     CaptureBases(&commit_bases);
     commit.row_bases = std::move(commit_bases.row_bases);
     commit.ann_bases = std::move(commit_bases.ann_bases);
+    records.push_back(std::move(commit));
   }
-  BDBMS_RETURN_IF_ERROR(append(std::move(commit)));
-  // One fsync covers the whole group: the transaction is durable exactly
-  // when its commit marker is. group_commit_interval batches autocommit
-  // statements, never transactions.
-  Status synced = dur_->wal->Sync();
-  if (!synced.ok()) {
-    TearDownWal();
-    return synced;
+  uint64_t lsn = dur_->last_lsn;
+  for (WalRecord& rec : records) {
+    rec.lsn = ++lsn;
+    Status appended = dur_->wal->Append(rec);
+    if (!appended.ok()) {
+      // The log may now end in a torn record. Latch the writer dead: a
+      // later commit appended after torn bytes would be fsync-acked yet
+      // silently discarded by recovery (the scan stops at the tear). A
+      // partially appended group is harmless on its own — recovery
+      // discards a begin marker without a commit marker.
+      TearDownWal();
+      return appended;
+    }
+  }
+  // A transaction is durable exactly when its commit marker is, so a
+  // group always gets its own fsync; group_commit_interval batches only
+  // implicit transactions.
+  const uint64_t interval =
+      std::max<uint64_t>(dur_->options.group_commit_interval, 1);
+  if (!t.implicit || dur_->wal->unsynced() >= interval) {
+    Status synced = dur_->wal->Sync();
+    if (!synced.ok()) {
+      // After a failed fsync the kernel may have dropped the dirty
+      // pages; nothing appended afterwards could be trusted either.
+      TearDownWal();
+      return synced;
+    }
   }
   dur_->last_lsn = lsn;
-  dur_->statements_since_checkpoint += t->pending.size();
+  dur_->statements_since_checkpoint += t.pending.size();
   if (dur_->options.checkpoint_interval > 0 &&
       dur_->statements_since_checkpoint >= dur_->options.checkpoint_interval) {
+    // The transaction IS durably committed at this point, and this thread
+    // may hold only the shared gate — the checkpoint itself needs the
+    // exclusive side. Defer it to after the hold ends; a failure there
+    // is recorded and retried, never reported against this transaction.
     checkpoint_due_.store(true, std::memory_order_relaxed);
   }
   return Status::Ok();
@@ -1006,7 +805,7 @@ Status Database::CheckpointLocked() {
         "durable store is unusable after a failed checkpoint; reopen");
   }
   // Commit everything the snapshot will claim to cover. A failed fsync
-  // poisons the log the same way it does in LogCommitted — the kernel
+  // poisons the log the same way it does in JournalLocked — the kernel
   // may have dropped the dirty pages — so the writer must latch dead
   // rather than let later appends be acked over a hole.
   Status synced = dur_->wal->Sync();
@@ -1116,45 +915,34 @@ Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
   // never shows).
   clock_.Reset(rec.clock);
   ApplyReplayBases(rec);
-  auto result = [&]() -> Result<QueryResult> {
-    if (rec.versioned) {
-      // Re-create the original execution mode: an MVCC writer plus the
-      // journaled snapshot, so visibility decisions replay bit for bit
-      // against the version stamps of earlier replayed commits.
-      MvccWriter local;
-      MvccWriter* writer = group_writer;
-      if (writer == nullptr) {
-        local.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-        local.snapshot_csn = rec.snapshot;
-        writer = &local;
-      }
-      MvccSnapshot snap{rec.snapshot, writer->txn_id};
-      mvcc_state_.writer = writer;
-      ExecContext ctx = MakeContext();
-      ctx.snapshot = &snap;
-      Executor executor(std::move(ctx), rec.user);
-      auto r = executor.Execute(*parsed);
-      mvcc_state_.writer = nullptr;
-      if (r.ok() && writer == &local) {
-        // Autocommit record: stamp with the journaled commit CSN now.
-        if (rec.csn != 0) {
-          StampWriteSet(local, rec.csn);
-          AdvanceCsn(rec.csn);
-        } else {
-          local.Clear();
-        }
-      }
-      return r;
+  // Re-create the original execution mode: a versioned record runs with
+  // an MVCC writer plus the journaled snapshot, so visibility decisions
+  // replay bit for bit against the version stamps of earlier replayed
+  // commits.
+  MvccWriter local;
+  MvccWriter* writer = nullptr;
+  if (rec.versioned) {
+    writer = group_writer;
+    if (writer == nullptr) {
+      local.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+      local.snapshot_csn = rec.snapshot;
+      writer = &local;
     }
-    Executor executor(MakeContext(), rec.user);
-    return executor.Execute(*parsed);
-  }();
+  }
+  const MvccSnapshot snap{rec.snapshot, writer ? writer->txn_id : 0};
+  auto result =
+      ExecuteUnder(*parsed, rec.user, writer ? &snap : nullptr, writer);
   if (!result.ok()) {
     return Status::Corruption(
         "WAL replay diverged at lsn " + std::to_string(rec.lsn) + " (" +
         rec.sql + "): " + result.status().message() +
         " — if the statement is CREATE DEPENDENCY, the procedure registry "
         "must be re-populated via DurabilityOptions::bootstrap");
+  }
+  if (writer == &local && rec.csn != 0) {
+    // Implicit-transaction record: stamp with the journaled commit CSN.
+    StampWriteSet(local, rec.csn);
+    AdvanceCsn(rec.csn);
   }
   return Status::Ok();
 }

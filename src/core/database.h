@@ -221,9 +221,8 @@ class Database {
       const std::string& table, RowId row, size_t col);
 
  private:
-  // One buffered statement of an open transaction (journaled only at
-  // COMMIT — the WAL never sees uncommitted work), doubling as the
-  // record-assembly buffer for autocommit statements.
+  // One executed statement of a transaction, buffered until commit (the
+  // WAL never sees uncommitted work).
   struct PendingStatement {
     std::string user;
     std::string sql;
@@ -234,12 +233,16 @@ class Database {
     std::vector<std::pair<std::string, uint64_t>> ann_bases;
   };
 
-  // State of one open transaction. Lives in txns_ keyed by session token.
+  // State of one transaction. An explicit one (BEGIN) lives in txns_
+  // keyed by session token. An autocommit statement runs as an implicit
+  // one: stack-local, never registered, committed by the statement's own
+  // writer_mu_ hold.
   struct TxnState {
+    bool implicit = false;
     uint64_t txn_id = 0;
-    MvccSnapshot snapshot;  // captured at BEGIN
-    MvccWriter writer;      // versioned write set, stamped at COMMIT
-    std::unique_ptr<UndoLog> undo;
+    MvccSnapshot snapshot;  // captured at BEGIN (implicit: per statement)
+    MvccWriter writer;      // versioned write set, stamped at commit
+    UndoLog undo;
     std::vector<PendingStatement> pending;
     uint64_t clock_at_begin = 0;
     uint64_t clock_at_escalation = 0;
@@ -249,7 +252,7 @@ class Database {
     bool doomed = false;          // serialization failure; rolled back
   };
 
-  // How a mutating autocommit/in-transaction statement executes.
+  // How a mutating statement executes.
   enum class StmtClass {
     kConcurrentDml,  // versioned, under the shared gate
     kExclusive,      // legacy serial path, drains transactions
@@ -264,47 +267,63 @@ class Database {
   bool TableInvolved(const std::string& table) const;
 
   Result<QueryResult> BeginTxn(const void* token);
-  Result<QueryResult> CommitTxn(const void* token);
-  Result<QueryResult> RollbackTxn(const void* token);
-  // Unregisters the transaction (waking escalation/checkpoint waiters)
-  // and, for an escalated one, releases the exclusive gate hold.
+  // COMMIT (`commit`) or ROLLBACK of the session's open transaction.
+  Result<QueryResult> FinishTxn(const void* token, bool commit);
+  // Unregisters the transaction (waking escalation/checkpoint waiters),
+  // releases an escalated one's exclusive gate hold, and vacuums.
   void EndTxn(const void* token);
   TxnState* FindTxn(const void* token) const;
 
-  Result<QueryResult> ExecuteRead(const Statement& stmt,
-                                  const std::string& user);
-  Result<QueryResult> ExecuteConcurrent(const Statement& stmt,
-                                        std::string_view sql,
-                                        const std::string& user);
-  Result<QueryResult> ExecuteExclusive(const Statement& stmt,
-                                       std::string_view sql,
-                                       const std::string& user);
-  Result<QueryResult> ExecuteInTxn(TxnState* t, const Statement& stmt,
+  // The statement runner, for explicit and implicit transactions alike.
+  // Chooses the gate mode once: reads take the shared gate (none once
+  // escalated); mutating statements classify under the shared gate and
+  // either run versioned under that hold or escalate to the exclusive
+  // side. An implicit transaction commits before this returns (the
+  // caller releases its exclusive hold, if any).
+  Result<QueryResult> RunStatement(TxnState& t, const Statement& stmt,
                                    std::string_view sql,
-                                   const std::string& user, bool mutating);
-  Result<QueryResult> ExecuteTxnDml(TxnState* t, const Statement& stmt,
-                                    std::string_view sql,
-                                    const std::string& user);
-  Result<QueryResult> ExecuteTxnExclusive(TxnState* t, const Statement& stmt,
-                                          std::string_view sql,
-                                          const std::string& user);
+                                   const std::string& user);
+  // Executes one mutating statement of `t` in a single writer_mu_ hold,
+  // with a statement-level savepoint; the caller holds the gate.
+  Result<QueryResult> RunMutation(TxnState& t, const Statement& stmt,
+                                  std::string_view sql,
+                                  const std::string& user);
+  // The execution kernel shared with WAL replay: runs `stmt` under
+  // `snapshot` (null = newest state) with `writer` installed (null =
+  // unversioned, or a read).
+  Result<QueryResult> ExecuteUnder(const Statement& stmt,
+                                   const std::string& user,
+                                   const MvccSnapshot* snapshot,
+                                   MvccWriter* writer);
 
-  // Rolls the transaction back in place after a serialization failure
-  // and marks it doomed (only ROLLBACK / COMMIT-as-rollback is accepted
-  // afterwards, and its snapshot stops pinning GC). Caller holds
-  // writer_mu_.
-  void DoomLocked(TxnState* t);
+  // FailedPrecondition once the durable store is latched unusable.
+  Status WritableLocked() const;
+
+  // Gives `t` a fresh txn id and snapshot, records the clock/epoch marks
+  // rollback rewinds to, and starts its undo log. Caller holds
+  // writer_mu_ (and txn_mu_ when `t` is being registered).
+  void BeginLocked(TxnState& t);
+
+  // Journals `t` (if durable and it executed anything), then stamps and
+  // publishes its commit CSN. A journal failure rolls `t` back instead.
+  // Caller holds writer_mu_.
+  Status CommitLocked(TxnState& t);
+
+  // Rolls the whole transaction back in place and marks it doomed (only
+  // ROLLBACK / COMMIT-as-rollback is accepted afterwards, and its
+  // snapshot stops pinning GC). Caller holds writer_mu_.
+  void DoomLocked(TxnState& t);
 
   // Acquires the exclusive side of the gate and waits until no
   // transaction other than `self` is open (legacy execution and full
-  // vacuum are only sound with no foreign snapshot alive). For an
-  // escalating transaction (`self` non-null) fails with a
-  // serialization-failure status instead of deadlocking when another
-  // transaction is already draining.
+  // vacuum are only sound with no foreign snapshot alive). An escalating
+  // explicit transaction fails with a serialization-failure status
+  // instead of deadlocking when another one is already draining; every
+  // other caller (`self` null or implicit) waits.
   Status LockExclusiveNoTxns(const TxnState* self);
 
-  // Points every manager and table at `undo` (a transaction's private
-  // log, or the shared autocommit log). Caller holds writer_mu_.
+  // Points every manager and table at `undo` (a transaction's log, or
+  // the idle log between statements). Caller holds writer_mu_.
   void BindUndo(UndoLog* undo);
 
   // Stamps every write-set entry that still refers to a live storage
@@ -322,22 +341,19 @@ class Database {
   uint64_t ComputeOldestCsnLocked() const;
   void VacuumAllLocked(uint64_t oldest_csn);  // caller holds writer_mu_
   void TryVacuumLocked();                     // caller holds writer_mu_
-  void TryVacuumAfterRead();                  // try-locks writer_mu_
+  void TryVacuum();                           // try-locks writer_mu_
 
   // Restores the clock after a whole-transaction rollback when no
   // foreign mutation interleaved (fingerprint parity with PR-6);
   // caller holds writer_mu_.
   void ApplyRollbackClockPolicy(const TxnState& t);
 
-  // Journals one committed autocommit statement and drives the fsync /
-  // deferred-checkpoint cadence. `csn` is the statement's commit CSN
-  // (0 when it wrote no versions).
-  Status LogCommitted(const PendingStatement& ps, uint64_t csn);
-
-  // Journals the open transaction as one BEGIN-framed group (begin
-  // marker, buffered statements, commit marker carrying `csn`) with a
-  // single fsync.
-  Status LogTxnCommitted(TxnState* t, uint64_t csn);
+  // Journals a committing transaction with commit CSN `csn` (0 when it
+  // wrote no versions) and drives the fsync / deferred-checkpoint
+  // cadence: an implicit one as a bare statement record on the
+  // group-commit cadence, an explicit one as a BEGIN-framed group with
+  // its own fsync.
+  Status JournalLocked(const TxnState& t, uint64_t csn);
 
   // Runs a deferred auto-checkpoint if one is due and no transaction is
   // open. Called after the gate hold of the triggering statement ends.
@@ -420,10 +436,10 @@ class Database {
   std::unique_ptr<Durable> dur_;
   std::unique_ptr<PagedStorage> paged_;
 
-  // Compensation log for autocommit statements. Open transactions carry
-  // their own UndoLog (TxnState::undo) so interleaved transactions do
-  // not share one LIFO stack; BindUndo() switches the engine between
-  // them around each mutating statement.
+  // Idle undo log, bound between statements and never recording. Every
+  // transaction carries its own UndoLog (TxnState::undo) so interleaved
+  // transactions do not share one LIFO stack; BindUndo() switches the
+  // engine to it around each mutating statement.
   UndoLog undo_;
 
   // Ambient MVCC context shared with every storage object. A writer is

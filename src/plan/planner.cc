@@ -1081,8 +1081,10 @@ Result<PlanNodePtr> Planner::TryPlanTopKScan(const SelectStmt& stmt) {
   double table_rows = stats != nullptr
                           ? static_cast<double>(stats->row_count)
                           : static_cast<double>(table->row_count());
-  std::string predicate_text =
-      "(" + ExprToString(*key.expr) + " k=" + std::to_string(k) + ")";
+  // Appended stepwise: an inline "(" + std::string temporary trips GCC
+  // 12's -Wrestrict false positive (PR105329) in Release builds.
+  std::string predicate_text = "(";
+  predicate_text += ExprToString(*key.expr) + " k=" + std::to_string(k) + ")";
   PlanNodePtr scan = std::make_unique<SpgistTopKScanNode>(
       ctx_, table, ref.table, qualifier, std::move(ann_names),
       /*attach_metadata=*/true, index, target->literal.as_string(), k,

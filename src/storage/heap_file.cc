@@ -110,15 +110,6 @@ Result<std::unique_ptr<HeapFile>> HeapFile::CreateInMemory(size_t pool_pages) {
   return hf;
 }
 
-Result<std::unique_ptr<HeapFile>> HeapFile::OpenFile(const std::string& path,
-                                                     size_t pool_pages) {
-  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager, Pager::OpenFile(path));
-  auto hf =
-      std::unique_ptr<HeapFile>(new HeapFile(std::move(pager), pool_pages));
-  BDBMS_RETURN_IF_ERROR(hf->Bootstrap());
-  return hf;
-}
-
 Result<std::unique_ptr<HeapFile>> HeapFile::OpenPaged(WalEnv* env,
                                                       const std::string& path,
                                                       size_t pool_pages) {

@@ -30,11 +30,6 @@ class HeapFile {
   static Result<std::unique_ptr<HeapFile>> CreateInMemory(
       size_t pool_pages = 64);
 
-  // File-backed heap; reopens existing content (free-space map and
-  // record count are rebuilt by a scan).
-  static Result<std::unique_ptr<HeapFile>> OpenFile(const std::string& path,
-                                                    size_t pool_pages = 64);
-
   // Durable paged heap (base + spill overlay, see Pager::OpenPaged): pages
   // fault in through the buffer pool and evict under the `pool_pages`
   // budget (0 = unbounded). Callers needing crash recovery must run

@@ -50,17 +50,6 @@ Result<std::unique_ptr<Table>> Table::CreateInMemory(TableSchema schema,
   return table;
 }
 
-Result<std::unique_ptr<Table>> Table::OpenFile(TableSchema schema,
-                                               const std::string& path,
-                                               size_t pool_pages) {
-  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> heap,
-                         HeapFile::OpenFile(path, pool_pages));
-  auto table =
-      std::unique_ptr<Table>(new Table(std::move(schema), std::move(heap)));
-  BDBMS_RETURN_IF_ERROR(table->Bootstrap());
-  return table;
-}
-
 Result<std::unique_ptr<Table>> Table::OpenPaged(TableSchema schema,
                                                 WalEnv* env,
                                                 const std::string& path,

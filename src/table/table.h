@@ -69,11 +69,6 @@ class Table {
   // Fresh in-memory table.
   static Result<std::unique_ptr<Table>> CreateInMemory(TableSchema schema,
                                                        size_t pool_pages = 64);
-  // File-backed table; existing rows are recovered by scanning.
-  static Result<std::unique_ptr<Table>> OpenFile(TableSchema schema,
-                                                 const std::string& path,
-                                                 size_t pool_pages = 64);
-
   // Durable paged table over HeapFile::OpenPaged: rows live in file-backed
   // pages that fault in and evict under the `pool_pages` budget (0 =
   // unbounded), so tables larger than RAM work. Existing rows are

@@ -2,12 +2,19 @@
 // (rectangle scheme), the Figure-3 cell-scheme baseline, and the manager.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "annot/annotation.h"
 #include "annot/annotation_manager.h"
 #include "annot/annotation_table.h"
 #include "annot/cell_scheme.h"
 #include "annot/interval_index.h"
 #include "common/clock.h"
+#include "core/database.h"
+#include "core/session.h"
 
 namespace bdbms {
 namespace {
@@ -282,6 +289,54 @@ TEST(AnnotationManagerTest, IdsForRowAcrossCategories) {
   ASSERT_TRUE(only.ok());
   ASSERT_EQ(only->size(), 1u);
   EXPECT_EQ((*only)[0].first, "Lineage");
+}
+
+// Every annotation write leaves the table's interval index dirty; the
+// readers that arrive next rebuild it lazily while holding only the
+// annotation table's shared latch. Several sessions must be able to hit
+// that first rebuild at once.
+TEST(EngineConcurrencyTest, ParallelAnnotationReadsAfterWrite) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE Gene (GID TEXT, GName TEXT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE ANNOTATION TABLE Notes ON Gene").ok());
+  for (int i = 0; i < 32; ++i) {
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(
+        db.Execute("INSERT INTO Gene VALUES ('g" + n + "', 'n" + n + "')")
+            .ok());
+  }
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 20;
+  std::atomic<int> failures{0};
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string n = std::to_string(round);
+    auto added = db.Execute("ADD ANNOTATION TO Gene.Notes VALUE '<A>round " +
+                            n + "</A>' ON (SELECT GName FROM Gene " +
+                            "WHERE GID = 'g" + n + "')");
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+    std::atomic<int> ready{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        Session session(&db, "admin");
+        ++ready;
+        while (ready.load() < kReaders) {
+        }
+        auto annotated =
+            session.Execute("SELECT GID, GName FROM Gene ANNOTATION(Notes)");
+        auto filtered = session.Execute(
+            "SELECT GID FROM Gene ANNOTATION(Notes) AWHERE VALUE LIKE "
+            "'%round%'");
+        if (!annotated.ok() || annotated->rows.size() != 32u ||
+            !filtered.ok() ||
+            filtered->rows.size() != static_cast<size_t>(round + 1)) {
+          ++failures;
+        }
+      });
+    }
+    for (std::thread& t : readers) t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

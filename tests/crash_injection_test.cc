@@ -620,6 +620,8 @@ TEST(CrashInjectionTest, ShortWriteSurfacesErrorAndRecoveryDropsTornRecord) {
                             statements[kSurvivors].first);
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsIoError()) << r.status().ToString();
+    EXPECT_EQ(Fingerprint(**db), ReferenceFingerprint(kSurvivors))
+        << "a statement the journal rejected must not stay visible";
     // The writer is latched dead: committing AFTER torn bytes would be
     // fsync-acked yet silently discarded by recovery's tail cut. The
     // refusal happens BEFORE execution — retries must not stack up

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/status.h"
 #include "core/database.h"
@@ -276,6 +280,90 @@ TEST_F(IsolationTest, OpenReaderPinsVersionsUntilItCloses) {
   // Snapshot released: the next commit's vacuum reclaims the chain.
   SESSION_OK(s1_, "UPDATE Acct SET Bal = 901 WHERE Owner = 'alice'");
   EXPECT_EQ(db_.version_count(), 2u);
+}
+
+// --- gate mode: one decision per statement ------------------------------
+
+TEST_F(IsolationTest, ConcurrentAutocommitIncrementsNeverConflict) {
+  // DML on a table no dependency rule or approval config touches runs
+  // versioned under the shared gate; each autocommit statement takes its
+  // snapshot inside its writer hold, so hot-row increments serialize
+  // instead of failing first-updater-wins.
+  SESSION_OK(s1_, "CREATE TABLE T (k INT, v INT)");
+  SESSION_OK(s1_, "INSERT INTO T VALUES (0, 0)");
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 200;
+  std::atomic<int> serialization_failures{0};
+  std::atomic<int> other_failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      Session session(&db_, "admin");
+      for (int n = 0; n < kIncrements; ++n) {
+        auto r = session.Execute("UPDATE T SET v = v + 1 WHERE k = 0");
+        if (r.ok()) continue;
+        if (r.status().IsSerializationFailure()) {
+          ++serialization_failures;
+        } else {
+          ++other_failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(serialization_failures.load(), 0);
+  EXPECT_EQ(other_failures.load(), 0);
+  EXPECT_EQ(Rows(s1_, "SELECT v FROM T"),
+            std::to_string(kThreads * kIncrements) + ";");
+}
+
+TEST_F(IsolationTest, AutocommitEscalationWaitsForOpenTransaction) {
+  SESSION_OK(s1_, "BEGIN");
+  SESSION_OK(s1_, "UPDATE Acct SET Bal = 150 WHERE Owner = 'alice'");
+  // DDL escalates to the exclusive gate, which an autocommit statement
+  // waits for (it never aborts) until the open transaction ends.
+  std::atomic<bool> done{false};
+  Result<QueryResult> created = Status::FailedPrecondition("not run");
+  std::thread ddl([&] {
+    created = s2_.Execute("CREATE INDEX acct_owner ON Acct (Owner)");
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(done.load()) << "escalation must wait for the open txn";
+  SESSION_OK(s1_, "COMMIT");
+  ddl.join();
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_EQ(Balances(s2_), "alice|150;bob|100;");
+}
+
+TEST_F(IsolationTest, SecondEscalatingTransactionIsDoomed) {
+  SESSION_OK(s1_, "BEGIN");
+  SESSION_OK(s2_, "BEGIN");
+  // s1 escalates first and drains: it waits for s2 to end.
+  Result<QueryResult> first = Status::FailedPrecondition("not run");
+  std::thread escalate([&] {
+    first = s1_.Execute("CREATE INDEX acct_owner ON Acct (Owner)");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // s2 escalating too would deadlock the pair; the later one aborts.
+  auto second = s2_.Execute("CREATE INDEX acct_bal ON Acct (Bal)");
+  ASSERT_FALSE(second.ok());
+  EXPECT_TRUE(second.status().IsSerializationFailure())
+      << second.status().ToString();
+  auto doomed = s2_.Execute("SELECT Owner FROM Acct");
+  ASSERT_FALSE(doomed.ok());
+  EXPECT_NE(doomed.status().ToString().find(
+                "transaction is aborted, commands ignored"),
+            std::string::npos)
+      << doomed.status().ToString();
+  EXPECT_EQ(s2_.Execute("COMMIT")->message, "ROLLBACK");
+  escalate.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto commit = s1_.Execute("COMMIT");
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_EQ(commit->message.rfind("COMMIT", 0), 0u) << commit->message;
+  EXPECT_TRUE(s2_.Execute("DROP INDEX acct_owner ON Acct").ok());
+  EXPECT_FALSE(s2_.Execute("DROP INDEX acct_bal ON Acct").ok());
 }
 
 }  // namespace
