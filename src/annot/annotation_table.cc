@@ -62,7 +62,6 @@ Result<AnnotationId> AnnotationTable::Add(const std::string& xml_body,
   std::unique_lock<std::shared_mutex> lock(latch_);
   MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
   AnnotationMeta meta;
-  AnnotationId next_before = next_id_;
   meta.id = next_id_++;
   meta.timestamp = clock_->Tick();
   meta.archived = false;
@@ -79,29 +78,7 @@ Result<AnnotationId> AnnotationTable::Add(const std::string& xml_body,
   AnnotationId id = meta.id;
   metas_[id] = std::move(meta);
   if (w != nullptr) w->annotations.emplace_back(this, id);
-  if (undo_ && undo_->recording()) {
-    undo_->Record("add annotation " + std::to_string(id),
-                  [this, id, next_before] {
-                    EraseAnnotation(id, next_before);
-                  });
-  }
   return id;
-}
-
-void AnnotationTable::EraseAnnotation(AnnotationId id,
-                                      AnnotationId next_before) {
-  std::unique_lock<std::shared_mutex> lock(latch_);
-  auto rec = records_.find(id);
-  if (rec != records_.end()) {
-    (void)heap_->Delete(rec->second);
-    records_.erase(rec);
-  }
-  metas_.erase(id);
-  index_.Erase(id);
-  // Only rewind the id counter when nothing newer was handed out;
-  // concurrent transactions may have burned later ids (the WAL records id
-  // bases per statement, so replay still lines up).
-  if (next_id_ == id + 1) next_id_ = next_before;
 }
 
 Status AnnotationTable::RestoreAnnotation(const AnnotationMeta& meta,
@@ -234,11 +211,11 @@ Result<size_t> AnnotationTable::ArchiveMatching(
 }
 
 std::vector<std::pair<RowId, RowId>> AnnotationTable::LiveRowIntervals(
-    const MvccSnapshot* snap) const {
+    const MvccSnapshot& snap) const {
   std::shared_lock<std::shared_mutex> lock(latch_);
   std::vector<std::pair<RowId, RowId>> intervals;
   for (const auto& [id, meta] : metas_) {
-    if (meta.archived || !VisibleTo(meta, snap)) continue;
+    if (meta.archived || !VisibleTo(meta, &snap)) continue;
     for (const Region& r : meta.regions) {
       intervals.emplace_back(r.row_begin, r.row_end);
     }
@@ -305,6 +282,24 @@ void AnnotationTable::CommitAnnotation(AnnotationId id, uint64_t txn,
     it->second.begin_csn = csn;
     it->second.begin_txn = 0;
   }
+}
+
+void AnnotationTable::AbortAnnotation(AnnotationId id, uint64_t txn) {
+  std::unique_lock<std::shared_mutex> lock(latch_);
+  auto it = metas_.find(id);
+  if (it == metas_.end()) return;
+  if (it->second.begin_csn != 0 || it->second.begin_txn != txn) return;
+  auto rec = records_.find(id);
+  if (rec != records_.end()) {
+    (void)heap_->Delete(rec->second);
+    records_.erase(rec);
+  }
+  metas_.erase(it);
+  index_.Erase(id);
+  // Only rewind the id counter when nothing newer was handed out;
+  // concurrent transactions may have burned later ids (the WAL records id
+  // bases per statement, so replay still lines up).
+  if (next_id_ == id + 1) next_id_ = id;
 }
 
 uint64_t AnnotationTable::count() const {

@@ -67,10 +67,10 @@ class AnnotationTable {
 
   // Inclusive row intervals covered by at least one live annotation
   // region, unsorted and possibly overlapping. The planner feeds these to
-  // Table::ScanRange/RowIdsInRange to restrict an AWHERE scan to row
-  // ranges that can carry annotations at all.
+  // Table::VisibleRowIdsInRange to restrict an AWHERE scan to row ranges
+  // that can carry annotations at all.
   std::vector<std::pair<RowId, RowId>> LiveRowIntervals(
-      const MvccSnapshot* snap = nullptr) const;
+      const MvccSnapshot& snap) const;
 
   // Reads the XML body from storage.
   Result<std::string> Body(AnnotationId id) const;
@@ -111,7 +111,12 @@ class AnnotationTable {
   void SetNextId(AnnotationId next);
 
   // MVCC commit: stamps the annotation's begin event if `txn` owns it.
+  // CSN 0 commits it into the ancient state, visible to every snapshot.
   void CommitAnnotation(AnnotationId id, uint64_t txn, uint64_t csn);
+
+  // MVCC abort: removes the annotation if `txn` added it and has not
+  // committed, handing its id back when no newer one was handed out.
+  void AbortAnnotation(AnnotationId id, uint64_t txn);
 
   uint64_t count() const;
   uint64_t live_count() const;
@@ -119,8 +124,9 @@ class AnnotationTable {
   const IoStats& io_stats() const { return heap_->io_stats(); }
   IoStats& io_stats() { return heap_->io_stats(); }
 
-  // Transactions: while `undo` records, Add and archive-state flips push
-  // compensation records that erase/restore the annotation exactly.
+  // Transactions: while `undo` records, archive-state flips push
+  // compensation records (added annotations roll back through
+  // AbortAnnotation).
   void set_undo_log(UndoLog* undo) { undo_ = undo; }
 
   // Installs the engine's ambient MVCC context (see Table::set_mvcc).
@@ -138,10 +144,6 @@ class AnnotationTable {
                                   const std::string& body);
 
   Status SetArchived(AnnotationId id, bool archived);
-
-  // Compensation for Add(): removes the annotation and rewinds next_id_
-  // so a replay hands out the same id again.
-  void EraseAnnotation(AnnotationId id, AnnotationId next_before);
 
   // True when the snapshot (nullptr = no filtering) can see `meta`.
   static bool VisibleTo(const AnnotationMeta& meta, const MvccSnapshot* snap);

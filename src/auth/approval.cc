@@ -261,8 +261,9 @@ Result<LoggedOperation> ApprovalManager::Disapprove(
       break;
   }
   op.state = OpState::kDisapproved;
-  // The inverse-DML effects above were captured by the Table's own undo
-  // hooks; only the settle-state flip needs its own compensation.
+  // The inverse-DML effects above are row versions, rolled back with the
+  // transaction's write set; only the settle-state flip needs its own
+  // compensation.
   if (undo_ && undo_->recording()) {
     undo_->Record("disapprove " + std::to_string(op_id), [this, op_id] {
       auto entry = log_.find(op_id);

@@ -17,9 +17,10 @@ Database::Database()
       dependencies_(&catalog_, &procedures_),
       approvals_(&catalog_, &access_, &clock_) {
   // Every manager records its compensations into the currently bound undo
-  // log (the autocommit log by default; a transaction's private log while
-  // one of its statements runs), so a statement or transaction rollback
-  // unwinds the whole engine state.
+  // log (the idle log by default; a transaction's private log while one
+  // of its statements runs), so a statement or transaction rollback
+  // unwinds all unversioned engine state; row and annotation versions
+  // roll back through the transaction's write set.
   catalog_.set_undo_log(&undo_);
   annotations_.set_undo_log(&undo_);
   dependencies_.set_undo_log(&undo_);
@@ -153,11 +154,11 @@ bool Database::TableInvolved(const std::string& table) const {
 }
 
 Database::StmtClass Database::Classify(const Statement& stmt) const {
-  // DML runs versioned under the shared gate as long as the target table
-  // drives no cross-cutting machinery: no dependency rule reads or writes
-  // it, and no approval config intercepts its writes. Everything else —
-  // DDL, grants, approvals, ANALYZE, dependency-propagating updates —
-  // keeps the PR-6 exclusive path.
+  // DML runs under the shared gate as long as the target table drives no
+  // cross-cutting machinery: no dependency rule reads or writes it, and
+  // no approval config intercepts its writes. Everything else — DDL,
+  // grants, approvals, ANALYZE, dependency-propagating updates —
+  // escalates to run alone.
   if (const auto* ins = std::get_if<InsertStmt>(&stmt.node)) {
     return TableInvolved(ins->table) ? StmtClass::kExclusive
                                      : StmtClass::kConcurrentDml;
@@ -251,11 +252,10 @@ Result<QueryResult> Database::RunStatement(TxnState& t, const Statement& stmt,
         "transaction block");
   }
   if (!StatementMutatesState(stmt)) {
-    // An escalated transaction owns the gate exclusively and reads its
-    // in-place writes directly.
-    if (t.escalated) return ExecuteUnder(stmt, user, nullptr, nullptr);
+    // An escalated transaction already owns the gate exclusively.
+    if (t.escalated) return ExecuteUnder(stmt, user, t.snapshot, nullptr);
     SharedGateLock g(&gate_);
-    if (!t.implicit) return ExecuteUnder(stmt, user, &t.snapshot, nullptr);
+    if (!t.implicit) return ExecuteUnder(stmt, user, t.snapshot, nullptr);
     {
       // Capture + registration are one atomic step under txn_mu_: the GC
       // computes the oldest live snapshot under the same mutex, so a
@@ -265,7 +265,7 @@ Result<QueryResult> Database::RunStatement(TxnState& t, const Statement& stmt,
       t.snapshot.csn = last_completed_csn_.load(std::memory_order_acquire);
       read_snapshots_.insert(t.snapshot.csn);
     }
-    auto result = ExecuteUnder(stmt, user, &t.snapshot, nullptr);
+    auto result = ExecuteUnder(stmt, user, t.snapshot, nullptr);
     {
       std::lock_guard<std::mutex> lock(txn_mu_);
       read_snapshots_.erase(read_snapshots_.find(t.snapshot.csn));
@@ -295,10 +295,12 @@ Result<QueryResult> Database::RunStatement(TxnState& t, const Statement& stmt,
     t.escalated = true;
     std::lock_guard<std::mutex> w(writer_mu_);
     t.clock_at_escalation = clock_.Peek();
-    // Only this transaction is alive, and from here on it reads the
-    // newest state (its snapshot is abandoned); every retained version
-    // is garbage. Its own uncommitted versions survive — their events
-    // carry a txn id, not a CSN, so the vacuum keeps them.
+    // Only this transaction is alive: from here on it reads the latest
+    // state and cannot lose a write conflict (an implicit one gets the
+    // same from BeginLocked). Every retained version is garbage; its own
+    // uncommitted versions survive — their events carry a txn id, not a
+    // CSN, so the vacuum keeps them.
+    t.snapshot.csn = t.writer.snapshot_csn = kLatestCsn;
     VacuumAllLocked(UINT64_MAX);
   }
   return RunMutation(t, stmt, sql, user);
@@ -307,7 +309,7 @@ Result<QueryResult> Database::RunStatement(TxnState& t, const Statement& stmt,
 Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
                                           std::string_view sql,
                                           const std::string& user) {
-  // Caller holds the gate: shared for versioned DML, exclusive once the
+  // Caller holds the gate: shared for concurrent DML, exclusive once the
   // transaction escalated. writer_mu_ serializes this against other
   // mutating statements, commits and vacuums; readers sail past on table
   // latches and snapshot visibility. An implicit transaction takes its
@@ -320,14 +322,12 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
   // caller stack up unjournaled in-memory effects.
   BDBMS_RETURN_IF_ERROR(WritableLocked());
   if (t.implicit) BeginLocked(t);
-  const bool versioned = !t.escalated;
   const uint64_t clock_before = clock_.Peek();
   PendingStatement ps;
   if (dur_) CaptureBases(&ps);
   BindUndo(&t.undo);
-  const UndoLog::Mark mark = t.undo.MarkPoint();
-  auto result = ExecuteUnder(stmt, user, versioned ? &t.snapshot : nullptr,
-                             versioned ? &t.writer : nullptr);
+  t.savepoints.push_back({t.undo.MarkPoint(), t.writer.BeginStatement()});
+  auto result = ExecuteUnder(stmt, user, t.snapshot, &t.writer);
   if (!result.ok()) {
     if (t.implicit || result.status().IsSerializationFailure()) {
       // First updater wins, and this transaction lost: per snapshot
@@ -337,7 +337,7 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
     } else {
       // Statement-level savepoint: undo this statement's effects only;
       // the transaction stays open.
-      t.undo.RollbackTo(mark);
+      RollbackToLocked(t, t.savepoints.size() - 1);
       clock_.Reset(clock_before);
       BindUndo(&undo_);
     }
@@ -347,11 +347,13 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
   ++mutation_epoch_;
   ++t.own_mutations;
   if (dur_) {
+    // Replay reads at the journaled snapshot (`versioned` = 1), or at the
+    // latest state for a statement that ran escalated (0).
     ps.user = user;
     ps.sql = std::string(sql);
     ps.clock_before = clock_before;
-    ps.versioned = versioned ? 1 : 0;
-    ps.snapshot = versioned ? t.snapshot.csn : 0;
+    ps.versioned = t.escalated ? 0 : 1;
+    ps.snapshot = t.escalated ? 0 : t.snapshot.csn;
     t.pending.push_back(std::move(ps));
   }
   if (t.implicit) {
@@ -363,7 +365,7 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
 
 Result<QueryResult> Database::ExecuteUnder(const Statement& stmt,
                                            const std::string& user,
-                                           const MvccSnapshot* snapshot,
+                                           const MvccSnapshot& snapshot,
                                            MvccWriter* writer) {
   // Only mutating statements (under writer_mu_) install a writer; a
   // reader must leave the ambient one alone.
@@ -386,10 +388,12 @@ Status Database::WritableLocked() const {
 
 void Database::BeginLocked(TxnState& t) {
   t.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  t.snapshot = MvccSnapshot{last_completed_csn_.load(std::memory_order_acquire),
-                            t.txn_id};
+  const uint64_t csn =
+      t.escalated ? kLatestCsn
+                  : last_completed_csn_.load(std::memory_order_acquire);
+  t.snapshot = MvccSnapshot{csn, t.txn_id};
   t.writer.txn_id = t.txn_id;
-  t.writer.snapshot_csn = t.snapshot.csn;
+  t.writer.snapshot_csn = csn;
   t.clock_at_begin = clock_.Peek();
   t.epoch_at_begin = mutation_epoch_;
   t.undo.Begin();
@@ -424,7 +428,7 @@ Result<QueryResult> Database::FinishTxn(const void* token, bool commit) {
   }
   // A doomed transaction was already rolled back at the conflict; COMMIT
   // merely closes it (PostgreSQL reports ROLLBACK here too).
-  const size_t statements = t->pending.size();
+  const uint64_t statements = t->own_mutations;
   Status s = Status::Ok();
   if (!t->doomed) {
     std::optional<SharedGateLock> g;  // an escalated txn holds exclusive
@@ -466,7 +470,8 @@ Status Database::CommitLocked(TxnState& t) {
   // object parked by a DROP lives inside the undo log until Stop()
   // releases it, and the stamping pass needs the liveness filter to
   // compare against it.
-  StampWriteSet(t.writer, csn);
+  SettleWritesLocked(t.writer, {}, csn);
+  t.savepoints.clear();
   t.undo.Stop();
   if (wrote) last_completed_csn_.store(csn, std::memory_order_release);
   return Status::Ok();
@@ -490,15 +495,24 @@ void Database::EndTxn(const void* token) {
 
 void Database::DoomLocked(TxnState& t) {
   BindUndo(&t.undo);
-  t.undo.RollbackAll();
+  RollbackToLocked(t, 0);
+  t.undo.Stop();
   BindUndo(&undo_);
-  t.writer.Clear();
   t.pending.clear();
   ApplyRollbackClockPolicy(t);
   // The doomed flag also un-pins the transaction's snapshot from GC
   // (ComputeOldestCsnLocked skips doomed entries), so an abandoned
   // conflicted session cannot stall version reclamation.
   t.doomed = true;
+}
+
+void Database::RollbackToLocked(TxnState& t, size_t keep) {
+  while (t.savepoints.size() > keep) {
+    const Savepoint sp = t.savepoints.back();
+    t.savepoints.pop_back();
+    SettleWritesLocked(t.writer, sp.writes, 0);
+    t.undo.RollbackTo(sp.undo);
+  }
 }
 
 Status Database::LockExclusiveNoTxns(const TxnState* self) {
@@ -547,24 +561,39 @@ void Database::BindUndo(UndoLog* undo) {
   for (auto& [name, table] : tables_) table->set_undo_log(undo);
 }
 
-void Database::StampWriteSet(MvccWriter& writer, uint64_t csn) {
-  if (writer.rows.empty() && writer.annotations.empty()) return;
+void Database::SettleWritesLocked(MvccWriter& writer, MvccWriter::Mark from,
+                                  uint64_t csn) {
   // Filter against live storage: a table dropped later in the same
   // transaction took its pending versions with it.
-  std::set<const Table*> live_tables;
-  for (const auto& [name, table] : tables_) live_tables.insert(table.get());
-  for (const auto& [table, row] : writer.rows) {
-    if (live_tables.count(table)) table->CommitRow(row, writer.txn_id, csn);
+  if (writer.rows.size() > from.rows) {
+    std::set<const Table*> live_tables;
+    for (const auto& [name, table] : tables_) live_tables.insert(table.get());
+    for (size_t i = writer.rows.size(); i-- > from.rows;) {
+      auto [table, row] = writer.rows[i];
+      if (!live_tables.count(table)) continue;
+      if (csn != 0) {
+        table->CommitRow(row, writer.txn_id, csn);
+      } else {
+        table->AbortRow(row, writer.txn_id);
+      }
+    }
+    writer.rows.resize(from.rows);
   }
-  if (!writer.annotations.empty()) {
+  if (writer.annotations.size() > from.annotations) {
     std::set<const AnnotationTable*> live_anns;
     annotations_.ForEachTable(
         [&](const std::string&, AnnotationTable* at) { live_anns.insert(at); });
-    for (const auto& [at, id] : writer.annotations) {
-      if (live_anns.count(at)) at->CommitAnnotation(id, writer.txn_id, csn);
+    for (size_t i = writer.annotations.size(); i-- > from.annotations;) {
+      auto [at, id] = writer.annotations[i];
+      if (!live_anns.count(at)) continue;
+      if (csn != 0) {
+        at->CommitAnnotation(id, writer.txn_id, csn);
+      } else {
+        at->AbortAnnotation(id, writer.txn_id);
+      }
     }
+    writer.annotations.resize(from.annotations);
   }
-  writer.Clear();
 }
 
 void Database::CaptureBases(PendingStatement* ps) const {
@@ -613,11 +642,9 @@ void Database::ApplyReplayBases(const WalRecord& rec) {
 uint64_t Database::ComputeOldestCsnLocked() const {
   uint64_t oldest = UINT64_MAX;
   for (const auto& [tok, t] : txns_) {
-    // Doomed transactions rolled back already; escalated ones read the
-    // newest state directly. Neither needs its snapshot any more.
-    if (!t->doomed && !t->escalated) {
-      oldest = std::min(oldest, t->snapshot.csn);
-    }
+    // Doomed transactions rolled back already and no longer need their
+    // snapshot (an escalated one reads at kLatestCsn).
+    if (!t->doomed) oldest = std::min(oldest, t->snapshot.csn);
   }
   if (!read_snapshots_.empty()) {
     oldest = std::min(oldest, *read_snapshots_.begin());
@@ -915,23 +942,22 @@ Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
   // never shows).
   clock_.Reset(rec.clock);
   ApplyReplayBases(rec);
-  // Re-create the original execution mode: a versioned record runs with
-  // an MVCC writer plus the journaled snapshot, so visibility decisions
-  // replay bit for bit against the version stamps of earlier replayed
-  // commits.
+  // Re-create the original execution mode: the statement writes versions
+  // under its transaction's writer and reads at the journaled snapshot,
+  // so visibility decisions replay bit for bit against the version
+  // stamps of earlier replayed commits. A statement that ran escalated
+  // (`versioned` = 0) reads the latest state and can no longer conflict,
+  // as the escalation's full vacuum guaranteed in the original run.
   MvccWriter local;
-  MvccWriter* writer = nullptr;
-  if (rec.versioned) {
-    writer = group_writer;
-    if (writer == nullptr) {
-      local.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-      local.snapshot_csn = rec.snapshot;
-      writer = &local;
-    }
+  MvccWriter* writer = group_writer;
+  if (writer == nullptr) {
+    local.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+    writer = &local;
   }
-  const MvccSnapshot snap{rec.snapshot, writer ? writer->txn_id : 0};
-  auto result =
-      ExecuteUnder(*parsed, rec.user, writer ? &snap : nullptr, writer);
+  writer->snapshot_csn = rec.versioned ? rec.snapshot : kLatestCsn;
+  writer->BeginStatement();
+  const MvccSnapshot snapshot{writer->snapshot_csn, writer->txn_id};
+  auto result = ExecuteUnder(*parsed, rec.user, snapshot, writer);
   if (!result.ok()) {
     return Status::Corruption(
         "WAL replay diverged at lsn " + std::to_string(rec.lsn) + " (" +
@@ -939,12 +965,33 @@ Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
         " — if the statement is CREATE DEPENDENCY, the procedure registry "
         "must be re-populated via DurabilityOptions::bootstrap");
   }
-  if (writer == &local && rec.csn != 0) {
-    // Implicit-transaction record: stamp with the journaled commit CSN.
-    StampWriteSet(local, rec.csn);
-    AdvanceCsn(rec.csn);
-  }
+  // Implicit-transaction record: stamp with the journaled commit CSN.
+  if (writer == &local) CommitReplayed(local, rec.csn);
   return Status::Ok();
+}
+
+void Database::CommitReplayed(MvccWriter& writer, uint64_t csn) {
+  if (writer.rows.empty() && writer.annotations.empty()) return;
+  if (csn == 0) {
+    // A log written before escalated statements wrote versions commits
+    // them without a CSN: they ran alone, in place, visible to every later
+    // snapshot. Rebuild that ancient state. Annotations have no vacuum, so
+    // they commit straight into it (CSN 0); rows are stamped and then
+    // flattened by a full vacuum, as the escalation's vacuum did in the
+    // original run (no later record can read below it).
+    std::vector<std::pair<AnnotationTable*, uint64_t>> anns;
+    anns.swap(writer.annotations);
+    annotations_.ForEachTable([&](const std::string&, AnnotationTable* at) {
+      for (auto [owner, id] : anns) {
+        if (owner == at) at->CommitAnnotation(id, writer.txn_id, 0);
+      }
+    });
+    SettleWritesLocked(writer, {}, next_csn_.load(std::memory_order_relaxed));
+    VacuumAllLocked(UINT64_MAX);
+    return;
+  }
+  SettleWritesLocked(writer, {}, csn);
+  AdvanceCsn(csn);
 }
 
 Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
@@ -986,10 +1033,10 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   if (env->FileExists(ckpt_path)) {
     BDBMS_ASSIGN_OR_RETURN(std::string payload, ReadCheckpointFile(dir));
     BDBMS_RETURN_IF_ERROR(db->LoadSnapshot(payload, &last_lsn));
-    // Snapshot-loaded tables must record compensations and version rows
-    // like freshly created ones. Their reloaded rows carry no version
-    // metadata — everything in a checkpoint is ancient (committed before
-    // any snapshot that can ever be taken again).
+    // Snapshot-loaded tables must record index-DDL compensations and
+    // version rows like freshly created ones. Their reloaded rows carry
+    // no version metadata — everything in a checkpoint is ancient
+    // (committed before any snapshot that can ever be taken again).
     for (auto& [name, table] : db->tables_) {
       table->set_undo_log(&db->undo_);
       table->set_mvcc(&db->mvcc_state_);
@@ -1054,36 +1101,20 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
         truncate_at = scan.record_offsets[i];
         break;
       }
-      // Versioned members share one writer (they were one transaction);
-      // the commit marker's journaled CSN stamps the whole write set.
+      // Members share one writer (they were one transaction); the commit
+      // marker's journaled CSN stamps the whole write set.
       MvccWriter group_writer;
-      bool have_writer = false;
+      group_writer.txn_id =
+          db->next_txn_id_.fetch_add(1, std::memory_order_relaxed);
       for (size_t k = i + 1; k < end; ++k) {
         const WalRecord& member = scan.records[k];
         if (member.lsn <= last_lsn) continue;
-        MvccWriter* w = nullptr;
-        if (member.versioned) {
-          if (!have_writer) {
-            group_writer.txn_id =
-                db->next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-            group_writer.snapshot_csn = member.snapshot;
-            have_writer = true;
-          }
-          w = &group_writer;
-        }
-        BDBMS_RETURN_IF_ERROR(db->ReplayRecord(member, w));
+        BDBMS_RETURN_IF_ERROR(db->ReplayRecord(member, &group_writer));
         ++replayed;
       }
       const WalRecord& commit = scan.records[end];
       if (commit.lsn > last_lsn) {
-        if (have_writer) {
-          if (commit.csn != 0) {
-            db->StampWriteSet(group_writer, commit.csn);
-            db->AdvanceCsn(commit.csn);
-          } else {
-            group_writer.Clear();
-          }
-        }
+        db->CommitReplayed(group_writer, commit.csn);
         db->ApplyReplayBases(commit);
       }
       last_lsn = std::max(last_lsn, commit.lsn);

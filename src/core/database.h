@@ -120,8 +120,9 @@ struct DurabilityStats {
 //    afterwards).
 //  - Statements that drive cross-cutting machinery (DDL, dependency
 //    propagation into other tables, approvals, grants, ANALYZE, ...)
-//    escalate to the exclusive side of the gate, drain concurrent
-//    transactions, and run the PR-6 serial path unchanged.
+//    escalate to the exclusive side of the gate and drain concurrent
+//    transactions. From then on the transaction runs alone: it still
+//    writes versions, but reads the latest state.
 //
 // Commit order is journaled: versioned WAL records carry their snapshot
 // and commit CSNs, so recovery replays the exact visibility decisions of
@@ -154,8 +155,9 @@ class Database {
   // error from the journaling path is the caller's signal that the
   // statement may not survive a crash.
   //
-  // Every statement is atomic: a mid-statement failure rolls back all of
-  // its partial effects via the undo log before the error returns.
+  // Every statement is atomic: a mid-statement failure discards the row
+  // and annotation versions it wrote and unwinds the rest of its partial
+  // effects via the undo log before the error returns.
   //
   // `session` identifies the issuing session for transaction ownership
   // (BEGIN/COMMIT/ROLLBACK); callers without a Session object share one
@@ -233,6 +235,12 @@ class Database {
     std::vector<std::pair<std::string, uint64_t>> ann_bases;
   };
 
+  // Where one statement of a transaction began, in both rollback logs.
+  struct Savepoint {
+    UndoLog::Mark undo = 0;
+    MvccWriter::Mark writes;
+  };
+
   // State of one transaction. An explicit one (BEGIN) lives in txns_
   // keyed by session token. An autocommit statement runs as an implicit
   // one: stack-local, never registered, committed by the statement's own
@@ -240,9 +248,12 @@ class Database {
   struct TxnState {
     bool implicit = false;
     uint64_t txn_id = 0;
-    MvccSnapshot snapshot;  // captured at BEGIN (implicit: per statement)
-    MvccWriter writer;      // versioned write set, stamped at commit
+    // Captured at BEGIN (implicit: per statement); {kLatestCsn, txn_id}
+    // once escalated.
+    MvccSnapshot snapshot;
+    MvccWriter writer;  // versioned write set, stamped at commit
     UndoLog undo;
+    std::vector<Savepoint> savepoints;  // one per executed statement
     std::vector<PendingStatement> pending;
     uint64_t clock_at_begin = 0;
     uint64_t clock_at_escalation = 0;
@@ -254,8 +265,8 @@ class Database {
 
   // How a mutating statement executes.
   enum class StmtClass {
-    kConcurrentDml,  // versioned, under the shared gate
-    kExclusive,      // legacy serial path, drains transactions
+    kConcurrentDml,  // under the shared gate
+    kExclusive,      // escalates: drains transactions, then runs alone
   };
 
   ExecContext MakeContext();
@@ -288,12 +299,12 @@ class Database {
   Result<QueryResult> RunMutation(TxnState& t, const Statement& stmt,
                                   std::string_view sql,
                                   const std::string& user);
-  // The execution kernel shared with WAL replay: runs `stmt` under
-  // `snapshot` (null = newest state) with `writer` installed (null =
-  // unversioned, or a read).
+  // The execution kernel shared with WAL replay: runs `stmt` reading at
+  // `snapshot`, with `writer` installed for a mutating statement (null
+  // for a read).
   Result<QueryResult> ExecuteUnder(const Statement& stmt,
                                    const std::string& user,
-                                   const MvccSnapshot* snapshot,
+                                   const MvccSnapshot& snapshot,
                                    MvccWriter* writer);
 
   // FailedPrecondition once the durable store is latched unusable.
@@ -309,26 +320,36 @@ class Database {
   // Caller holds writer_mu_.
   Status CommitLocked(TxnState& t);
 
-  // Rolls the whole transaction back in place and marks it doomed (only
+  // Rolls the whole transaction back in memory and marks it doomed (only
   // ROLLBACK / COMMIT-as-rollback is accepted afterwards, and its
   // snapshot stops pinning GC). Caller holds writer_mu_.
   void DoomLocked(TxnState& t);
 
+  // Rolls back every statement of `t` after its first `keep` ones, newest
+  // first: the statement's versions are discarded, then its undo records
+  // run. Statement by statement, so each statement's versions meet the
+  // tables and indexes that existed when it ran. Caller holds writer_mu_.
+  void RollbackToLocked(TxnState& t, size_t keep);
+
   // Acquires the exclusive side of the gate and waits until no
-  // transaction other than `self` is open (legacy execution and full
-  // vacuum are only sound with no foreign snapshot alive). An escalating
-  // explicit transaction fails with a serialization-failure status
-  // instead of deadlocking when another one is already draining; every
-  // other caller (`self` null or implicit) waits.
+  // transaction other than `self` is open (running alone at the latest
+  // snapshot and a full vacuum are only sound with no foreign snapshot
+  // alive). An escalating explicit transaction fails with a
+  // serialization-failure status instead of deadlocking when another one
+  // is already draining; every other caller (`self` null or implicit)
+  // waits.
   Status LockExclusiveNoTxns(const TxnState* self);
 
   // Points every manager and table at `undo` (a transaction's log, or
   // the idle log between statements). Caller holds writer_mu_.
   void BindUndo(UndoLog* undo);
 
-  // Stamps every write-set entry that still refers to a live storage
-  // object with `csn`, then clears the set. Caller holds writer_mu_.
-  void StampWriteSet(MvccWriter& writer, uint64_t csn);
+  // Settles every write-set entry past `from` that still refers to a live
+  // storage object, newest first — commits it with `csn`, or, when `csn`
+  // is 0, aborts it (discards its version) — then truncates the set to
+  // `from`. Caller holds writer_mu_.
+  void SettleWritesLocked(MvccWriter& writer, MvccWriter::Mark from,
+                          uint64_t csn);
 
   // Fills `ps` with every table's next_row_id and every annotation
   // table's next_id (aborted transactions burn ids without leaving WAL
@@ -369,10 +390,14 @@ class Database {
   void TearDownWal();
 
   // Re-executes one WAL record with its recorded user, clock value, id
-  // bases and (for versioned records) snapshot. `group_writer` is the
-  // shared write set of the enclosing transaction frame, null for
-  // autocommit records.
+  // bases and snapshot (`versioned` = 1: the journaled one; 0: the
+  // latest). `group_writer` is the shared write set of the enclosing
+  // transaction frame, null for autocommit records.
   Status ReplayRecord(const WalRecord& rec, MvccWriter* group_writer);
+
+  // Commits a replayed transaction's write set with its journaled CSN and
+  // advances the CSN counters past it.
+  void CommitReplayed(MvccWriter& writer, uint64_t csn);
 
   // Advances the CSN counters past a journaled commit CSN (replay).
   void AdvanceCsn(uint64_t csn);
@@ -443,12 +468,12 @@ class Database {
   UndoLog undo_;
 
   // Ambient MVCC context shared with every storage object. A writer is
-  // installed exactly while a versioned mutating statement executes
-  // (under writer_mu_).
+  // installed exactly while a mutating statement executes (under
+  // writer_mu_).
   MvccState mvcc_state_;
 
   // The engine gate: shared for reads and concurrent DML, exclusive for
-  // legacy statements / escalated transactions / checkpoints. Not
+  // escalated transactions and checkpoints. Not
   // thread-affine (an escalated transaction may release from a different
   // pool thread than it acquired on).
   EngineGate gate_;

@@ -65,7 +65,7 @@ class DependencyManager {
 
   // Transactions: while `undo` records, rule changes and newly set
   // outdated bits push compensations. Propagation's cell rewrites are
-  // captured by the Table's own undo hooks.
+  // row versions, rolled back with the transaction's write set.
   void set_undo_log(UndoLog* undo) { undo_ = undo; }
 
   // --- rule management ---------------------------------------------------

@@ -48,10 +48,10 @@ struct ExecContext {
   // protection; mutation paths that live in the executor itself (the
   // deletion log) record their compensations here.
   UndoLog* undo = nullptr;
-  // Non-null while the statement runs under snapshot isolation: every
-  // scan operator resolves row/annotation visibility against it instead
-  // of reading the newest state. Null = legacy exclusive execution.
-  const MvccSnapshot* snapshot = nullptr;
+  // The snapshot every scan operator resolves row/annotation visibility
+  // against: the transaction's own, or {kLatestCsn, own txn} once it runs
+  // alone (escalated).
+  MvccSnapshot snapshot;
 };
 
 }  // namespace bdbms

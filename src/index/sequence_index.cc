@@ -92,8 +92,10 @@ class NearestWalker {
     std::string key;
   };
 
-  NearestWalker(const std::string& target, size_t k,
-                const std::set<RowId>& skip)
+  // (RowId, key) entries the caller already rejected as stale.
+  using Skip = std::set<std::pair<RowId, std::string>>;
+
+  NearestWalker(const std::string& target, size_t k, const Skip& skip)
       : target_(target), k_(k), skip_(skip) {}
 
   WState Root() const {
@@ -133,9 +135,13 @@ class NearestWalker {
     if (results_.size() >= k_ && dist > results_.back().distance) {
       return false;
     }
-    if (skip_.count(payload) != 0) return true;  // known-stale entry
-    results_.push_back(
-        {payload, static_cast<int>(dist), state.prefix + suffix});
+    std::string key = state.prefix + suffix;
+    if (skip_.count({payload, key}) != 0) return true;  // known-stale entry
+    // Every retained version of a row owns an entry, so a row can surface
+    // more than once; only its first entry takes a slot. If that one turns
+    // out stale, the rerun skips it and reaches the next.
+    if (!emitted_.insert(payload).second) return true;
+    results_.push_back({payload, static_cast<int>(dist), std::move(key)});
     return true;
   }
 
@@ -157,7 +163,8 @@ class NearestWalker {
 
   const std::string& target_;
   size_t k_;
-  const std::set<RowId>& skip_;
+  const Skip& skip_;
+  std::set<RowId> emitted_;
   std::vector<Candidate> results_;
 };
 
@@ -255,8 +262,8 @@ Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
   // order, so candidates are gathered under the lock and vetted after it
   // is released; stale entries are blacklisted and the traversal restarts
   // without them, so they never occupy one of the k slots. Each restart
-  // blacklists at least one more row, so the loop terminates.
-  std::set<RowId> stale;
+  // blacklists at least one more entry, so the loop terminates.
+  NearestWalker::Skip stale;
   for (;;) {
     std::vector<NearestWalker::Candidate> candidates;
     {
@@ -272,7 +279,7 @@ Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
       if (keep(c.row, c.key)) {
         out.push_back({c.row, c.distance});
       } else {
-        stale.insert(c.row);
+        stale.emplace(c.row, c.key);
       }
     }
     if (stale.size() != known_stale) continue;

@@ -87,7 +87,7 @@ class ScanNodeBase : public PlanNode {
   // deleted since planning are skipped).
   virtual Result<std::vector<RowId>> CollectCandidates() = 0;
 
-  // Snapshot-mode re-check: index access paths can hand back a row-id
+  // Visibility re-check: index access paths can hand back a row-id
   // through a dead index entry whose key no longer matches the version the
   // snapshot sees (the chain keeps old keys indexed until vacuum). The
   // subclass re-verifies its probe against the *visible* row's indexed
@@ -238,8 +238,8 @@ class SpgistScanNode : public ScanNodeBase {
 // LIKE patterns with a leading wildcard rewritten to a regex): descends
 // the trie advancing the NFA state set edge by edge, pruning subtrees
 // whose state set goes dead. Candidates come back unordered supersets of
-// nothing — every candidate's indexed key matched — but snapshot mode can
-// still surface stale entries, so the visible cell is re-matched.
+// nothing — every candidate's indexed key matched — but retained versions
+// can still surface stale entries, so the visible cell is re-matched.
 class SpgistRegexScanNode : public ScanNodeBase {
  public:
   SpgistRegexScanNode(const ExecContext* ctx, Table* table,

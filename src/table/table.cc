@@ -139,44 +139,8 @@ Result<RowId> Table::Insert(Row row) {
 Result<RowId> Table::InsertLocked(Row row) {
   BDBMS_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
   BDBMS_RETURN_IF_ERROR(CheckIndexable(validated));
-  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
   RowId row_id = next_row_id_++;
-  BDBMS_ASSIGN_OR_RETURN(RecordId rid,
-                         heap_->Insert(EncodeRecord(row_id, validated)));
-  rows_[row_id] = rid;
-  BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-  if (w == nullptr) {
-    if (undo_ && undo_->recording()) {
-      undo_->Record("insert " + schema_.name(), [this, row_id] {
-        (void)Delete(row_id);
-        next_row_id_ = row_id;  // replay must hand out the same id again
-      });
-    }
-    return row_id;
-  }
-  // Versioned insert: tag the new row with the owning transaction so it
-  // stays invisible to other snapshots until commit stamps it.
-  RowMvcc& mv = mvcc_rows_[row_id];
-  mv.begin_csn = 0;
-  mv.begin_txn = w->txn_id;
-  w->rows.emplace_back(this, row_id);
-  if (undo_ && undo_->recording()) {
-    undo_->Record("insert " + schema_.name(), [this, row_id] {
-      std::unique_lock<std::shared_mutex> relock(latch_);
-      auto it = rows_.find(row_id);
-      if (it != rows_.end()) {
-        auto cur = GetLocked(row_id);
-        if (cur.ok()) (void)IndexRemove(row_id, *cur);
-        (void)heap_->Delete(it->second);
-        rows_.erase(it);
-      }
-      mvcc_rows_.erase(row_id);
-      // Only rewind the id counter when nothing newer was handed out;
-      // concurrent transactions may have burned later ids (the WAL
-      // records id bases per statement, so replay still lines up).
-      if (next_row_id_ == row_id + 1) next_row_id_ = row_id;
-    });
-  }
+  BDBMS_RETURN_IF_ERROR(StoreNewLocked(row_id, validated, RowOrigin::kInsert));
   return row_id;
 }
 
@@ -192,47 +156,26 @@ Status Table::InsertWithRowIdLocked(RowId row_id, Row row) {
   }
   BDBMS_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
   BDBMS_RETURN_IF_ERROR(CheckIndexable(validated));
-  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
-  RowId next_before = next_row_id_;
-  BDBMS_ASSIGN_OR_RETURN(RecordId rid,
-                         heap_->Insert(EncodeRecord(row_id, validated)));
-  rows_[row_id] = rid;
   if (row_id >= next_row_id_) next_row_id_ = row_id + 1;
-  BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-  if (w == nullptr) {
-    if (undo_ && undo_->recording()) {
-      undo_->Record("reinsert " + schema_.name(),
-                    [this, row_id, next_before] {
-                      (void)Delete(row_id);
-                      next_row_id_ = next_before;
-                    });
-    }
-    return Status::Ok();
+  return StoreNewLocked(row_id, validated, RowOrigin::kReinsert);
+}
+
+Status Table::StoreNewLocked(RowId row_id, const Row& row, RowOrigin origin) {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    // Tag the new version with the owning transaction so it stays
+    // invisible to other snapshots until commit stamps it. A re-inserted
+    // RowId may keep an older chain.
+    RowMvcc& mv = mvcc_rows_[row_id];
+    mv.begin_csn = 0;
+    mv.begin_txn = w->txn_id;
+    mv.begin_stmt = w->statement;
+    mv.origin = origin;
+    w->rows.emplace_back(this, row_id);
   }
-  RowMvcc& mv = mvcc_rows_[row_id];  // may keep an older chain
-  mv.begin_csn = 0;
-  mv.begin_txn = w->txn_id;
-  w->rows.emplace_back(this, row_id);
-  if (undo_ && undo_->recording()) {
-    undo_->Record("reinsert " + schema_.name(), [this, row_id, next_before] {
-      std::unique_lock<std::shared_mutex> relock(latch_);
-      auto it = rows_.find(row_id);
-      if (it != rows_.end()) {
-        auto cur = GetLocked(row_id);
-        if (cur.ok()) (void)IndexRemove(row_id, *cur);
-        (void)heap_->Delete(it->second);
-        rows_.erase(it);
-      }
-      auto mit = mvcc_rows_.find(row_id);
-      if (mit != mvcc_rows_.end()) {
-        mit->second.begin_csn = 0;
-        mit->second.begin_txn = 0;
-        if (mit->second.old.empty()) mvcc_rows_.erase(mit);
-      }
-      next_row_id_ = next_before;
-    });
-  }
-  return Status::Ok();
+  BDBMS_ASSIGN_OR_RETURN(RecordId rid,
+                         heap_->Insert(EncodeRecord(row_id, row)));
+  rows_[row_id] = rid;
+  return IndexInsert(row_id, row);
 }
 
 Result<Row> Table::Get(RowId row_id) const {
@@ -335,100 +278,32 @@ Status Table::UpdateLocked(RowId row_id, Row row) {
   }
   BDBMS_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
   BDBMS_RETURN_IF_ERROR(CheckIndexable(validated));
-  bool capture = undo_ && undo_->recording();
-  if (w == nullptr) {
-    bool has_indexes = !indexes_.empty() || !seq_indexes_.empty();
-    Row old_row;
-    if (capture || has_indexes) {
-      BDBMS_ASSIGN_OR_RETURN(old_row, GetLocked(row_id));
-    }
-    if (has_indexes) {
-      BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
-    }
-    BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
-    BDBMS_ASSIGN_OR_RETURN(RecordId rid,
-                           heap_->Insert(EncodeRecord(row_id, validated)));
-    it->second = rid;
-    BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-    if (capture) {
-      undo_->Record("update " + schema_.name(),
-                    [this, row_id, old = std::move(old_row)] {
-                      (void)Update(row_id, old);
-                    });
-    }
-    return Status::Ok();
-  }
-  BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
+  if (w) BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
   BDBMS_ASSIGN_OR_RETURN(Row old_row, GetLocked(row_id));
-  auto mit = mvcc_rows_.find(row_id);
-  bool own = mit != mvcc_rows_.end() && mit->second.begin_csn == 0 &&
-             mit->second.begin_txn == w->txn_id;
-  if (own) {
-    // Re-update of a version this transaction already created: replace it
-    // in place; no new chain node, no new write-set entry.
+  RowMvcc* mv = w ? &mvcc_rows_[row_id] : nullptr;
+  if (mv == nullptr || (mv->begin_csn == 0 && mv->begin_txn == w->txn_id &&
+                        mv->begin_stmt == w->statement)) {
+    // No writer, or a second touch within the statement that created the
+    // current version: rewrite it in place, index entries and all.
     BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
-    BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
-    BDBMS_ASSIGN_OR_RETURN(RecordId rid,
-                           heap_->Insert(EncodeRecord(row_id, validated)));
-    it->second = rid;
-    BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-    if (capture) {
-      undo_->Record("update " + schema_.name(),
-                    [this, row_id, old = std::move(old_row)] {
-                      std::unique_lock<std::shared_mutex> relock(latch_);
-                      auto rit = rows_.find(row_id);
-                      if (rit == rows_.end()) return;
-                      auto cur = GetLocked(row_id);
-                      if (cur.ok()) (void)IndexRemove(row_id, *cur);
-                      (void)heap_->Delete(rit->second);
-                      auto rid2 = heap_->Insert(EncodeRecord(row_id, old));
-                      if (rid2.ok()) rit->second = *rid2;
-                      (void)IndexInsert(row_id, old);
-                    });
-    }
-    return Status::Ok();
+  } else {
+    // A new version: the superseded one moves onto the chain and keeps
+    // owning its index entries (snapshot index probes may still need
+    // them; vacuum or abort removes them), and the new one becomes
+    // current, tagged uncommitted.
+    mv->old.push_back(RowVersion{std::move(old_row), mv->begin_csn,
+                                 mv->begin_txn, 0, w->txn_id, mv->origin});
+    mv->begin_csn = 0;
+    mv->begin_txn = w->txn_id;
+    mv->begin_stmt = w->statement;
+    mv->origin = RowOrigin::kUpdate;
+    w->rows.emplace_back(this, row_id);
   }
-  // First touch by this transaction: the committed current version moves
-  // onto the chain (it keeps owning its index entries — snapshot index
-  // probes may still need them; commit-time GC removes them), and the new
-  // version becomes current, tagged uncommitted.
-  RowMvcc& mv = mvcc_rows_[row_id];
-  mv.old.push_back(
-      RowVersion{old_row, mv.begin_csn, mv.begin_txn, 0, w->txn_id});
   BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
   BDBMS_ASSIGN_OR_RETURN(RecordId rid,
                          heap_->Insert(EncodeRecord(row_id, validated)));
   it->second = rid;
-  BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-  mv.begin_csn = 0;
-  mv.begin_txn = w->txn_id;
-  w->rows.emplace_back(this, row_id);
-  if (capture) {
-    undo_->Record("update " + schema_.name(), [this, row_id] {
-      std::unique_lock<std::shared_mutex> relock(latch_);
-      auto mit2 = mvcc_rows_.find(row_id);
-      if (mit2 == mvcc_rows_.end() || mit2->second.old.empty()) return;
-      RowVersion node = std::move(mit2->second.old.back());
-      mit2->second.old.pop_back();
-      auto rit = rows_.find(row_id);
-      if (rit != rows_.end()) {
-        auto cur = GetLocked(row_id);
-        if (cur.ok()) (void)IndexRemove(row_id, *cur);
-        (void)heap_->Delete(rit->second);
-        auto rid2 = heap_->Insert(EncodeRecord(row_id, node.row));
-        if (rid2.ok()) rit->second = *rid2;
-      }
-      // node.row's index entries were never removed on update; they
-      // simply revert to being owned by the current version again.
-      mit2->second.begin_csn = node.begin_csn;
-      mit2->second.begin_txn = node.begin_txn;
-      if (mit2->second.old.empty() && node.begin_csn == 0 &&
-          node.begin_txn == 0) {
-        mvcc_rows_.erase(mit2);  // back to the ancient, untracked state
-      }
-    });
-  }
-  return Status::Ok();
+  return IndexInsert(row_id, validated);
 }
 
 Status Table::UpdateCell(RowId row_id, size_t column, Value value) {
@@ -455,60 +330,22 @@ Status Table::DeleteLocked(RowId row_id) {
     return Status::NotFound("table " + schema_.name() + ": no row " +
                             std::to_string(row_id));
   }
-  bool capture = undo_ && undo_->recording();
-  if (w == nullptr) {
-    bool has_indexes = !indexes_.empty() || !seq_indexes_.empty();
-    Row old_row;
-    if (capture || has_indexes) {
-      BDBMS_ASSIGN_OR_RETURN(old_row, GetLocked(row_id));
-    }
-    if (has_indexes) {
-      BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
-    }
-    BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
-    rows_.erase(it);
-    if (capture) {
-      undo_->Record("delete " + schema_.name(),
-                    [this, row_id, old = std::move(old_row)] {
-                      (void)InsertWithRowId(row_id, old);
-                    });
-    }
-    return Status::Ok();
-  }
-  BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
+  if (w) BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
   BDBMS_ASSIGN_OR_RETURN(Row old_row, GetLocked(row_id));
-  // The deleted version moves onto the chain with an uncommitted end
-  // event; its index entries stay (owned by the chain node) so snapshot
-  // index scans still find the row until GC retires it.
-  RowMvcc& mv = mvcc_rows_[row_id];
-  mv.old.push_back(
-      RowVersion{old_row, mv.begin_csn, mv.begin_txn, 0, w->txn_id});
+  if (w == nullptr) {
+    BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
+  } else {
+    // The deleted version moves onto the chain with an uncommitted end
+    // event; its index entries stay (owned by the chain node) so snapshot
+    // index scans still find the row until GC retires it.
+    RowMvcc& mv = mvcc_rows_[row_id];
+    mv.old.push_back(RowVersion{std::move(old_row), mv.begin_csn,
+                                mv.begin_txn, 0, w->txn_id, mv.origin});
+    w->rows.emplace_back(this, row_id);
+  }
   BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
   rows_.erase(it);
-  w->rows.emplace_back(this, row_id);
-  if (capture) {
-    undo_->Record("delete " + schema_.name(), [this, row_id] {
-      std::unique_lock<std::shared_mutex> relock(latch_);
-      auto mit = mvcc_rows_.find(row_id);
-      if (mit == mvcc_rows_.end() || mit->second.old.empty()) return;
-      RowVersion node = std::move(mit->second.old.back());
-      mit->second.old.pop_back();
-      auto rid = heap_->Insert(EncodeRecord(row_id, node.row));
-      if (rid.ok()) rows_[row_id] = *rid;
-      mit->second.begin_csn = node.begin_csn;
-      mit->second.begin_txn = node.begin_txn;
-      if (mit->second.old.empty() && node.begin_csn == 0 &&
-          node.begin_txn == 0) {
-        mvcc_rows_.erase(mit);
-      }
-    });
-  }
   return Status::Ok();
-}
-
-bool Table::Exists(RowId row_id) const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  return rows_.count(row_id) > 0;
 }
 
 void Table::CommitRow(RowId row_id, uint64_t txn, uint64_t csn) {
@@ -532,12 +369,52 @@ void Table::CommitRow(RowId row_id, uint64_t txn, uint64_t csn) {
   }
 }
 
+void Table::AbortRow(RowId row_id, uint64_t txn) {
+  std::unique_lock<std::shared_mutex> lock(latch_);
+  auto mit = mvcc_rows_.find(row_id);
+  if (mit == mvcc_rows_.end()) return;
+  RowMvcc& mv = mit->second;
+  auto it = rows_.find(row_id);
+  if (it != rows_.end()) {
+    if (mv.begin_csn != 0 || mv.begin_txn != txn) return;
+    // Discard the current version `txn` wrote: heap record and index
+    // entries.
+    auto cur = GetLocked(row_id);
+    if (cur.ok()) (void)IndexRemove(row_id, *cur);
+    (void)heap_->Delete(it->second);
+    rows_.erase(it);
+    if (mv.origin != RowOrigin::kUpdate) {
+      if (mv.origin == RowOrigin::kInsert && next_row_id_ == row_id + 1) {
+        next_row_id_ = row_id;
+      }
+      if (mv.old.empty()) mvcc_rows_.erase(mit);
+      return;
+    }
+  }
+  // The version `txn` superseded or deleted becomes current again; it
+  // never gave up its index entries.
+  if (mv.old.empty()) return;
+  RowVersion& prev = mv.old.back();
+  if (prev.end_csn != 0 || prev.end_txn != txn) return;
+  auto rid = heap_->Insert(EncodeRecord(row_id, prev.row));
+  if (rid.ok()) rows_[row_id] = *rid;
+  mv.begin_csn = prev.begin_csn;
+  mv.begin_txn = prev.begin_txn;
+  mv.begin_stmt = 0;
+  mv.origin = prev.origin;
+  mv.old.pop_back();
+  if (mv.old.empty() && mv.begin_csn == 0 && mv.begin_txn == 0) {
+    mvcc_rows_.erase(mit);  // back to the ancient, untracked state
+  }
+}
+
 void Table::Vacuum(uint64_t oldest_csn) {
   std::unique_lock<std::shared_mutex> lock(latch_);
   for (auto it = mvcc_rows_.begin(); it != mvcc_rows_.end();) {
     RowMvcc& mv = it->second;
-    // Committed chain nodes are ordered by end CSN with at most one
-    // uncommitted node at the back, so dead versions form a prefix.
+    // Committed chain nodes are ordered by end CSN, with the nodes still
+    // owned by an uncommitted writer at the back, so dead versions form a
+    // prefix.
     while (!mv.old.empty()) {
       const RowVersion& v = mv.old.front();
       if (v.end_csn == 0 || v.end_csn > oldest_csn) break;
@@ -584,6 +461,16 @@ Status Table::ScanLocked(
   return Status::Ok();
 }
 
+Status Table::ScanAllVersions(
+    const std::function<Status(RowId, const Row&)>& fn) const {
+  std::shared_lock<std::shared_mutex> lock(latch_);
+  BDBMS_RETURN_IF_ERROR(ScanLocked(fn));
+  for (const auto& [row_id, mv] : mvcc_rows_) {
+    for (const RowVersion& v : mv.old) BDBMS_RETURN_IF_ERROR(fn(row_id, v.row));
+  }
+  return Status::Ok();
+}
+
 Status Table::ScanRange(
     RowId begin, RowId end,
     const std::function<Status(RowId, const Row&)>& fn) const {
@@ -595,24 +482,6 @@ Status Table::ScanRange(
     BDBMS_RETURN_IF_ERROR(fn(it->first, decoded.second));
   }
   return Status::Ok();
-}
-
-std::vector<RowId> Table::SnapshotRowIds() const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  std::vector<RowId> ids;
-  ids.reserve(rows_.size());
-  for (const auto& [row_id, rid] : rows_) ids.push_back(row_id);
-  return ids;
-}
-
-std::vector<RowId> Table::RowIdsInRange(RowId begin, RowId end) const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  std::vector<RowId> ids;
-  for (auto it = rows_.lower_bound(begin);
-       it != rows_.end() && it->first <= end; ++it) {
-    ids.push_back(it->first);
-  }
-  return ids;
 }
 
 std::vector<RowId> Table::VisibleRowIds(const MvccSnapshot& snap) const {
@@ -684,7 +553,7 @@ Status Table::CreateIndex(const std::string& name,
   }
   BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SecondaryIndex> index,
                          SecondaryIndex::Create(name, std::move(columns)));
-  BDBMS_RETURN_IF_ERROR(Scan([&](RowId row_id, const Row& row) {
+  BDBMS_RETURN_IF_ERROR(ScanAllVersions([&](RowId row_id, const Row& row) {
     return index->Insert(row, row_id);
   }));
   indexes_.push_back(std::move(index));
@@ -710,7 +579,7 @@ Status Table::CreateSequenceIndex(const std::string& name, size_t column) {
   }
   BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SequenceIndex> index,
                          SequenceIndex::Create(name, column));
-  BDBMS_RETURN_IF_ERROR(Scan([&](RowId row_id, const Row& row) {
+  BDBMS_RETURN_IF_ERROR(ScanAllVersions([&](RowId row_id, const Row& row) {
     return index->Insert(row[column], row_id);
   }));
   seq_indexes_.push_back(std::move(index));
@@ -802,13 +671,15 @@ Status Table::IndexInsert(RowId row_id, const Row& row) {
 }
 
 Status Table::IndexRemove(RowId row_id, const Row& row) {
-  for (const auto& index : indexes_) {
-    BDBMS_RETURN_IF_ERROR(index->Remove(row, row_id));
-  }
+  Status first = Status::Ok();
+  auto note = [&first](Status s) {
+    if (first.ok()) first = std::move(s);
+  };
+  for (const auto& index : indexes_) note(index->Remove(row, row_id));
   for (const auto& index : seq_indexes_) {
-    BDBMS_RETURN_IF_ERROR(index->Remove(row[index->column()], row_id));
+    note(index->Remove(row[index->column()], row_id));
   }
-  return Status::Ok();
+  return first;
 }
 
 Result<TableStats> Table::ComputeStats(size_t histogram_buckets) const {

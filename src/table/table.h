@@ -27,6 +27,12 @@ class UndoLog;
 // bitmaps can address rows by interval even across deletions.
 using RowId = uint64_t;
 
+// How a version came to be, which is what discarding it must undo: an
+// update's predecessor waits at the back of the chain, an insert has
+// none, and only a fresh insert (not the re-insert of a deleted RowId)
+// allocated its RowId.
+enum class RowOrigin : uint8_t { kUpdate, kInsert, kReinsert };
+
 // One superseded row version kept for MVCC readers. The version's data
 // lives here as an in-memory copy (the heap always holds only the newest
 // version); begin/end events are (CSN, txn) pairs — a zero CSN with a
@@ -38,16 +44,20 @@ struct RowVersion {
   uint64_t begin_txn = 0;
   uint64_t end_csn = 0;
   uint64_t end_txn = 0;
+  RowOrigin origin = RowOrigin::kUpdate;
 };
 
 // MVCC bookkeeping for one RowId: the begin event of the CURRENT version
 // (the one stored in the heap) plus the chain of superseded versions,
 // oldest first. Rows with no entry in the side map are ancient — visible
-// to every snapshot. `begin_csn`/`begin_txn` are meaningful only while a
-// current version exists (the row is live in `rows_`).
+// to every snapshot. `begin_*` and `origin` are meaningful only while a
+// current version exists (the row is live in `rows_`); `begin_stmt` is
+// the writer's statement number for an uncommitted current version.
 struct RowMvcc {
   uint64_t begin_csn = 0;
   uint64_t begin_txn = 0;
+  uint64_t begin_stmt = 0;
+  RowOrigin origin = RowOrigin::kUpdate;
   std::vector<RowVersion> old;
 };
 
@@ -86,7 +96,8 @@ class Table {
 
   // Validates against the schema and appends; returns the new RowId.
   // While an MVCC writer is ambient the new row is tagged with the
-  // writer's txn so only that transaction sees it until commit.
+  // writer's txn so only that transaction sees it until commit. With no
+  // writer every mutator below writes in place, unversioned.
   Result<RowId> Insert(Row row);
 
   // Re-inserts a row under a specific RowId — the inverse of a DELETE
@@ -104,10 +115,12 @@ class Table {
                                         const MvccSnapshot& snap) const;
 
   // Replaces the whole row (schema-validated). Under an ambient MVCC
-  // writer the superseded version is pushed onto the row's chain and the
-  // statement fails with a serialization-failure status if another
-  // uncommitted transaction (or one that committed after the writer's
-  // snapshot) already replaced the row — first updater wins.
+  // writer the superseded version is pushed onto the row's chain — unless
+  // the same statement of the same writer created it, which rewrites it
+  // in place — and the statement fails with a serialization-failure
+  // status if another uncommitted transaction (or one that committed
+  // after the writer's snapshot) already replaced the row — first updater
+  // wins.
   Status Update(RowId row_id, Row row);
 
   // Replaces one cell (type-coerced).
@@ -115,8 +128,6 @@ class Table {
 
   // Removes the row. Its RowId is never reused. Versioned like Update.
   Status Delete(RowId row_id);
-
-  bool Exists(RowId row_id) const;
 
   // Visits live rows in RowId order; `fn` returning non-OK stops the scan.
   Status Scan(const std::function<Status(RowId, const Row&)>& fn) const;
@@ -126,12 +137,6 @@ class Table {
   // interval index (only annotated row ranges are fetched).
   Status ScanRange(RowId begin, RowId end,
                    const std::function<Status(RowId, const Row&)>& fn) const;
-
-  // Live RowIds, ascending (a snapshot; cheap, no heap reads).
-  std::vector<RowId> SnapshotRowIds() const;
-
-  // Live RowIds with begin <= RowId <= end, ascending.
-  std::vector<RowId> RowIdsInRange(RowId begin, RowId end) const;
 
   // RowIds with a version visible to `snap`, ascending. Includes rows
   // whose current version is deleted or not yet committed but whose chain
@@ -146,6 +151,13 @@ class Table {
   // commit under the engine's writer mutex.
   void CommitRow(RowId row_id, uint64_t txn, uint64_t csn);
 
+  // Discards the newest version event `txn` wrote on `row_id` — one
+  // write-set entry: an inserted version disappears (a fresh insert hands
+  // its RowId back when no newer one was handed out), an updated or
+  // deleted one is replaced by its predecessor. Called newest entry first
+  // under the engine's writer mutex.
+  void AbortRow(RowId row_id, uint64_t txn);
+
   // Drops superseded versions whose end CSN is committed and <=
   // `oldest_csn` (no active snapshot can need them), removing their index
   // entries, and retires chain bookkeeping for rows whose current version
@@ -159,8 +171,9 @@ class Table {
 
   // --- secondary indexes ---------------------------------------------------
   // Builds a B+-tree index named `name` over the given columns (composite
-  // keys in column-list order) from the current rows; maintained by every
-  // subsequent Insert/Update/Delete.
+  // keys in column-list order) from every version, current or retained;
+  // maintained by every subsequent Insert/Update/Delete. Each version owns
+  // exactly one entry per index until vacuum or abort removes it.
   Status CreateIndex(const std::string& name, std::vector<size_t> columns);
   Status CreateIndex(const std::string& name, size_t column) {
     return CreateIndex(name, std::vector<size_t>{column});
@@ -237,9 +250,8 @@ class Table {
   size_t readahead_pages() const { return readahead_pages_; }
   void set_readahead_pages(size_t n) { readahead_pages_ = n; }
 
-  // Transactions: while `undo` is recording, every mutation pushes a
-  // logical compensation record. Compensations run through the same
-  // public mutators, so all index families are restored for free.
+  // Transactions: while `undo` is recording, index DDL pushes a
+  // compensation record (row writes roll back through AbortRow).
   void set_undo_log(UndoLog* undo) { undo_ = undo; }
 
   // Installs the engine's ambient MVCC context. When `mvcc->writer` is
@@ -261,9 +273,18 @@ class Table {
   // the trie never received the entry IndexRemove would look for.
   Status CheckIndexable(const Row& row) const;
 
-  // Adds/removes `row`'s entries in every secondary index.
+  // Adds/removes `row`'s entries in every secondary index. IndexRemove
+  // visits every index even after a failure and reports the first one.
   Status IndexInsert(RowId row_id, const Row& row);
   Status IndexRemove(RowId row_id, const Row& row);
+
+  // Stores a row that has no current version: in place with no writer,
+  // else as a new uncommitted version of `origin`.
+  Status StoreNewLocked(RowId row_id, const Row& row, RowOrigin origin);
+
+  // Visits every version, current and retained (index builds).
+  Status ScanAllVersions(
+      const std::function<Status(RowId, const Row&)>& fn) const;
 
   // Unlatched bodies — callers hold latch_ (shared for reads, unique for
   // writes). Split out because the mutators call the readers internally

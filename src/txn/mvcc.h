@@ -2,6 +2,7 @@
 #define BDBMS_TXN_MVCC_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <utility>
@@ -22,35 +23,53 @@ struct MvccSnapshot {
   uint64_t txn_id = 0;  // 0 = pure reader with no writes of its own
 };
 
-// Write-side identity and write set of one in-flight transaction (or of
-// one autocommit statement, which is its own mini-transaction). Mutation
-// paths in Table/AnnotationTable consult the ambient MvccState: when a
-// writer is installed they create row versions tagged with `txn_id` and
-// record what they touched here, so commit can stamp every created
-// version with the commit CSN in one pass and abort can be driven by the
-// undo log alone.
+// Snapshot and conflict-baseline CSN of a transaction that runs alone (an
+// escalated one, or the replay of its statements): it reads every
+// committed version plus its own, and no commit can postdate it.
+inline constexpr uint64_t kLatestCsn = UINT64_MAX;
+
+// Write-side identity and write set of one in-flight transaction (an
+// autocommit statement is an implicit single-statement transaction).
+// While a writer is installed in the ambient MvccState, the mutation
+// paths in Table/AnnotationTable create versions tagged with `txn_id` and
+// record here what they touched. Commit stamps every entry with the
+// commit CSN; abort discards the entries' versions newest-first, and a
+// Mark taken at a statement boundary rolls back just the statements
+// after it.
 struct MvccWriter {
   uint64_t txn_id = 0;
   uint64_t snapshot_csn = 0;  // first-updater-wins conflict baseline
 
-  // Distinct (table, row) / (annotation table, annotation id) touch
-  // points needing a commit stamp. Duplicates are harmless: stamping is
-  // idempotent (it only fills CSN fields that are still zero and owned
-  // by this txn).
+  // Numbers the transaction's statements. A version remembers the
+  // statement that wrote it: a second touch within that statement
+  // rewrites it in place, a later statement pushes a new version.
+  uint64_t statement = 0;
+
+  // The write set in execution order: one entry per statement that
+  // touched a row (annotation), plus one when a statement deletes a
+  // version it wrote itself.
   std::vector<std::pair<Table*, uint64_t>> rows;
   std::vector<std::pair<AnnotationTable*, uint64_t>> annotations;
 
-  void Clear() {
-    rows.clear();
-    annotations.clear();
+  // Write-set position at a statement boundary.
+  struct Mark {
+    size_t rows = 0;
+    size_t annotations = 0;
+  };
+
+  // Starts the next statement and returns the savepoint before it.
+  Mark BeginStatement() {
+    ++statement;
+    return {rows.size(), annotations.size()};
   }
 };
 
 // The ambient MVCC context shared by the engine facade and every storage
-// object. `writer` is non-null exactly while a mutating statement of a
-// versioned (concurrent) transaction executes — installed and cleared
-// under the engine's writer mutex, so storage mutators never observe a
-// torn pointer.
+// object. `writer` is non-null exactly while a mutating statement
+// executes (live or replayed) — installed and cleared under the engine's
+// writer mutex, so storage mutators never observe a torn pointer. Storage
+// mutated with no writer (snapshot load, direct Table use) is written in
+// place, unversioned.
 struct MvccState {
   MvccWriter* writer = nullptr;
 };

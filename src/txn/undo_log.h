@@ -11,16 +11,19 @@
 
 namespace bdbms {
 
-// Statement-local undo log of logical compensation records.
+// Transaction-local undo log of logical compensation records for the
+// state that has no MVCC versions: catalog entries, table/index/
+// annotation-table storage objects (create/drop), annotation archive
+// flags, grants and principals, the approval log, dependency rules and
+// outdated bits, and the deletion log. Row and annotation writes are not
+// here — they roll back by discarding the transaction's uncommitted
+// versions (MvccWriter).
 //
-// While recording, every mutation path (Table, Catalog, AnnotationTable,
-// access control, approvals, dependencies) pushes a closure that undoes
-// exactly one primitive effect. Rollback applies the closures newest-first;
-// because compensations run through the same public APIs that performed
-// the forward mutation, secondary and SP-GiST indexes are rebuilt for
-// free rather than patched by hand.
+// While recording, each of those mutation paths pushes a closure that
+// undoes exactly one primitive effect. Rollback applies the closures
+// newest-first.
 //
-// Mark()/RollbackTo() give statement-level savepoints inside a
+// MarkPoint()/RollbackTo() give statement-level savepoints inside a
 // transaction: a failed statement unwinds to its own mark and the
 // transaction stays alive. Recording is suppressed while a rollback is in
 // flight so compensations do not record compensations of themselves.

@@ -36,16 +36,17 @@ struct WalRecord {
   WalRecordKind kind = WalRecordKind::kStatement;
 
   // --- MVCC extension (appended after sql; old logs decode to defaults).
-  // `versioned` marks records written under snapshot-isolation concurrent
-  // execution; replay re-installs an MVCC writer with `snapshot` as its
-  // snapshot CSN instead of running the legacy exclusive path.
+  // Every statement replays with an MVCC writer. `versioned` = 1: the
+  // statement read at snapshot CSN `snapshot`; 0: it ran escalated and
+  // read the latest state (`snapshot` is 0).
   uint8_t versioned = 0;
   uint64_t snapshot = 0;
-  // Commit CSN of a versioned record: carried on autocommit kStatement
-  // records and on a transaction's kTxnCommit marker; 0 when the
-  // statement/transaction wrote nothing. Journaling the CSN (instead of
-  // re-deriving it at replay) keeps visibility decisions bit-identical
-  // even when aborted transactions burned CSN-free txn ids in between.
+  // Commit CSN: carried on autocommit kStatement records and on a
+  // transaction's kTxnCommit marker; 0 when the statement/transaction
+  // wrote nothing (and in logs written before escalated statements wrote
+  // versions, for those). Journaling the CSN (instead of re-deriving it
+  // at replay) keeps visibility decisions bit-identical even when aborted
+  // transactions burned CSN-free txn ids in between.
   uint64_t csn = 0;
   // Id bases captured before the statement ran: every user table's
   // next_row_id and every annotation table's next_id. Aborted concurrent

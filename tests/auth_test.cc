@@ -120,7 +120,7 @@ TEST_F(ApprovalFixture, InsertLoggedAndDisapprovedRollsBack) {
   ASSERT_TRUE(op_id.ok());
 
   // Data is visible while pending (the paper's requirement).
-  EXPECT_TRUE(gene_->Exists(*rid));
+  EXPECT_TRUE(gene_->Get(*rid).ok());
   auto pending = mgr_->Pending("Gene");
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0]->inverse_sql,
@@ -129,7 +129,7 @@ TEST_F(ApprovalFixture, InsertLoggedAndDisapprovedRollsBack) {
   // Disapproval executes the inverse.
   auto settled = mgr_->Disapprove(*op_id, "lab_admin", resolver_);
   ASSERT_TRUE(settled.ok());
-  EXPECT_FALSE(gene_->Exists(*rid));
+  EXPECT_FALSE(gene_->Get(*rid).ok());
   EXPECT_TRUE(mgr_->Pending("Gene").empty());
 }
 
@@ -190,7 +190,7 @@ TEST_F(ApprovalFixture, ApproveSettlesWithoutSideEffects) {
       mgr_->LogOperation(OpType::kInsert, "Gene", *rid, "member", {}, row);
   ASSERT_TRUE(op_id.ok());
   ASSERT_TRUE(mgr_->Approve(*op_id, "lab_admin").ok());
-  EXPECT_TRUE(gene_->Exists(*rid));
+  EXPECT_TRUE(gene_->Get(*rid).ok());
   EXPECT_TRUE(mgr_->Pending("Gene").empty());
   // Double settle fails.
   EXPECT_TRUE(mgr_->Approve(*op_id, "lab_admin").IsFailedPrecondition());

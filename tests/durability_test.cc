@@ -255,6 +255,76 @@ TEST(DurabilityTest, ReplayRestoresClockExactly) {
   EXPECT_EQ((*db)->clock().Peek(), clock_before_close);
 }
 
+TEST(DurabilityTest, ReplaysEscalatedCommitsJournaledWithoutCsn) {
+  // Logs written before escalated statements wrote versions journal their
+  // commits (`versioned` = 0) with CSN 0. Their rows and annotations must
+  // replay visible to every later record, whatever snapshot it journaled,
+  // and to readers after the reopen.
+  std::string dir = FreshDir("dur_unstamped_escalated");
+  std::filesystem::create_directories(dir);
+  auto stmt = [](uint64_t lsn, std::string sql, uint8_t versioned,
+                 uint64_t snapshot, uint64_t csn) {
+    return WalRecord{.lsn = lsn,
+                     .user = "admin",
+                     .sql = std::move(sql),
+                     .versioned = versioned,
+                     .snapshot = snapshot,
+                     .csn = csn};
+  };
+  auto marker = [](uint64_t lsn, WalRecordKind kind) {
+    WalRecord rec;
+    rec.lsn = lsn;
+    rec.kind = kind;
+    return rec;
+  };
+  const std::vector<WalRecord> log = {
+      stmt(1, "CREATE TABLE T (k INT)", 0, 0, 0),
+      stmt(2, "INSERT INTO T VALUES (1)", 0, 0, 0),
+      stmt(3, "INSERT INTO T VALUES (2)", 1, 0, 1),
+      stmt(4, "UPDATE T SET k = 3 WHERE k = 1", 1, 1, 2),
+      marker(5, WalRecordKind::kTxnBegin),
+      stmt(6, "INSERT INTO T VALUES (4)", 0, 0, 0),
+      marker(7, WalRecordKind::kTxnCommit),
+      stmt(8, "UPDATE T SET k = 5 WHERE k = 4", 1, 2, 3),
+      stmt(9, "CREATE ANNOTATION TABLE N ON T", 0, 0, 0),
+      stmt(10,
+           "ADD ANNOTATION TO T.N VALUE '<A>curated</A>' "
+           "ON (SELECT k FROM T WHERE k = 5)",
+           0, 0, 0),
+      // Reads the escalated annotation at its journaled snapshot.
+      stmt(11,
+           "ADD ANNOTATION TO T.N VALUE '<A>seen</A>' "
+           "ON (SELECT k FROM T ANNOTATION(N) AWHERE VALUE LIKE '%curated%')",
+           1, 3, 4),
+      stmt(12,
+           "ADD ANNOTATION TO T.N VALUE '<A>tail</A>' "
+           "ON (SELECT k FROM T WHERE k = 2)",
+           0, 0, 0),
+  };
+  {
+    std::ofstream out(dir + "/" + kWalFileName, std::ios::binary);
+    for (const WalRecord& rec : log) out << EncodeWalRecord(rec);
+  }
+  auto db = Database::Open(dir, DurableOpts());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto r = (*db)->Execute("SELECT k FROM T ORDER BY k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::string keys;
+  for (const auto& row : r->rows) keys += row.values[0].ToString() + ";";
+  EXPECT_EQ(keys, "2;3;5;");
+  EXPECT_EQ((*db)->version_count(), 3u);
+  auto notes = (*db)->Execute("SELECT k FROM T ANNOTATION(N) ORDER BY k");
+  ASSERT_TRUE(notes.ok()) << notes.status().ToString();
+  std::string bodies;
+  for (const auto& row : notes->rows) {
+    bodies += row.values[0].ToString() + ":";
+    for (const auto& a : row.annotations[0]) bodies += a.body;
+    bodies += ";";
+  }
+  EXPECT_EQ(bodies,
+            "2:<A>tail</A>;3:;5:<A>curated</A><A>seen</A>;");
+}
+
 // --- recovery goldens -------------------------------------------------------
 
 TEST(DurabilityGoldenTest, TruncatedLogRecoversPrefix) {

@@ -366,5 +366,105 @@ TEST_F(IsolationTest, SecondEscalatingTransactionIsDoomed) {
   EXPECT_FALSE(s2_.Execute("DROP INDEX acct_bal ON Acct").ok());
 }
 
+// --- reads after escalation -----------------------------------------------
+//
+// An update made before the transaction escalated leaves the old key in
+// the index (its version is retained until commit). After escalation the
+// transaction reads the latest state, and an index probe on the old key
+// must still not find the updated row.
+
+class EscalatedIsolationTest : public IsolationTest {
+ protected:
+  // T(Id, K) with 200 rows (i, 'k<i>'), an index on K and fresh
+  // statistics; then s1 opens a transaction, updates row 7's key
+  // (versioned) and escalates with ANALYZE.
+  void EscalateAfterKeyUpdate() {
+    SESSION_OK(s1_, "CREATE TABLE T (Id INT, K TEXT)");
+    std::string insert = "INSERT INTO T VALUES ";
+    for (int i = 0; i < 200; ++i) {
+      if (i > 0) insert += ", ";
+      const std::string id = std::to_string(i);
+      insert.append("(").append(id).append(", 'k").append(id).append("')");
+    }
+    SESSION_OK(s1_, insert);
+    SESSION_OK(s1_, "CREATE INDEX t_k ON T (K)");
+    SESSION_OK(s1_, "ANALYZE");
+    SESSION_OK(s1_, "BEGIN");
+    SESSION_OK(s1_, "UPDATE T SET K = 'new' WHERE Id = 7");
+    SESSION_OK(s1_, "ANALYZE T");
+  }
+};
+
+TEST_F(EscalatedIsolationTest, IndexScanSkipsTheOldKey) {
+  EscalateAfterKeyUpdate();
+  EXPECT_NE(Rows(s1_, "EXPLAIN SELECT Id, K FROM T WHERE K = 'k7'")
+                .find("IndexScan T USING t_k"),
+            std::string::npos);
+  EXPECT_EQ(Rows(s1_, "SELECT Id, K FROM T WHERE K = 'k7'"), "");
+  EXPECT_EQ(Rows(s1_, "SELECT Id, K FROM T WHERE K = 'new'"), "7|new;");
+  SESSION_OK(s1_, "COMMIT");
+}
+
+TEST_F(EscalatedIsolationTest, UpdateThroughTheOldKeyTouchesNothing) {
+  EscalateAfterKeyUpdate();
+  auto r = s1_.Execute("UPDATE T SET Id = 999 WHERE K = 'k7'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->affected, 0u);
+  SESSION_OK(s1_, "COMMIT");
+  EXPECT_EQ(Rows(s2_, "SELECT Id, K FROM T WHERE Id = 999"), "");
+  EXPECT_EQ(Rows(s2_, "SELECT Id, K FROM T WHERE Id = 7"), "7|new;");
+}
+
+TEST_F(EscalatedIsolationTest, IndexOnlyScanSkipsTheOldKey) {
+  SESSION_OK(s1_, "CREATE TABLE T (Id INT, K TEXT)");
+  SESSION_OK(s1_, "INSERT INTO T VALUES (1, 'old'), (2, 'other')");
+  SESSION_OK(s1_, "CREATE INDEX t_k ON T (K)");
+  SESSION_OK(s1_, "BEGIN");
+  SESSION_OK(s1_, "UPDATE T SET K = 'new' WHERE Id = 1");
+  SESSION_OK(s1_, "ANALYZE T");
+  EXPECT_NE(Rows(s1_, "EXPLAIN SELECT K FROM T WHERE K >= 'a'")
+                .find("IndexOnlyScan T USING t_k"),
+            std::string::npos);
+  EXPECT_EQ(Rows(s1_, "SELECT K FROM T WHERE K >= 'a'"), "new;other;");
+  SESSION_OK(s1_, "COMMIT");
+}
+
+// Each statement of the escalated transaction pushes a new version, and
+// every retained version owns an index entry: a row updated outside its
+// key is reachable through several equal entries and must surface once.
+TEST_F(EscalatedIsolationTest, RowWithRepeatedIndexEntriesSurfacesOnce) {
+  EscalateAfterKeyUpdate();
+  SESSION_OK(s1_, "UPDATE T SET Id = 80 WHERE Id = 8");
+  EXPECT_EQ(Rows(s1_, "SELECT Id, K FROM T WHERE K = 'k8'"), "80|k8;");
+  auto update = s1_.Execute("UPDATE T SET Id = 81 WHERE K = 'k8'");
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(update->affected, 1u);
+  auto del = s1_.Execute("DELETE FROM T WHERE K = 'k8'");
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_EQ(del->affected, 1u);
+  SESSION_OK(s1_, "COMMIT");
+  EXPECT_EQ(Rows(s2_, "SELECT Id FROM T WHERE K = 'k8' OR Id = 8"), "");}
+
+TEST_F(EscalatedIsolationTest, TopKSkipsRepeatedAndStaleEntries) {
+  SESSION_OK(s1_, "CREATE TABLE S (Id INT, Seq SEQUENCE)");
+  SESSION_OK(s1_,
+             "INSERT INTO S VALUES (1, 'AAAA'), (2, 'CCCC'), (3, 'GGGG')");
+  SESSION_OK(s1_, "CREATE SEQUENCE INDEX s_seq ON S (Seq) USING SPGIST");
+  SESSION_OK(s1_, "BEGIN");
+  SESSION_OK(s1_, "ANALYZE S");
+  // Row 1 gets a repeated entry, row 3 a stale one ('GGGG').
+  SESSION_OK(s1_, "UPDATE S SET Id = 10 WHERE Id = 1");
+  SESSION_OK(s1_, "UPDATE S SET Seq = 'GGGA' WHERE Id = 3");
+  const std::string nearest_a =
+      "SELECT Id FROM S ORDER BY DISTANCE(Seq, 'AAAA') LIMIT 2";
+  EXPECT_NE(Rows(s1_, "EXPLAIN " + nearest_a).find("SpgistTopKScan S"),
+            std::string::npos);
+  EXPECT_EQ(Rows(s1_, nearest_a), "10;3;");
+  EXPECT_EQ(
+      Rows(s1_, "SELECT Id FROM S ORDER BY DISTANCE(Seq, 'GGGG') LIMIT 1"),
+      "3;");
+  SESSION_OK(s1_, "COMMIT");
+}
+
 }  // namespace
 }  // namespace bdbms

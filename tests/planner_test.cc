@@ -509,9 +509,12 @@ TEST(TableScanRange, VisitsInclusiveRowIdInterval) {
                  return Status::Ok();
                }).ok());
   EXPECT_EQ(seen, (std::vector<RowId>{2, 3, 5, 6}));
-  EXPECT_EQ(t->RowIdsInRange(2, 6), (std::vector<RowId>{2, 3, 5, 6}));
-  EXPECT_EQ(t->RowIdsInRange(8, 100), (std::vector<RowId>{8, 9}));
-  EXPECT_EQ(t->SnapshotRowIds().size(), 9u);
+  const MvccSnapshot latest{kLatestCsn, 0};
+  EXPECT_EQ(t->VisibleRowIdsInRange(2, 6, latest),
+            (std::vector<RowId>{2, 3, 5, 6}));
+  EXPECT_EQ(t->VisibleRowIdsInRange(8, 100, latest),
+            (std::vector<RowId>{8, 9}));
+  EXPECT_EQ(t->VisibleRowIds(latest).size(), 9u);
 }
 
 // ---------------------------------------------------------------------------

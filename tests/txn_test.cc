@@ -78,6 +78,17 @@ std::vector<std::pair<std::string, std::string>> MutationStorm() {
   };
 }
 
+// Live rows across all tables: what version_count() must fall back to
+// once no transaction holds uncommitted or superseded versions.
+uint64_t LiveRows(Database& db) {
+  uint64_t rows = 0;
+  for (const std::string& name : db.catalog().ListTables()) {
+    auto table = db.GetTable(name);
+    if (table.ok()) rows += (*table)->row_count();
+  }
+  return rows;
+}
+
 // --- explicit transactions ------------------------------------------------
 
 TEST(TxnTest, RollbackRestoresEverySubsystem) {
@@ -95,6 +106,8 @@ TEST(TxnTest, RollbackRestoresEverySubsystem) {
   EXEC_OK(db, "ROLLBACK", "admin");
 
   EXPECT_EQ(Fingerprint(db), before);
+  EXPECT_EQ(db.version_count(), LiveRows(db))
+      << "rollback left discarded versions behind";
   VerifyIndexConsistency(db);
 }
 
@@ -106,7 +119,11 @@ TEST(TxnTest, CommitIsEquivalentToAutocommit) {
   for (const auto& [user, sql] : MutationStorm()) {
     EXEC_OK(txn_db, sql, user);
   }
-  EXEC_OK(txn_db, "COMMIT", "admin");
+  auto commit = txn_db.Execute("COMMIT", "admin");
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_EQ(commit->message,
+            "COMMIT (" + std::to_string(MutationStorm().size()) +
+                " statements)");
 
   Database auto_db;
   ASSERT_TRUE(RegisterProcedures(auto_db).ok());
@@ -120,33 +137,81 @@ TEST(TxnTest, CommitIsEquivalentToAutocommit) {
 }
 
 TEST(TxnTest, FailedStatementInsideTxnRollsBackOnlyThatStatement) {
-  Database db;
-  ASSERT_TRUE(RegisterProcedures(db).ok());
-  RunStandardWorkload(db);
+  // Each case runs `before` inside a transaction, then a statement that
+  // changes rows and fails part-way. The savepoint must undo exactly that
+  // statement — the deep fingerprint (next_row_id and index entry counts
+  // included) is back to its pre-statement value — while the transaction
+  // and its earlier statements stay alive, and COMMIT keeps them.
+  struct Case {
+    std::vector<std::string> before;
+    std::string failing;
+    std::string probe;
+    std::string expected;
+  };
+  const std::vector<Case> cases = {
+      // Escalated: fails during dependency propagation (the prediction
+      // tool rejects a NULL input) after the heap row already changed.
+      {{"INSERT INTO Gene VALUES ('JW0100', 'kept', 'ACGT')"},
+       "UPDATE Gene SET GSequence = NULL WHERE GID = 'JW0080'",
+       "SELECT GSequence FROM Gene WHERE GID = 'JW0100' OR GID = 'JW0080'",
+       "'TTTT';'ACGT';"},
+      // Escalated: the first row takes a RowId, an approval op id and a
+      // provenance annotation before the second row fails, and all three
+      // must be handed back.
+      {{},
+       "INSERT INTO Gene VALUES ('JW0101', 'a', 'AC'), ('JW0102', 'b', 1 / 0)",
+       "SELECT GName FROM Gene WHERE GID = 'JW0101'", ""},
+      // Row updated by an earlier statement, re-updated by the failing
+      // one (division by zero on a later row).
+      {{"UPDATE T SET v = 11 WHERE k = 1", "INSERT INTO T VALUES (0, 20)"},
+       "UPDATE T SET v = 100 / k", "SELECT v FROM T WHERE k = 1", "11;"},
+      // Row inserted by an earlier statement, updated by the failing one.
+      {{"INSERT INTO T VALUES (2, 30)", "INSERT INTO T VALUES (0, 40)"},
+       "UPDATE T SET v = 100 / k", "SELECT v FROM T WHERE k = 2", "30;"},
+  };
+  auto setup = [](Database& db) {
+    ASSERT_TRUE(RegisterProcedures(db).ok());
+    RunStandardWorkload(db);
+    EXEC_OK(db, "CREATE TABLE T (k INT, v INT)", "admin");
+    EXEC_OK(db, "CREATE INDEX t_v ON T (v)", "admin");
+    EXEC_OK(db, "INSERT INTO T VALUES (1, 10)", "admin");
+  };
+  auto probe = [](Database& db, const std::string& sql) {
+    auto r = db.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n-> " << r.status().ToString();
+    std::string out;
+    if (r.ok()) {
+      for (const auto& row : r->rows) out += row.values[0].ToString() + ";";
+    }
+    return out;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.failing);
+    Database db;
+    setup(db);
+    EXEC_OK(db, "BEGIN", "admin");
+    for (const std::string& sql : c.before) EXEC_OK(db, sql, "admin");
+    const std::string before_failure = Fingerprint(db);
 
-  EXEC_OK(db, "BEGIN", "admin");
-  EXEC_OK(db, "INSERT INTO Gene VALUES ('JW0100', 'kept', 'ACGT')", "admin");
-  // Fails during dependency propagation (the prediction tool rejects a
-  // NULL input) — after the heap row already changed. The savepoint must
-  // undo the partial update while keeping the transaction, and the
-  // prior INSERT, alive.
-  auto failed =
-      db.Execute("UPDATE Gene SET GSequence = NULL WHERE GID = 'JW0080'");
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(failed.status().IsInvalidArgument())
-      << failed.status().ToString();
+    auto failed = db.Execute(c.failing);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsInvalidArgument())
+        << failed.status().ToString();
+    EXPECT_EQ(Fingerprint(db), before_failure)
+        << "failed statement left partial effects";
+    EXPECT_EQ(probe(db, c.probe), c.expected);
+    EXEC_OK(db, "COMMIT", "admin");
 
-  auto inside = db.Execute("SELECT GSequence FROM Gene WHERE GID = 'JW0080'");
-  ASSERT_TRUE(inside.ok());
-  ASSERT_EQ(inside->rows.size(), 1u);
-  EXPECT_EQ(inside->rows[0].values[0].ToString(), "'TTTT'")
-      << "failed statement leaked a partial heap update";
-  EXEC_OK(db, "COMMIT", "admin");
-
-  auto kept = db.Execute("SELECT GID FROM Gene WHERE GID = 'JW0100'");
-  ASSERT_TRUE(kept.ok());
-  EXPECT_EQ(kept->rows.size(), 1u) << "commit lost a pre-failure statement";
-  VerifyIndexConsistency(db);
+    // The same statements in autocommit, without the failed one.
+    Database reference;
+    setup(reference);
+    for (const std::string& sql : c.before) EXEC_OK(reference, sql, "admin");
+    EXPECT_EQ(Fingerprint(db), Fingerprint(reference))
+        << "commit lost or leaked a statement";
+    EXPECT_EQ(probe(db, c.probe), c.expected);
+    EXPECT_EQ(db.version_count(), LiveRows(db));
+    VerifyIndexConsistency(db);
+  }
 }
 
 TEST(TxnTest, ControlStatementsOutsideTxnFail) {
