@@ -3,7 +3,8 @@
 // residual pipeline, the best-first ranked top-k traversal vs
 // sort-the-world, and ALIGN threshold search with and without the
 // shared-prefix trie walk. Each pair shares one dataset, so the gap is
-// the access path, not the data.
+// the access path, not the data. A last bench runs all four probes from
+// one and from four threads at once.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -136,6 +137,38 @@ void BM_AlignThreshold_SpgistAlignScan(benchmark::State& state) {
            "SELECT PID FROM Prot WHERE ALIGN(Seq, 'ACGTACGTACGT') >= 20");
 }
 BENCHMARK(BM_AlignThreshold_SpgistAlignScan);
+
+// --- concurrent probes: walks share the trie latch --------------------------
+// Each thread cycles through the four trie probes (prefix, MATCHES,
+// top-k DISTANCE, ALIGN) against one shared database. Probes take the
+// sequence index's latch shared, so at four threads the walks overlap
+// instead of queueing; real time per iteration is wall time over all
+// threads' probes, the inverse of throughput.
+
+void BM_ConcurrentTrieProbes(benchmark::State& state) {
+  static std::unique_ptr<Database> db;
+  static const char* kProbes[4] = {
+      "SELECT PID FROM Prot WHERE Seq LIKE 'ACGTTGCA%'",
+      "SELECT PID FROM Prot WHERE Seq MATCHES '.*GGCCATAT.*'",
+      "SELECT PID, Seq FROM Prot "
+      "ORDER BY DISTANCE(Seq, 'ACGTACGTACGTACGT') LIMIT 10",
+      "SELECT PID FROM Prot WHERE ALIGN(Seq, 'ACGTACGTACGT') >= 20",
+  };
+  // Thread 0 builds before, and drops after, the loop; the loop's start
+  // and end are barriers across the benchmark's threads.
+  if (state.thread_index() == 0) db = BuildDatabase(true);
+  size_t next = static_cast<size_t>(state.thread_index());
+  for (auto _ : state) {
+    auto r = db->Execute(kProbes[next++ % 4]);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  if (state.thread_index() == 0) db.reset();
+}
+BENCHMARK(BM_ConcurrentTrieProbes)->Threads(1)->Threads(4)->UseRealTime();
 
 }  // namespace
 }  // namespace bdbms

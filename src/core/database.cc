@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <set>
+#include <shared_mutex>
 #include <variant>
 
 #include "sql/parser.h"
@@ -211,7 +211,7 @@ Result<QueryResult> Database::Execute(std::string_view sql,
   // Without a durable store it falls through to the executor's no-op.
   if (std::holds_alternative<CheckpointStmt>(stmt.node)) {
     {
-      SharedGateLock g(&gate_);
+      std::shared_lock g(gate_);
       if (!access_.IsSuperuser(user)) {
         return Status::PermissionDenied("only superusers may checkpoint");
       }
@@ -238,7 +238,7 @@ Result<QueryResult> Database::Execute(std::string_view sql,
   TxnState implicit;
   implicit.implicit = true;
   auto result = RunStatement(implicit, stmt, sql, user);
-  if (implicit.escalated) gate_.UnlockExclusive();
+  if (implicit.escalated) gate_.unlock();
   MaybeDeferredCheckpoint();
   return result;
 }
@@ -254,7 +254,7 @@ Result<QueryResult> Database::RunStatement(TxnState& t, const Statement& stmt,
   if (!StatementMutatesState(stmt)) {
     // An escalated transaction already owns the gate exclusively.
     if (t.escalated) return ExecuteUnder(stmt, user, t.snapshot, nullptr);
-    SharedGateLock g(&gate_);
+    std::shared_lock g(gate_);
     if (!t.implicit) return ExecuteUnder(stmt, user, t.snapshot, nullptr);
     {
       // Capture + registration are one atomic step under txn_mu_: the GC
@@ -278,7 +278,7 @@ Result<QueryResult> Database::RunStatement(TxnState& t, const Statement& stmt,
       // Classification happens under the shared gate (rule/approval
       // changes are exclusive, so the answer cannot shift mid-hold), and
       // versioned DML executes under that same hold.
-      SharedGateLock g(&gate_);
+      std::shared_lock g(gate_);
       if (Classify(stmt) == StmtClass::kConcurrentDml) {
         return RunMutation(t, stmt, sql, user);
       }
@@ -431,8 +431,8 @@ Result<QueryResult> Database::FinishTxn(const void* token, bool commit) {
   const uint64_t statements = t->own_mutations;
   Status s = Status::Ok();
   if (!t->doomed) {
-    std::optional<SharedGateLock> g;  // an escalated txn holds exclusive
-    if (!t->escalated) g.emplace(&gate_);
+    std::shared_lock<RwLatch> g;  // an escalated txn holds exclusive
+    if (!t->escalated) g = std::shared_lock(gate_);
     std::lock_guard<std::mutex> w(writer_mu_);
     if (commit) {
       s = CommitLocked(*t);
@@ -489,7 +489,7 @@ void Database::EndTxn(const void* token) {
     // empty out.
     txn_cv_.notify_all();
   }
-  if (escalated) gate_.UnlockExclusive();
+  if (escalated) gate_.unlock();
   TryVacuum();  // retire versions the finished snapshot was pinning
 }
 
@@ -531,7 +531,7 @@ Status Database::LockExclusiveNoTxns(const TxnState* self) {
     ++escalations_waiting_;
   }
   for (;;) {
-    gate_.LockExclusive();
+    gate_.lock();
     std::unique_lock<std::mutex> lock(txn_mu_);
     bool others = false;
     for (const auto& [tok, txn] : txns_) {
@@ -546,7 +546,7 @@ Status Database::LockExclusiveNoTxns(const TxnState* self) {
     }
     // Open transactions do not hold the gate between statements, so
     // releasing it here lets them finish; EndTxn signals the retry.
-    gate_.UnlockExclusive();
+    gate_.unlock();
     txn_cv_.wait(lock);
   }
 }
@@ -786,7 +786,7 @@ void Database::MaybeDeferredCheckpoint() {
     // freezing them into the snapshot.
     if (!txns_.empty()) return;
   }
-  ExclusiveGateLock g(&gate_);
+  std::lock_guard g(gate_);
   std::lock_guard<std::mutex> w(writer_mu_);
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
@@ -819,7 +819,7 @@ Status Database::Checkpoint() {
     std::lock_guard<std::mutex> w(writer_mu_);
     s = CheckpointLocked();
   }
-  gate_.UnlockExclusive();
+  gate_.unlock();
   return s;
 }
 
@@ -901,7 +901,7 @@ Status Database::Close() {
       dur_->lock.reset();
     }
   }
-  gate_.UnlockExclusive();
+  gate_.unlock();
   return s;
 }
 

@@ -17,6 +17,7 @@
 #include "auth/approval.h"
 #include "catalog/catalog.h"
 #include "common/clock.h"
+#include "common/rw_latch.h"
 #include "dep/dependency_manager.h"
 #include "dep/procedure.h"
 #include "exec/executor.h"
@@ -473,10 +474,11 @@ class Database {
   MvccState mvcc_state_;
 
   // The engine gate: shared for reads and concurrent DML, exclusive for
-  // escalated transactions and checkpoints. Not
+  // escalated transactions and checkpoints. Writer-preferring, so an
+  // escalation cannot starve behind a stream of readers, and not
   // thread-affine (an escalated transaction may release from a different
   // pool thread than it acquired on).
-  EngineGate gate_;
+  RwLatch gate_;
 
   // Serializes every mutating execution, commit, rollback and vacuum.
   // Lock order: gate_ -> writer_mu_ -> txn_mu_ -> storage latches.

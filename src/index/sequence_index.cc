@@ -1,6 +1,7 @@
 #include "index/sequence_index.h"
 
 #include <algorithm>
+#include <mutex>
 #include <optional>
 #include <set>
 
@@ -24,7 +25,7 @@ Status SequenceIndex::Insert(const Value& cell, RowId row_id) {
     return Status::InvalidArgument(
         "sequence index cannot store values with embedded NUL bytes");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard lock(latch_);
   return trie_->Insert(text, row_id);
 }
 
@@ -33,7 +34,7 @@ Status SequenceIndex::Remove(const Value& cell, RowId row_id) {
   if (!cell.is_string()) {
     return Status::InvalidArgument("sequence index over a non-string value");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard lock(latch_);
   BDBMS_ASSIGN_OR_RETURN(
       bool removed,
       trie_->Remove(TrieOps::Exact(cell.as_string()), row_id));
@@ -45,7 +46,7 @@ Status SequenceIndex::Remove(const Value& cell, RowId row_id) {
 
 Result<std::vector<RowId>> SequenceIndex::Collect(
     const TrieOps::Query& query) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(latch_);
   std::vector<RowId> rows;
   BDBMS_RETURN_IF_ERROR(
       trie_->Search(query, [&](const TrieOps::Key&, uint64_t row) {
@@ -85,7 +86,7 @@ class NearestWalker {
   };
 
   // A candidate emitted by the traversal, not yet vetted for visibility:
-  // the caller checks `keep` after releasing the index mutex.
+  // the caller checks `keep` after releasing the index latch.
   struct Candidate {
     RowId row;
     int distance;
@@ -258,7 +259,7 @@ Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
   if (k == 0) return std::vector<Neighbor>{};
   // `keep` consults the table (MVCC visibility + stored-cell equality),
   // and every DML and index-build path takes the table lock *before* this
-  // index's mutex. Invoking it mid-traversal under mu_ would invert that
+  // index's latch. Invoking it mid-traversal under latch_ would invert that
   // order, so candidates are gathered under the lock and vetted after it
   // is released; stale entries are blacklisted and the traversal restarts
   // without them, so they never occupy one of the k slots. Each restart
@@ -267,7 +268,7 @@ Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
   for (;;) {
     std::vector<NearestWalker::Candidate> candidates;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::shared_lock lock(latch_);
       NearestWalker walker(target, k, stale);
       BDBMS_RETURN_IF_ERROR(trie_->SearchOrdered(walker));
       candidates = walker.Take();
@@ -296,7 +297,7 @@ Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
 Result<std::vector<RowId>> SequenceIndex::FindAlign(
     const std::string& query, int min_score, bool strict,
     const AlignmentParams& params) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock lock(latch_);
   AlignWalker walker(query, min_score, strict, params);
   BDBMS_RETURN_IF_ERROR(trie_->SearchGuided(walker));
   std::vector<RowId> rows = walker.Take();

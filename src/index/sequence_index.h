@@ -3,12 +3,13 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "bio/alignment.h"
 #include "common/result.h"
+#include "common/rw_latch.h"
 #include "common/value.h"
 #include "index/spgist/trie_ops.h"
 #include "table/table.h"
@@ -28,8 +29,11 @@ namespace bdbms {
 // NUL byte as its end-of-key label, so values containing embedded NUL
 // bytes are rejected at maintenance time rather than silently dropped.
 //
-// Internally synchronized, like SecondaryIndex: the trie's page cache
-// mutates on reads, so concurrent probes serialize on the index's mutex.
+// Internally synchronized by a writer-preferring reader/writer latch:
+// probes take it shared and run side by side (every trie node read goes
+// through the node heap's own mutex), Insert/Remove take it exclusive.
+// Writer preference keeps a DML statement, which holds its table's latch
+// while it maintains the index, from starving behind overlapping walks.
 class SequenceIndex {
  public:
   static Result<std::unique_ptr<SequenceIndex>> Create(std::string name,
@@ -41,7 +45,7 @@ class SequenceIndex {
   const std::string& name() const { return name_; }
   size_t column() const { return column_; }
   uint64_t entry_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_lock lock(latch_);
     return trie_->size();
   }
 
@@ -71,7 +75,7 @@ class SequenceIndex {
   // before it counts toward k, so stale index entries cannot underfill
   // the result. All ties at the k-th distance are returned; the caller's
   // LIMIT makes the final cut. `keep` is always invoked with the index
-  // mutex released (it takes the table lock, and DML locks table before
+  // latch released (it takes the table lock, and DML locks table before
   // index); a rejection blacklists the entry and reruns the traversal.
   Result<std::vector<Neighbor>> FindNearest(
       const std::string& target, size_t k,
@@ -96,7 +100,7 @@ class SequenceIndex {
   std::string name_;
   size_t column_;
   std::unique_ptr<SpGistTrie> trie_;
-  mutable std::mutex mu_;
+  mutable RwLatch latch_;
 };
 
 }  // namespace bdbms

@@ -1,14 +1,29 @@
 #include "index/spgist/regex.h"
 
 #include <algorithm>
+#include <bitset>
 
 namespace bdbms {
+
+namespace {
+
+struct Atom {
+  std::bitset<256> chars;  // bytes the atom consumes
+  bool repeat = false;     // may repeat (from * and +)
+  bool optional = false;   // may be skipped (from * and ?)
+};
+
+void SetBit(std::vector<uint64_t>* words, size_t bit) {
+  (*words)[bit / 64] |= uint64_t{1} << (bit % 64);
+}
+
+}  // namespace
 
 Result<RegexProgram> RegexProgram::Compile(std::string_view pattern) {
   if (pattern.empty()) {
     return Status::InvalidArgument("regex: empty pattern");
   }
-  RegexProgram prog;
+  std::vector<Atom> atoms;
   size_t i = 0;
   while (i < pattern.size()) {
     Atom atom;
@@ -17,107 +32,135 @@ Result<RegexProgram> RegexProgram::Compile(std::string_view pattern) {
       return Status::InvalidArgument("regex: dangling quantifier");
     }
     if (c == '.') {
-      atom.kind = Atom::Kind::kAny;
+      atom.chars.set();
       ++i;
     } else if (c == '[') {
       size_t close = pattern.find(']', i + 1);
       if (close == std::string_view::npos) {
         return Status::InvalidArgument("regex: unterminated character class");
       }
-      atom.kind = Atom::Kind::kClass;
-      atom.char_class = std::string(pattern.substr(i + 1, close - i - 1));
-      if (atom.char_class.empty()) {
+      if (close == i + 1) {
         return Status::InvalidArgument("regex: empty character class");
+      }
+      for (size_t k = i + 1; k < close; ++k) {
+        atom.chars.set(static_cast<unsigned char>(pattern[k]));
       }
       i = close + 1;
     } else if (c == '\\') {
       if (i + 1 >= pattern.size()) {
         return Status::InvalidArgument("regex: trailing backslash");
       }
-      atom.kind = Atom::Kind::kLiteral;
-      atom.literal = pattern[i + 1];
+      atom.chars.set(static_cast<unsigned char>(pattern[i + 1]));
       i += 2;
     } else {
-      atom.kind = Atom::Kind::kLiteral;
-      atom.literal = c;
+      atom.chars.set(static_cast<unsigned char>(c));
       ++i;
     }
     if (i < pattern.size()) {
       if (pattern[i] == '*') {
-        atom.star = true;
+        atom.repeat = true;
         atom.optional = true;
         ++i;
       } else if (pattern[i] == '+') {
-        atom.star = true;  // at least once, then repeats
+        atom.repeat = true;  // at least once, then repeats
         ++i;
       } else if (pattern[i] == '?') {
         atom.optional = true;
         ++i;
       }
     }
-    prog.atoms_.push_back(std::move(atom));
+    atoms.push_back(atom);
   }
+
+  RegexProgram prog;
+  prog.atoms_ = atoms.size();
+  prog.words_ = atoms.size() / 64 + 1;  // states 0..n
+  const size_t w = prog.words_;
+  prog.char_masks_.assign(256 * w, 0);
+  prog.repeat_.assign(w, 0);
+  prog.block_first_.assign(w, 0);
+  prog.block_last_.assign(w, 0);
+  prog.block_reach_.assign(w, 0);
+  for (size_t a = 0; a < atoms.size(); ++a) {
+    for (size_t ch = 0; ch < 256; ++ch) {
+      if (atoms[a].chars.test(ch)) {
+        prog.char_masks_[ch * w + a / 64] |= uint64_t{1} << (a % 64);
+      }
+    }
+    if (atoms[a].repeat) SetBit(&prog.repeat_, a);
+  }
+  for (size_t a = 0; a < atoms.size();) {
+    if (!atoms[a].optional) {
+      ++a;
+      continue;
+    }
+    size_t last = a;  // the run of optional atoms is a..last
+    while (last + 1 < atoms.size() && atoms[last + 1].optional) ++last;
+    SetBit(&prog.block_first_, a);
+    SetBit(&prog.block_last_, last + 1);
+    for (size_t s = a + 1; s <= last + 1; ++s) SetBit(&prog.block_reach_, s);
+    a = last + 1;
+  }
+  prog.start_.assign(w, 0);
+  prog.start_[0] = 1;
+  prog.Close(prog.start_);
   return prog;
 }
 
-void RegexProgram::Close(std::vector<int>* states) const {
-  // Epsilon closure: optional atoms may be skipped.
-  std::vector<bool> seen(atoms_.size() + 1, false);
-  std::vector<int> stack = *states;
-  states->clear();
-  for (int s : stack) {
-    if (!seen[s]) {
-      seen[s] = true;
-      states->push_back(s);
-    }
+bool RegexProgram::Close(std::span<uint64_t> states) const {
+  // For each block: fill every state above the block's lowest live
+  // state. Setting the block's last bit and subtracting its first bit
+  // borrows up to that lowest live state and no further; ~diff ^ d then
+  // marks exactly the block's states above it (Navarro & Raffinot,
+  // "Flexible Pattern Matching in Strings", §4.3). The last bit stops
+  // every borrow inside its block, so blocks never disturb one another.
+  uint64_t borrow = 0;
+  uint64_t live = 0;
+  for (size_t w = 0; w < words_; ++w) {
+    const uint64_t d = states[w] | block_last_[w];
+    const uint64_t t = d - block_first_[w];
+    const uint64_t diff = t - borrow;
+    borrow = (d < block_first_[w]) | (t < borrow);
+    states[w] |= block_reach_[w] & (~diff ^ d);
+    live |= states[w];
   }
-  while (!stack.empty()) {
-    int s = stack.back();
-    stack.pop_back();
-    if (s < static_cast<int>(atoms_.size()) && atoms_[s].optional &&
-        !seen[s + 1]) {
-      seen[s + 1] = true;
-      states->push_back(s + 1);
-      stack.push_back(s + 1);
-    }
-  }
-  std::sort(states->begin(), states->end());
+  return live != 0;
 }
 
-std::vector<int> RegexProgram::StartStates() const {
-  std::vector<int> states{0};
-  Close(&states);
-  return states;
-}
-
-std::vector<int> RegexProgram::Advance(const std::vector<int>& states,
-                                       char c) const {
-  std::vector<int> next;
-  for (int s : states) {
-    if (s >= static_cast<int>(atoms_.size())) continue;
-    const Atom& atom = atoms_[s];
-    if (!atom.Matches(c)) continue;
-    if (atom.star) next.push_back(s);  // may repeat
-    next.push_back(s + 1);             // consumed once
+bool RegexProgram::Advance(std::span<const uint64_t> in, char c,
+                           std::span<uint64_t> out) const {
+  const uint64_t* match =
+      &char_masks_[static_cast<unsigned char>(c) * words_];
+  uint64_t carry = 0;
+  for (size_t w = 0; w < words_; ++w) {
+    const uint64_t m = in[w] & match[w];
+    out[w] = (m << 1) | carry | (m & repeat_[w]);
+    carry = m >> 63;
   }
-  std::sort(next.begin(), next.end());
-  next.erase(std::unique(next.begin(), next.end()), next.end());
-  Close(&next);
-  return next;
+  return Close(out);
 }
 
-bool RegexProgram::Accepting(const std::vector<int>& states) const {
-  return std::find(states.begin(), states.end(),
-                   static_cast<int>(atoms_.size())) != states.end();
+bool RegexProgram::Accepting(std::span<const uint64_t> states) const {
+  return (states[atoms_ / 64] >> (atoms_ % 64)) & 1;
 }
 
-bool RegexProgram::FullMatch(std::string_view text) const {
-  std::vector<int> states = StartStates();
-  for (char c : text) {
-    states = Advance(states, c);
-    if (states.empty()) return false;
+bool RegexProgram::MatchesFrom(std::span<const uint64_t> states,
+                               std::string_view rest) const {
+  // Patterns up to 255 atoms step in a stack buffer; longer ones take
+  // one heap buffer per call, never one per character.
+  constexpr size_t kInlineWords = 4;
+  uint64_t inline_buf[kInlineWords] = {};
+  std::vector<uint64_t> heap_buf;
+  std::span<uint64_t> cur(inline_buf, std::min(words_, kInlineWords));
+  if (words_ > kInlineWords) {
+    heap_buf.resize(words_);
+    cur = heap_buf;
   }
-  return Accepting(states);
+  std::copy(states.begin(), states.end(), cur.begin());
+  for (char c : rest) {
+    if (!Advance(cur, c, cur)) return false;
+  }
+  return Accepting(cur);
 }
 
 }  // namespace bdbms

@@ -56,12 +56,13 @@ namespace bdbms {
 //
 // An operator class may additionally provide
 //
-//     static State DescendSearch(const Inner&, size_t slot, const State&,
-//                                const Query&);
+//     static std::optional<State> DescendSearch(const Inner&, size_t slot,
+//                                               const State&, const Query&);
 //
 // which Search/Remove then use instead of Descend, letting the class
 // thread query-derived state (e.g. an NFA state set) across each edge
-// exactly once instead of recomputing it from the path at every node.
+// exactly once instead of recomputing it from the path at every node;
+// nullopt prunes the child before its node is read.
 inline constexpr uint64_t kSpGistNullNode = UINT64_MAX;
 
 template <typename Op>
@@ -179,8 +180,9 @@ class SpGistIndex {
       for (size_t slot : children) {
         uint64_t child = node.inner.child(slot);
         if (child == kSpGistNullNode) continue;
-        stack.emplace_back(child, DescendForSearch(node.inner, slot, state,
-                                                   query));
+        std::optional<State> next =
+            DescendForSearch(node.inner, slot, state, query);
+        if (next) stack.emplace_back(child, std::move(*next));
       }
     }
     return Status::Ok();
@@ -215,8 +217,9 @@ class SpGistIndex {
       for (size_t slot : children) {
         uint64_t child = node.inner.child(slot);
         if (child == kSpGistNullNode) continue;
-        stack.emplace_back(child, DescendForSearch(node.inner, slot, state,
-                                                   query));
+        std::optional<State> next =
+            DescendForSearch(node.inner, slot, state, query);
+        if (next) stack.emplace_back(child, std::move(*next));
       }
     }
     return false;
@@ -384,8 +387,9 @@ class SpGistIndex {
 
   // Search/Remove descend through the query-aware hook when the operator
   // class provides one, so per-edge query state rides along the path.
-  static State DescendForSearch(const typename Op::Inner& inner, size_t slot,
-                                const State& state, const Query& query) {
+  static std::optional<State> DescendForSearch(const typename Op::Inner& inner,
+                                               size_t slot, const State& state,
+                                               const Query& query) {
     if constexpr (requires { Op::DescendSearch(inner, slot, state, query); }) {
       return Op::DescendSearch(inner, slot, state, query);
     } else {

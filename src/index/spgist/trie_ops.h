@@ -1,7 +1,10 @@
 #ifndef BDBMS_INDEX_SPGIST_TRIE_OPS_H_
 #define BDBMS_INDEX_SPGIST_TRIE_OPS_H_
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,7 +18,7 @@ namespace bdbms {
 // by next character; the reserved label '\0' collects keys exhausted at
 // this depth, so embedded NUL bytes are not supported. Supports exact
 // match, prefix match and regular-expression match (via RegexProgram,
-// advanced edge-by-edge with dead-state pruning).
+// advanced once per edge with dead-state pruning).
 struct TrieOps {
   using Key = std::string;  // the suffix remaining below this node
 
@@ -23,11 +26,11 @@ struct TrieOps {
 
   struct State {
     std::string prefix;  // characters consumed on the path from the root
-    // Regex searches cache the NFA state set reached after consuming
-    // `prefix`, advanced once per edge by DescendSearch; nfa_valid is
-    // false only at the root (and on insert paths, which never read it).
-    std::vector<int> nfa;
-    bool nfa_valid = false;
+    // Regex searches carry the NFA state set reached after consuming
+    // `prefix`, advanced once per edge by DescendSearch. It is empty only
+    // at the root, whose set is the program's start set (and on insert
+    // paths, which never read it).
+    std::vector<uint64_t> nfa;
   };
 
   struct Inner {
@@ -91,19 +94,24 @@ struct TrieOps {
   }
 
   // Query-aware descent for Search/Remove: the regex NFA state set is
-  // advanced across the edge exactly once, instead of being replayed
-  // from the root prefix at every node (O(edges) total, not O(depth^2)).
-  static State DescendSearch(const Inner& inner, size_t slot,
-                             const State& state, const Query& query) {
+  // advanced across the edge exactly once, and an edge whose set dies (or
+  // an end-of-key edge whose set does not accept) is pruned before its
+  // child node is read.
+  static std::optional<State> DescendSearch(const Inner& inner, size_t slot,
+                                            const State& state,
+                                            const Query& query) {
     State next = Descend(inner, slot, state);
-    if (query.kind == QueryKind::kRegex) {
-      if (inner.labels[slot] == '\0') {
-        next.nfa = NfaStates(query, state);
-      } else {
-        next.nfa = query.regex->Advance(NfaStates(query, state),
-                                        inner.labels[slot]);
-      }
-      next.nfa_valid = true;
+    if (query.kind != QueryKind::kRegex) return next;
+    const RegexProgram& regex = *query.regex;
+    std::span<const uint64_t> from = NfaStates(query, state);
+    next.nfa.resize(regex.words());
+    if (inner.labels[slot] == '\0') {
+      // Keys ending here carry a leaf suffix of "": they match iff the
+      // set reached so far accepts.
+      if (!regex.Accepting(from)) return std::nullopt;
+      std::copy(from.begin(), from.end(), next.nfa.begin());
+    } else if (!regex.Advance(from, inner.labels[slot], next.nfa)) {
+      return std::nullopt;
     }
     return next;
   }
@@ -148,7 +156,7 @@ struct TrieOps {
         size_t depth = state.prefix.size();
         if (depth >= query.text.size()) {
           // Prefix fully consumed: the whole subtree matches.
-          for (size_t i = 0; i < inner.labels.size(); ++i) out->push_back(i);
+          AllChildren(inner, out);
           return;
         }
         char want = query.text[depth];
@@ -157,23 +165,11 @@ struct TrieOps {
         }
         return;
       }
-      case QueryKind::kRegex: {
-        // The NFA state set for this node's depth arrives cached from
-        // DescendSearch (recomputed only at the root, whose prefix is
-        // empty); test each outgoing edge and prune dead subtrees.
-        std::vector<int> states = NfaStates(query, state);
-        if (states.empty()) return;
-        for (size_t i = 0; i < inner.labels.size(); ++i) {
-          if (inner.labels[i] == '\0') {
-            // Keys ending here still carry a leaf suffix of "" — accept
-            // iff the current state set accepts.
-            if (query.regex->Accepting(states)) out->push_back(i);
-          } else if (!query.regex->Advance(states, inner.labels[i]).empty()) {
-            out->push_back(i);
-          }
-        }
+      case QueryKind::kRegex:
+        // Every edge is a candidate: DescendSearch advances the NFA
+        // across it once and prunes the dead ones.
+        AllChildren(inner, out);
         return;
-      }
     }
   }
 
@@ -189,31 +185,24 @@ struct TrieOps {
         return full.size() >= query.text.size() &&
                full.compare(0, query.text.size(), query.text) == 0;
       }
-      case QueryKind::kRegex: {
-        std::vector<int> states = NfaStates(query, state);
-        if (states.empty()) return false;
-        for (char c : key) {
-          states = query.regex->Advance(states, c);
-          if (states.empty()) return false;
-        }
-        return query.regex->Accepting(states);
-      }
+      case QueryKind::kRegex:
+        return query.regex->MatchesFrom(NfaStates(query, state), key);
     }
     return false;
   }
 
   static bool KeyEquals(const Key& a, const Key& b) { return a == b; }
 
-  // The cached NFA state set when DescendSearch filled one in, else the
-  // set reached by replaying the path prefix (the root only).
-  static std::vector<int> NfaStates(const Query& query, const State& state) {
-    if (state.nfa_valid) return state.nfa;
-    std::vector<int> states = query.regex->StartStates();
-    for (char c : state.prefix) {
-      states = query.regex->Advance(states, c);
-      if (states.empty()) break;
-    }
-    return states;
+  // The NFA state set DescendSearch carried to this node; the root has
+  // none yet and starts from the program's start set.
+  static std::span<const uint64_t> NfaStates(const Query& query,
+                                             const State& state) {
+    if (state.nfa.empty()) return query.regex->Start();
+    return state.nfa;
+  }
+
+  static void AllChildren(const Inner& inner, std::vector<size_t>* out) {
+    for (size_t i = 0; i < inner.labels.size(); ++i) out->push_back(i);
   }
 
   static void EncodeKey(const Key& key, std::string* out) {

@@ -1,6 +1,7 @@
 #include "plan/expr_eval.h"
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -72,9 +73,15 @@ Result<Value> EvalBinary(const Expr& e, const ColumnFn& col_fn,
       if (!lhs.is_string() || !rhs.is_string()) {
         return Status::InvalidArgument("MATCHES requires string operands");
       }
-      BDBMS_ASSIGN_OR_RETURN(RegexProgram prog,
-                             RegexProgram::Compile(rhs.as_string()));
-      return Value::Int(prog.FullMatch(lhs.as_string()) ? 1 : 0);
+      // A literal pattern compiles once per statement. A malformed one is
+      // never kept, so the compile error surfaces at the first row
+      // evaluated, as a per-row compile would report it.
+      if (!e.regex || e.right->kind != ExprKind::kLiteral) {
+        BDBMS_ASSIGN_OR_RETURN(RegexProgram compiled,
+                               RegexProgram::Compile(rhs.as_string()));
+        e.regex = std::make_shared<const RegexProgram>(std::move(compiled));
+      }
+      return Value::Int(e.regex->FullMatch(lhs.as_string()) ? 1 : 0);
     }
     case BinOp::kAdd:
       if (lhs.is_string() && rhs.is_string()) {

@@ -17,6 +17,7 @@ namespace bdbms {
 // Expressions
 // ---------------------------------------------------------------------------
 
+class RegexProgram;
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
@@ -68,6 +69,10 @@ struct Expr {
   ExprPtr left;   // kBinary / kFunction first argument
   ExprPtr right;  // kBinary / kFunction second argument
   ExprPtr child;  // kUnary / kAggregate argument (null for COUNT(*))
+
+  // MATCHES: the compiled pattern. A literal one is compiled at the first
+  // evaluation and reused for every later row of the statement.
+  mutable std::shared_ptr<const RegexProgram> regex;
 
   bool ContainsAggregate() const {
     if (kind == ExprKind::kAggregate) return true;

@@ -1,10 +1,8 @@
 #ifndef BDBMS_TXN_MVCC_H_
 #define BDBMS_TXN_MVCC_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -72,85 +70,6 @@ struct MvccWriter {
 // place, unversioned.
 struct MvccState {
   MvccWriter* writer = nullptr;
-};
-
-// The engine gate: a reader/writer lock like the PR-6 std::shared_mutex
-// engine lock, but explicitly NOT thread-affine — an escalated
-// transaction may acquire the exclusive side from one worker thread of
-// the session pool and release it from another, which std::shared_mutex
-// forbids. Writer-preferring so an escalation cannot starve behind a
-// stream of readers.
-class EngineGate {
- public:
-  void LockShared() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return !exclusive_ && waiting_exclusive_ == 0; });
-    ++shared_;
-  }
-
-  void UnlockShared() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--shared_ == 0) cv_.notify_all();
-  }
-
-  void LockExclusive() {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++waiting_exclusive_;
-    cv_.wait(lock, [&] { return !exclusive_ && shared_ == 0; });
-    --waiting_exclusive_;
-    exclusive_ = true;
-  }
-
-  void UnlockExclusive() {
-    std::lock_guard<std::mutex> lock(mu_);
-    exclusive_ = false;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int shared_ = 0;
-  int waiting_exclusive_ = 0;
-  bool exclusive_ = false;
-};
-
-// Scoped shared hold on the gate (one read-only or concurrent-DML
-// statement).
-class SharedGateLock {
- public:
-  explicit SharedGateLock(EngineGate* gate) : gate_(gate) {
-    gate_->LockShared();
-  }
-  ~SharedGateLock() {
-    if (gate_) gate_->UnlockShared();
-  }
-  SharedGateLock(const SharedGateLock&) = delete;
-  SharedGateLock& operator=(const SharedGateLock&) = delete;
-
- private:
-  EngineGate* gate_;
-};
-
-// Scoped exclusive hold (one exclusive autocommit statement or
-// CHECKPOINT). Escalated transactions manage the exclusive side manually
-// because the hold spans statements and threads.
-class ExclusiveGateLock {
- public:
-  explicit ExclusiveGateLock(EngineGate* gate) : gate_(gate) {
-    gate_->LockExclusive();
-  }
-  ~ExclusiveGateLock() {
-    if (gate_) gate_->UnlockExclusive();
-  }
-  ExclusiveGateLock(const ExclusiveGateLock&) = delete;
-  ExclusiveGateLock& operator=(const ExclusiveGateLock&) = delete;
-
-  // Hands the hold to a manual owner (an escalating transaction).
-  void Release() { gate_ = nullptr; }
-
- private:
-  EngineGate* gate_;
 };
 
 }  // namespace bdbms

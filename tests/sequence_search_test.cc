@@ -9,17 +9,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <mutex>
 #include <random>
+#include <regex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bio/alignment.h"
 #include "core/database.h"
+#include "index/sequence_index.h"
 #include "index/spgist/regex.h"
 
 namespace bdbms {
@@ -109,6 +116,12 @@ TEST(SequenceSearchSqlErrors, MalformedRegexSurfacesAsSqlError) {
   // Type errors keep their own message.
   expect_error("SELECT id FROM T WHERE id MATCHES 'ACGT'",
                "InvalidArgument: MATCHES requires string operands");
+  // The pattern compiles at the first row evaluated, so a table with no
+  // row to evaluate (empty, or only NULL cells) reports no error.
+  EXEC_OK(db, "CREATE TABLE E (id INT, seq SEQUENCE)");
+  EXEC_OK(db, "SELECT id FROM E WHERE seq MATCHES '[AC'");
+  EXEC_OK(db, "INSERT INTO E VALUES (1, NULL)");
+  EXEC_OK(db, "SELECT id FROM E WHERE seq MATCHES '[AC'");
 }
 
 // ---------------------------------------------------------------------------
@@ -315,16 +328,49 @@ std::vector<int64_t> OracleIds(Database& db, const Pred& pred) {
   return out;
 }
 
-// Diffs every regex/LIKE query three ways: trie-indexed plan vs the C++
-// FullMatch/LikeMatch oracle, then (caller) vs the dropped-index plan.
+// Translates the MATCHES dialect into an ECMAScript pattern, so the
+// oracle is std::regex_match, an engine that shares no code with
+// RegexProgram. Every non-alphanumeric character is escaped, inside
+// classes too: a dialect class is a plain character set, so "[a-z]" is
+// the three characters 'a', '-' and 'z', never a range. Alphanumerics
+// stay bare, because ECMAScript gives "\d", "\b" or "\1" other meanings.
+// `pattern` must compile.
+std::string ToEcmaScript(std::string_view pattern) {
+  std::string out;
+  auto put = [&out](char c) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) out.push_back('\\');
+    out.push_back(c);
+  };
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    char c = pattern[i];
+    if (c == '.') {
+      out += "[\\s\\S]";  // any character, line terminators included
+    } else if (c == '*' || c == '+' || c == '?') {
+      out.push_back(c);
+    } else if (c == '\\') {
+      put(pattern[++i]);
+    } else if (c == '[') {
+      size_t close = pattern.find(']', i + 1);
+      out.push_back('[');
+      for (size_t k = i + 1; k < close; ++k) put(pattern[k]);
+      out.push_back(']');
+      i = close;
+    } else {
+      put(c);
+    }
+  }
+  return out;
+}
+
+// Diffs every regex/LIKE query three ways: trie-indexed plan vs the
+// std::regex / naive LIKE oracle, then (caller) vs the dropped-index plan.
 void CheckRegexQueries(Database& db) {
   for (const char* pattern : kRegexQueries) {
-    auto prog = RegexProgram::Compile(pattern);
-    ASSERT_TRUE(prog.ok()) << pattern;
+    std::regex oracle(ToEcmaScript(pattern));
     std::string sql = std::string("SELECT id FROM C WHERE seq MATCHES '") +
                       pattern + "' ORDER BY id";
     EXPECT_EQ(SqlIds(db, sql), OracleIds(db, [&](const std::string& s) {
-                return prog->FullMatch(s);
+                return std::regex_match(s, oracle);
               }))
         << sql;
   }
@@ -606,6 +652,287 @@ TEST(SequenceSearchShapes, DuplicateHeavyTable) {
   CheckTopK(db, "ACGTACGA", 60);
   CheckAlignQueries(db, "GATTACA");
   CheckIndexedMatchesDropped(db);
+}
+
+
+// ---------------------------------------------------------------------------
+// Seeded random patterns across the NFA's 64-state word boundaries
+// ---------------------------------------------------------------------------
+
+// A random pattern of exactly `atoms` atoms (literals, '.', classes and
+// escaped metacharacters, each maybe quantified), texts sampled from it,
+// which match by construction, and one-edit mutants of those, which
+// mostly do not.
+struct RandomPattern {
+  std::string pattern;
+  std::vector<std::string> texts;
+};
+
+RandomPattern MakeRandomPattern(std::mt19937_64& rng, int atoms) {
+  const std::string kLetters = "ACGT";
+  const std::string kClassExtras = "-.*\\";  // plain characters in a class
+  const std::string kEscapable = ".*+?[]\\-";
+  const std::string kAnyChar = kLetters + kEscapable;
+  auto pick = [&rng](const std::string& from) {
+    return from[rng() % from.size()];
+  };
+  struct Atom {
+    std::string chars;  // what the atom consumes
+    char quantifier;    // 0, '?', '*' or '+'
+  };
+  RandomPattern out;
+  std::vector<Atom> parsed;
+  for (int a = 0; a < atoms; ++a) {
+    Atom atom;
+    int kind = static_cast<int>(rng() % 20);
+    if (kind < 10) {
+      atom.chars = std::string(1, pick(kLetters));
+      out.pattern += atom.chars;
+    } else if (kind < 13) {
+      atom.chars = kAnyChar;
+      out.pattern += '.';
+    } else if (kind < 18) {
+      const std::string pool = kLetters + kClassExtras;
+      for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n) {
+        atom.chars += pick(pool);
+      }
+      out.pattern += "[" + atom.chars + "]";
+    } else {
+      atom.chars = std::string(1, pick(kEscapable));
+      out.pattern += "\\" + atom.chars;
+    }
+    // '.' repeats only through '?': a chain of '.*' makes the
+    // backtracking oracle exponential, and repetition is already
+    // covered by the literals and classes.
+    int q = static_cast<int>(rng() % 10);
+    atom.quantifier = q < 6 ? 0 : q < 8 ? '?' : q == 8 ? '*' : '+';
+    if (atom.chars == kAnyChar && atom.quantifier != 0) atom.quantifier = '?';
+    if (atom.quantifier != 0) out.pattern += atom.quantifier;
+    parsed.push_back(atom);
+  }
+  for (int sample = 0; sample < 8; ++sample) {
+    std::string text;
+    for (const Atom& atom : parsed) {
+      int count = atom.quantifier == '?'   ? static_cast<int>(rng() % 2)
+                  : atom.quantifier == '*' ? static_cast<int>(rng() % 3)
+                  : atom.quantifier == '+' ? 1 + static_cast<int>(rng() % 2)
+                                           : 1;
+      while (count-- > 0) text += pick(atom.chars);
+    }
+    out.texts.push_back(text);
+    if (text.empty()) continue;
+    size_t at = rng() % text.size();
+    std::string substituted = text;
+    substituted[at] = pick(kAnyChar);
+    std::string deleted = text;
+    deleted.erase(at, 1);
+    std::string inserted = text;
+    inserted.insert(at, 1, pick(kAnyChar));
+    out.texts.push_back(substituted);
+    out.texts.push_back(deleted);
+    out.texts.push_back(inserted);
+  }
+  return out;
+}
+
+TEST(SequenceSearchRegexOracle, RandomPatternsAcrossWordBoundaries) {
+  std::mt19937_64 rng(20261016);
+  int matched = 0;
+  int rejected = 0;
+  for (int atoms : {63, 64, 65, 130}) {
+    for (int rep = 0; rep < 5; ++rep) {
+      RandomPattern rp = MakeRandomPattern(rng, atoms);
+      SCOPED_TRACE(rp.pattern);
+      auto prog = RegexProgram::Compile(rp.pattern);
+      ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+      std::regex oracle(ToEcmaScript(rp.pattern));
+      Database db;
+      EXEC_OK(db, "CREATE TABLE C (id INT, seq SEQUENCE)");
+      EXEC_OK(db, "CREATE SEQUENCE INDEX cx ON C (seq) USING SPGIST");
+      std::vector<int64_t> want;
+      for (size_t i = 0; i < rp.texts.size(); ++i) {
+        const std::string& text = rp.texts[i];
+        EXEC_OK(db, "INSERT INTO C VALUES (" + std::to_string(i) + ", '" +
+                        text + "')");
+        bool match = std::regex_match(text, oracle);
+        EXPECT_EQ(prog->FullMatch(text), match) << text;
+        if (match) want.push_back(static_cast<int64_t>(i));
+        ++(match ? matched : rejected);
+      }
+      std::string sql = "SELECT id FROM C WHERE seq MATCHES '" + rp.pattern +
+                        "' ORDER BY id";
+      EXPECT_NE(Explain(db, sql).find("SpgistRegexScan"), std::string::npos);
+      EXPECT_EQ(SqlIds(db, sql), want);
+    }
+  }
+  // Both verdicts are well represented, or the suite proves little.
+  EXPECT_GT(matched, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent probes under a writer
+// ---------------------------------------------------------------------------
+
+// Four readers loop the four trie probes (prefix, MATCHES, top-k DISTANCE
+// and ALIGN) while a writer runs INSERT/UPDATE/DELETE on the indexed
+// column. The writer only touches ids from 1000 up, with sequences that
+// open on a run of 20 'W's: at edit distance >= 20 from the top-k target,
+// they can never enter its answer, and the other probes are checked on
+// the stable ids below 1000. The writer must finish its statements before
+// a generous deadline. Were it starved, the readers stop at the deadline,
+// so the test fails instead of hanging.
+TEST(SequenceSearchConcurrency, ParallelProbesWithWriter) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE C (id INT, seq SEQUENCE)");
+  std::mt19937_64 rng(15);
+  std::vector<std::pair<int64_t, std::string>> corpus;
+  BuildCorpus(db, rng, 900, "ACGT", &corpus);
+  if (HasFatalFailure()) return;
+  EXEC_OK(db, "CREATE SEQUENCE INDEX cx ON C (seq) USING SPGIST");
+
+  const std::vector<std::string> probes = {
+      "SELECT id FROM C WHERE seq LIKE 'AC%' ORDER BY id",
+      "SELECT id FROM C WHERE seq MATCHES '.*GA.*T' ORDER BY id",
+      "SELECT id FROM C ORDER BY DISTANCE(seq, 'ACGTACGT') LIMIT 7",
+      "SELECT id FROM C WHERE ALIGN(seq, 'GATTACA') >= 8 ORDER BY id",
+  };
+  const std::vector<std::string> plans = {"SpgistScan", "SpgistRegexScan",
+                                          "SpgistTopKScan", "SpgistAlignScan"};
+  auto stable_ids = [&](const std::string& sql) {
+    std::vector<int64_t> ids = SqlIds(db, sql);
+    ids.erase(std::remove_if(ids.begin(), ids.end(),
+                             [](int64_t id) { return id >= 1000; }),
+              ids.end());
+    return ids;
+  };
+  std::vector<std::vector<int64_t>> want;
+  for (size_t p = 0; p < probes.size(); ++p) {
+    EXPECT_NE(Explain(db, probes[p]).find(plans[p]), std::string::npos)
+        << probes[p];
+    want.push_back(stable_ids(probes[p]));
+    EXPECT_FALSE(want.back().empty()) << probes[p];
+  }
+
+  constexpr int kWriterStatements = 60;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> reader_rounds{0};
+  std::mutex first_mismatch_mu;
+  std::string first_mismatch;
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t round = r; !writer_done.load() &&
+                             std::chrono::steady_clock::now() < deadline;
+           ++round) {
+        size_t p = round % probes.size();
+        if (stable_ids(probes[p]) != want[p]) {
+          if (mismatches.fetch_add(1) == 0) {
+            std::lock_guard<std::mutex> lock(first_mismatch_mu);
+            first_mismatch = probes[p];
+          }
+        }
+        reader_rounds.fetch_add(1);
+      }
+    });
+  }
+
+  int written = 0;
+  std::string writer_error;
+  for (int i = 0; i < kWriterStatements && writer_error.empty(); ++i) {
+    const std::string id = std::to_string(1000 + i / 3);
+    std::string seq = std::string(20, 'W');
+    for (int j = 0; j < 8; ++j) seq.push_back("ACGT"[rng() % 4]);
+    std::string sql;
+    switch (i % 3) {
+      case 0:
+        sql = "INSERT INTO C VALUES (" + id + ", '" + seq + "')";
+        break;
+      case 1:
+        sql = "UPDATE C SET seq = '" + seq + "' WHERE id = " + id;
+        break;
+      default:
+        // Every other row is deleted; the rest stay in the trie.
+        sql = (i / 3) % 2 == 0
+                  ? "DELETE FROM C WHERE id = " + id
+                  : "UPDATE C SET seq = '" + seq + "' WHERE id = " + id;
+        break;
+    }
+    auto result = db.Execute(sql);
+    if (!result.ok()) writer_error = sql + " -> " + result.status().ToString();
+    ++written;
+  }
+  const auto writer_end = std::chrono::steady_clock::now();
+  writer_done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(writer_error, "");
+  EXPECT_EQ(written, kWriterStatements);
+  EXPECT_LT(writer_end, deadline) << "the writer starved behind the probes";
+  EXPECT_EQ(mismatches.load(), 0) << "first mismatch: " << first_mismatch;
+  EXPECT_GE(reader_rounds.load(), 4);
+  for (size_t p = 0; p < probes.size(); ++p) {
+    EXPECT_EQ(stable_ids(probes[p]), want[p]) << probes[p];
+  }
+}
+
+// The same guarantee with no SQL around the probes: readers that call
+// FindRegex back to back keep their walks overlapping, so some reader
+// holds the latch nearly all the time. A reader-preferring latch lets
+// each new walk past the waiting writer and starves it until the readers
+// stop at the deadline; a writer-preferring one queues new walks behind
+// the writer, which then waits out only the walks already running.
+TEST(SequenceSearchConcurrency, WriterIsNotStarvedByOverlappingWalks) {
+  auto index = SequenceIndex::Create("trie", 0);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  std::mt19937_64 rng(16);
+  for (RowId row = 0; row < 4000; ++row) {
+    std::string seq;
+    for (int len = static_cast<int>(rng() % 13); len > 0; --len) {
+      seq.push_back("ACGT"[rng() % 4]);
+    }
+    ASSERT_TRUE((*index)->Insert(Value::Sequence(seq), row).ok());
+  }
+  auto program = RegexProgram::Compile(".*GA.*T");
+  ASSERT_TRUE(program.ok());
+
+  constexpr int kWrites = 20;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> walks{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      while (!writer_done.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        if (!(*index)->FindRegex(*program).ok()) failures.fetch_add(1);
+        walks.fetch_add(1);
+      }
+    });
+  }
+  // Start writing once the walks overlap.
+  while (walks.load() < 8 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < kWrites; ++i) {
+    Value cell = Value::Sequence("GATTACA" + std::to_string(i));
+    EXPECT_TRUE((*index)->Insert(cell, 10000 + i).ok());
+    EXPECT_TRUE((*index)->Remove(cell, 10000 + i).ok());
+  }
+  const auto writer_end = std::chrono::steady_clock::now();
+  writer_done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_LT(writer_end, deadline)
+      << "the writer starved behind overlapping walks";
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ((*index)->entry_count(), 4000u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "index/spgist/kd_ops.h"
@@ -43,11 +44,10 @@ TEST(RegexTest, CompileErrors) {
 TEST(RegexTest, StateAdvanceExposesDeadStates) {
   auto re = RegexProgram::Compile("ACGT");
   ASSERT_TRUE(re.ok());
-  auto states = re->StartStates();
-  states = re->Advance(states, 'A');
-  EXPECT_FALSE(states.empty());
-  states = re->Advance(states, 'X');
-  EXPECT_TRUE(states.empty());  // subtree prunable
+  std::vector<uint64_t> states(re->Start().begin(), re->Start().end());
+  EXPECT_TRUE(re->Advance(states, 'A', states));
+  EXPECT_FALSE(re->Accepting(states));
+  EXPECT_FALSE(re->Advance(states, 'X', states));  // subtree prunable
 }
 
 TEST(SpGistTrieTest, ExactMatch) {
