@@ -1031,7 +1031,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
 
   uint64_t last_lsn = 0;
   if (env->FileExists(ckpt_path)) {
-    BDBMS_ASSIGN_OR_RETURN(std::string payload, ReadCheckpointFile(dir));
+    BDBMS_ASSIGN_OR_RETURN(std::string payload, ReadCheckpointFile(env, dir));
     BDBMS_RETURN_IF_ERROR(db->LoadSnapshot(payload, &last_lsn));
     // Snapshot-loaded tables must record index-DDL compensations and
     // version rows like freshly created ones. Their reloaded rows carry

@@ -10,8 +10,11 @@ namespace bdbms {
 
 // One client's connection to the engine: a user identity plus transaction
 // ownership. Statements issued through a Session run as its user, and a
-// BEGIN executed here binds the open transaction to this session — other
-// sessions block until it commits or rolls back (docs/transactions.md).
+// BEGIN executed here binds the open transaction to this session. Other
+// sessions keep running against their own MVCC snapshots; only a write to
+// a row this transaction already wrote fails (first updater wins), and
+// only a statement that escalates to the exclusive gate waits for it to
+// end (docs/transactions.md).
 //
 // Destroying a session with an open transaction rolls the transaction
 // back — which also releases the transaction's MVCC snapshot, so a

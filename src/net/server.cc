@@ -6,10 +6,10 @@
 #include <utility>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,19 +17,36 @@
 
 namespace bdbms {
 
+namespace {
+
+Status Errno(const char* what) {
+  return Status::IoError(std::string(what) + ": " + std::strerror(errno));
+}
+
+}  // namespace
+
 Server::Server(Database* db, Options options)
     : db_(db), options_(std::move(options)) {}
 
 Server::~Server() { Stop(); }
 
 Status Server::Start() {
-  if (listen_fd_.load(std::memory_order_acquire) >= 0) {
+  if (epoll_fd_ >= 0) {
     return Status::FailedPrecondition("server already started");
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
+  // Non-blocking listener: a worker accepts until EAGAIN on each listener
+  // event, so one wakeup drains an accept burst.
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return Errno("socket");
+  // Closes everything opened so far; `s` is built before errno changes.
+  auto fail = [&](Status s) {
+    for (int* p : {&epoll_fd_, &stop_fd_}) {
+      if (*p >= 0) ::close(*p);
+      *p = -1;
+    }
+    ::close(fd);
+    return s;
+  };
   int one = 1;
   (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -37,53 +54,40 @@ Status Server::Start() {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad listen address " + options_.host);
+    return fail(Status::InvalidArgument("bad listen address " +
+                                        options_.host));
   }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status s = Status::IoError(std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return s;
+    return fail(Errno("bind"));
   }
-  if (::listen(fd, 256) < 0) {
-    Status s = Status::IoError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
+  if (::listen(fd, 256) < 0) return fail(Errno("listen"));
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) < 0) {
-    Status s = Status::IoError(std::string("getsockname: ") +
-                               std::strerror(errno));
-    ::close(fd);
-    return s;
+    return fail(Errno("getsockname"));
   }
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return fail(Errno("epoll_create1"));
+  stop_fd_ = ::eventfd(0, EFD_CLOEXEC);
+  if (stop_fd_ < 0) return fail(Errno("eventfd"));
+  // The stop event stays level-triggered and is never consumed, so once
+  // signalled every worker's epoll_wait returns it.
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = &stop_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev) < 0 ||
+      !Arm(EPOLL_CTL_ADD, fd, &listen_fd_)) {
+    return fail(Errno("epoll_ctl"));
+  }
+  listen_fd_ = fd;
   port_ = ntohs(bound.sin_port);
-  // Non-blocking listener: the poller accepts until EAGAIN each time the
-  // listener polls readable, so one poll wakeup drains an accept burst.
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  if (::pipe(wake_pipe_) < 0) {
-    Status s = Status::IoError(std::string("pipe: ") + std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  // Non-blocking on both ends: the poller drains until EAGAIN, and a
-  // worker's wake write may harmlessly drop when the pipe is already
-  // full — pending bytes mean the poller is waking regardless.
-  for (int end : {wake_pipe_[0], wake_pipe_[1]}) {
-    int fl = ::fcntl(end, F_GETFL, 0);
-    (void)::fcntl(end, F_SETFL, fl | O_NONBLOCK);
-  }
 
   worker_count_ = options_.workers;
   if (worker_count_ == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     worker_count_ = std::min(8u, std::max(2u, hw));
   }
-  stopping_.store(false, std::memory_order_release);
-  listen_fd_.store(fd, std::memory_order_release);
-  poller_thread_ = std::thread([this] { PollLoop(); });
+  stopping_ = false;  // no worker runs yet
   worker_threads_.reserve(worker_count_);
   for (unsigned i = 0; i < worker_count_; ++i) {
     worker_threads_.emplace_back([this] { WorkerLoop(); });
@@ -92,20 +96,16 @@ Status Server::Start() {
 }
 
 void Server::Stop() {
-  int listener = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (listener < 0) return;
-  stopping_.store(true, std::memory_order_release);
-  ::close(listener);
-  Wake();
-  if (poller_thread_.joinable()) poller_thread_.join();
+  if (epoll_fd_ < 0) return;
+  (void)::eventfd_write(stop_fd_, 1);
   {
     // Unblock any worker mid-ReadFrame/WriteFrame on a live connection.
     std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
     for (auto& [fd, conn] : conns_) {
       ::shutdown(fd, SHUT_RDWR);
     }
   }
-  work_cv_.notify_all();
   for (std::thread& t : worker_threads_) {
     if (t.joinable()) t.join();
   }
@@ -116,121 +116,87 @@ void Server::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     leftovers.swap(conns_);
-    ready_.clear();
-    rearm_.clear();
   }
   for (auto& [fd, conn] : leftovers) {
     conn.reset();
     ::close(fd);
   }
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-}
-
-void Server::Wake() {
-  char b = 0;
-  ssize_t rc;
-  do {
-    rc = ::write(wake_pipe_[1], &b, 1);
-  } while (rc < 0 && errno == EINTR);
-}
-
-void Server::PollLoop() {
-  // fds the poller is currently watching; a connection leaves this set
-  // the moment it turns readable and rejoins only after a worker re-arms
-  // it, so its frames are always handled strictly one at a time.
-  std::vector<int> idle;
-  std::vector<pollfd> pfds;
-  for (;;) {
-    int listener = listen_fd_.load(std::memory_order_acquire);
-    pfds.clear();
-    pfds.push_back({wake_pipe_[0], POLLIN, 0});
-    if (listener >= 0) pfds.push_back({listener, POLLIN, 0});
-    for (int fd : idle) pfds.push_back({fd, POLLIN, 0});
-
-    int rc = ::poll(pfds.data(), pfds.size(), -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-
-    size_t i = 0;
-    if (pfds[i].revents != 0) {
-      char buf[64];
-      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      for (Conn* conn : rearm_) idle.push_back(conn->fd);
-      rearm_.clear();
-    }
-    if (stopping_.load(std::memory_order_acquire)) return;
-    ++i;
-
-    if (listener >= 0) {
-      if (pfds[i].revents != 0) {
-        for (;;) {
-          int fd = ::accept(listener, nullptr, nullptr);
-          if (fd < 0) break;  // EAGAIN drains the burst; fatal stops too
-          connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-          // Request/response traffic is latency-bound small frames;
-          // without TCP_NODELAY every response can stall ~40ms behind a
-          // delayed ACK.
-          int one = 1;
-          (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof(one));
-          std::lock_guard<std::mutex> lock(mu_);
-          conns_.emplace(fd, std::make_unique<Conn>(fd));
-          idle.push_back(fd);
-        }
-      }
-      ++i;
-    }
-
-    // Readable (or hung-up) connections move to the ready queue; the
-    // worker discovers EOF itself, so a dropped client is retired — and
-    // its transaction rolled back — on this same wakeup.
-    bool queued = false;
-    for (size_t k = i; k < pfds.size(); ++k) {
-      if (pfds[k].revents == 0) continue;
-      int fd = pfds[k].fd;
-      idle.erase(std::find(idle.begin(), idle.end(), fd));
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = conns_.find(fd);
-      if (it != conns_.end()) {
-        ready_.push_back(it->second.get());
-        queued = true;
-      }
-    }
-    if (queued) work_cv_.notify_all();
+  // Closed last: while any worker runs, a closed fd number could be
+  // reused by a connection it accepts.
+  for (int* p : {&listen_fd_, &epoll_fd_, &stop_fd_}) {
+    ::close(*p);
+    *p = -1;
   }
+}
+
+bool Server::Arm(int op, int fd, void* data) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.ptr = data;
+  return ::epoll_ctl(epoll_fd_, op, fd, &ev) == 0;
 }
 
 void Server::WorkerLoop() {
+  // One event per wait: a worker never holds readiness that belongs to a
+  // connection another worker could be serving.
+  epoll_event ev{};
   for (;;) {
+    int n = ::epoll_wait(epoll_fd_, &ev, 1, -1);
+    if (n < 0 && errno != EINTR) return;
+    if (n <= 0) continue;
+    if (ev.data.ptr == &stop_fd_) return;
+    if (ev.data.ptr == &listen_fd_) {
+      AcceptAll();
+      continue;
+    }
+    // A hung-up connection is readable too: ServeOne discovers EOF, so a
+    // dropped client is retired — and its transaction rolled back — on
+    // this same wakeup.
+    auto* conn = static_cast<Conn*>(ev.data.ptr);
+    std::unique_lock<std::mutex> lock(conn->mu);
+    if (ServeOne(conn) && Arm(EPOLL_CTL_MOD, conn->fd, conn)) continue;
+    lock.unlock();
+    Retire(conn);
+  }
+}
+
+void Server::AcceptAll() {
+  for (;;) {
+    int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) break;  // EAGAIN drains the burst; fatal stops too
+    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    // Request/response traffic is latency-bound small frames; without
+    // TCP_NODELAY every response can stall ~40ms behind a delayed ACK.
+    int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     Conn* conn = nullptr;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return !ready_.empty() || stopping_.load(std::memory_order_acquire);
-      });
-      if (ready_.empty()) return;  // stopping, queue drained
-      conn = ready_.front();
-      ready_.pop_front();
-    }
-    if (ServeOne(conn)) {
+      // Stop() either sees this connection in its shutdown pass or this
+      // sees stopping_.
       std::lock_guard<std::mutex> lock(mu_);
-      rearm_.push_back(conn);
-      Wake();
-    } else {
-      Retire(conn);
+      if (!stopping_) {
+        conn = conns_.emplace(fd, std::make_unique<Conn>(fd))
+                   .first->second.get();
+      }
     }
+    if (conn == nullptr) {
+      ::close(fd);
+      return;  // stopping: leave the listener disarmed
+    }
+    // In conns_ before it is armed, since its first event may reach
+    // another worker at once, which may retire it. Holding conn->mu across
+    // the arm publishes the new Conn to that worker.
+    std::unique_lock<std::mutex> conn_lock(conn->mu);
+    if (Arm(EPOLL_CTL_ADD, fd, conn)) continue;
+    conn_lock.unlock();
+    Retire(conn);
   }
+  (void)Arm(EPOLL_CTL_MOD, listen_fd_, &listen_fd_);
 }
 
 bool Server::ServeOne(Conn* conn) {
   // Hello frame carries the user; everything after is one statement per
-  // frame, answered in order. poll() only guarantees the first byte is
+  // frame, answered in order. epoll only guarantees the first byte is
   // ready — the blocking ReadFrame absorbs the rest of the frame, which
   // bounds a worker's stall at one in-flight frame.
   if (!conn->session) {

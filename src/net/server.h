@@ -2,9 +2,7 @@
 #define BDBMS_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,28 +16,28 @@
 
 namespace bdbms {
 
-// Session-pool TCP front end over one Database. A single poller thread
-// poll(2)s every idle connection; when a request frame arrives the
-// connection is unarmed (taken out of the poll set) and handed to a
-// bounded worker pool, which reads the frame, executes it, writes the
-// response, and re-arms the connection. Thousands of mostly-idle
-// connections therefore cost one fd each, not one thread each — under
-// MVCC the engine no longer needs a connection's BEGIN..COMMIT span to
-// stay on a single thread, only for its statements to be processed one
-// at a time, which the unarm/execute/re-arm handoff guarantees (a
-// connection is never in the poll set and on a worker simultaneously).
+// Session-pool TCP front end over one Database. Every worker thread waits
+// on one shared epoll set holding the listener and every idle connection,
+// each registered EPOLLONESHOT: a readiness event disarms its fd, so the
+// one worker that receives it owns the connection — reads the frame,
+// executes it, writes the response — until it re-arms the fd. A request
+// therefore crosses no thread boundary after the kernel wakes a worker,
+// and thousands of mostly-idle connections cost one fd each, not one
+// thread each. Under MVCC the engine does not need a connection's
+// BEGIN..COMMIT span to stay on one thread, only for its statements to be
+// processed one at a time, which the one-shot arming guarantees.
 //
-// Protocol: see net/wire.h — unchanged from the thread-per-connection
-// server. Dropping a connection rolls back its open transaction and
-// releases its MVCC snapshot (Session destructor runs when the poller or
-// a worker retires the connection), so a crashed client never wedges
-// writers or pins version garbage collection.
+// Protocol: see net/wire.h. Dropping a connection rolls back its open
+// transaction and releases its MVCC snapshot (the Session destructor runs
+// when a worker or Stop() retires the connection), so a crashed client
+// never wedges writers or pins version garbage collection.
 class Server {
  public:
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;  // 0 = ephemeral; read the bound port from port()
-    // Worker threads executing statements. 0 = min(8, hardware threads).
+    // Worker threads executing statements. 0 = min(8, max(2, hardware
+    // threads)).
     unsigned workers = 0;
   };
 
@@ -50,12 +48,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds, listens, and spawns the poller and worker threads. After an OK
-  // return, port() is the bound port.
+  // Binds, listens, and spawns the worker threads. After an OK return,
+  // port() is the bound port.
   Status Start();
 
-  // Closes the listener, shuts down every live connection (rolling back
-  // their open transactions), and joins all threads. Idempotent.
+  // Wakes every worker, shuts down every live connection (rolling back
+  // their open transactions), joins the workers, and closes the listener.
+  // Idempotent.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -70,43 +69,47 @@ class Server {
 
  private:
   // One client connection. `session` is null until the hello frame names
-  // the user. Exactly one of {poll set, ready queue, worker} references a
-  // Conn at any moment; ownership lives in conns_ until retirement.
+  // the user. Ownership lives in conns_ until retirement.
   struct Conn {
     explicit Conn(int fd_in) : fd(fd_in) {}
+    // Held by the owning worker across ServeOne and the re-arm, and by
+    // the accepting worker across the first arm. The one-shot event
+    // already hands the connection from worker to worker one at a time,
+    // but ThreadSanitizer cannot see that hand-off through the kernel;
+    // the mutex makes it visible.
+    std::mutex mu;
     int fd;
     std::unique_ptr<Session> session;
   };
 
-  void PollLoop();
   void WorkerLoop();
+  // Accepts until EAGAIN and registers each connection one-shot.
+  void AcceptAll();
   // Serves one request on `conn` (or the hello frame). Returns false when
   // the connection is done (EOF, error, protocol violation) and must be
   // retired.
   bool ServeOne(Conn* conn);
   void Retire(Conn* conn);
-  void Wake();
+  // Arms `fd` for one EPOLLIN event (op: EPOLL_CTL_ADD or _MOD); `data`
+  // identifies it in that event.
+  bool Arm(int op, int fd, void* data);
 
   Database* db_;
   Options options_;
   unsigned worker_count_ = 0;
-  // Written by Start()/Stop() and read by the poller each loop iteration,
-  // hence atomic; -1 means not listening.
-  std::atomic<int> listen_fd_{-1};
+  // Created by Start() and closed by Stop() only after the workers are
+  // joined, so workers read them without synchronisation. -1 = stopped.
+  int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int stop_fd_ = -1;  // eventfd, level-triggered: wakes every worker
   uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> connections_accepted_{0};
-  // Self-pipe: workers write one byte to hand re-armed connections back
-  // to the poller (and Stop() writes to break the poll).
-  int wake_pipe_[2] = {-1, -1};
-  std::thread poller_thread_;
-  std::vector<std::thread> worker_threads_;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;
   std::map<int, std::unique_ptr<Conn>> conns_;  // all live connections
-  std::deque<Conn*> ready_;                     // readable, awaiting a worker
-  std::vector<Conn*> rearm_;                    // served, awaiting the poller
+  bool stopping_ = false;  // set by Stop(); new connections are refused
+
+  std::vector<std::thread> worker_threads_;
 };
 
 }  // namespace bdbms

@@ -62,14 +62,6 @@ class HeapFile {
     return pool_->FlushAll();
   }
 
-  // Flush + fsync: after an OK return every record written so far is on
-  // stable storage, not just in the OS page cache.
-  Status Sync() {
-    std::lock_guard<std::mutex> lock(mu_);
-    BDBMS_RETURN_IF_ERROR(pool_->FlushAll());
-    return pager_->Sync();
-  }
-
   // Paged-heap checkpoint protocol (see Pager): Prepare flushes the pool
   // and stages dirty pages durably; Commit writes them home after the
   // checkpoint manifest has renamed into place.

@@ -1,10 +1,5 @@
 #include "storage/pager.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 #include <utility>
 
@@ -27,34 +22,9 @@ std::string_view PageView(const Page& page) {
                           kPageSize);
 }
 
-// pwrite may legally write fewer bytes than asked (quota, signals, some
-// filesystems); a short write that is not retried would leave a torn page
-// on disk with no error surfaced. Loop until everything is down or the
-// kernel reports a real error.
-Status PwriteFully(int fd, const uint8_t* buf, size_t len, off_t offset,
-                   const char* what) {
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::pwrite(fd, buf + done, len - done,
-                         offset + static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string(what) + ": " +
-                             std::strerror(errno));
-    }
-    if (n == 0) {
-      return Status::IoError(std::string(what) + ": pwrite wrote 0 bytes");
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Pager::Pager() = default;
-
-Pager::Pager(int fd, uint32_t page_count) : fd_(fd), page_count_(page_count) {}
 
 Pager::Pager(WalEnv* env, std::string path, std::unique_ptr<PageFile> base,
              std::unique_ptr<PageFile> spill, uint32_t base_pages)
@@ -64,28 +34,6 @@ Pager::Pager(WalEnv* env, std::string path, std::unique_ptr<PageFile> base,
       base_(std::move(base)),
       spill_(std::move(spill)),
       base_pages_(base_pages) {}
-
-Pager::~Pager() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Result<std::unique_ptr<Pager>> Pager::OpenFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return Status::IoError("open " + path + ": " + std::strerror(errno));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IoError("fstat " + path + ": " + std::strerror(errno));
-  }
-  if (st.st_size % kPageSize != 0) {
-    ::close(fd);
-    return Status::Corruption(path + ": size is not a multiple of page size");
-  }
-  return std::unique_ptr<Pager>(
-      new Pager(fd, static_cast<uint32_t>(st.st_size / kPageSize)));
-}
 
 std::unique_ptr<Pager> Pager::OpenInMemory() {
   return std::unique_ptr<Pager>(new Pager());
@@ -134,52 +82,19 @@ uint32_t Pager::dirty_page_count() const {
 }
 
 Result<PageId> Pager::AllocatePage() {
+  PageId id = page_count_;
   if (base_ != nullptr) {
     Page zero;
     zero.Zero();
-    PageId id = page_count_;
     BDBMS_RETURN_IF_ERROR(SpillWrite(id, zero));
-    ++page_count_;
-    ++stats_.pages_allocated;
     ++stats_.page_writes;
-    return id;
-  }
-  PageId id = page_count_++;
-  ++stats_.pages_allocated;
-  if (fd_ < 0) {
+  } else {
     auto page = std::make_unique<Page>();
     page->Zero();
     mem_pages_.push_back(std::move(page));
-  } else {
-    Page zero;
-    zero.Zero();
-    BDBMS_RETURN_IF_ERROR(PwriteFully(fd_, zero.bytes(), kPageSize,
-                                      static_cast<off_t>(id) * kPageSize,
-                                      "pwrite (allocate)"));
-    ++stats_.page_writes;
   }
-  return id;
-}
-
-Result<PageId> Pager::AppendPage(const Page& page) {
-  if (base_ != nullptr) {
-    PageId id = page_count_;
-    BDBMS_RETURN_IF_ERROR(SpillWrite(id, page));
-    ++page_count_;
-    ++stats_.pages_allocated;
-    ++stats_.page_writes;
-    return id;
-  }
-  PageId id = page_count_++;
+  ++page_count_;
   ++stats_.pages_allocated;
-  ++stats_.page_writes;
-  if (fd_ < 0) {
-    mem_pages_.push_back(std::make_unique<Page>(page));
-  } else {
-    BDBMS_RETURN_IF_ERROR(PwriteFully(fd_, page.bytes(), kPageSize,
-                                      static_cast<off_t>(id) * kPageSize,
-                                      "pwrite (append)"));
-  }
   return id;
 }
 
@@ -202,16 +117,7 @@ Status Pager::ReadPage(PageId id, Page* out) {
     return base_->Read(static_cast<uint64_t>(id) * kPageSize, kPageSize,
                        out->bytes());
   }
-  if (fd_ < 0) {
-    *out = *mem_pages_[id];
-    return Status::Ok();
-  }
-  ssize_t n = ::pread(fd_, out->bytes(), kPageSize,
-                      static_cast<off_t>(id) * kPageSize);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IoError("pread page " + std::to_string(id) + ": " +
-                           std::string(std::strerror(errno)));
-  }
+  *out = *mem_pages_[id];
   return Status::Ok();
 }
 
@@ -224,22 +130,7 @@ Status Pager::WritePage(PageId id, const Page& page) {
   if (base_ != nullptr) {
     return SpillWrite(id, page);
   }
-  if (fd_ < 0) {
-    *mem_pages_[id] = page;
-    return Status::Ok();
-  }
-  return PwriteFully(fd_, page.bytes(), kPageSize,
-                     static_cast<off_t>(id) * kPageSize, "pwrite page");
-}
-
-Status Pager::Sync() {
-  ++stats_.fsyncs;
-  // Paged heaps never fsync the spill: durability comes from the WAL plus
-  // the checkpoint protocol, not from eviction write-back.
-  if (fd_ < 0) return Status::Ok();
-  if (::fsync(fd_) != 0) {
-    return Status::IoError("fsync: " + std::string(std::strerror(errno)));
-  }
+  *mem_pages_[id] = page;
   return Status::Ok();
 }
 
@@ -252,6 +143,7 @@ Status Pager::CheckpointPrepare(uint64_t gen) {
   // base page in place would destroy the state the committed checkpoint
   // (and the statement log replayed on top of it) depends on.
   std::vector<std::pair<PageId, uint32_t>> overwrite;
+  bool extended = false;
   for (const auto& [id, slot] : spill_map_) {
     if (id < base_pages_) {
       overwrite.emplace_back(id, slot);
@@ -263,9 +155,14 @@ Status Pager::CheckpointPrepare(uint64_t gen) {
                                        page.bytes(), kPageSize));
     ++stats_.page_reads;
     ++stats_.page_writes;
+    extended = true;
   }
-  BDBMS_RETURN_IF_ERROR(base_->Sync());
-  ++stats_.fsyncs;
+  // A clean table costs no fsync: a failed earlier prepare left its
+  // extensions in the spill map, so they are rewritten and synced here.
+  if (extended) {
+    BDBMS_RETURN_IF_ERROR(base_->Sync());
+    ++stats_.fsyncs;
+  }
 
   const std::string jpath = JournalPath(path_);
   if (env_->FileExists(jpath)) {
@@ -302,6 +199,7 @@ Status Pager::CheckpointPrepare(uint64_t gen) {
 
 Status Pager::CheckpointCommit() {
   Page page;
+  bool wrote_home = false;
   for (const auto& [id, slot] : spill_map_) {
     if (id >= base_pages_) break;  // extensions went home during prepare
     BDBMS_RETURN_IF_ERROR(spill_->Read(static_cast<uint64_t>(slot) * kPageSize,
@@ -310,9 +208,13 @@ Status Pager::CheckpointCommit() {
                                        page.bytes(), kPageSize));
     ++stats_.page_reads;
     ++stats_.page_writes;
+    wrote_home = true;
   }
-  BDBMS_RETURN_IF_ERROR(base_->Sync());
-  ++stats_.fsyncs;
+  // The journal may only go once the pages it protects are stable.
+  if (wrote_home) {
+    BDBMS_RETURN_IF_ERROR(base_->Sync());
+    ++stats_.fsyncs;
+  }
   base_pages_ = page_count_;
   spill_map_.clear();
   spill_slots_ = 0;

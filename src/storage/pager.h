@@ -25,11 +25,9 @@ struct IoStats {
   void Reset() { *this = IoStats(); }
 };
 
-// Page-granular storage manager. Three backends:
-//  * in-memory (no path): pages live in a vector; used by tests and
-//    benchmarks, which care about the logical I/O counts,
-//  * file-backed (path given): pages are pread/pwritten at
-//    page_id * kPageSize (the checkpoint-file writer), and
+// Page-granular storage manager. Two backends:
+//  * in-memory (OpenInMemory): pages live in a vector; used by tests and
+//    benchmarks, which care about the logical I/O counts, and
 //  * paged (OpenPaged): a durable table heap split across a base file —
 //    frozen at the last committed checkpoint — and a spill overlay file
 //    that absorbs every post-checkpoint write (eviction write-back,
@@ -62,13 +60,9 @@ class Pager {
  public:
   // In-memory pager.
   Pager();
-  ~Pager();
 
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
-
-  // Opens (creating if needed) a file-backed pager.
-  static Result<std::unique_ptr<Pager>> OpenFile(const std::string& path);
 
   // Creates a fresh in-memory pager.
   static std::unique_ptr<Pager> OpenInMemory();
@@ -112,21 +106,11 @@ class Pager {
   // Appends a zeroed page, returning its id.
   Result<PageId> AllocatePage();
 
-  // Appends `page` as the next page in one write (no allocate-zero /
-  // overwrite double I/O) — the bulk-write primitive of the checkpoint
-  // writer, which fills a fresh file front to back.
-  Result<PageId> AppendPage(const Page& page);
-
   // Reads page `id` into `out`.
   Status ReadPage(PageId id, Page* out);
 
   // Writes `page` at `id`.
   Status WritePage(PageId id, const Page& page);
-
-  // Forces written pages to stable storage (fsync). In-memory pagers count
-  // the call but have nothing to sync. This is the durability point of the
-  // checkpoint path: WritePage alone only reaches the OS page cache.
-  Status Sync();
 
   uint32_t page_count() const { return page_count_; }
 
@@ -139,7 +123,6 @@ class Pager {
   }
 
  private:
-  explicit Pager(int fd, uint32_t page_count);
   Pager(WalEnv* env, std::string path, std::unique_ptr<PageFile> base,
         std::unique_ptr<PageFile> spill, uint32_t base_pages);
 
@@ -147,7 +130,6 @@ class Pager {
   // it already has one.
   Status SpillWrite(PageId id, const Page& page);
 
-  int fd_ = -1;  // -1 => in-memory or paged backend
   uint32_t page_count_ = 0;
   std::vector<std::unique_ptr<Page>> mem_pages_;
   IoStats stats_;

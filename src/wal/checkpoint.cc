@@ -1,11 +1,10 @@
 #include "wal/checkpoint.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/crc32.h"
 #include "core/database.h"
-#include "storage/pager.h"
+#include "storage/page.h"
 #include "wal/serializer.h"
 
 namespace bdbms {
@@ -33,7 +32,8 @@ Status WriteCheckpointFile(WalEnv* env, const std::string& dir,
     BDBMS_RETURN_IF_ERROR(env->RemoveFile(tmp));
   }
   {
-    BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager, Pager::OpenFile(tmp));
+    BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<PageFile> file,
+                           env->OpenPageFile(tmp));
 
     std::string header;
     BinaryWriter w(&header);
@@ -45,36 +45,39 @@ Status WriteCheckpointFile(WalEnv* env, const std::string& dir,
     Page page;
     page.Zero();
     std::memcpy(page.bytes(), header.data(), kHeaderBytes);
-    BDBMS_RETURN_IF_ERROR(pager->AppendPage(page).status());
-
-    for (size_t off = 0; off < payload.size(); off += kPageSize) {
-      size_t n = std::min<size_t>(kPageSize, payload.size() - off);
+    BDBMS_RETURN_IF_ERROR(file->Write(0, page.bytes(), kPageSize));
+    BDBMS_RETURN_IF_ERROR(file->Write(
+        kPageSize, reinterpret_cast<const uint8_t*>(payload.data()),
+        payload.size()));
+    // Zero-pad the last payload page so the file stays page-granular.
+    const size_t tail = payload.size() % kPageSize;
+    if (tail != 0) {
       page.Zero();
-      std::memcpy(page.bytes(), payload.data() + off, n);
-      BDBMS_RETURN_IF_ERROR(pager->AppendPage(page).status());
+      BDBMS_RETURN_IF_ERROR(file->Write(kPageSize + payload.size(),
+                                        page.bytes(), kPageSize - tail));
     }
     // The snapshot must be on stable storage *before* the rename makes it
     // the checkpoint other state (the truncated WAL) depends on.
-    BDBMS_RETURN_IF_ERROR(pager->Sync());
+    BDBMS_RETURN_IF_ERROR(file->Sync());
   }
   BDBMS_RETURN_IF_ERROR(env->RenameFile(tmp, final_path));
   return env->SyncDir(dir);
 }
 
-Result<std::string> ReadCheckpointFile(const std::string& dir) {
+Result<std::string> ReadCheckpointFile(WalEnv* env, const std::string& dir) {
   const std::string path = dir + "/" + kCheckpointFileName;
-  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager, Pager::OpenFile(path));
-  if (pager->page_count() == 0) {
+  BDBMS_ASSIGN_OR_RETURN(std::string file, env->ReadFileToString(path));
+  if (file.size() % kPageSize != 0) {
+    return Status::Corruption(path + ": size is not a multiple of page size");
+  }
+  if (file.empty()) {
     return Status::Corruption(path + ": empty checkpoint file");
   }
-  Page page;
-  BDBMS_RETURN_IF_ERROR(pager->ReadPage(0, &page));
-  if (std::memcmp(page.bytes(), kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption(path + ": bad checkpoint magic");
   }
-  BinaryReader header(std::string_view(
-      reinterpret_cast<const char*>(page.bytes()) + sizeof(kMagic),
-      kHeaderBytes - sizeof(kMagic)));
+  BinaryReader header(std::string_view(file).substr(
+      sizeof(kMagic), kHeaderBytes - sizeof(kMagic)));
   BDBMS_ASSIGN_OR_RETURN(uint32_t version, header.U32());
   if (version != kFileVersion) {
     return Status::Corruption(path + ": unsupported checkpoint version " +
@@ -82,28 +85,19 @@ Result<std::string> ReadCheckpointFile(const std::string& dir) {
   }
   BDBMS_ASSIGN_OR_RETURN(uint64_t payload_len, header.U64());
   BDBMS_ASSIGN_OR_RETURN(uint32_t payload_crc, header.U32());
-  uint64_t capacity =
-      static_cast<uint64_t>(pager->page_count() - 1) * kPageSize;
-  if (payload_len > capacity) {
+  if (payload_len > file.size() - kPageSize) {
     return Status::Corruption(path + ": payload length " +
                               std::to_string(payload_len) +
                               " exceeds file capacity");
   }
-  std::string payload;
-  payload.reserve(payload_len);
-  for (PageId pid = 1;
-       pid < pager->page_count() && payload.size() < payload_len; ++pid) {
-    BDBMS_RETURN_IF_ERROR(pager->ReadPage(pid, &page));
-    size_t n = std::min<uint64_t>(kPageSize, payload_len - payload.size());
-    payload.append(reinterpret_cast<const char*>(page.bytes()), n);
-  }
-  if (payload.size() != payload_len) {
-    return Status::Corruption(path + ": checkpoint file truncated");
-  }
-  if (Crc32(payload) != payload_crc) {
+  // Reuse the file buffer for the payload: drop the header page and the
+  // zero padding in place.
+  file.erase(0, kPageSize);
+  file.resize(payload_len);
+  if (Crc32(file) != payload_crc) {
     return Status::Corruption(path + ": checkpoint payload CRC mismatch");
   }
-  return payload;
+  return file;
 }
 
 // ---------------------------------------------------------------------------

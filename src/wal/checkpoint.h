@@ -17,7 +17,7 @@ inline constexpr const char* kWalFileName = "wal.log";
 inline constexpr const char* kCheckpointFileName = "checkpoint.bdb";
 inline constexpr const char* kCheckpointTmpFileName = "checkpoint.bdb.tmp";
 
-// Checkpoint file layout, written through the file-backed Pager:
+// Checkpoint file layout, written and read through the WalEnv:
 //   page 0:   magic "BDBMSCP1", u32 format version, u64 payload length,
 //             u32 CRC-32 of the payload
 //   page 1..: payload bytes, kPageSize per page
@@ -31,7 +31,7 @@ Status WriteCheckpointFile(WalEnv* env, const std::string& dir,
 // Reads and validates dir/checkpoint.bdb. Corruption (bad magic, impossible
 // length, CRC mismatch, torn file) is an error: a checkpoint that was
 // acknowledged must not be silently dropped, unlike a torn WAL tail.
-Result<std::string> ReadCheckpointFile(const std::string& dir);
+Result<std::string> ReadCheckpointFile(WalEnv* env, const std::string& dir);
 
 }  // namespace bdbms
 

@@ -753,6 +753,51 @@ TEST(CrashInjectionTest, CheckpointPreparePageFsyncFailureIsRetryable) {
   VerifyIndexConsistency(**db);
 }
 
+// The checkpoint file is written through the WalEnv like every other
+// durable file, so its faults surface. Past a checkpoint, a GRANT dirties
+// no heap page: the next CHECKPOINT's only page I/O is the checkpoint file
+// itself. A failed write or fsync of it must fail the CHECKPOINT, leave
+// the prior checkpoint and the log authoritative, and lose no
+// acknowledged commit.
+TEST(CrashInjectionTest, CheckpointFileFaultKeepsPriorState) {
+  for (bool fail_sync : {true, false}) {
+    SCOPED_TRACE(fail_sync ? "page fsync fault" : "page write fault");
+    std::string dir = FreshDir("crash_ckpt_file");
+    FaultEnv fault;
+    DurabilityOptions opts = DurableOpts();
+    opts.env = &fault;
+    const std::vector<std::string> grant = {"CREATE USER alice",
+                                            "GRANT SELECT ON Seq TO alice"};
+    const std::string insert = "INSERT INTO Seq VALUES ('x', 'y')";
+    {
+      auto db = Database::Open(dir, opts);
+      ASSERT_TRUE(db.ok());
+      RunPagedStatements(**db, PagedPhase1Statements());
+      ASSERT_TRUE((*db)->Checkpoint().ok());
+      RunPagedStatements(**db, grant);
+      (fail_sync ? fault.page_sync_budget : fault.page_write_budget) = 0;
+      auto r = (*db)->Execute("CHECKPOINT", "admin");
+      ASSERT_FALSE(r.ok());
+      EXPECT_TRUE(r.status().IsIoError()) << r.status().ToString();
+      fault.page_sync_budget = -1;
+      fault.page_write_budget = -1;
+      // A failed checkpoint is not a torn WAL: commits still go through.
+      RunPagedStatements(**db, {insert});
+      fault.Crash();
+    }
+    auto db = Database::Open(dir, DurableOpts());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Database ref;
+    ASSERT_TRUE(RegisterProcedures(ref).ok());
+    RunPagedStatements(ref, PagedPhase1Statements());
+    RunPagedStatements(ref, grant);
+    RunPagedStatements(ref, {insert});
+    EXPECT_EQ(Fingerprint(**db), Fingerprint(ref));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + kCheckpointTmpFileName));
+    VerifyIndexConsistency(**db);
+  }
+}
+
 TEST(CrashInjectionTest, CrashBetweenManifestRenameAndCommitReappliesJournal) {
   std::string dir = FreshDir("crash_ckpt_commit");
   FaultEnv fault;
@@ -764,10 +809,11 @@ TEST(CrashInjectionTest, CrashBetweenManifestRenameAndCommitReappliesJournal) {
     RunPagedStatements(**db, PagedPhase1Statements());
     ASSERT_TRUE((*db)->Checkpoint().ok());
     RunPagedStatements(**db, PagedPhase2Statements());
-    // One paged table: the prepare phase consumes exactly one base fsync;
-    // the second one — CheckpointCommit writing journal pages home — dies.
-    // At that point the manifest rename already named the new generation.
-    fault.page_sync_budget = 1;
+    // One paged table: the prepare phase consumes exactly one base fsync
+    // and the checkpoint file one more; the third — CheckpointCommit
+    // writing journal pages home — dies. At that point the manifest rename
+    // already named the new generation.
+    fault.page_sync_budget = 2;
     auto st = (*db)->Checkpoint();
     ASSERT_FALSE(st.ok());
     EXPECT_TRUE(st.IsIoError()) << st.ToString();

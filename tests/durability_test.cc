@@ -88,23 +88,34 @@ TEST(WalFormatTest, NonMonotonicLsnIsCorruption) {
   EXPECT_TRUE(scan.status().IsCorruption());
 }
 
-// --- Pager sync satellite -------------------------------------------------
+// --- Pager fsync accounting ----------------------------------------------
 
-TEST(PagerSyncTest, CountsFsyncsOnBothBackends) {
-  auto mem = Pager::OpenInMemory();
-  EXPECT_TRUE(mem->Sync().ok());
-  EXPECT_EQ(mem->stats().fsyncs, 1u);
-
-  std::string path = ::testing::TempDir() + "/bdbms_pager_sync_test.db";
-  std::filesystem::remove(path);
-  auto file = Pager::OpenFile(path);
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE((*file)->AllocatePage().ok());
+// A paged heap fsyncs only at its checkpoint durability points: base
+// extensions and the redo journal in prepare, written-home pages in
+// commit. A clean table's checkpoint costs no fsync at all.
+TEST(PagerSyncTest, CheckpointCountsPageFsyncs) {
+  WalEnv env;
+  std::string dir = FreshDir("bdbms_pager_sync_test");
+  std::filesystem::create_directories(dir);
+  auto pager = Pager::OpenPaged(&env, dir + "/t.heap");
+  ASSERT_TRUE(pager.ok());
   Page page;
   page.Zero();
-  ASSERT_TRUE((*file)->WritePage(0, page).ok());
-  EXPECT_TRUE((*file)->Sync().ok());
-  EXPECT_EQ((*file)->stats().fsyncs, 1u);
+  ASSERT_TRUE((*pager)->AllocatePage().ok());
+  ASSERT_TRUE((*pager)->WritePage(0, page).ok());
+  // Extension only: one base fsync in prepare, nothing to write home.
+  ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
+  ASSERT_TRUE((*pager)->CheckpointCommit().ok());
+  EXPECT_EQ((*pager)->stats().fsyncs, 1u);
+  // Clean.
+  ASSERT_TRUE((*pager)->CheckpointPrepare(2).ok());
+  ASSERT_TRUE((*pager)->CheckpointCommit().ok());
+  EXPECT_EQ((*pager)->stats().fsyncs, 1u);
+  // Overwrite only: the journal in prepare, the base in commit.
+  ASSERT_TRUE((*pager)->WritePage(0, page).ok());
+  ASSERT_TRUE((*pager)->CheckpointPrepare(3).ok());
+  ASSERT_TRUE((*pager)->CheckpointCommit().ok());
+  EXPECT_EQ((*pager)->stats().fsyncs, 3u);
 }
 
 // --- Open / replay / reopen equivalence ------------------------------------

@@ -1,13 +1,15 @@
-// The concurrent socket front end: wire protocol framing, thread-per-
-// connection sessions, transaction ownership across connections, rollback
-// on disconnect, and the engine's reader/writer lock under genuinely
-// parallel clients. These tests are the core of the CI ThreadSanitizer
-// job: every cross-thread path (engine lock, HeapFile buffer pools,
-// session bookkeeping, server shutdown) runs here under load.
+// The concurrent socket front end: wire protocol framing, the worker pool
+// sharing one one-shot epoll set, transaction ownership across
+// connections, rollback on disconnect, and the engine's reader/writer
+// latch under genuinely parallel clients. These tests are the core of the
+// CI ThreadSanitizer job: every cross-thread path (engine latch, HeapFile
+// buffer pools, connection hand-off between workers, session bookkeeping,
+// server shutdown) runs here under load.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -221,6 +223,115 @@ TEST(ServerTest, ServesDurableDatabaseAcrossRestart) {
   auto table = (*db)->GetTable("T");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->row_count(), committed);
+}
+
+// Idle connections sit armed in the epoll set: no worker is tied up by
+// them and no per-request cost scales with their number, so one active
+// client runs at full speed beside them.
+TEST(ServerTest, IdleConnectionsDoNotStallActiveOnes) {
+  Database db;
+  Server server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kIdle = 256;
+  std::vector<std::unique_ptr<Client>> idle;
+  idle.reserve(kIdle);
+  for (int i = 0; i < kIdle; ++i) {
+    idle.push_back(MustConnect(server));
+    ASSERT_NE(idle.back(), nullptr);
+  }
+
+  auto active = MustConnect(server);
+  ASSERT_NE(active, nullptr);
+  EXPECT_TRUE(MustExecute(*active, "CREATE TABLE T (x INT)").ok);
+  for (int i = 0; i < 200; ++i) {
+    std::string sql = "SELECT x FROM T WHERE x = " + std::to_string(i - 1);
+    if (i % 2 == 0) sql = "INSERT INTO T VALUES (" + std::to_string(i) + ")";
+    auto r = MustExecute(*active, sql);
+    ASSERT_TRUE(r.ok) << sql << "\n-> " << r.text;
+  }
+  auto table = db.GetTable("T");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->row_count(), 100u);
+
+  // The idle connections are still served once they speak.
+  EXPECT_TRUE(MustExecute(*idle.front(), "SELECT x FROM T").ok);
+  EXPECT_TRUE(MustExecute(*idle.back(), "SELECT x FROM T").ok);
+
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(), uint64_t{kIdle + 1});
+}
+
+// A burst of simultaneous connects arrives while the one-shot listener is
+// disarmed; the accepting worker drains it to EAGAIN and re-arms, so no
+// connection is left in the backlog.
+TEST(ServerTest, AcceptBurstRearmsListener) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (x INT)").ok());
+  Server server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 64;
+  std::latch go(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      go.arrive_and_wait();
+      auto client = Client::Connect("127.0.0.1", server.port(), "admin");
+      if (!client.ok()) {
+        ++failures;
+        return;
+      }
+      auto r = (*client)->Execute("INSERT INTO T VALUES (" +
+                                  std::to_string(i) + ")");
+      if (!r.ok() || !r->ok) ++failures;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto table = db.GetTable("T");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->row_count(), uint64_t{kClients});
+
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(), uint64_t{kClients});
+}
+
+// Stop() wakes every worker even though no connection is active, and the
+// connections it retires take their sessions with them: the open
+// transaction rolls back and the engine is left with none.
+TEST(ServerTest, StopRetiresIdleAndMidTxnConnections) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (x INT)").ok());
+  Server server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::unique_ptr<Client>> idle;
+  for (int i = 0; i < 8; ++i) {
+    idle.push_back(MustConnect(server));
+    ASSERT_NE(idle.back(), nullptr);
+  }
+  auto mid_txn = MustConnect(server);
+  ASSERT_NE(mid_txn, nullptr);
+  EXPECT_TRUE(MustExecute(*mid_txn, "BEGIN").ok);
+  EXPECT_TRUE(MustExecute(*mid_txn, "INSERT INTO T VALUES (42)").ok);
+
+  server.Stop();
+  EXPECT_FALSE(db.InTransaction());
+  // DDL escalates and waits for every open transaction to finish: it
+  // would hang here if the retired session's transaction were still open.
+  EXPECT_TRUE(db.Execute("CREATE TABLE U (y INT)").ok());
+  auto table = db.GetTable("T");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->row_count(), 0u);
+  auto rows = db.Execute("SELECT x FROM T");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->ToString().find("42"), std::string::npos)
+      << rows->ToString();
+  // The server side of every connection is gone.
+  EXPECT_FALSE(mid_txn->Execute("SELECT x FROM T").ok());
 }
 
 // Engine-level concurrency without sockets: Sessions on raw threads.

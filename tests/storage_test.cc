@@ -56,10 +56,13 @@ TEST(PagerTest, CountsIo) {
 }
 
 TEST(PagerTest, FileBackedPersists) {
-  std::string path = testing::TempDir() + "/bdbms_pager_test.db";
-  std::remove(path.c_str());
+  WalEnv env;
+  std::string dir = testing::TempDir() + "/bdbms_pager_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string path = dir + "/t.heap";
   {
-    auto pager = Pager::OpenFile(path);
+    auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
     auto id = (*pager)->AllocatePage();
     ASSERT_TRUE(id.ok());
@@ -67,16 +70,19 @@ TEST(PagerTest, FileBackedPersists) {
     p.Zero();
     p.WriteAt<uint32_t>(0, 123456u);
     ASSERT_TRUE((*pager)->WritePage(*id, p).ok());
+    // A paged heap persists what a checkpoint made home in its base file.
+    ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
+    ASSERT_TRUE((*pager)->CheckpointCommit().ok());
   }
   {
-    auto pager = Pager::OpenFile(path);
+    auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
     EXPECT_EQ((*pager)->page_count(), 1u);
     Page p;
     ASSERT_TRUE((*pager)->ReadPage(0, &p).ok());
     EXPECT_EQ(p.ReadAt<uint32_t>(0), 123456u);
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BufferPoolTest, HitAfterMiss) {
@@ -545,12 +551,19 @@ Page MakePage(uint32_t tag) {
 
 uint32_t PageTag(const Page& p) { return p.ReadAt<uint32_t>(0); }
 
+// Allocates the next page and writes `page` into it.
+Result<PageId> AppendPage(Pager& pager, const Page& page) {
+  BDBMS_ASSIGN_OR_RETURN(PageId id, pager.AllocatePage());
+  BDBMS_RETURN_IF_ERROR(pager.WritePage(id, page));
+  return id;
+}
+
 TEST(PagedPagerTest, SpillOverlayMasksFrozenBase) {
   WalEnv env;
   std::string path = PagedScratch("paged_overlay");
   auto pager = Pager::OpenPaged(&env, path);
   ASSERT_TRUE(pager.ok());
-  auto id = (*pager)->AppendPage(MakePage(100));
+  auto id = AppendPage(**pager, MakePage(100));
   ASSERT_TRUE(id.ok());
   // Freeze the base at one page.
   ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
@@ -560,7 +573,7 @@ TEST(PagedPagerTest, SpillOverlayMasksFrozenBase) {
 
   // Overwrite page 0 and extend with page 1: both land in the spill.
   ASSERT_TRUE((*pager)->WritePage(*id, MakePage(200)).ok());
-  auto id2 = (*pager)->AppendPage(MakePage(300));
+  auto id2 = AppendPage(**pager, MakePage(300));
   ASSERT_TRUE(id2.ok());
   EXPECT_EQ((*pager)->dirty_page_count(), 1u);  // only the overwrite
 
@@ -593,7 +606,7 @@ TEST(PagedPagerTest, ForeignGenerationJournalIsDiscarded) {
   {
     auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(1)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(1)).ok());
     ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
     ASSERT_TRUE((*pager)->CheckpointCommit().ok());
     // Stage an overwrite under a generation that never commits: the
@@ -620,7 +633,7 @@ TEST(PagedPagerTest, MatchingGenerationJournalIsReapplied) {
   {
     auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(1)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(1)).ok());
     ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
     ASSERT_TRUE((*pager)->CheckpointCommit().ok());
     ASSERT_TRUE((*pager)->WritePage(0, MakePage(2)).ok());
@@ -645,7 +658,7 @@ TEST(PagedPagerTest, TruncatedCommittedJournalIsCorruption) {
   {
     auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(1)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(1)).ok());
     ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
     ASSERT_TRUE((*pager)->CheckpointCommit().ok());
     ASSERT_TRUE((*pager)->WritePage(0, MakePage(2)).ok());
@@ -665,7 +678,7 @@ TEST(PagedPagerTest, JournalPageCrcMismatchIsCorruption) {
   {
     auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(1)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(1)).ok());
     ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
     ASSERT_TRUE((*pager)->CheckpointCommit().ok());
     ASSERT_TRUE((*pager)->WritePage(0, MakePage(2)).ok());
@@ -691,7 +704,7 @@ TEST(PagedPagerTest, BaseSmallerThanManifestIsCorruption) {
   {
     auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(1)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(1)).ok());
     ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
     ASSERT_TRUE((*pager)->CheckpointCommit().ok());
   }
@@ -705,12 +718,12 @@ TEST(PagedPagerTest, RecoveryTruncatesProvisionalExtensions) {
   {
     auto pager = Pager::OpenPaged(&env, path);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(1)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(1)).ok());
     ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
     ASSERT_TRUE((*pager)->CheckpointCommit().ok());
     // A prepare that extends the base but whose manifest never renamed.
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(7)).ok());
-    ASSERT_TRUE((*pager)->AppendPage(MakePage(8)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(7)).ok());
+    ASSERT_TRUE(AppendPage(**pager, MakePage(8)).ok());
     ASSERT_TRUE((*pager)->CheckpointPrepare(2).ok());
   }
   ASSERT_EQ(std::filesystem::file_size(path), 3u * kPageSize);
@@ -760,7 +773,7 @@ TEST(PagedPagerTest, TornSpillWriteSurfacesAndRetrySucceeds) {
   std::string path = PagedScratch("paged_torn_spill");
   auto pager = Pager::OpenPaged(&fault, path);
   ASSERT_TRUE(pager.ok());
-  auto idr = (*pager)->AppendPage(MakePage(1));
+  auto idr = AppendPage(**pager, MakePage(1));
   ASSERT_TRUE(idr.ok());
   PageId id = *idr;
   ASSERT_TRUE((*pager)->CheckpointPrepare(1).ok());
