@@ -5,7 +5,7 @@
 // The durable comparison is the headline: a transaction of N statements
 // pays ONE fsync at COMMIT, while N autocommit statements with
 // group_commit_interval=1 pay N — so txn framing is also the engine's
-// batching knob. The undo-log overhead shows up in the in-memory pair,
+// batching knob. The write-set overhead shows up in the in-memory pair,
 // where no fsync masks it. The MVCC headline is
 // BM_ReaderThroughputHotWriter: reader query rate with a hot writer
 // transaction in flight, snapshot reads versus the old exclusive lock.
@@ -45,7 +45,7 @@ std::string InsertStatement(int i) {
 
 // One batch of range(0) INSERTs per iteration, either autocommit
 // (range(1) == 0) or wrapped in BEGIN..COMMIT (range(1) == 1), against an
-// in-memory engine. Measures pure undo-log + lock bookkeeping overhead.
+// in-memory engine. Measures pure write-set + lock bookkeeping overhead.
 void BM_TxnBatchInMemory(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const bool txn = state.range(1) != 0;

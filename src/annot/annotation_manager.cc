@@ -1,13 +1,6 @@
 #include "annot/annotation_manager.h"
 
-#include "txn/undo_log.h"
-
 namespace bdbms {
-
-void AnnotationManager::set_undo_log(UndoLog* undo) {
-  undo_ = undo;
-  for (auto& [key, at] : tables_) at->set_undo_log(undo);
-}
 
 void AnnotationManager::set_mvcc(MvccState* mvcc) {
   mvcc_ = mvcc;
@@ -29,17 +22,15 @@ Status AnnotationManager::CreateAnnotationTable(const std::string& table,
   }
   BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<AnnotationTable> at,
                          AnnotationTable::CreateInMemory(ann_name, clock_));
-  at->set_undo_log(undo_);
   at->set_mvcc(mvcc_);
   tables_[key] = std::move(at);
-  if (undo_ && undo_->recording()) {
-    undo_->Record("create annotation table " + key,
-                  [this, key] { tables_.erase(key); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, key] { tables_.erase(key); });
   }
   return Status::Ok();
 }
 
-// Dropped annotation tables are not destroyed while an undo log records:
+// Dropped annotation tables are not destroyed while a writer is installed:
 // the storage object moves into the compensation closure and moves back
 // on rollback, annotations intact. Commit frees it.
 Status AnnotationManager::DropAnnotationTable(const std::string& table,
@@ -49,34 +40,19 @@ Status AnnotationManager::DropAnnotationTable(const std::string& table,
     return Status::NotFound("no annotation table " + ann_name + " on " +
                             table);
   }
-  if (undo_ && undo_->recording()) {
-    std::string key = it->first;
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
     auto held = std::make_shared<std::unique_ptr<AnnotationTable>>(
         std::move(it->second));
-    undo_->Record("drop annotation table " + key, [this, key, held] {
-      tables_[key] = std::move(*held);
-    });
+    w->undo.push_back(
+        [this, key = it->first, held] { tables_[key] = std::move(*held); });
   }
   tables_.erase(it);
   return Status::Ok();
 }
 
 void AnnotationManager::DropAllFor(const std::string& table) {
-  std::string prefix = table + ".";
-  for (auto it = tables_.begin(); it != tables_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0) {
-      if (undo_ && undo_->recording()) {
-        std::string key = it->first;
-        auto held = std::make_shared<std::unique_ptr<AnnotationTable>>(
-            std::move(it->second));
-        undo_->Record("drop annotation table " + key, [this, key, held] {
-          tables_[key] = std::move(*held);
-        });
-      }
-      it = tables_.erase(it);
-    } else {
-      ++it;
-    }
+  for (const std::string& ann : ListFor(table)) {
+    (void)DropAnnotationTable(table, ann);
   }
 }
 

@@ -45,13 +45,10 @@ class AnnotationManager {
   // All annotation table names attached to `table`.
   std::vector<std::string> ListFor(const std::string& table) const;
 
-  // Transactions: wires `undo` into this manager and every owned
-  // AnnotationTable (current and future), so creates/drops and annotation
-  // mutations all record compensations.
-  void set_undo_log(UndoLog* undo);
-
-  // Wires the engine's ambient MVCC context into every owned
-  // AnnotationTable (current and future).
+  // Wires the engine's ambient MVCC context into this manager and every
+  // owned AnnotationTable (current and future): while a writer is
+  // installed, annotations are versions and creates/drops record
+  // compensations.
   void set_mvcc(MvccState* mvcc);
 
   // Visits every annotation table with its "<table>.<ann>" key — the
@@ -76,7 +73,6 @@ class AnnotationManager {
 
   LogicalClock* clock_;
   std::map<std::string, std::unique_ptr<AnnotationTable>> tables_;
-  UndoLog* undo_ = nullptr;
   MvccState* mvcc_ = nullptr;
 };
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/xml.h"
-#include "txn/undo_log.h"
 
 namespace bdbms {
 
@@ -182,10 +181,9 @@ Status AnnotationTable::SetArchived(AnnotationId id, bool archived) {
   BDBMS_ASSIGN_OR_RETURN(std::string body, Body(id));
   it->second.archived = archived;
   BDBMS_RETURN_IF_ERROR(Rewrite(id, body));
-  if (undo_ && undo_->recording()) {
-    bool was = !archived;
-    undo_->Record("set archived " + std::to_string(id),
-                  [this, id, was] { (void)SetArchived(id, was); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back(
+        [this, id, archived] { (void)SetArchived(id, !archived); });
   }
   return Status::Ok();
 }

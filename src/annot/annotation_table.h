@@ -16,8 +16,6 @@
 
 namespace bdbms {
 
-class UndoLog;
-
 // One annotation table (paper §3.1): a named, categorized store of
 // annotations over a single user relation, using the compact
 // rectangle-region scheme of Figure 5. Each annotation is one heap record
@@ -124,12 +122,10 @@ class AnnotationTable {
   const IoStats& io_stats() const { return heap_->io_stats(); }
   IoStats& io_stats() { return heap_->io_stats(); }
 
-  // Transactions: while `undo` records, archive-state flips push
-  // compensation records (added annotations roll back through
-  // AbortAnnotation).
-  void set_undo_log(UndoLog* undo) { undo_ = undo; }
-
   // Installs the engine's ambient MVCC context (see Table::set_mvcc).
+  // While a writer is installed, added annotations are versions (rolled
+  // back through AbortAnnotation) and archive-state flips push
+  // compensations.
   void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
  private:
@@ -155,7 +151,6 @@ class AnnotationTable {
   std::map<AnnotationId, RecordId> records_;
   IntervalIndex index_;  // row intervals of all regions, payload = id
   AnnotationId next_id_ = 1;
-  UndoLog* undo_ = nullptr;
   MvccState* mvcc_ = nullptr;
   mutable std::shared_mutex latch_;
 };

@@ -1,6 +1,6 @@
 #include "auth/access_control.h"
 
-#include "txn/undo_log.h"
+#include "txn/mvcc.h"
 
 namespace bdbms {
 
@@ -23,9 +23,8 @@ Status AccessControl::CreateUser(const std::string& user) {
   if (!users_.insert(user).second) {
     return Status::AlreadyExists("user " + user + " already exists");
   }
-  if (undo_ && undo_->recording()) {
-    undo_->Record("create user " + user,
-                  [this, user] { users_.erase(user); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, user] { users_.erase(user); });
   }
   return Status::Ok();
 }
@@ -36,9 +35,8 @@ Status AccessControl::CreateGroup(const std::string& group) {
     return Status::AlreadyExists("group " + group + " already exists");
   }
   groups_[group] = {};
-  if (undo_ && undo_->recording()) {
-    undo_->Record("create group " + group,
-                  [this, group] { groups_.erase(group); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, group] { groups_.erase(group); });
   }
   return Status::Ok();
 }
@@ -48,8 +46,9 @@ Status AccessControl::AddToGroup(const std::string& user,
   auto it = groups_.find(group);
   if (it == groups_.end()) return Status::NotFound("no group " + group);
   bool inserted = it->second.insert(user).second;
-  if (inserted && undo_ && undo_->recording()) {
-    undo_->Record("add " + user + " to group " + group, [this, user, group] {
+  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
+  if (inserted && w != nullptr) {
+    w->undo.push_back([this, user, group] {
       auto g = groups_.find(group);
       if (g != groups_.end()) g->second.erase(user);
     });
@@ -71,8 +70,9 @@ bool AccessControl::MatchesPrincipal(const std::string& principal,
 Status AccessControl::Grant(const std::string& principal,
                             const std::string& table, Privilege privilege) {
   bool inserted = grants_[{principal, table}].insert(privilege).second;
-  if (inserted && undo_ && undo_->recording()) {
-    undo_->Record("grant on " + table, [this, principal, table, privilege] {
+  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
+  if (inserted && w != nullptr) {
+    w->undo.push_back([this, principal, table, privilege] {
       auto it = grants_.find({principal, table});
       if (it == grants_.end()) return;
       it->second.erase(privilege);
@@ -88,8 +88,12 @@ Status AccessControl::Revoke(const std::string& principal,
   if (it == grants_.end() || it->second.erase(privilege) == 0) {
     return Status::NotFound("no such grant to revoke");
   }
-  if (undo_ && undo_->recording()) {
-    undo_->Record("revoke on " + table, [this, principal, table, privilege] {
+  // A principal left with no privilege on the table has no entry: the
+  // checkpoint would otherwise persist an empty one that no reload
+  // recreates. The compensation brings the entry back.
+  if (it->second.empty()) grants_.erase(it);
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, principal, table, privilege] {
       grants_[{principal, table}].insert(privilege);
     });
   }

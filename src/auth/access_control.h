@@ -22,7 +22,7 @@ enum class Privilege : uint8_t {
 
 std::string_view PrivilegeName(Privilege p);
 
-class UndoLog;
+struct MvccState;
 
 // Identity-based access control: users, groups, per-table grants.
 // Superusers (the database owner, lab administrators) bypass grants.
@@ -33,9 +33,9 @@ class AccessControl {
   AccessControl(const AccessControl&) = delete;
   AccessControl& operator=(const AccessControl&) = delete;
 
-  // Transactions: while `undo` records, principal/grant mutations push
-  // compensations that restore the prior membership state exactly.
-  void set_undo_log(UndoLog* undo) { undo_ = undo; }
+  // Transactions: while a writer is installed, principal/grant mutations
+  // push compensations that restore the prior membership state exactly.
+  void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
   // --- principals ---------------------------------------------------------
   Status CreateUser(const std::string& user);
@@ -87,7 +87,7 @@ class AccessControl {
   std::map<std::string, std::set<std::string>> groups_;  // group -> members
   // (principal, table) -> privileges
   std::map<std::pair<std::string, std::string>, std::set<Privilege>> grants_;
-  UndoLog* undo_ = nullptr;
+  MvccState* mvcc_ = nullptr;
 };
 
 }  // namespace bdbms

@@ -1,6 +1,6 @@
 #include "auth/approval.h"
 
-#include "txn/undo_log.h"
+#include "txn/mvcc.h"
 
 namespace bdbms {
 
@@ -53,15 +53,14 @@ Status ApprovalManager::StartContentApproval(
 }
 
 void ApprovalManager::RecordConfigUndo(const std::string& table) {
-  if (!undo_ || !undo_->recording()) return;
+  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
+  if (w == nullptr) return;
   auto it = configs_.find(table);
   if (it == configs_.end()) {
-    undo_->Record("approval config " + table,
-                  [this, table] { configs_.erase(table); });
+    w->undo.push_back([this, table] { configs_.erase(table); });
   } else {
-    ApprovalConfig prior = it->second;
-    undo_->Record("approval config " + table,
-                  [this, table, prior] { configs_[table] = prior; });
+    w->undo.push_back(
+        [this, table, prior = it->second] { configs_[table] = prior; });
   }
 }
 
@@ -154,13 +153,12 @@ Result<uint64_t> ApprovalManager::LogOperation(OpType type,
                          BuildInverseSql(type, table, row, op.old_row));
   uint64_t id = op.op_id;
   log_[id] = std::move(op);
-  if (undo_ && undo_->recording()) {
-    uint64_t next_before = id;  // op_id was next_op_id_ before the bump
-    undo_->Record("log operation " + std::to_string(id),
-                  [this, id, next_before] {
-                    log_.erase(id);
-                    next_op_id_ = next_before;
-                  });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    // The id was next_op_id_ before this append bumped it.
+    w->undo.push_back([this, id] {
+      log_.erase(id);
+      next_op_id_ = id;
+    });
   }
   return id;
 }
@@ -226,8 +224,8 @@ Status ApprovalManager::Approve(uint64_t op_id, const std::string& principal) {
   }
   BDBMS_RETURN_IF_ERROR(CheckApprover(op, principal));
   op.state = OpState::kApproved;
-  if (undo_ && undo_->recording()) {
-    undo_->Record("approve " + std::to_string(op_id), [this, op_id] {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, op_id] {
       auto entry = log_.find(op_id);
       if (entry != log_.end()) entry->second.state = OpState::kPending;
     });
@@ -264,8 +262,8 @@ Result<LoggedOperation> ApprovalManager::Disapprove(
   // The inverse-DML effects above are row versions, rolled back with the
   // transaction's write set; only the settle-state flip needs its own
   // compensation.
-  if (undo_ && undo_->recording()) {
-    undo_->Record("disapprove " + std::to_string(op_id), [this, op_id] {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, op_id] {
       auto entry = log_.find(op_id);
       if (entry != log_.end()) entry->second.state = OpState::kPending;
     });

@@ -52,7 +52,7 @@ struct LoggedOperation {
   std::string inverse_sql;
 };
 
-class UndoLog;
+struct MvccState;
 
 // The approval log + configuration store.
 class ApprovalManager {
@@ -66,9 +66,10 @@ class ApprovalManager {
   ApprovalManager(const ApprovalManager&) = delete;
   ApprovalManager& operator=(const ApprovalManager&) = delete;
 
-  // Transactions: while `undo` records, config changes, log appends and
-  // settle-state flips push compensations restoring the prior state.
-  void set_undo_log(UndoLog* undo) { undo_ = undo; }
+  // Transactions: while a writer is installed, config changes, log
+  // appends and settle-state flips push compensations restoring the prior
+  // state.
+  void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
   // START CONTENT APPROVAL ON t [COLUMNS c...] APPROVED BY who.
   // Empty `columns` monitors the whole table.
@@ -151,7 +152,7 @@ class ApprovalManager {
   std::map<std::string, ApprovalConfig> configs_;
   std::map<uint64_t, LoggedOperation> log_;
   uint64_t next_op_id_ = 1;
-  UndoLog* undo_ = nullptr;
+  MvccState* mvcc_ = nullptr;
 };
 
 }  // namespace bdbms

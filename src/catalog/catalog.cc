@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "txn/undo_log.h"
+#include "txn/mvcc.h"
 
 namespace bdbms {
 
@@ -18,10 +18,8 @@ Status Catalog::CreateTable(const TableSchema& schema) {
     return Status::AlreadyExists("table " + schema.name() + " already exists");
   }
   tables_[schema.name()] = schema;
-  if (undo_ && undo_->recording()) {
-    std::string name = schema.name();
-    undo_->Record("create table " + name,
-                  [this, name] { tables_.erase(name); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, name = schema.name()] { tables_.erase(name); });
   }
   return Status::Ok();
 }
@@ -33,7 +31,7 @@ Status Catalog::DropTable(const std::string& name) {
   }
   // The drop cascades over four maps; the compensation restores every
   // erased entry, so capture them before touching anything.
-  if (undo_ && undo_->recording()) {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
     TableSchema schema = it->second;
     std::map<std::string, AnnotationTableInfo> anns;
     for (const auto& [key, info] : annotation_tables_) {
@@ -46,17 +44,12 @@ Status Catalog::DropTable(const std::string& name) {
     auto stats = std::make_shared<std::map<std::string, TableStats>>();
     auto stats_it = stats_.find(name);
     if (stats_it != stats_.end()) (*stats)[name] = stats_it->second;
-    undo_->Record("drop table " + name,
-                  [this, schema, anns, idxs, stats] {
-                    tables_[schema.name()] = schema;
-                    for (const auto& [key, info] : anns) {
-                      annotation_tables_[key] = info;
-                    }
-                    for (const auto& [key, info] : idxs) {
-                      indexes_[key] = info;
-                    }
-                    for (const auto& [key, st] : *stats) stats_[key] = st;
-                  });
+    w->undo.push_back([this, schema, anns, idxs, stats] {
+      tables_[schema.name()] = schema;
+      for (const auto& [key, info] : anns) annotation_tables_[key] = info;
+      for (const auto& [key, info] : idxs) indexes_[key] = info;
+      for (const auto& [key, st] : *stats) stats_[key] = st;
+    });
   }
   tables_.erase(it);
   // Drop dependent annotation tables.
@@ -110,9 +103,8 @@ Status Catalog::CreateAnnotationTable(const std::string& on_table,
     return Status::AlreadyExists("annotation table " + key + " already exists");
   }
   annotation_tables_[key] = {ann_name, on_table, is_provenance};
-  if (undo_ && undo_->recording()) {
-    undo_->Record("create annotation table " + key,
-                  [this, key] { annotation_tables_.erase(key); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, key] { annotation_tables_.erase(key); });
   }
   return Status::Ok();
 }
@@ -124,10 +116,8 @@ Status Catalog::DropAnnotationTable(const std::string& on_table,
     return Status::NotFound("no annotation table " + ann_name + " on " +
                             on_table);
   }
-  if (undo_ && undo_->recording()) {
-    std::string key = it->first;
-    AnnotationTableInfo info = it->second;
-    undo_->Record("drop annotation table " + key, [this, key, info] {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, key = it->first, info = it->second] {
       annotation_tables_[key] = info;
     });
   }
@@ -199,9 +189,8 @@ Status Catalog::CreateIndex(const std::string& on_table,
                                  on_table);
   }
   indexes_[key] = {index_name, on_table, columns.front(), columns, kind};
-  if (undo_ && undo_->recording()) {
-    undo_->Record("create index " + key,
-                  [this, key] { indexes_.erase(key); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, key] { indexes_.erase(key); });
   }
   return Status::Ok();
 }
@@ -212,11 +201,9 @@ Status Catalog::DropIndex(const std::string& on_table,
   if (it == indexes_.end()) {
     return Status::NotFound("no index " + index_name + " on " + on_table);
   }
-  if (undo_ && undo_->recording()) {
-    std::string key = it->first;
-    IndexInfo info = it->second;
-    undo_->Record("drop index " + key,
-                  [this, key, info] { indexes_[key] = info; });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back(
+        [this, key = it->first, info = it->second] { indexes_[key] = info; });
   }
   indexes_.erase(it);
   return Status::Ok();
@@ -239,16 +226,13 @@ Status Catalog::SetStats(const std::string& table, TableStats stats) {
   if (!tables_.count(table)) {
     return Status::NotFound("no table " + table);
   }
-  if (undo_ && undo_->recording()) {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
     auto it = stats_.find(table);
     if (it == stats_.end()) {
-      undo_->Record("analyze " + table,
-                    [this, table] { stats_.erase(table); });
+      w->undo.push_back([this, table] { stats_.erase(table); });
     } else {
       auto prior = std::make_shared<TableStats>(it->second);
-      undo_->Record("analyze " + table, [this, table, prior] {
-        stats_[table] = *prior;
-      });
+      w->undo.push_back([this, table, prior] { stats_[table] = *prior; });
     }
   }
   stats_[table] = std::move(stats);

@@ -37,7 +37,7 @@ struct IndexInfo {
   IndexKind kind = IndexKind::kBTree;
 };
 
-class UndoLog;
+struct MvccState;
 
 // System catalog: user tables and their annotation tables. Dependency
 // rules live in DependencyManager, ACL/approval state in
@@ -49,9 +49,10 @@ class Catalog {
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
-  // Transactions: while `undo` records, every catalog mutation pushes a
-  // compensation that restores the prior entry (or absence) exactly.
-  void set_undo_log(UndoLog* undo) { undo_ = undo; }
+  // Transactions: while a writer is installed, every catalog mutation
+  // pushes a compensation that restores the prior entry (or absence)
+  // exactly.
+  void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
   // --- user tables -------------------------------------------------------
   Status CreateTable(const TableSchema& schema);
@@ -117,7 +118,7 @@ class Catalog {
   // Keyed by "tbl.index".
   std::map<std::string, IndexInfo> indexes_;
   std::map<std::string, TableStats> stats_;
-  UndoLog* undo_ = nullptr;
+  MvccState* mvcc_ = nullptr;
 };
 
 }  // namespace bdbms

@@ -16,17 +16,14 @@ Database::Database()
       provenance_(&annotations_),
       dependencies_(&catalog_, &procedures_),
       approvals_(&catalog_, &access_, &clock_) {
-  // Every manager records its compensations into the currently bound undo
-  // log (the idle log by default; a transaction's private log while one
-  // of its statements runs), so a statement or transaction rollback
-  // unwinds all unversioned engine state; row and annotation versions
-  // roll back through the transaction's write set.
-  catalog_.set_undo_log(&undo_);
-  annotations_.set_undo_log(&undo_);
-  dependencies_.set_undo_log(&undo_);
-  access_.set_undo_log(&undo_);
-  approvals_.set_undo_log(&undo_);
+  // While a mutating statement runs, every manager records compensations
+  // for the unversioned engine state into the writer installed here, next
+  // to the row and annotation versions: one write set rolls back both.
+  catalog_.set_mvcc(&mvcc_state_);
   annotations_.set_mvcc(&mvcc_state_);
+  dependencies_.set_mvcc(&mvcc_state_);
+  access_.set_mvcc(&mvcc_state_);
+  approvals_.set_mvcc(&mvcc_state_);
 }
 
 Database::~Database() {
@@ -99,12 +96,9 @@ ExecContext Database::MakeContext() {
     } else {
       BDBMS_ASSIGN_OR_RETURN(t, Table::CreateInMemory(schema));
     }
-    UndoLog* undo = active_undo_.load(std::memory_order_acquire);
-    t->set_undo_log(undo);
     t->set_mvcc(&mvcc_state_);
-    if (undo->recording()) {
-      undo->Record("create table storage " + schema.name(),
-                   [this, name = schema.name()] { tables_.erase(name); });
+    if (MvccWriter* w = mvcc_state_.writer) {
+      w->undo.push_back([this, name = schema.name()] { tables_.erase(name); });
     }
     tables_[schema.name()] = std::move(t);
     return Status::Ok();
@@ -114,20 +108,19 @@ ExecContext Database::MakeContext() {
     if (it == tables_.end()) {
       return Status::NotFound("no table storage for " + name);
     }
-    UndoLog* undo = active_undo_.load(std::memory_order_acquire);
-    if (undo->recording()) {
+    if (MvccWriter* w = mvcc_state_.writer) {
       // Park the storage object instead of destroying it: ROLLBACK
-      // re-inserts it wholesale, rows and indexes intact, no rebuild.
+      // re-inserts it wholesale, rows and indexes intact, no rebuild, and
+      // until the transaction settles its write set may still name it.
       auto held =
           std::make_shared<std::unique_ptr<Table>>(std::move(it->second));
-      undo->Record("drop table storage " + name,
-                   [this, name, held] { tables_[name] = std::move(*held); });
+      w->undo.push_back(
+          [this, name, held] { tables_[name] = std::move(*held); });
     }
     tables_.erase(it);
     return Status::Ok();
   };
   ctx.deletion_log = &deletion_log_;
-  ctx.undo = active_undo_.load(std::memory_order_acquire);
   return ctx;
 }
 
@@ -325,8 +318,7 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
   const uint64_t clock_before = clock_.Peek();
   PendingStatement ps;
   if (dur_) CaptureBases(&ps);
-  BindUndo(&t.undo);
-  t.savepoints.push_back({t.undo.MarkPoint(), t.writer.BeginStatement()});
+  t.savepoints.push_back(t.writer.BeginStatement());
   auto result = ExecuteUnder(stmt, user, t.snapshot, &t.writer);
   if (!result.ok()) {
     if (t.implicit || result.status().IsSerializationFailure()) {
@@ -339,11 +331,9 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
       // the transaction stays open.
       RollbackToLocked(t, t.savepoints.size() - 1);
       clock_.Reset(clock_before);
-      BindUndo(&undo_);
     }
     return result.status();
   }
-  BindUndo(&undo_);
   ++mutation_epoch_;
   ++t.own_mutations;
   if (dur_) {
@@ -371,6 +361,7 @@ Result<QueryResult> Database::ExecuteUnder(const Statement& stmt,
   // reader must leave the ambient one alone.
   if (writer) mvcc_state_.writer = writer;
   ExecContext ctx = MakeContext();
+  ctx.writer = writer;
   ctx.snapshot = snapshot;
   Executor executor(std::move(ctx), user);
   auto result = executor.Execute(stmt);
@@ -396,7 +387,6 @@ void Database::BeginLocked(TxnState& t) {
   t.writer.snapshot_csn = csn;
   t.clock_at_begin = clock_.Peek();
   t.epoch_at_begin = mutation_epoch_;
-  t.undo.Begin();
 }
 
 Result<QueryResult> Database::BeginTxn(const void* token) {
@@ -466,13 +456,12 @@ Status Database::CommitLocked(TxnState& t) {
       return logged;
     }
   }
-  // Journal first, then stamp and publish. Stamp before Stop(): a storage
-  // object parked by a DROP lives inside the undo log until Stop()
-  // releases it, and the stamping pass needs the liveness filter to
-  // compare against it.
+  // Journal first, then stamp and publish. Stamp before dropping the
+  // compensations: a storage object parked by a DROP lives in one until
+  // then, and may hold versions of this transaction.
   SettleWritesLocked(t.writer, {}, csn);
+  t.writer.undo.clear();
   t.savepoints.clear();
-  t.undo.Stop();
   if (wrote) last_completed_csn_.store(csn, std::memory_order_release);
   return Status::Ok();
 }
@@ -494,10 +483,7 @@ void Database::EndTxn(const void* token) {
 }
 
 void Database::DoomLocked(TxnState& t) {
-  BindUndo(&t.undo);
   RollbackToLocked(t, 0);
-  t.undo.Stop();
-  BindUndo(&undo_);
   t.pending.clear();
   ApplyRollbackClockPolicy(t);
   // The doomed flag also un-pins the transaction's snapshot from GC
@@ -507,11 +493,15 @@ void Database::DoomLocked(TxnState& t) {
 }
 
 void Database::RollbackToLocked(TxnState& t, size_t keep) {
+  std::vector<std::function<void()>>& undo = t.writer.undo;
   while (t.savepoints.size() > keep) {
-    const Savepoint sp = t.savepoints.back();
+    const MvccWriter::Mark sp = t.savepoints.back();
     t.savepoints.pop_back();
-    SettleWritesLocked(t.writer, sp.writes, 0);
-    t.undo.RollbackTo(sp.undo);
+    SettleWritesLocked(t.writer, sp, 0);
+    while (undo.size() > sp.undo) {
+      undo.back()();
+      undo.pop_back();
+    }
   }
 }
 
@@ -551,49 +541,26 @@ Status Database::LockExclusiveNoTxns(const TxnState* self) {
   }
 }
 
-void Database::BindUndo(UndoLog* undo) {
-  active_undo_.store(undo, std::memory_order_release);
-  catalog_.set_undo_log(undo);
-  annotations_.set_undo_log(undo);
-  dependencies_.set_undo_log(undo);
-  access_.set_undo_log(undo);
-  approvals_.set_undo_log(undo);
-  for (auto& [name, table] : tables_) table->set_undo_log(undo);
-}
-
 void Database::SettleWritesLocked(MvccWriter& writer, MvccWriter::Mark from,
                                   uint64_t csn) {
-  // Filter against live storage: a table dropped later in the same
-  // transaction took its pending versions with it.
-  if (writer.rows.size() > from.rows) {
-    std::set<const Table*> live_tables;
-    for (const auto& [name, table] : tables_) live_tables.insert(table.get());
-    for (size_t i = writer.rows.size(); i-- > from.rows;) {
-      auto [table, row] = writer.rows[i];
-      if (!live_tables.count(table)) continue;
-      if (csn != 0) {
-        table->CommitRow(row, writer.txn_id, csn);
-      } else {
-        table->AbortRow(row, writer.txn_id);
-      }
+  for (size_t i = writer.rows.size(); i-- > from.rows;) {
+    auto [table, row] = writer.rows[i];
+    if (csn != 0) {
+      table->CommitRow(row, writer.txn_id, csn);
+    } else {
+      table->AbortRow(row, writer.txn_id);
     }
-    writer.rows.resize(from.rows);
   }
-  if (writer.annotations.size() > from.annotations) {
-    std::set<const AnnotationTable*> live_anns;
-    annotations_.ForEachTable(
-        [&](const std::string&, AnnotationTable* at) { live_anns.insert(at); });
-    for (size_t i = writer.annotations.size(); i-- > from.annotations;) {
-      auto [at, id] = writer.annotations[i];
-      if (!live_anns.count(at)) continue;
-      if (csn != 0) {
-        at->CommitAnnotation(id, writer.txn_id, csn);
-      } else {
-        at->AbortAnnotation(id, writer.txn_id);
-      }
+  writer.rows.resize(from.rows);
+  for (size_t i = writer.annotations.size(); i-- > from.annotations;) {
+    auto [at, id] = writer.annotations[i];
+    if (csn != 0) {
+      at->CommitAnnotation(id, writer.txn_id, csn);
+    } else {
+      at->AbortAnnotation(id, writer.txn_id);
     }
-    writer.annotations.resize(from.annotations);
   }
+  writer.annotations.resize(from.annotations);
 }
 
 void Database::CaptureBases(PendingStatement* ps) const {
@@ -971,27 +938,26 @@ Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
 }
 
 void Database::CommitReplayed(MvccWriter& writer, uint64_t csn) {
-  if (writer.rows.empty() && writer.annotations.empty()) return;
-  if (csn == 0) {
+  const bool wrote = !writer.rows.empty() || !writer.annotations.empty();
+  if (wrote && csn == 0) {
     // A log written before escalated statements wrote versions commits
     // them without a CSN: they ran alone, in place, visible to every later
     // snapshot. Rebuild that ancient state. Annotations have no vacuum, so
     // they commit straight into it (CSN 0); rows are stamped and then
     // flattened by a full vacuum, as the escalation's vacuum did in the
     // original run (no later record can read below it).
-    std::vector<std::pair<AnnotationTable*, uint64_t>> anns;
-    anns.swap(writer.annotations);
-    annotations_.ForEachTable([&](const std::string&, AnnotationTable* at) {
-      for (auto [owner, id] : anns) {
-        if (owner == at) at->CommitAnnotation(id, writer.txn_id, 0);
-      }
-    });
+    for (auto [at, id] : writer.annotations) {
+      at->CommitAnnotation(id, writer.txn_id, 0);
+    }
+    writer.annotations.clear();
     SettleWritesLocked(writer, {}, next_csn_.load(std::memory_order_relaxed));
     VacuumAllLocked(UINT64_MAX);
-    return;
+  } else if (wrote) {
+    SettleWritesLocked(writer, {}, csn);
+    AdvanceCsn(csn);
   }
-  SettleWritesLocked(writer, {}, csn);
-  AdvanceCsn(csn);
+  // Stamped: storage parked by a replayed DROP can go.
+  writer.undo.clear();
 }
 
 Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
@@ -1037,10 +1003,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     // version rows like freshly created ones. Their reloaded rows carry
     // no version metadata — everything in a checkpoint is ancient
     // (committed before any snapshot that can ever be taken again).
-    for (auto& [name, table] : db->tables_) {
-      table->set_undo_log(&db->undo_);
-      table->set_mvcc(&db->mvcc_state_);
-    }
+    for (auto& [name, table] : db->tables_) table->set_mvcc(&db->mvcc_state_);
   }
 
   {
@@ -1102,7 +1065,9 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
         break;
       }
       // Members share one writer (they were one transaction); the commit
-      // marker's journaled CSN stamps the whole write set.
+      // marker's journaled CSN stamps the whole write set. A member's DROP
+      // parks its storage in that writer until then, so every entry of
+      // the set is alive when it is stamped.
       MvccWriter group_writer;
       group_writer.txn_id =
           db->next_txn_id_.fetch_add(1, std::memory_order_relaxed);

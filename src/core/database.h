@@ -25,7 +25,6 @@
 #include "prov/provenance.h"
 #include "table/table.h"
 #include "txn/mvcc.h"
-#include "txn/undo_log.h"
 #include "wal/wal.h"
 #include "wal/wal_env.h"
 
@@ -157,8 +156,9 @@ class Database {
   // statement may not survive a crash.
   //
   // Every statement is atomic: a mid-statement failure discards the row
-  // and annotation versions it wrote and unwinds the rest of its partial
-  // effects via the undo log before the error returns.
+  // and annotation versions it wrote and runs the compensations it
+  // recorded for the rest of its partial effects before the error
+  // returns.
   //
   // `session` identifies the issuing session for transaction ownership
   // (BEGIN/COMMIT/ROLLBACK); callers without a Session object share one
@@ -236,12 +236,6 @@ class Database {
     std::vector<std::pair<std::string, uint64_t>> ann_bases;
   };
 
-  // Where one statement of a transaction began, in both rollback logs.
-  struct Savepoint {
-    UndoLog::Mark undo = 0;
-    MvccWriter::Mark writes;
-  };
-
   // State of one transaction. An explicit one (BEGIN) lives in txns_
   // keyed by session token. An autocommit statement runs as an implicit
   // one: stack-local, never registered, committed by the statement's own
@@ -252,9 +246,9 @@ class Database {
     // Captured at BEGIN (implicit: per statement); {kLatestCsn, txn_id}
     // once escalated.
     MvccSnapshot snapshot;
-    MvccWriter writer;  // versioned write set, stamped at commit
-    UndoLog undo;
-    std::vector<Savepoint> savepoints;  // one per executed statement
+    MvccWriter writer;  // write set: versions and compensations
+    // Where each executed statement began in the write set.
+    std::vector<MvccWriter::Mark> savepoints;
     std::vector<PendingStatement> pending;
     uint64_t clock_at_begin = 0;
     uint64_t clock_at_escalation = 0;
@@ -302,7 +296,8 @@ class Database {
                                   const std::string& user);
   // The execution kernel shared with WAL replay: runs `stmt` reading at
   // `snapshot`, with `writer` installed for a mutating statement (null
-  // for a read).
+  // for a read). The writer is cleared again before this returns, so a
+  // rollback never runs with one installed.
   Result<QueryResult> ExecuteUnder(const Statement& stmt,
                                    const std::string& user,
                                    const MvccSnapshot& snapshot,
@@ -311,14 +306,14 @@ class Database {
   // FailedPrecondition once the durable store is latched unusable.
   Status WritableLocked() const;
 
-  // Gives `t` a fresh txn id and snapshot, records the clock/epoch marks
-  // rollback rewinds to, and starts its undo log. Caller holds
-  // writer_mu_ (and txn_mu_ when `t` is being registered).
+  // Gives `t` a fresh txn id and snapshot and records the clock/epoch
+  // marks rollback rewinds to. Caller holds writer_mu_ (and txn_mu_ when
+  // `t` is being registered).
   void BeginLocked(TxnState& t);
 
   // Journals `t` (if durable and it executed anything), then stamps and
-  // publishes its commit CSN. A journal failure rolls `t` back instead.
-  // Caller holds writer_mu_.
+  // publishes its commit CSN and drops its compensations. A journal
+  // failure rolls `t` back instead. Caller holds writer_mu_.
   Status CommitLocked(TxnState& t);
 
   // Rolls the whole transaction back in memory and marks it doomed (only
@@ -327,9 +322,11 @@ class Database {
   void DoomLocked(TxnState& t);
 
   // Rolls back every statement of `t` after its first `keep` ones, newest
-  // first: the statement's versions are discarded, then its undo records
-  // run. Statement by statement, so each statement's versions meet the
-  // tables and indexes that existed when it ran. Caller holds writer_mu_.
+  // first: the statement's versions are discarded, then its compensations
+  // run, newest first. Statement by statement, so each statement's
+  // versions meet the tables and indexes that existed when it ran. No
+  // writer is installed, so a compensation records nothing. Caller holds
+  // writer_mu_.
   void RollbackToLocked(TxnState& t, size_t keep);
 
   // Acquires the exclusive side of the gate and waits until no
@@ -341,14 +338,12 @@ class Database {
   // waits.
   Status LockExclusiveNoTxns(const TxnState* self);
 
-  // Points every manager and table at `undo` (a transaction's log, or
-  // the idle log between statements). Caller holds writer_mu_.
-  void BindUndo(UndoLog* undo);
-
-  // Settles every write-set entry past `from` that still refers to a live
-  // storage object, newest first — commits it with `csn`, or, when `csn`
-  // is 0, aborts it (discards its version) — then truncates the set to
-  // `from`. Caller holds writer_mu_.
+  // Settles every row and annotation entry of the write set past `from`,
+  // newest first — commits it with `csn`, or, when `csn` is 0, aborts it
+  // (discards its version) — then truncates them to `from`. Every storage
+  // object they name is alive: a dropped one stays parked in a
+  // compensation until the transaction settles. The compensations are
+  // the caller's. Caller holds writer_mu_.
   void SettleWritesLocked(MvccWriter& writer, MvccWriter::Mark from,
                           uint64_t csn);
 
@@ -396,8 +391,8 @@ class Database {
   // transaction frame, null for autocommit records.
   Status ReplayRecord(const WalRecord& rec, MvccWriter* group_writer);
 
-  // Commits a replayed transaction's write set with its journaled CSN and
-  // advances the CSN counters past it.
+  // Commits a replayed transaction's write set with its journaled CSN,
+  // advances the CSN counters past it and drops its compensations.
   void CommitReplayed(MvccWriter& writer, uint64_t csn);
 
   // Advances the CSN counters past a journaled commit CSN (replay).
@@ -438,7 +433,7 @@ class Database {
     size_t readahead_pages = 4;
     // Monotonic counter naming heap files (<table>.<counter>.heap);
     // persisted in the manifest so reopened incarnations never collide
-    // with files parked by undo closures or awaiting GC.
+    // with files parked by compensations or awaiting GC.
     uint64_t next_heap_file = 0;
     // Generation of the last committed checkpoint; each attempt stages
     // dirty pages under gen+1 and records it on success.
@@ -462,15 +457,10 @@ class Database {
   std::unique_ptr<Durable> dur_;
   std::unique_ptr<PagedStorage> paged_;
 
-  // Idle undo log, bound between statements and never recording. Every
-  // transaction carries its own UndoLog (TxnState::undo) so interleaved
-  // transactions do not share one LIFO stack; BindUndo() switches the
-  // engine to it around each mutating statement.
-  UndoLog undo_;
-
-  // Ambient MVCC context shared with every storage object. A writer is
-  // installed exactly while a mutating statement executes (under
-  // writer_mu_).
+  // Ambient MVCC context shared with every manager and storage object. A
+  // transaction's writer is installed exactly while one of its mutating
+  // statements executes (under writer_mu_); that is what makes the
+  // mutation paths record into its write set.
   MvccState mvcc_state_;
 
   // The engine gate: shared for reads and concurrent DML, exclusive for
@@ -506,10 +496,6 @@ class Database {
   // Set when the WAL append path decides an auto-checkpoint is due;
   // consumed by MaybeDeferredCheckpoint() once the gate is free.
   std::atomic<bool> checkpoint_due_{false};
-
-  // The undo log mutation paths currently record into (MakeContext reads
-  // it when wiring fresh storage objects). Written under writer_mu_.
-  std::atomic<UndoLog*> active_undo_{&undo_};
 };
 
 }  // namespace bdbms

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "txn/undo_log.h"
+#include "txn/mvcc.h"
 
 namespace bdbms {
 
@@ -87,8 +87,8 @@ Status DependencyManager::AddRule(DependencyRule rule) {
   }
   std::string name = rule.name;
   rules_[name] = std::move(rule);
-  if (undo_ && undo_->recording()) {
-    undo_->Record("add rule " + name, [this, name, next_before] {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, name, next_before] {
       rules_.erase(name);
       next_rule_id_ = next_before;
     });
@@ -101,22 +101,29 @@ Status DependencyManager::RemoveRule(const std::string& name) {
   if (it == rules_.end()) {
     return Status::NotFound("no rule " + name);
   }
-  if (undo_ && undo_->recording()) {
-    DependencyRule rule = it->second;
-    undo_->Record("remove rule " + name,
-                  [this, name, rule] { rules_[name] = rule; });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, name, rule = it->second] { rules_[name] = rule; });
   }
   rules_.erase(it);
   return Status::Ok();
 }
 
-void DependencyManager::RecordMarkUndo(const std::string& table, RowId row,
-                                       size_t col) {
-  if (!undo_ || !undo_->recording()) return;
-  undo_->Record("mark outdated " + table, [this, table, row, col] {
-    auto it = bitmaps_.find(table);
-    if (it != bitmaps_.end()) it->second.Clear(row, col);
-  });
+Result<bool> DependencyManager::SetOutdated(const std::string& table,
+                                            RowId row, size_t col,
+                                            bool outdated) {
+  BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm, BitmapFor(table));
+  if (bm->IsOutdated(row, col) == outdated) return false;
+  if (outdated) {
+    bm->Mark(row, col);
+  } else {
+    bm->Clear(row, col);
+  }
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, table, row, col, outdated] {
+      (void)SetOutdated(table, row, col, !outdated);
+    });
+  }
+  return true;
 }
 
 Result<const DependencyRule*> DependencyManager::GetRule(
@@ -346,19 +353,15 @@ Status DependencyManager::Propagate(std::deque<WorkItem> work,
           BDBMS_ASSIGN_OR_RETURN(Value out, proc->fn(inputs));
           BDBMS_RETURN_IF_ERROR(dst->UpdateCell(t_row, dst_col, out));
           // The recomputed value is fresh again.
-          BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm,
-                                 BitmapFor(rule.target.table));
-          bm->Clear(t_row, dst_col);
+          BDBMS_RETURN_IF_ERROR(
+              SetOutdated(rule.target.table, t_row, dst_col, false).status());
           report->recomputed.push_back(cell);
           valid_next = true;
         } else {
-          BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm,
-                                 BitmapFor(rule.target.table));
-          if (!bm->IsOutdated(t_row, dst_col)) {
-            bm->Mark(t_row, dst_col);
-            RecordMarkUndo(rule.target.table, t_row, dst_col);
-            report->outdated.push_back(cell);
-          }
+          BDBMS_ASSIGN_OR_RETURN(
+              bool marked,
+              SetOutdated(rule.target.table, t_row, dst_col, true));
+          if (marked) report->outdated.push_back(cell);
           valid_next = false;
         }
         std::tuple<std::string, std::string, RowId, bool> key{
@@ -397,19 +400,14 @@ DependencyManager::OnProcedureChanged(const std::string& procedure,
                                GatherInputs(rule, t_row, tables));
         BDBMS_ASSIGN_OR_RETURN(Value out, proc->fn(inputs));
         BDBMS_RETURN_IF_ERROR(dst->UpdateCell(t_row, dst_col, out));
-        BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm,
-                               BitmapFor(rule.target.table));
-        bm->Clear(t_row, dst_col);
+        BDBMS_RETURN_IF_ERROR(
+            SetOutdated(rule.target.table, t_row, dst_col, false).status());
         report.recomputed.push_back(cell);
         work.push_back({rule.target, t_row, true});
       } else {
-        BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm,
-                               BitmapFor(rule.target.table));
-        if (!bm->IsOutdated(t_row, dst_col)) {
-          bm->Mark(t_row, dst_col);
-          RecordMarkUndo(rule.target.table, t_row, dst_col);
-          report.outdated.push_back(cell);
-        }
+        BDBMS_ASSIGN_OR_RETURN(
+            bool marked, SetOutdated(rule.target.table, t_row, dst_col, true));
+        if (marked) report.outdated.push_back(cell);
         work.push_back({rule.target, t_row, false});
       }
     }
@@ -446,10 +444,9 @@ Result<DependencyManager::PropagationReport> DependencyManager::OnRowErased(
       return Status::Ok();
     }));
     for (RowId t_row : targets) {
-      BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm, BitmapFor(rule.target.table));
-      if (!bm->IsOutdated(t_row, dst_col)) {
-        bm->Mark(t_row, dst_col);
-        RecordMarkUndo(rule.target.table, t_row, dst_col);
+      BDBMS_ASSIGN_OR_RETURN(
+          bool marked, SetOutdated(rule.target.table, t_row, dst_col, true));
+      if (marked) {
         report.outdated.push_back({rule.target.table, t_row, dst_col});
       }
       work.push_back({rule.target, t_row, /*upstream_valid=*/false});
@@ -495,11 +492,10 @@ const OutdatedBitmap* DependencyManager::FindBitmap(
 
 Status DependencyManager::Revalidate(const std::string& table, RowId row,
                                      size_t col) {
-  BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm, BitmapFor(table));
-  if (!bm->IsOutdated(row, col)) {
+  BDBMS_ASSIGN_OR_RETURN(bool cleared, SetOutdated(table, row, col, false));
+  if (!cleared) {
     return Status::FailedPrecondition("cell is not marked outdated");
   }
-  bm->Clear(row, col);
   return Status::Ok();
 }
 
@@ -509,8 +505,7 @@ DependencyManager::RevalidateWithValue(const std::string& table, RowId row,
                                        const TableResolver& tables) {
   BDBMS_ASSIGN_OR_RETURN(Table * t, tables(table));
   BDBMS_RETURN_IF_ERROR(t->UpdateCell(row, col, std::move(value)));
-  BDBMS_ASSIGN_OR_RETURN(OutdatedBitmap * bm, BitmapFor(table));
-  bm->Clear(row, col);
+  BDBMS_RETURN_IF_ERROR(SetOutdated(table, row, col, false).status());
   return OnCellUpdated(table, row, col, tables);
 }
 

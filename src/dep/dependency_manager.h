@@ -63,10 +63,10 @@ class DependencyManager {
   DependencyManager(const DependencyManager&) = delete;
   DependencyManager& operator=(const DependencyManager&) = delete;
 
-  // Transactions: while `undo` records, rule changes and newly set
+  // Transactions: while a writer is installed, rule changes and flipped
   // outdated bits push compensations. Propagation's cell rewrites are
   // row versions, rolled back with the transaction's write set.
-  void set_undo_log(UndoLog* undo) { undo_ = undo; }
+  void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
   // --- rule management ---------------------------------------------------
   // Validates tables/columns/procedure/join and rejects rules that would
@@ -160,15 +160,17 @@ class DependencyManager {
   std::multimap<ColumnRef, ColumnRef> BuildEdges(
       const DependencyRule* extra = nullptr) const;
 
-  // Records a compensation clearing a bit Mark() just set.
-  void RecordMarkUndo(const std::string& table, RowId row, size_t col);
+  // Sets (`outdated`) or clears a cell's outdated bit. When the bit flips,
+  // records a compensation that flips it back; returns whether it did.
+  Result<bool> SetOutdated(const std::string& table, RowId row, size_t col,
+                           bool outdated);
 
   Catalog* catalog_;
   ProcedureRegistry* procedures_;
   std::map<std::string, DependencyRule> rules_;
   std::map<std::string, OutdatedBitmap> bitmaps_;
   uint64_t next_rule_id_ = 1;
-  UndoLog* undo_ = nullptr;
+  MvccState* mvcc_ = nullptr;
 };
 
 }  // namespace bdbms

@@ -15,7 +15,6 @@
 #include "prov/provenance.h"
 #include "table/table.h"
 #include "txn/mvcc.h"
-#include "txn/undo_log.h"
 
 namespace bdbms {
 
@@ -44,10 +43,10 @@ struct ExecContext {
   std::function<Status(const TableSchema&)> create_table;
   std::function<Status(const std::string&)> drop_table;
   std::map<std::string, std::vector<DeletionLogEntry>>* deletion_log = nullptr;
-  // Set by the Database facade while a statement runs under rollback
-  // protection; mutation paths that live in the executor itself (the
-  // deletion log) record their compensations here.
-  UndoLog* undo = nullptr;
+  // The transaction's writer while a mutating statement runs (null for a
+  // read); mutation paths that live in the executor itself (the deletion
+  // log) record their compensations in its write set.
+  MvccWriter* writer = nullptr;
   // The snapshot every scan operator resolves row/annotation visibility
   // against: the transaction's own, or {kLatestCsn, own txn} once it runs
   // alone (escalated).

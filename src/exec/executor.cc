@@ -57,7 +57,7 @@ Result<QueryResult> Executor::Execute(const Statement& stmt) {
           return result;
         } else if constexpr (std::is_same_v<T, TxnStmt>) {
           // Transaction control lives in the Database facade (it owns the
-          // undo log, WAL and engine lock). Reaching the executor means
+          // write sets, WAL and engine lock). Reaching the executor means
           // the statement arrived through a path with no transaction
           // support wired up.
           (void)node;
@@ -458,10 +458,9 @@ Result<QueryResult> Executor::ExecDelete(const DeleteStmt& stmt,
     if (!annotation_body.empty() && ctx_.deletion_log != nullptr) {
       (*ctx_.deletion_log)[stmt.table].push_back(
           {rid, old_row, annotation_body, user_, ctx_.clock->Tick()});
-      if (ctx_.undo && ctx_.undo->recording()) {
+      if (ctx_.writer != nullptr) {
         auto* log = ctx_.deletion_log;
-        std::string table = stmt.table;
-        ctx_.undo->Record("deletion log " + table, [log, table] {
+        ctx_.writer->undo.push_back([log, table = stmt.table] {
           auto it = log->find(table);
           if (it == log->end() || it->second.empty()) return;
           it->second.pop_back();

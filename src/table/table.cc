@@ -7,7 +7,6 @@
 
 #include "index/secondary_index.h"
 #include "index/sequence_index.h"
-#include "txn/undo_log.h"
 
 namespace bdbms {
 
@@ -557,9 +556,8 @@ Status Table::CreateIndex(const std::string& name,
     return index->Insert(row, row_id);
   }));
   indexes_.push_back(std::move(index));
-  if (undo_ && undo_->recording()) {
-    undo_->Record("create index " + name,
-                  [this, name] { (void)DropIndex(name); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, name] { (void)DropIndex(name); });
   }
   return Status::Ok();
 }
@@ -583,27 +581,26 @@ Status Table::CreateSequenceIndex(const std::string& name, size_t column) {
     return index->Insert(row[column], row_id);
   }));
   seq_indexes_.push_back(std::move(index));
-  if (undo_ && undo_->recording()) {
-    undo_->Record("create sequence index " + name,
-                  [this, name] { (void)DropIndex(name); });
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, name] { (void)DropIndex(name); });
   }
   return Status::Ok();
 }
 
-// A dropped index is not destroyed while an undo log records: the built
+// A dropped index is not destroyed while a writer is installed: the built
 // object itself moves into the compensation closure (wrapped shared_ptr —
 // std::function requires copyable captures) and moves back on rollback,
 // so ROLLBACK never pays a full re-build scan. Commit discards the
 // closure, which finally frees the index.
 Status Table::DropIndex(const std::string& name) {
-  bool capture = undo_ && undo_->recording();
+  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
   for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
     if ((*it)->name() == name) {
-      if (capture) {
+      if (w != nullptr) {
         auto held = std::make_shared<std::unique_ptr<SecondaryIndex>>(
             std::move(*it));
         size_t pos = static_cast<size_t>(it - indexes_.begin());
-        undo_->Record("drop index " + name, [this, held, pos] {
+        w->undo.push_back([this, held, pos] {
           size_t at = std::min(pos, indexes_.size());
           indexes_.insert(indexes_.begin() + static_cast<ptrdiff_t>(at),
                           std::move(*held));
@@ -615,11 +612,11 @@ Status Table::DropIndex(const std::string& name) {
   }
   for (auto it = seq_indexes_.begin(); it != seq_indexes_.end(); ++it) {
     if ((*it)->name() == name) {
-      if (capture) {
+      if (w != nullptr) {
         auto held = std::make_shared<std::unique_ptr<SequenceIndex>>(
             std::move(*it));
         size_t pos = static_cast<size_t>(it - seq_indexes_.begin());
-        undo_->Record("drop sequence index " + name, [this, held, pos] {
+        w->undo.push_back([this, held, pos] {
           size_t at = std::min(pos, seq_indexes_.size());
           seq_indexes_.insert(
               seq_indexes_.begin() + static_cast<ptrdiff_t>(at),

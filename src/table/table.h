@@ -19,7 +19,6 @@ namespace bdbms {
 
 class SecondaryIndex;
 class SequenceIndex;
-class UndoLog;
 
 // Logical row identifier: assigned densely in insertion order and never
 // reused. The paper models a relation as a 2-D space (columns × tuples,
@@ -250,12 +249,9 @@ class Table {
   size_t readahead_pages() const { return readahead_pages_; }
   void set_readahead_pages(size_t n) { readahead_pages_ = n; }
 
-  // Transactions: while `undo` is recording, index DDL pushes a
-  // compensation record (row writes roll back through AbortRow).
-  void set_undo_log(UndoLog* undo) { undo_ = undo; }
-
   // Installs the engine's ambient MVCC context. When `mvcc->writer` is
-  // non-null, mutators take the versioned path.
+  // non-null, mutators take the versioned path (row writes roll back
+  // through AbortRow) and index DDL pushes a compensation.
   void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
  private:
@@ -311,7 +307,6 @@ class Table {
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
   std::vector<std::unique_ptr<SequenceIndex>> seq_indexes_;
   RowId next_row_id_ = 0;
-  UndoLog* undo_ = nullptr;
   MvccState* mvcc_ = nullptr;
   std::string heap_file_name_;   // basename of the paged heap ("" if none)
   size_t readahead_pages_ = 0;   // 0 disables scan prefetch

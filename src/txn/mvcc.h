@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -30,10 +31,12 @@ inline constexpr uint64_t kLatestCsn = UINT64_MAX;
 // autocommit statement is an implicit single-statement transaction).
 // While a writer is installed in the ambient MvccState, the mutation
 // paths in Table/AnnotationTable create versions tagged with `txn_id` and
-// record here what they touched. Commit stamps every entry with the
-// commit CSN; abort discards the entries' versions newest-first, and a
-// Mark taken at a statement boundary rolls back just the statements
-// after it.
+// record here what they touched, and every mutation of state that has no
+// versions pushes a compensation onto `undo`. Commit stamps every entry
+// with the commit CSN and drops the compensations; abort discards the
+// entries' versions and then runs the compensations, statement by
+// statement, newest first. A Mark taken at a statement boundary rolls
+// back just the statements after it.
 struct MvccWriter {
   uint64_t txn_id = 0;
   uint64_t snapshot_csn = 0;  // first-updater-wins conflict baseline
@@ -49,25 +52,34 @@ struct MvccWriter {
   std::vector<std::pair<Table*, uint64_t>> rows;
   std::vector<std::pair<AnnotationTable*, uint64_t>> annotations;
 
+  // Compensations for the unversioned state (catalog entries, storage
+  // objects, index DDL, archive flags, grants and principals, the
+  // approval log, dependency rules and outdated bits, the deletion log),
+  // each undoing one primitive effect. A dropped storage object is parked
+  // inside its closure until the transaction settles, so every Table and
+  // AnnotationTable that `rows` and `annotations` name stays alive.
+  std::vector<std::function<void()>> undo;
+
   // Write-set position at a statement boundary.
   struct Mark {
     size_t rows = 0;
     size_t annotations = 0;
+    size_t undo = 0;
   };
 
   // Starts the next statement and returns the savepoint before it.
   Mark BeginStatement() {
     ++statement;
-    return {rows.size(), annotations.size()};
+    return {rows.size(), annotations.size(), undo.size()};
   }
 };
 
-// The ambient MVCC context shared by the engine facade and every storage
-// object. `writer` is non-null exactly while a mutating statement
-// executes (live or replayed) — installed and cleared under the engine's
-// writer mutex, so storage mutators never observe a torn pointer. Storage
-// mutated with no writer (snapshot load, direct Table use) is written in
-// place, unversioned.
+// The ambient MVCC context shared by the engine facade, every manager and
+// every storage object. `writer` is non-null exactly while a mutating
+// statement executes (live or replayed) — installed and cleared under the
+// engine's writer mutex, so mutators never observe a torn pointer. State
+// mutated with no writer (snapshot load, direct Table use, a rollback's
+// compensations) is written in place, unversioned and unrecorded.
 struct MvccState {
   MvccWriter* writer = nullptr;
 };

@@ -1,5 +1,5 @@
 // Multi-statement transactions and statement atomicity: BEGIN/COMMIT/
-// ROLLBACK semantics, the undo log's restoration of every subsystem
+// ROLLBACK semantics, the write set's restoration of every subsystem
 // (heaps, secondary + sequence indexes, annotations, approval state,
 // grants, dependency rules, catalog, the logical clock), mid-statement
 // failure atomicity inside and outside explicit transactions, and
@@ -34,7 +34,7 @@ using testutil::VerifyIndexConsistency;
     ASSERT_TRUE(_r.ok()) << (sql) << "\n-> " << _r.status().ToString(); \
   } while (0)
 
-// A mutation storm touching every subsystem the undo log must restore.
+// A mutation storm touching every subsystem the write set must restore.
 // Run inside a transaction and rolled back, it must leave no trace.
 std::vector<std::pair<std::string, std::string>> MutationStorm() {
   return {
@@ -161,6 +161,13 @@ TEST(TxnTest, FailedStatementInsideTxnRollsBackOnlyThatStatement) {
       {{},
        "INSERT INTO Gene VALUES ('JW0101', 'a', 'AC'), ('JW0102', 'b', 1 / 0)",
        "SELECT GName FROM Gene WHERE GID = 'JW0101'", ""},
+      // Escalated: re-inserting a deleted gene recomputes its protein's
+      // outdated PSequence and clears the mark before the second row
+      // fails; the old value and the mark must both come back.
+      {{"DELETE FROM Gene WHERE GID = 'JW0080'"},
+       "INSERT INTO Gene VALUES ('JW0080', 'back', 'ACG'), "
+       "('JW0103', 'b', 1 / 0)",
+       "SELECT PSequence FROM Protein WHERE PName = 'mraW'", "'E';"},
       // Row updated by an earlier statement, re-updated by the failing
       // one (division by zero on a later row).
       {{"UPDATE T SET v = 11 WHERE k = 1", "INSERT INTO T VALUES (0, 20)"},
