@@ -1,6 +1,7 @@
 #include "bio/alignment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -39,6 +40,88 @@ int EditDistance(std::string_view a, std::string_view b) {
     }
   }
   return row[b.size()];
+}
+
+LevenshteinColumn::LevenshteinColumn(std::string_view target)
+    : words_((target.size() + 63) / 64),
+      last_mask_(target.size() % 64 == 0
+                     ? ~uint64_t{0}
+                     : (uint64_t{1} << (target.size() % 64)) - 1),
+      peq_(256 * words_, 0) {
+  for (size_t j = 0; j < target.size(); ++j) {
+    peq_[static_cast<unsigned char>(target[j]) * words_ + j / 64] |=
+        uint64_t{1} << (j % 64);
+  }
+}
+
+void LevenshteinColumn::Init(uint64_t* column) const {
+  for (size_t w = 0; w < words_; ++w) {
+    column[w] = w + 1 == words_ ? last_mask_ : ~uint64_t{0};
+    column[words_ + w] = 0;
+  }
+}
+
+void LevenshteinColumn::Step(const uint64_t* from, uint64_t* to,
+                             char c) const {
+  const uint64_t* eq_of_c =
+      peq_.data() + static_cast<unsigned char>(c) * words_;
+  // The column is one (64 * words_)-bit integer; three bits cross each
+  // word boundary: the carry of the addition below and the bits HP and
+  // HN shift out. Row 0 shifts in HP = 1, since D[i][0] - D[i-1][0] = +1.
+  uint64_t carry = 0;
+  uint64_t hp_in = 1;
+  uint64_t hn_in = 0;
+  for (size_t w = 0; w < words_; ++w) {
+    uint64_t vp = from[w];
+    uint64_t vn = from[words_ + w];
+    uint64_t eq = eq_of_c[w];
+    uint64_t xv = eq | vn;
+    uint64_t masked = eq & vp;
+    uint64_t sum = masked + vp;
+    uint64_t sum_carry = sum < masked ? 1 : 0;
+    sum += carry;
+    carry = sum_carry | (sum < carry ? 1 : 0);
+    uint64_t xh = (sum ^ vp) | eq;
+    uint64_t hp = vn | ~(xh | vp);
+    uint64_t hn = vp & xh;
+    uint64_t hp_out = hp >> 63;
+    uint64_t hn_out = hn >> 63;
+    hp = (hp << 1) | hp_in;
+    hn = (hn << 1) | hn_in;
+    hp_in = hp_out;
+    hn_in = hn_out;
+    to[w] = hn | ~(xv | hp);
+    to[words_ + w] = hp & xv;
+  }
+}
+
+int LevenshteinColumn::Score(const uint64_t* column, int depth) const {
+  int score = depth;
+  for (size_t w = 0; w < words_; ++w) {
+    uint64_t mask = w + 1 == words_ ? last_mask_ : ~uint64_t{0};
+    score += std::popcount(column[w] & mask) -
+             std::popcount(column[words_ + w] & mask);
+  }
+  return score;
+}
+
+int LevenshteinColumn::Min(const uint64_t* column, int depth) const {
+  // D[depth][j] = depth + (the sum of the first j deltas). A prefix sum
+  // reaches a new low only at a -1 delta, so only VN's bits are visited.
+  int sum = 0;
+  int low = 0;
+  for (size_t w = 0; w < words_; ++w) {
+    uint64_t mask = w + 1 == words_ ? last_mask_ : ~uint64_t{0};
+    uint64_t vp = column[w] & mask;
+    uint64_t vn = column[words_ + w] & mask;
+    for (uint64_t bits = vn; bits != 0; bits &= bits - 1) {
+      uint64_t upto = ~uint64_t{0} >> (63 - std::countr_zero(bits));
+      low = std::min(low, sum + std::popcount(vp & upto) -
+                              std::popcount(vn & upto));
+    }
+    sum += std::popcount(vp) - std::popcount(vn);
+  }
+  return depth + low;
 }
 
 double AlignmentEvalue(int score, size_t m, size_t n,

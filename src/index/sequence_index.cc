@@ -16,7 +16,11 @@ Result<std::unique_ptr<SequenceIndex>> SequenceIndex::Create(std::string name,
 }
 
 Status SequenceIndex::Insert(const Value& cell, RowId row_id) {
-  if (cell.is_null()) return Status::Ok();  // NULLs are never probe-visible
+  if (cell.is_null()) {
+    std::lock_guard lock(latch_);
+    ++null_rows_[row_id];
+    return Status::Ok();
+  }
   if (!cell.is_string()) {
     return Status::InvalidArgument("sequence index over a non-string value");
   }
@@ -30,7 +34,15 @@ Status SequenceIndex::Insert(const Value& cell, RowId row_id) {
 }
 
 Status SequenceIndex::Remove(const Value& cell, RowId row_id) {
-  if (cell.is_null()) return Status::Ok();
+  if (cell.is_null()) {
+    std::lock_guard lock(latch_);
+    auto it = null_rows_.find(row_id);
+    if (it == null_rows_.end()) {
+      return Status::NotFound("sequence index entry not found");
+    }
+    if (--it->second == 0) null_rows_.erase(it);
+    return Status::Ok();
+  }
   if (!cell.is_string()) {
     return Status::InvalidArgument("sequence index over a non-string value");
   }
@@ -74,15 +86,20 @@ Result<std::vector<RowId>> SequenceIndex::FindRegex(
 
 namespace {
 
-// Best-first walker for FindNearest: the state is the Levenshtein DP row
-// of the path prefix against the target, whose minimum lower-bounds the
-// distance of every key in the subtree (appending characters never
-// shrinks the row minimum).
+// Best-first walker for FindNearest. A state stands for the Levenshtein
+// column of its path prefix against the target, whose minimum lower-
+// bounds the distance of every key in the subtree (appending characters
+// never lowers the column minimum). Columns are LevenshteinColumn bit
+// vectors in a per-probe word arena, so a state is a few ints: its
+// column's offset, the prefix length and the trie edge it came through.
+// The prefix string is rebuilt from the edge chain only for the entries
+// Emit keeps.
 class NearestWalker {
  public:
   struct WState {
-    std::string prefix;
-    std::vector<int> row;
+    size_t column;  // offset of the state's column in arena_
+    int depth;      // prefix length
+    int edge;       // index of the last edge in edges_; -1 at the root
   };
 
   // A candidate emitted by the traversal, not yet vetted for visibility:
@@ -96,37 +113,41 @@ class NearestWalker {
   // (RowId, key) entries the caller already rejected as stale.
   using Skip = std::set<std::pair<RowId, std::string>>;
 
-  NearestWalker(const std::string& target, size_t k, const Skip& skip)
-      : target_(target), k_(k), skip_(skip) {}
+  NearestWalker(const LevenshteinColumn& kernel, size_t k, const Skip& skip)
+      : kernel_(kernel), k_(k), skip_(skip),
+        scratch_(kernel.column_words()) {}
 
-  WState Root() const {
-    WState s;
-    s.row.resize(target_.size() + 1);
-    for (size_t j = 0; j <= target_.size(); ++j) {
-      s.row[j] = static_cast<int>(j);
-    }
-    return s;
+  WState Root() {
+    arena_.resize(kernel_.column_words());
+    kernel_.Init(arena_.data());
+    return {0, 0, -1};
   }
 
   std::optional<WState> Descend(const TrieOps::Inner& inner, size_t slot,
-                                const WState& state) const {
-    if (inner.labels[slot] == '\0') return state;  // end-of-key: same depth
-    WState next;
-    next.prefix = state.prefix + inner.labels[slot];
-    next.row = Extend(state.row, inner.labels[slot], next.prefix.size());
-    return next;
+                                const WState& state) {
+    char label = inner.labels[slot];
+    if (label == '\0') return state;  // end-of-key: same depth
+    size_t column = arena_.size();
+    arena_.resize(column + kernel_.column_words());
+    kernel_.Step(arena_.data() + state.column, arena_.data() + column, label);
+    edges_.push_back({label, state.edge});
+    return WState{column, state.depth + 1,
+                  static_cast<int>(edges_.size()) - 1};
   }
 
   double Bound(const WState& state) const {
-    return *std::min_element(state.row.begin(), state.row.end());
+    return kernel_.Min(arena_.data() + state.column, state.depth);
   }
 
   std::optional<double> LeafDistance(const WState& state,
-                                     const TrieOps::Key& suffix) const {
-    std::vector<int> row = state.row;
-    size_t depth = state.prefix.size();
-    for (char c : suffix) row = Extend(row, c, ++depth);
-    return static_cast<double>(row[target_.size()]);
+                                     const TrieOps::Key& suffix) {
+    const uint64_t* column = arena_.data() + state.column;
+    for (char c : suffix) {
+      kernel_.Step(column, scratch_.data(), c);
+      column = scratch_.data();
+    }
+    return kernel_.Score(column,
+                         state.depth + static_cast<int>(suffix.size()));
   }
 
   bool Emit(const WState& state, const TrieOps::Key& suffix, uint64_t payload,
@@ -136,12 +157,13 @@ class NearestWalker {
     if (results_.size() >= k_ && dist > results_.back().distance) {
       return false;
     }
-    std::string key = state.prefix + suffix;
-    if (skip_.count({payload, key}) != 0) return true;  // known-stale entry
     // Every retained version of a row owns an entry, so a row can surface
     // more than once; only its first entry takes a slot. If that one turns
     // out stale, the rerun skips it and reaches the next.
-    if (!emitted_.insert(payload).second) return true;
+    if (emitted_.count(payload) != 0) return true;
+    std::string key = Path(state) + suffix;
+    if (skip_.count({payload, key}) != 0) return true;  // known-stale entry
+    emitted_.insert(payload);
     results_.push_back({payload, static_cast<int>(dist), std::move(key)});
     return true;
   }
@@ -149,22 +171,26 @@ class NearestWalker {
   std::vector<Candidate> Take() { return std::move(results_); }
 
  private:
-  // One Levenshtein DP step: the row for prefix length `depth` from the
-  // row of length depth-1, appending character c.
-  std::vector<int> Extend(const std::vector<int>& prev, char c,
-                          size_t depth) const {
-    std::vector<int> row(target_.size() + 1);
-    row[0] = static_cast<int>(depth);
-    for (size_t j = 1; j <= target_.size(); ++j) {
-      int sub = prev[j - 1] + (target_[j - 1] == c ? 0 : 1);
-      row[j] = std::min({sub, prev[j] + 1, row[j - 1] + 1});
+  struct Edge {
+    char label;
+    int parent;  // index in edges_; -1 below the root
+  };
+
+  std::string Path(const WState& state) const {
+    std::string path(static_cast<size_t>(state.depth), '\0');
+    size_t at = path.size();
+    for (int e = state.edge; e >= 0; e = edges_[e].parent) {
+      path[--at] = edges_[e].label;
     }
-    return row;
+    return path;
   }
 
-  const std::string& target_;
+  const LevenshteinColumn& kernel_;
   size_t k_;
   const Skip& skip_;
+  std::vector<uint64_t> arena_;
+  std::vector<Edge> edges_;
+  std::vector<uint64_t> scratch_;  // LeafDistance's column
   std::set<RowId> emitted_;
   std::vector<Candidate> results_;
 };
@@ -253,43 +279,61 @@ class AlignWalker {
 
 }  // namespace
 
-Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
+Result<std::vector<RowId>> SequenceIndex::FindNearest(
     const std::string& target, size_t k,
-    const std::function<bool(RowId, const std::string&)>& keep) const {
-  if (k == 0) return std::vector<Neighbor>{};
+    const std::function<bool(RowId, const std::string*)>& keep) const {
   // `keep` consults the table (MVCC visibility + stored-cell equality),
   // and every DML and index-build path takes the table lock *before* this
   // index's latch. Invoking it mid-traversal under latch_ would invert that
   // order, so candidates are gathered under the lock and vetted after it
-  // is released; stale entries are blacklisted and the traversal restarts
-  // without them, so they never occupy one of the k slots. Each restart
-  // blacklists at least one more entry, so the loop terminates.
+  // is released.
+  std::vector<RowId> null_rows;
+  {
+    std::shared_lock lock(latch_);
+    null_rows.reserve(null_rows_.size());
+    for (const auto& [row, entries] : null_rows_) null_rows.push_back(row);
+  }
+  // DISTANCE(NULL, t) is NULL, which sorts before every number: visible
+  // NULL cells come first, in RowId order, each taking one of the k slots.
+  std::vector<RowId> out;
+  for (RowId row : null_rows) {
+    if (out.size() == k) return out;
+    if (keep(row, nullptr)) out.push_back(row);
+  }
+  size_t want = k - out.size();
+  if (want == 0) return out;
+  // Stale trie entries are blacklisted and the traversal restarts without
+  // them, so they never occupy one of the slots. Each restart blacklists
+  // at least one more entry, so the loop terminates.
+  LevenshteinColumn kernel(target);
   NearestWalker::Skip stale;
   for (;;) {
     std::vector<NearestWalker::Candidate> candidates;
     {
       std::shared_lock lock(latch_);
-      NearestWalker walker(target, k, stale);
+      NearestWalker walker(kernel, want, stale);
       BDBMS_RETURN_IF_ERROR(trie_->SearchOrdered(walker));
       candidates = walker.Take();
     }
-    std::vector<Neighbor> out;
-    out.reserve(candidates.size());
+    std::vector<NearestWalker::Candidate> kept;
+    kept.reserve(candidates.size());
     size_t known_stale = stale.size();
-    for (const NearestWalker::Candidate& c : candidates) {
-      if (keep(c.row, c.key)) {
-        out.push_back({c.row, c.distance});
+    for (NearestWalker::Candidate& c : candidates) {
+      if (keep(c.row, &c.key)) {
+        kept.push_back(std::move(c));
       } else {
-        stale.emplace(c.row, c.key);
+        stale.emplace(c.row, std::move(c.key));
       }
     }
     if (stale.size() != known_stale) continue;
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Neighbor& a, const Neighbor& b) {
+    std::stable_sort(kept.begin(), kept.end(),
+                     [](const NearestWalker::Candidate& a,
+                        const NearestWalker::Candidate& b) {
                        return a.distance != b.distance
                                   ? a.distance < b.distance
                                   : a.row < b.row;
                      });
+    for (const NearestWalker::Candidate& c : kept) out.push_back(c.row);
     return out;
   }
 }

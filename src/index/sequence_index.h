@@ -2,6 +2,7 @@
 #define BDBMS_INDEX_SEQUENCE_INDEX_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -24,8 +25,10 @@ namespace bdbms {
 // single path. Maintained by Table on every INSERT/UPDATE/DELETE (and so
 // by approval rollbacks), like the B+-tree secondary indexes.
 //
-// NULL cells are not indexed: no SQL comparison or LIKE predicate is ever
-// true on NULL, so probes could never return them. The trie reserves the
+// NULL cells stay out of the trie: no SQL comparison or LIKE predicate is
+// ever true on NULL, so those probes could never return them. Their
+// RowIds are kept on the side for FindNearest alone, since the sort ranks
+// DISTANCE(NULL, t) — NULL — before every number. The trie reserves the
 // NUL byte as its end-of-key label, so values containing embedded NUL
 // bytes are rejected at maintenance time rather than silently dropped.
 //
@@ -44,6 +47,7 @@ class SequenceIndex {
 
   const std::string& name() const { return name_; }
   size_t column() const { return column_; }
+  // Entries for non-NULL cells: the trie's size.
   uint64_t entry_count() const {
     std::shared_lock lock(latch_);
     return trie_->size();
@@ -63,23 +67,20 @@ class SequenceIndex {
   // set goes dead are never visited.
   Result<std::vector<RowId>> FindRegex(const RegexProgram& program) const;
 
-  // One ranked result of FindNearest.
-  struct Neighbor {
-    RowId row;
-    int distance;
-  };
-  // The nearest indexed sequences to `target` by edit distance, in
-  // (distance, RowId) order: a best-first traversal over per-subtree
+  // RowIds of the nearest indexed sequences to `target` by edit distance,
+  // in the sort's order: NULL cells first by RowId, then (distance, RowId).
+  // The non-NULL cells come from a best-first traversal over per-subtree
   // Levenshtein lower bounds (spgscan.c-style ordered scan). `keep` vets
-  // each candidate — MVCC visibility plus a stored-cell equality check —
-  // before it counts toward k, so stale index entries cannot underfill
-  // the result. All ties at the k-th distance are returned; the caller's
-  // LIMIT makes the final cut. `keep` is always invoked with the index
-  // latch released (it takes the table lock, and DML locks table before
-  // index); a rejection blacklists the entry and reruns the traversal.
-  Result<std::vector<Neighbor>> FindNearest(
+  // each candidate — MVCC visibility plus a stored-cell equality check,
+  // with a null `cell` for a NULL one — before it counts toward k, so
+  // stale index entries cannot underfill the result. All ties at the k-th
+  // distance are returned; the caller's LIMIT makes the final cut. `keep`
+  // is always invoked with the index latch released (it takes the table
+  // lock, and DML locks table before index); a rejection blacklists the
+  // entry and reruns the traversal.
+  Result<std::vector<RowId>> FindNearest(
       const std::string& target, size_t k,
-      const std::function<bool(RowId, const std::string& cell)>& keep) const;
+      const std::function<bool(RowId, const std::string* cell)>& keep) const;
 
   // RowIds whose cell aligns locally to `query` with Smith–Waterman
   // score >= min_score (or > when `strict`), ascending. The DP rows are
@@ -100,6 +101,8 @@ class SequenceIndex {
   std::string name_;
   size_t column_;
   std::unique_ptr<SpGistTrie> trie_;
+  // RowId -> its entries with a NULL cell, one per retained version.
+  std::map<RowId, uint32_t> null_rows_;
   mutable RwLatch latch_;
 };
 

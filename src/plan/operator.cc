@@ -373,18 +373,14 @@ Result<std::vector<RowId>> SpgistTopKScanNode::CollectCandidates() {
   // Visibility is resolved inside the traversal: a stale index entry whose
   // key no longer matches the visible row must not occupy one of the k
   // slots, or a genuinely close row would be cut off.
-  auto keep = [&](RowId row_id, const std::string& key) -> bool {
+  auto keep = [&](RowId row_id, const std::string* key) -> bool {
     auto visible = table_->GetVisible(row_id, ctx_->snapshot);
     if (!visible.ok() || !visible->has_value()) return false;
     const Value& cell = (**visible)[index_->column()];
-    return cell.is_string() && cell.as_string() == key;
+    if (key == nullptr) return cell.is_null();
+    return cell.is_string() && cell.as_string() == *key;
   };
-  BDBMS_ASSIGN_OR_RETURN(std::vector<SequenceIndex::Neighbor> nearest,
-                         index_->FindNearest(target_, k_, keep));
-  std::vector<RowId> rows;
-  rows.reserve(nearest.size());
-  for (const SequenceIndex::Neighbor& n : nearest) rows.push_back(n.row);
-  return rows;
+  return index_->FindNearest(target_, k_, keep);
 }
 
 std::string SpgistTopKScanNode::Describe() const {

@@ -268,9 +268,10 @@ class SpgistRegexScanNode : public ScanNodeBase {
 // Top-k nearest-sequence scan (`ORDER BY DISTANCE(col, 'seq') LIMIT k`):
 // best-first trie traversal ordered by a Levenshtein lower bound, stopping
 // once k rows (plus ties at the k-th distance) are proven closest.
-// Candidates stream in (distance, RowId) order — NOT RowId order — and
-// visibility is resolved inside the traversal so stale index entries can
-// never underfill k; RecheckVisible therefore accepts everything.
+// Candidates stream in the sort's order — visible NULL cells first, then
+// (distance, RowId), NOT RowId order — and visibility is resolved inside
+// the traversal so stale index entries can never underfill k;
+// RecheckVisible therefore accepts everything.
 class SpgistTopKScanNode : public ScanNodeBase {
  public:
   SpgistTopKScanNode(const ExecContext* ctx, Table* table,

@@ -26,6 +26,7 @@
 
 #include "bio/alignment.h"
 #include "core/database.h"
+#include "core/session.h"
 #include "index/sequence_index.h"
 #include "index/spgist/regex.h"
 
@@ -482,8 +483,26 @@ void CheckAlignQueries(Database& db, const std::string& query) {
   }
 }
 
-// Renders every search query with the index in place and again after
-// dropping it; the plans differ, the results must not.
+// Renders each query with the index cx in place and again after dropping
+// it; the plans differ, the results must not.
+void ExpectSameWithoutIndex(Database& db,
+                            const std::vector<std::string>& sqls) {
+  std::vector<std::string> with_index;
+  for (const auto& sql : sqls) {
+    auto r = db.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << "\n-> " << r.status().ToString();
+    with_index.push_back(Render(*r));
+  }
+  EXEC_OK(db, "DROP INDEX cx ON C");
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    auto r = db.Execute(sqls[i]);
+    ASSERT_TRUE(r.ok()) << sqls[i];
+    EXPECT_EQ(Render(*r), with_index[i]) << sqls[i];
+  }
+  EXEC_OK(db, "CREATE SEQUENCE INDEX cx ON C (seq) USING SPGIST");
+}
+
+// Every search query kind, indexed and not.
 void CheckIndexedMatchesDropped(Database& db) {
   std::vector<std::string> sqls;
   for (const char* pattern : kRegexQueries) {
@@ -501,19 +520,7 @@ void CheckIndexedMatchesDropped(Database& db) {
   }
   sqls.push_back(
       "SELECT id FROM C WHERE ALIGN(seq, 'GATTACA') >= 6 ORDER BY id");
-  std::vector<std::string> with_index;
-  for (const auto& sql : sqls) {
-    auto r = db.Execute(sql);
-    ASSERT_TRUE(r.ok()) << sql << "\n-> " << r.status().ToString();
-    with_index.push_back(Render(*r));
-  }
-  EXEC_OK(db, "DROP INDEX cx ON C");
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    auto r = db.Execute(sqls[i]);
-    ASSERT_TRUE(r.ok()) << sqls[i];
-    EXPECT_EQ(Render(*r), with_index[i]) << sqls[i];
-  }
-  EXEC_OK(db, "CREATE SEQUENCE INDEX cx ON C (seq) USING SPGIST");
+  ExpectSameWithoutIndex(db, sqls);
 }
 
 void RunDifferentialSuite(uint64_t seed, const std::string& alphabet) {
@@ -654,6 +661,47 @@ TEST(SequenceSearchShapes, DuplicateHeavyTable) {
   CheckIndexedMatchesDropped(db);
 }
 
+// DISTANCE(NULL, t) is NULL, and the sort ranks NULL before every number,
+// so the ranked scan must emit the visible NULL cells first, in RowId
+// order, though the trie does not hold them.
+TEST(SequenceSearchShapes, NullCellsRankFirstLikeTheSort) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE C (id INT, seq SEQUENCE)");
+  EXEC_OK(db, "INSERT INTO C VALUES (1, NULL), (2, 'ACGT'), (3, 'TTTT')");
+  EXEC_OK(db, "CREATE SEQUENCE INDEX cx ON C (seq) USING SPGIST");
+  auto nearest = [](int k) {
+    return "SELECT id, seq FROM C ORDER BY DISTANCE(seq, 'ACGA') LIMIT " +
+           std::to_string(k);
+  };
+  EXPECT_NE(Explain(db, nearest(1)).find("SpgistTopKScan C"),
+            std::string::npos);
+  EXPECT_EQ(SqlIds(db, nearest(1)), (std::vector<int64_t>{1}));
+  EXPECT_EQ(SqlIds(db, nearest(3)), (std::vector<int64_t>{1, 2, 3}));
+
+  EXEC_OK(db, "INSERT INTO C VALUES (4, NULL), (5, 'ACGA'), (6, NULL)");
+  auto check_all_limits = [&] {
+    std::vector<std::string> sqls;
+    for (int k = 1; k <= 7; ++k) sqls.push_back(nearest(k));
+    ExpectSameWithoutIndex(db, sqls);
+  };
+  // LIMIT below, at and above the three NULL cells.
+  EXPECT_EQ(SqlIds(db, nearest(2)), (std::vector<int64_t>{1, 4}));
+  EXPECT_EQ(SqlIds(db, nearest(4)), (std::vector<int64_t>{1, 4, 6, 5}));
+  check_all_limits();
+
+  // A cell updated to NULL ranks with the NULLs; set back, it ranks by
+  // distance again. The superseded versions' entries are stale either way.
+  EXEC_OK(db, "UPDATE C SET seq = NULL WHERE id = 5");
+  EXPECT_EQ(SqlIds(db, nearest(5)), (std::vector<int64_t>{1, 4, 5, 6, 2}));
+  check_all_limits();
+  EXEC_OK(db, "UPDATE C SET seq = 'ACGA' WHERE id = 5");
+  EXPECT_EQ(SqlIds(db, nearest(5)), (std::vector<int64_t>{1, 4, 6, 5, 2}));
+  check_all_limits();
+  EXEC_OK(db, "UPDATE C SET seq = 'ACGG' WHERE id = 1");
+  EXPECT_EQ(SqlIds(db, nearest(3)), (std::vector<int64_t>{4, 6, 5}));
+  check_all_limits();
+}
+
 
 // ---------------------------------------------------------------------------
 // Seeded random patterns across the NFA's 64-state word boundaries
@@ -768,6 +816,142 @@ TEST(SequenceSearchRegexOracle, RandomPatternsAcrossWordBoundaries) {
   // Both verdicts are well represented, or the suite proves little.
   EXPECT_GT(matched, 100);
   EXPECT_GT(rejected, 100);
+}
+
+// ---------------------------------------------------------------------------
+// The bit-vector Levenshtein column across its 64-cell word boundaries
+// ---------------------------------------------------------------------------
+
+// After every text character, the column's score and minimum must equal
+// the last cell and the minimum of the matching row of a plain full-matrix
+// DP. Texts are either random or near copies of the target, so both large
+// distances and long runs of matches (zero and negative deltas) occur.
+TEST(SequenceSearchDistanceKernel, MatchesPlainDpAtWordBoundaries) {
+  std::mt19937_64 rng(1999);
+  const std::vector<size_t> kLengths = {0, 1, 63, 64, 65, 127, 128, 130};
+  for (bool dna : {true, false}) {
+    auto random_char = [&] {
+      return dna ? "ACGT"[rng() % 4] : static_cast<char>(1 + rng() % 255);
+    };
+    for (size_t m : kLengths) {
+      std::string target;
+      for (size_t j = 0; j < m; ++j) target.push_back(random_char());
+      LevenshteinColumn kernel(target);
+      ASSERT_EQ(kernel.column_words(), 2 * ((m + 63) / 64));
+      for (size_t n : kLengths) {
+        for (bool near : {false, true}) {
+          std::string text;
+          for (size_t i = 0; i < n; ++i) {
+            bool copy = near && i < m && rng() % 8 != 0;
+            text.push_back(copy ? target[i] : random_char());
+          }
+          SCOPED_TRACE("dna=" + std::to_string(dna) + " m=" +
+                       std::to_string(m) + " n=" + std::to_string(n) +
+                       " near=" + std::to_string(near));
+          std::vector<std::vector<int>> dp(n + 1, std::vector<int>(m + 1));
+          for (size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<int>(j);
+          for (size_t i = 1; i <= n; ++i) {
+            dp[i][0] = static_cast<int>(i);
+            for (size_t j = 1; j <= m; ++j) {
+              dp[i][j] = std::min(
+                  {dp[i - 1][j - 1] + (text[i - 1] == target[j - 1] ? 0 : 1),
+                   dp[i - 1][j] + 1, dp[i][j - 1] + 1});
+            }
+          }
+          // Steps alternate between two buffers and stepping in place.
+          std::vector<uint64_t> a(kernel.column_words());
+          std::vector<uint64_t> b(kernel.column_words());
+          kernel.Init(a.data());
+          for (size_t i = 0; i <= n; ++i) {
+            if (i > 0) {
+              if (i % 3 == 0) {
+                kernel.Step(a.data(), a.data(), text[i - 1]);
+              } else {
+                kernel.Step(a.data(), b.data(), text[i - 1]);
+                std::swap(a, b);
+              }
+            }
+            int depth = static_cast<int>(i);
+            ASSERT_EQ(kernel.Score(a.data(), depth), dp[i][m]) << "i=" << i;
+            ASSERT_EQ(kernel.Min(a.data(), depth),
+                      *std::min_element(dp[i].begin(), dp[i].end()))
+                << "i=" << i;
+          }
+          EXPECT_EQ(dp[n][m], EditDistance(text, target));
+        }
+      }
+    }
+  }
+}
+
+// Ranked DISTANCE through SQL with targets that straddle the column's
+// word boundaries, over a corpus of 40-140 character reads. Targets are
+// mutated corpus rows, so every target has near neighbours.
+TEST(SequenceSearchDistanceOracle, TargetsAcrossWordBoundaries) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE C (id INT, seq SEQUENCE)");
+  std::mt19937_64 rng(20261017);
+  std::vector<std::string> corpus;
+  std::string insert;
+  for (int i = 0; i < 300; ++i) {
+    std::string seq;
+    for (size_t len = 40 + rng() % 101; seq.size() < len;) {
+      seq.push_back("ACGT"[rng() % 4]);
+    }
+    corpus.push_back(seq);
+    insert += insert.empty() ? "INSERT INTO C VALUES (" : ", (";
+    insert += std::to_string(i) + ", '" + seq + "')";
+  }
+  EXEC_OK(db, insert);
+  EXEC_OK(db, "CREATE SEQUENCE INDEX cx ON C (seq) USING SPGIST");
+
+  std::vector<std::string> targets;
+  std::vector<std::string> sqls;
+  for (size_t len : {63, 64, 65, 130}) {
+    std::string target = corpus[rng() % corpus.size()];
+    while (target.size() < len) target.push_back("ACGT"[rng() % 4]);
+    target.resize(len);
+    for (int edit = 0; edit < 3; ++edit) {
+      target[rng() % len] = "ACGT"[rng() % 4];
+    }
+    SCOPED_TRACE(target);
+    for (int k : {1, 10, 1000}) {
+      CheckTopK(db, target, k);
+      sqls.push_back("SELECT id, seq FROM C ORDER BY DISTANCE(seq, '" +
+                     target + "') LIMIT " + std::to_string(k));
+    }
+    EXPECT_NE(Explain(db, sqls.back()).find("SpgistTopKScan C"),
+              std::string::npos);
+    targets.push_back(target);
+  }
+  ExpectSameWithoutIndex(db, sqls);
+
+  // A stale entry at the head of the ranking: a reader's open snapshot
+  // keeps the nearest row's old version, and with it its trie entry,
+  // after an update moves the row far away. A new snapshot must reject
+  // the entry and rerun without it; the reader still ranks the row first.
+  const std::string& target = targets[2];
+  ASSERT_EQ(target.size(), 65u);
+  const std::string top1 = "SELECT id, seq FROM C ORDER BY DISTANCE(seq, '" +
+                           target + "') LIMIT 1";
+  std::vector<int64_t> nearest = SqlIds(db, top1);
+  ASSERT_EQ(nearest.size(), 1u);
+  Session reader(&db, "admin");
+  auto reader_top1 = [&] {
+    auto r = reader.Execute(top1);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r->rows.size() == 1 ? r->rows[0].values[0].as_int()
+                                         : int64_t{-1};
+  };
+  EXEC_OK(reader, "BEGIN");
+  EXPECT_EQ(reader_top1(), nearest[0]);
+  EXEC_OK(db, "UPDATE C SET seq = '" + std::string(90, 'T') +
+                  "' WHERE id = " + std::to_string(nearest[0]));
+  CheckTopK(db, target, 1);
+  CheckTopK(db, target, 10);
+  EXPECT_NE(SqlIds(db, top1), nearest);
+  EXPECT_EQ(reader_top1(), nearest[0]);
+  EXEC_OK(reader, "COMMIT");
 }
 
 // ---------------------------------------------------------------------------
