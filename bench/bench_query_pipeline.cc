@@ -182,25 +182,6 @@ void BM_Insert_TwoIndexes(benchmark::State& state) {
 }
 BENCHMARK(BM_Insert_TwoIndexes);
 
-// Raw storage primitive behind the interval pushdown.
-void BM_TableScanRange(benchmark::State& state) {
-  auto db = BuildDatabase(false);
-  auto table = db->GetTable("Gene");
-  if (!table.ok()) {
-    state.SkipWithError("no table");
-    return;
-  }
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    (void)(*table)->ScanRange(4000, 4099, [&](RowId id, const Row&) {
-      sum += id;
-      return Status::Ok();
-    });
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_TableScanRange);
-
 }  // namespace
 }  // namespace bdbms
 

@@ -248,8 +248,8 @@ void BM_KdTreeKnn(benchmark::State& state) {
   (*index)->io_stats().Reset();
   Rng rng(78);
   for (auto _ : state) {
-    auto r = (*index)->SearchKnn(rng.UniformDouble() * 1000,
-                                 rng.UniformDouble() * 1000, 10);
+    auto r = SearchKnn(**index, rng.UniformDouble() * 1000,
+                       rng.UniformDouble() * 1000, 10);
     benchmark::DoNotOptimize(r);
   }
   state.counters["page_reads_per_query"] =

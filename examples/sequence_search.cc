@@ -92,7 +92,7 @@ int main() {
   if (!kd.ok()) return 1;
   auto points = gen.StructurePoints(10000, config.bounds);
   for (size_t i = 0; i < points.size(); ++i) (void)(*kd)->Insert(points[i], i);
-  auto knn = (*kd)->SearchKnn(500, 500, 5);
+  auto knn = SearchKnn(**kd, 500, 500, 5);
   if (knn.ok()) {
     std::printf("5 residues nearest to the structure center:\n");
     for (const auto& [id, dist] : *knn) {

@@ -109,7 +109,6 @@ class AnnotationTable {
   void SetNextId(AnnotationId next);
 
   // MVCC commit: stamps the annotation's begin event if `txn` owns it.
-  // CSN 0 commits it into the ancient state, visible to every snapshot.
   void CommitAnnotation(AnnotationId id, uint64_t txn, uint64_t csn);
 
   // MVCC abort: removes the annotation if `txn` added it and has not

@@ -812,7 +812,7 @@ Status Database::CheckpointLocked() {
   // overwrites in a redo journal) under the candidate generation. The
   // overlays are untouched, so a failure here is an ordinary retryable
   // error — the committed checkpoint and log are still authoritative.
-  const uint64_t gen = paged_ ? paged_->checkpoint_gen + 1 : 0;
+  const uint64_t gen = paged_->checkpoint_gen + 1;
   for (auto& [name, table] : tables_) {
     (void)name;
     BDBMS_RETURN_IF_ERROR(table->CheckpointPrepare(gen));
@@ -837,7 +837,7 @@ Status Database::CheckpointLocked() {
       return committed;
     }
   }
-  if (paged_) paged_->checkpoint_gen = gen;
+  paged_->checkpoint_gen = gen;
   dur_->wal_bytes_total += dur_->wal->bytes_appended();
   dur_->wal_syncs_total += dur_->wal->syncs();
   dur_->wal.reset();
@@ -888,15 +888,6 @@ DurabilityStats Database::durability_stats() const {
   return stats;
 }
 
-void Database::AdvanceCsn(uint64_t csn) {
-  if (csn >= next_csn_.load(std::memory_order_relaxed)) {
-    next_csn_.store(csn + 1, std::memory_order_relaxed);
-  }
-  if (csn > last_completed_csn_.load(std::memory_order_relaxed)) {
-    last_completed_csn_.store(csn, std::memory_order_relaxed);
-  }
-}
-
 Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
   auto parsed = ParseStatement(rec.sql);
   if (!parsed.ok()) {
@@ -933,31 +924,30 @@ Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
         "must be re-populated via DurabilityOptions::bootstrap");
   }
   // Implicit-transaction record: stamp with the journaled commit CSN.
-  if (writer == &local) CommitReplayed(local, rec.csn);
+  if (writer == &local) return CommitReplayed(local, rec);
   return Status::Ok();
 }
 
-void Database::CommitReplayed(MvccWriter& writer, uint64_t csn) {
-  const bool wrote = !writer.rows.empty() || !writer.annotations.empty();
-  if (wrote && csn == 0) {
-    // A log written before escalated statements wrote versions commits
-    // them without a CSN: they ran alone, in place, visible to every later
-    // snapshot. Rebuild that ancient state. Annotations have no vacuum, so
-    // they commit straight into it (CSN 0); rows are stamped and then
-    // flattened by a full vacuum, as the escalation's vacuum did in the
-    // original run (no later record can read below it).
-    for (auto [at, id] : writer.annotations) {
-      at->CommitAnnotation(id, writer.txn_id, 0);
+Status Database::CommitReplayed(MvccWriter& writer, const WalRecord& rec) {
+  if (!writer.rows.empty() || !writer.annotations.empty()) {
+    // The engine journals a CSN for every commit that wrote; settling
+    // with CSN 0 would discard committed writes.
+    if (rec.csn == 0) {
+      return Status::Corruption("WAL replay: lsn " + std::to_string(rec.lsn) +
+                                " wrote rows or annotations but journals "
+                                "no commit CSN");
     }
-    writer.annotations.clear();
-    SettleWritesLocked(writer, {}, next_csn_.load(std::memory_order_relaxed));
-    VacuumAllLocked(UINT64_MAX);
-  } else if (wrote) {
-    SettleWritesLocked(writer, {}, csn);
-    AdvanceCsn(csn);
+    SettleWritesLocked(writer, {}, rec.csn);
+    if (rec.csn >= next_csn_.load(std::memory_order_relaxed)) {
+      next_csn_.store(rec.csn + 1, std::memory_order_relaxed);
+    }
+    if (rec.csn > last_completed_csn_.load(std::memory_order_relaxed)) {
+      last_completed_csn_.store(rec.csn, std::memory_order_relaxed);
+    }
   }
   // Stamped: storage parked by a replayed DROP can go.
   writer.undo.clear();
+  return Status::Ok();
 }
 
 Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
@@ -1014,7 +1004,6 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     // replayed CREATEs start from a clean directory.
     std::set<std::string> keep;
     for (const auto& [name, table] : db->tables_) {
-      if (!table->paged()) continue;
       keep.insert(table->heap_file_name());
       keep.insert(table->heap_file_name() + ".spill");
     }
@@ -1079,7 +1068,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
       }
       const WalRecord& commit = scan.records[end];
       if (commit.lsn > last_lsn) {
-        db->CommitReplayed(group_writer, commit.csn);
+        BDBMS_RETURN_IF_ERROR(db->CommitReplayed(group_writer, commit));
         db->ApplyReplayBases(commit);
       }
       last_lsn = std::max(last_lsn, commit.lsn);

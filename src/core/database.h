@@ -391,12 +391,11 @@ class Database {
   // transaction frame, null for autocommit records.
   Status ReplayRecord(const WalRecord& rec, MvccWriter* group_writer);
 
-  // Commits a replayed transaction's write set with its journaled CSN,
-  // advances the CSN counters past it and drops its compensations.
-  void CommitReplayed(MvccWriter& writer, uint64_t csn);
-
-  // Advances the CSN counters past a journaled commit CSN (replay).
-  void AdvanceCsn(uint64_t csn);
+  // Commits a replayed transaction's write set with the CSN journaled on
+  // `rec` (the autocommit record or the commit marker), advances the CSN
+  // counters past it and drops its compensations. A write set journaled
+  // with CSN 0 is Corruption.
+  Status CommitReplayed(MvccWriter& writer, const WalRecord& rec);
 
   // Checkpoint payload (de)serialization over the full engine state;
   // defined in src/wal/checkpoint.cc next to the file format. `gen` is the

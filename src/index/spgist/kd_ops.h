@@ -2,7 +2,11 @@
 #define BDBMS_INDEX_SPGIST_KD_OPS_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "index/rtree/rtree.h"  // Rect
 #include "index/spgist/spgist.h"
@@ -178,7 +182,8 @@ struct KdOps {
     return inner;
   }
 
-  static constexpr bool kSupportsKnn = true;
+  // Distance hooks for SearchKnn: a lower bound for every point under a
+  // subtree, and a point's exact squared distance.
   static double StateBound2(const State& state, double x, double y) {
     return state.box.MinDist2(x, y);
   }
@@ -188,6 +193,40 @@ struct KdOps {
 };
 
 using SpGistKdTree = SpGistIndex<KdOps>;
+
+// k-nearest-neighbour search over a kd-tree or quadtree (any operator
+// class with StateBound2/KeyDist2): SearchOrdered expands subtrees by the
+// squared distance of their box to (x, y), so points surface in
+// nondecreasing distance and the walk stops after k. Returns
+// (payload, distance) pairs, nearest first.
+template <typename Op>
+Result<std::vector<std::pair<uint64_t, double>>> SearchKnn(
+    const SpGistIndex<Op>& index, double x, double y, size_t k) {
+  struct Walker {
+    using WState = typename Op::State;
+    const typename Op::Config& config;
+    double x, y;
+    size_t k;
+    std::vector<std::pair<uint64_t, double>> out;
+
+    WState Root() { return Op::RootState(config); }
+    std::optional<WState> Descend(const typename Op::Inner& inner,
+                                  size_t slot, const WState& state) {
+      return Op::Descend(inner, slot, state);
+    }
+    double Bound(const WState& state) { return Op::StateBound2(state, x, y); }
+    std::optional<double> LeafDistance(const WState&, const SpPoint& key) {
+      return Op::KeyDist2(key, x, y);
+    }
+    bool Emit(const WState&, const SpPoint&, uint64_t payload, double dist2) {
+      out.emplace_back(payload, std::sqrt(dist2));
+      return out.size() < k;
+    }
+  };
+  Walker walker{index.config(), x, y, k, {}};
+  if (k > 0) BDBMS_RETURN_IF_ERROR(index.SearchOrdered(walker));
+  return std::move(walker.out);
+}
 
 }  // namespace bdbms
 

@@ -117,7 +117,7 @@ struct QuadOps {
     return inner;
   }
 
-  static constexpr bool kSupportsKnn = true;
+  // Distance hooks for SearchKnn (kd_ops.h).
   static double StateBound2(const State& state, double x, double y) {
     return state.box.MinDist2(x, y);
   }

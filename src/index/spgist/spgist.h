@@ -2,12 +2,10 @@
 #define BDBMS_INDEX_SPGIST_SPGIST_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "common/result.h"
@@ -49,9 +47,6 @@ namespace bdbms {
 //     static Result<Key> DecodeKey(std::string_view, size_t*);
 //     static void EncodeInner(const Inner&, std::string*);
 //     static Result<Inner> DecodeInner(std::string_view, size_t*);
-//     static constexpr bool kSupportsKnn;       // + the two hooks below
-//     static double StateBound2(const State&, double x, double y);
-//     static double KeyDist2(const Key&, double x, double y);
 //   };
 //
 // An operator class may additionally provide
@@ -225,49 +220,6 @@ class SpGistIndex {
     return false;
   }
 
-  // k-nearest-neighbor search (best-first over partition lower bounds).
-  // Only for operator classes with kSupportsKnn.
-  Result<std::vector<std::pair<uint64_t, double>>> SearchKnn(double x,
-                                                             double y,
-                                                             size_t k) const {
-    static_assert(Op::kSupportsKnn, "operator class has no distance support");
-    struct Item {
-      double dist2;
-      bool is_node;
-      uint64_t node;
-      State state;
-      uint64_t payload;
-      bool operator>(const Item& o) const { return dist2 > o.dist2; }
-    };
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-    pq.push({0.0, true, 0, Op::RootState(config_), 0});
-    std::vector<std::pair<uint64_t, double>> out;
-    while (!pq.empty() && out.size() < k) {
-      Item item = pq.top();
-      pq.pop();
-      if (!item.is_node) {
-        out.emplace_back(item.payload, std::sqrt(item.dist2));
-        continue;
-      }
-      BDBMS_ASSIGN_OR_RETURN(Node node, ReadNode(item.node));
-      if (node.leaf) {
-        for (const LeafEntry& e : node.entries) {
-          pq.push({Op::KeyDist2(e.first, x, y), false, 0, item.state,
-                   e.second});
-        }
-        continue;
-      }
-      for (size_t slot = 0; slot < node.inner.NumChildren(); ++slot) {
-        uint64_t child = node.inner.child(slot);
-        if (child == kSpGistNullNode) continue;
-        State child_state = Op::Descend(node.inner, slot, item.state);
-        pq.push({Op::StateBound2(child_state, x, y), true, child,
-                 std::move(child_state), 0});
-      }
-    }
-    return out;
-  }
-
   // Guided depth-first traversal for searches whose per-node state is
   // richer than what Op::State + Query can express (e.g. a dynamic-
   // programming row shared down trie edges). The walker owns descent:
@@ -367,6 +319,7 @@ class SpGistIndex {
     return Status::Ok();
   }
 
+  const Config& config() const { return config_; }
   uint64_t size() const { return size_; }
   uint64_t node_count() const { return nodes_.size(); }
   uint64_t SizeBytes() const { return heap_->SizeBytes(); }

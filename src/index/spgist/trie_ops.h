@@ -245,10 +245,6 @@ struct TrieOps {
     }
     return inner;
   }
-
-  static constexpr bool kSupportsKnn = false;
-  static double StateBound2(const State&, double, double) { return 0; }
-  static double KeyDist2(const Key&, double, double) { return 0; }
 };
 
 using SpGistTrie = SpGistIndex<TrieOps>;

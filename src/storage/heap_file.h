@@ -55,13 +55,6 @@ class HeapFile {
   Status ForEach(
       const std::function<Status(RecordId, std::string_view)>& fn) const;
 
-  // Flushes the buffer pool to the pager. Write errors propagate: a dirty
-  // page that cannot be written back must fail the flush, not vanish.
-  Status Flush() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pool_->FlushAll();
-  }
-
   // Paged-heap checkpoint protocol (see Pager): Prepare flushes the pool
   // and stages dirty pages durably; Commit writes them home after the
   // checkpoint manifest has renamed into place.

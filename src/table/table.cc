@@ -470,19 +470,6 @@ Status Table::ScanAllVersions(
   return Status::Ok();
 }
 
-Status Table::ScanRange(
-    RowId begin, RowId end,
-    const std::function<Status(RowId, const Row&)>& fn) const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  for (auto it = rows_.lower_bound(begin);
-       it != rows_.end() && it->first <= end; ++it) {
-    BDBMS_ASSIGN_OR_RETURN(std::string payload, heap_->Read(it->second));
-    BDBMS_ASSIGN_OR_RETURN(auto decoded, DecodeRecord(payload));
-    BDBMS_RETURN_IF_ERROR(fn(it->first, decoded.second));
-  }
-  return Status::Ok();
-}
-
 std::vector<RowId> Table::VisibleRowIds(const MvccSnapshot& snap) const {
   return VisibleRowIdsInRange(0, UINT64_MAX, snap);
 }

@@ -131,15 +131,11 @@ class Table {
   // Visits live rows in RowId order; `fn` returning non-OK stops the scan.
   Status Scan(const std::function<Status(RowId, const Row&)>& fn) const;
 
-  // Visits live rows with begin <= RowId <= end in RowId order — the
-  // pushdown primitive for RowId intervals coming from the annotation
-  // interval index (only annotated row ranges are fetched).
-  Status ScanRange(RowId begin, RowId end,
-                   const std::function<Status(RowId, const Row&)>& fn) const;
-
   // RowIds with a version visible to `snap`, ascending. Includes rows
   // whose current version is deleted or not yet committed but whose chain
-  // still holds a version the snapshot can see.
+  // still holds a version the snapshot can see. The InRange form keeps
+  // begin <= RowId <= end — the pushdown primitive for RowId intervals
+  // coming from the annotation interval index.
   std::vector<RowId> VisibleRowIds(const MvccSnapshot& snap) const;
   std::vector<RowId> VisibleRowIdsInRange(RowId begin, RowId end,
                                           const MvccSnapshot& snap) const;
@@ -223,7 +219,6 @@ class Table {
   uint64_t SizeBytes() const { return heap_->SizeBytes(); }
   const IoStats& io_stats() const { return heap_->io_stats(); }
   IoStats& io_stats() { return heap_->io_stats(); }
-  Status Flush() { return heap_->Flush(); }
 
   // --- paged storage -------------------------------------------------------
   bool paged() const { return heap_->paged(); }
@@ -241,12 +236,11 @@ class Table {
   Status CheckpointCommit();
 
   // Sequential-scan readahead: prefetches the heap pages holding the next
-  // candidates of `candidates` starting at index `from` (up to
-  // `readahead_pages()` distinct pages). Advisory; no-op when not paged or
+  // candidates of `candidates` starting at index `from` (up to the
+  // configured readahead page count). Advisory; no-op when not paged or
   // readahead is disabled.
   void PrefetchRows(const std::vector<RowId>& candidates, size_t from) const;
 
-  size_t readahead_pages() const { return readahead_pages_; }
   void set_readahead_pages(size_t n) { readahead_pages_ = n; }
 
   // Installs the engine's ambient MVCC context. When `mvcc->writer` is

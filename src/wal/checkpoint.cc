@@ -13,9 +13,9 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'D', 'B', 'M', 'S', 'C', 'P', '1'};
 constexpr uint32_t kFileVersion = 1;
-// v1: full row dump per table. v2: adds a checkpoint generation + heap-file
-// name counter, and paged tables record a heap-file reference (name + page
-// count) instead of dumping rows — the incremental-checkpoint format.
+// The only snapshot format: a checkpoint generation + heap-file name
+// counter, and per table a heap-file reference (name + page count) instead
+// of a row dump. Every durable table is paged.
 constexpr uint32_t kSnapshotVersion = 2;
 
 // Header page layout: magic[8], u32 file version, u64 payload length,
@@ -146,7 +146,7 @@ Result<std::string> Database::SerializeSnapshot(uint64_t last_lsn,
   // Paged-heap globals: the generation the heaps staged their dirty pages
   // under (journal application key) and the heap-file name counter.
   w.U64(gen);
-  w.U64(paged_ ? paged_->next_heap_file : 0);
+  w.U64(paged_->next_heap_file);
 
   // --- user tables: schema, heap rows, annotations, indexes, stats ------
   std::vector<std::string> table_names = catalog_.ListTables();
@@ -165,26 +165,15 @@ Result<std::string> Database::SerializeSnapshot(uint64_t last_lsn,
       return Status::Internal("catalog table " + name + " has no storage");
     }
     const Table& table = *it->second;
-    w.U8(table.paged() ? 1 : 0);
-    if (table.paged()) {
-      // The rows already live durably in the heap file (CheckpointPrepare
-      // staged every dirty page under `gen` before this runs); record a
-      // reference instead of dumping them. row_count doubles as a restore
-      // sanity check.
-      w.Str(table.heap_file_name());
-      w.U32(table.heap_page_count());
-      w.U64(table.next_row_id());
-      w.U64(table.row_count());
-    } else {
-      w.U64(table.next_row_id());
-      w.U64(table.row_count());
-      Status scan = table.Scan([&](RowId row_id, const Row& row) {
-        w.U64(row_id);
-        WriteRow(&w, row);
-        return Status::Ok();
-      });
-      BDBMS_RETURN_IF_ERROR(scan);
-    }
+    // The rows already live durably in the heap file (CheckpointPrepare
+    // staged every dirty page under `gen` before this runs); record a
+    // reference instead of dumping them. row_count doubles as a restore
+    // sanity check. The leading byte is the paged-table flag, always 1.
+    w.U8(1);
+    w.Str(table.heap_file_name());
+    w.U32(table.heap_page_count());
+    w.U64(table.next_row_id());
+    w.U64(table.row_count());
 
     std::vector<AnnotationTableInfo> anns = catalog_.ListAnnotationTables(name);
     w.U32(static_cast<uint32_t>(anns.size()));
@@ -350,21 +339,15 @@ Result<std::string> Database::SerializeSnapshot(uint64_t last_lsn,
 Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
   BinaryReader r(payload);
   BDBMS_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-  if (version != 1 && version != kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return Status::Corruption("unsupported snapshot version " +
                               std::to_string(version));
   }
   BDBMS_ASSIGN_OR_RETURN(*last_lsn, r.U64());
   BDBMS_ASSIGN_OR_RETURN(uint64_t clock_next, r.U64());
-  uint64_t gen = 0;
-  if (version >= 2) {
-    BDBMS_ASSIGN_OR_RETURN(gen, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(uint64_t next_heap_file, r.U64());
-    if (paged_) {
-      paged_->checkpoint_gen = gen;
-      paged_->next_heap_file = next_heap_file;
-    }
-  }
+  BDBMS_ASSIGN_OR_RETURN(uint64_t gen, r.U64());
+  paged_->checkpoint_gen = gen;
+  BDBMS_ASSIGN_OR_RETURN(paged_->next_heap_file, r.U64());
 
   // --- user tables -------------------------------------------------------
   BDBMS_ASSIGN_OR_RETURN(uint32_t n_tables, r.U32());
@@ -379,49 +362,32 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
           schema.AddColumn(col_name, static_cast<DataType>(type)));
     }
     BDBMS_RETURN_IF_ERROR(catalog_.CreateTable(schema));
-    uint8_t paged_table = 0;
-    if (version >= 2) {
-      BDBMS_ASSIGN_OR_RETURN(paged_table, r.U8());
+    BDBMS_ASSIGN_OR_RETURN(uint8_t paged_table, r.U8());
+    if (paged_table != 1) {
+      return Status::Corruption("table " + name +
+                                " is not a paged-heap reference");
     }
-    std::unique_ptr<Table> table;
-    if (paged_table) {
-      BDBMS_ASSIGN_OR_RETURN(std::string heap_name, r.Str());
-      BDBMS_ASSIGN_OR_RETURN(uint32_t heap_pages, r.U32());
-      BDBMS_ASSIGN_OR_RETURN(uint64_t next_row_id, r.U64());
-      BDBMS_ASSIGN_OR_RETURN(uint64_t row_cnt, r.U64());
-      if (paged_ == nullptr) {
-        return Status::Corruption("snapshot references paged heap " +
-                                  heap_name +
-                                  " but no heap directory is attached");
-      }
-      const std::string path = paged_->heap_dir + "/" + heap_name;
-      // Repair the heap to exactly the committed checkpoint's state
-      // (apply or discard a leftover redo journal, cut provisional
-      // extensions, drop the overlay) before scanning it.
-      BDBMS_RETURN_IF_ERROR(
-          Pager::RecoverPagedHeap(paged_->env, path, gen, heap_pages));
-      BDBMS_ASSIGN_OR_RETURN(
-          table, Table::OpenPaged(schema, paged_->env, path,
-                                  paged_->pool_pages));
-      table->set_readahead_pages(paged_->readahead_pages);
-      if (table->row_count() != row_cnt) {
-        return Status::Corruption(
-            "paged heap " + heap_name + " holds " +
-            std::to_string(table->row_count()) +
-            " rows, checkpoint records " + std::to_string(row_cnt));
-      }
-      table->AdvanceNextRowId(next_row_id);
-    } else {
-      BDBMS_ASSIGN_OR_RETURN(table, Table::CreateInMemory(schema));
-      BDBMS_ASSIGN_OR_RETURN(uint64_t next_row_id, r.U64());
-      BDBMS_ASSIGN_OR_RETURN(uint64_t n_rows, r.U64());
-      for (uint64_t i = 0; i < n_rows; ++i) {
-        BDBMS_ASSIGN_OR_RETURN(uint64_t row_id, r.U64());
-        BDBMS_ASSIGN_OR_RETURN(Row row, ReadRow(&r));
-        BDBMS_RETURN_IF_ERROR(table->InsertWithRowId(row_id, std::move(row)));
-      }
-      table->AdvanceNextRowId(next_row_id);
+    BDBMS_ASSIGN_OR_RETURN(std::string heap_name, r.Str());
+    BDBMS_ASSIGN_OR_RETURN(uint32_t heap_pages, r.U32());
+    BDBMS_ASSIGN_OR_RETURN(uint64_t next_row_id, r.U64());
+    BDBMS_ASSIGN_OR_RETURN(uint64_t row_cnt, r.U64());
+    const std::string path = paged_->heap_dir + "/" + heap_name;
+    // Repair the heap to exactly the committed checkpoint's state (apply
+    // or discard a leftover redo journal, cut provisional extensions, drop
+    // the overlay) before scanning it.
+    BDBMS_RETURN_IF_ERROR(
+        Pager::RecoverPagedHeap(paged_->env, path, gen, heap_pages));
+    BDBMS_ASSIGN_OR_RETURN(
+        std::unique_ptr<Table> table,
+        Table::OpenPaged(schema, paged_->env, path, paged_->pool_pages));
+    table->set_readahead_pages(paged_->readahead_pages);
+    if (table->row_count() != row_cnt) {
+      return Status::Corruption(
+          "paged heap " + heap_name + " holds " +
+          std::to_string(table->row_count()) + " rows, checkpoint records " +
+          std::to_string(row_cnt));
     }
+    table->AdvanceNextRowId(next_row_id);
     tables_[name] = std::move(table);
 
     BDBMS_ASSIGN_OR_RETURN(uint32_t n_ann, r.U32());

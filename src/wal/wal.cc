@@ -19,8 +19,6 @@ std::string EncodeWalRecord(const WalRecord& rec) {
   w.U8(static_cast<uint8_t>(rec.kind));
   w.Str(rec.user);
   w.Str(rec.sql);
-  // MVCC extension: symmetric with the decode side, so records round-trip
-  // byte for byte regardless of whether the fields hold defaults.
   w.U8(rec.versioned);
   w.U64(rec.snapshot);
   w.U64(rec.csn);
@@ -73,26 +71,27 @@ Result<WalScan> ScanWal(std::string_view data) {
     rec.kind = static_cast<WalRecordKind>(kind);
     BDBMS_ASSIGN_OR_RETURN(rec.user, r.Str());
     BDBMS_ASSIGN_OR_RETURN(rec.sql, r.Str());
+    BDBMS_ASSIGN_OR_RETURN(rec.versioned, r.U8());
+    BDBMS_ASSIGN_OR_RETURN(rec.snapshot, r.U64());
+    BDBMS_ASSIGN_OR_RETURN(rec.csn, r.U64());
+    BDBMS_ASSIGN_OR_RETURN(uint32_t nrow, r.U32());
+    for (uint32_t i = 0; i < nrow; ++i) {
+      std::pair<std::string, uint64_t> entry;
+      BDBMS_ASSIGN_OR_RETURN(entry.first, r.Str());
+      BDBMS_ASSIGN_OR_RETURN(entry.second, r.U64());
+      rec.row_bases.push_back(std::move(entry));
+    }
+    BDBMS_ASSIGN_OR_RETURN(uint32_t nann, r.U32());
+    for (uint32_t i = 0; i < nann; ++i) {
+      std::pair<std::string, uint64_t> entry;
+      BDBMS_ASSIGN_OR_RETURN(entry.first, r.Str());
+      BDBMS_ASSIGN_OR_RETURN(entry.second, r.U64());
+      rec.ann_bases.push_back(std::move(entry));
+    }
     if (!r.AtEnd()) {
-      // MVCC extension fields; logs from before the extension simply end
-      // here and keep the defaults.
-      BDBMS_ASSIGN_OR_RETURN(rec.versioned, r.U8());
-      BDBMS_ASSIGN_OR_RETURN(rec.snapshot, r.U64());
-      BDBMS_ASSIGN_OR_RETURN(rec.csn, r.U64());
-      BDBMS_ASSIGN_OR_RETURN(uint32_t nrow, r.U32());
-      for (uint32_t i = 0; i < nrow; ++i) {
-        std::pair<std::string, uint64_t> entry;
-        BDBMS_ASSIGN_OR_RETURN(entry.first, r.Str());
-        BDBMS_ASSIGN_OR_RETURN(entry.second, r.U64());
-        rec.row_bases.push_back(std::move(entry));
-      }
-      BDBMS_ASSIGN_OR_RETURN(uint32_t nann, r.U32());
-      for (uint32_t i = 0; i < nann; ++i) {
-        std::pair<std::string, uint64_t> entry;
-        BDBMS_ASSIGN_OR_RETURN(entry.first, r.Str());
-        BDBMS_ASSIGN_OR_RETURN(entry.second, r.U64());
-        rec.ann_bases.push_back(std::move(entry));
-      }
+      return Status::Corruption("WAL record at lsn " +
+                                std::to_string(rec.lsn) +
+                                " has trailing bytes");
     }
     if (rec.lsn <= prev_lsn) {
       return Status::Corruption("WAL lsn not increasing: " +

@@ -35,18 +35,16 @@ struct WalRecord {
   std::string sql;     // original statement text, re-parsed on replay
   WalRecordKind kind = WalRecordKind::kStatement;
 
-  // --- MVCC extension (appended after sql; old logs decode to defaults).
-  // Every statement replays with an MVCC writer. `versioned` = 1: the
-  // statement read at snapshot CSN `snapshot`; 0: it ran escalated and
-  // read the latest state (`snapshot` is 0).
+  // --- MVCC fields. Every statement replays with an MVCC writer.
+  // `versioned` = 1: the statement read at snapshot CSN `snapshot`; 0: it
+  // ran escalated and read the latest state (`snapshot` is 0).
   uint8_t versioned = 0;
   uint64_t snapshot = 0;
   // Commit CSN: carried on autocommit kStatement records and on a
-  // transaction's kTxnCommit marker; 0 when the statement/transaction
-  // wrote nothing (and in logs written before escalated statements wrote
-  // versions, for those). Journaling the CSN (instead of re-deriving it
-  // at replay) keeps visibility decisions bit-identical even when aborted
-  // transactions burned CSN-free txn ids in between.
+  // transaction's kTxnCommit marker; there it is 0 exactly when the
+  // statement or transaction wrote nothing. Journaling the CSN (instead of
+  // re-deriving it at replay) keeps visibility decisions bit-identical even
+  // when aborted transactions burned CSN-free txn ids in between.
   uint64_t csn = 0;
   // Id bases captured before the statement ran: every user table's
   // next_row_id and every annotation table's next_id. Aborted concurrent
@@ -62,7 +60,8 @@ struct WalRecord {
 //
 //   u32 crc   CRC-32 of the len field + payload
 //   u32 len   payload length in bytes
-//   payload   u64 lsn, u64 clock, u8 kind, str user, str sql
+//   payload   u64 lsn, u64 clock, u8 kind, str user, str sql,
+//             u8 versioned, u64 snapshot, u64 csn, row_bases, ann_bases
 //             (serializer.h)
 //
 // The crc covers len, so a torn length prefix is indistinguishable from a
@@ -85,8 +84,9 @@ struct WalScan {
 
 // Decodes `data` (a whole WAL file) into the longest valid record prefix.
 // Never fails on torn/corrupt tails — that is the expected crash shape —
-// but does fail on non-monotonic LSNs, which indicate a mixed-up file
-// rather than a crash.
+// but does fail with Corruption on a CRC-valid record that does not
+// decode as exactly the layout above, and on non-monotonic LSNs: both
+// indicate a foreign or mixed-up file rather than a crash.
 Result<WalScan> ScanWal(std::string_view data);
 
 // Appends CRC-framed statement records to the log file. Append() hands the

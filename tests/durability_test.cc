@@ -2,7 +2,7 @@
 // atomicity, Database::Open recovery across every subsystem, group
 // commit, auto-checkpoint, and the recovery goldens the crash matrix in
 // docs/durability.md promises (truncated log, corrupted record CRC,
-// corrupted checkpoint, leftover checkpoint temp file).
+// corrupted checkpoint, leftover checkpoint temp file, foreign formats).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,10 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/database.h"
 #include "durability_test_util.h"
 #include "storage/pager.h"
 #include "wal/checkpoint.h"
+#include "wal/serializer.h"
 #include "wal/wal.h"
 
 namespace bdbms {
@@ -270,74 +272,89 @@ TEST(DurabilityTest, ReplayRestoresClockExactly) {
   EXPECT_EQ((*db)->clock().Peek(), clock_before_close);
 }
 
-TEST(DurabilityTest, ReplaysEscalatedCommitsJournaledWithoutCsn) {
-  // Logs written before escalated statements wrote versions journal their
-  // commits (`versioned` = 0) with CSN 0. Their rows and annotations must
-  // replay visible to every later record, whatever snapshot it journaled,
-  // and to readers after the reopen.
-  std::string dir = FreshDir("dur_unstamped_escalated");
+void WriteLog(const std::string& dir, const std::vector<WalRecord>& log) {
   std::filesystem::create_directories(dir);
-  auto stmt = [](uint64_t lsn, std::string sql, uint8_t versioned,
-                 uint64_t snapshot, uint64_t csn) {
-    return WalRecord{.lsn = lsn,
-                     .user = "admin",
-                     .sql = std::move(sql),
-                     .versioned = versioned,
-                     .snapshot = snapshot,
-                     .csn = csn};
-  };
-  auto marker = [](uint64_t lsn, WalRecordKind kind) {
+  std::ofstream out(dir + "/" + kWalFileName, std::ios::binary);
+  for (const WalRecord& rec : log) out << EncodeWalRecord(rec);
+}
+
+WalRecord Stmt(uint64_t lsn, std::string sql, uint8_t versioned,
+               uint64_t snapshot, uint64_t csn) {
+  return WalRecord{.lsn = lsn,
+                   .user = "admin",
+                   .sql = std::move(sql),
+                   .versioned = versioned,
+                   .snapshot = snapshot,
+                   .csn = csn};
+}
+
+TEST(DurabilityTest, ReplaysEscalatedAndVersionedRecordsAtJournaledSnapshots) {
+  // Escalated records (`versioned` = 0) replay at the latest state;
+  // versioned ones at their journaled snapshot. Every commit that wrote
+  // carries the CSN the live engine hands out, so each record sees
+  // exactly the commits its snapshot covers, and readers after the
+  // reopen see them all.
+  std::string dir = FreshDir("dur_escalated_and_versioned");
+  auto marker = [](uint64_t lsn, WalRecordKind kind, uint64_t csn) {
     WalRecord rec;
     rec.lsn = lsn;
     rec.kind = kind;
+    rec.csn = csn;
     return rec;
   };
-  const std::vector<WalRecord> log = {
-      stmt(1, "CREATE TABLE T (k INT)", 0, 0, 0),
-      stmt(2, "INSERT INTO T VALUES (1)", 0, 0, 0),
-      stmt(3, "INSERT INTO T VALUES (2)", 1, 0, 1),
-      stmt(4, "UPDATE T SET k = 3 WHERE k = 1", 1, 1, 2),
-      marker(5, WalRecordKind::kTxnBegin),
-      stmt(6, "INSERT INTO T VALUES (4)", 0, 0, 0),
-      marker(7, WalRecordKind::kTxnCommit),
-      stmt(8, "UPDATE T SET k = 5 WHERE k = 4", 1, 2, 3),
-      stmt(9, "CREATE ANNOTATION TABLE N ON T", 0, 0, 0),
-      stmt(10,
+  std::vector<WalRecord> log = {
+      Stmt(1, "CREATE TABLE T (k INT)", 0, 0, 0),
+      Stmt(2, "INSERT INTO T VALUES (1)", 0, 0, 1),
+      Stmt(3, "INSERT INTO T VALUES (2)", 1, 1, 2),
+      Stmt(4, "UPDATE T SET k = 3 WHERE k = 1", 1, 2, 3),
+      marker(5, WalRecordKind::kTxnBegin, 0),
+      Stmt(6, "INSERT INTO T VALUES (4)", 0, 0, 0),
+      marker(7, WalRecordKind::kTxnCommit, 4),
+      Stmt(8, "UPDATE T SET k = 5 WHERE k = 4", 1, 4, 5),
+      Stmt(9, "CREATE ANNOTATION TABLE N ON T", 0, 0, 0),
+      Stmt(10,
            "ADD ANNOTATION TO T.N VALUE '<A>curated</A>' "
            "ON (SELECT k FROM T WHERE k = 5)",
-           0, 0, 0),
+           0, 0, 6),
       // Reads the escalated annotation at its journaled snapshot.
-      stmt(11,
+      Stmt(11,
            "ADD ANNOTATION TO T.N VALUE '<A>seen</A>' "
            "ON (SELECT k FROM T ANNOTATION(N) AWHERE VALUE LIKE '%curated%')",
-           1, 3, 4),
-      stmt(12,
+           1, 6, 7),
+      Stmt(12,
            "ADD ANNOTATION TO T.N VALUE '<A>tail</A>' "
            "ON (SELECT k FROM T WHERE k = 2)",
-           0, 0, 0),
+           0, 0, 8),
   };
+  WriteLog(dir, log);
   {
-    std::ofstream out(dir + "/" + kWalFileName, std::ios::binary);
-    for (const WalRecord& rec : log) out << EncodeWalRecord(rec);
+    auto db = Database::Open(dir, DurableOpts());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto r = (*db)->Execute("SELECT k FROM T ORDER BY k");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::string keys;
+    for (const auto& row : r->rows) keys += row.values[0].ToString() + ";";
+    EXPECT_EQ(keys, "2;3;5;");
+    EXPECT_EQ((*db)->version_count(), 3u);
+    auto notes = (*db)->Execute("SELECT k FROM T ANNOTATION(N) ORDER BY k");
+    ASSERT_TRUE(notes.ok()) << notes.status().ToString();
+    std::string bodies;
+    for (const auto& row : notes->rows) {
+      bodies += row.values[0].ToString() + ":";
+      for (const auto& a : row.annotations[0]) bodies += a.body;
+      bodies += ";";
+    }
+    EXPECT_EQ(bodies, "2:<A>tail</A>;3:;5:<A>curated</A><A>seen</A>;");
   }
-  auto db = Database::Open(dir, DurableOpts());
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  auto r = (*db)->Execute("SELECT k FROM T ORDER BY k");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  std::string keys;
-  for (const auto& row : r->rows) keys += row.values[0].ToString() + ";";
-  EXPECT_EQ(keys, "2;3;5;");
-  EXPECT_EQ((*db)->version_count(), 3u);
-  auto notes = (*db)->Execute("SELECT k FROM T ANNOTATION(N) ORDER BY k");
-  ASSERT_TRUE(notes.ok()) << notes.status().ToString();
-  std::string bodies;
-  for (const auto& row : notes->rows) {
-    bodies += row.values[0].ToString() + ":";
-    for (const auto& a : row.annotations[0]) bodies += a.body;
-    bodies += ";";
-  }
-  EXPECT_EQ(bodies,
-            "2:<A>tail</A>;3:;5:<A>curated</A><A>seen</A>;");
+
+  // A writing escalated commit journaled without its CSN is not a log
+  // this engine writes.
+  std::string unstamped = FreshDir("dur_escalated_unstamped");
+  log[1].csn = 0;
+  WriteLog(unstamped, log);
+  auto db = Database::Open(unstamped, DurableOpts());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
 }
 
 // --- recovery goldens -------------------------------------------------------
@@ -412,6 +429,112 @@ TEST(DurabilityGoldenTest, CorruptedCheckpointFailsOpenLoudly) {
   auto db = Database::Open(dir, DurableOpts());
   ASSERT_FALSE(db.ok());
   EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+}
+
+// Open refuses `dir` with Corruption and leaves wal.log as it found it.
+void ExpectOpenFailsWithCorruption(const std::string& dir) {
+  const std::string wal = dir + "/" + kWalFileName;
+  const uintmax_t size = std::filesystem::file_size(wal);
+  auto db = Database::Open(dir, DurableOpts());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  EXPECT_EQ(std::filesystem::file_size(wal), size);
+}
+
+// Checkpoints `statements` in a fresh `dir` and returns the payload.
+std::string CheckpointPayload(const std::string& dir,
+                              const std::vector<std::string>& statements) {
+  {
+    auto db = Database::Open(dir, DurableOpts());
+    if (!db.ok()) {
+      ADD_FAILURE() << db.status().ToString();
+      return "";
+    }
+    for (const std::string& sql : statements) {
+      auto r = (*db)->Execute(sql, "admin");
+      EXPECT_TRUE(r.ok()) << sql << "\n-> " << r.status().ToString();
+    }
+    EXPECT_TRUE((*db)->Checkpoint().ok());
+  }
+  auto payload = ReadCheckpointFile(WalEnv::Default(), dir);
+  EXPECT_TRUE(payload.ok()) << payload.status().ToString();
+  return payload.ok() ? *payload : std::string();
+}
+
+TEST(DurabilityGoldenTest, ForeignFormatsFailOpenLoudly) {
+  {
+    SCOPED_TRACE("WAL record framed without the MVCC fields");
+    std::string payload;
+    BinaryWriter w(&payload);
+    w.U64(1);  // lsn
+    w.U64(0);  // clock
+    w.U8(static_cast<uint8_t>(WalRecordKind::kStatement));
+    w.Str("admin");
+    w.Str("CREATE TABLE T (k INT)");
+    std::string body;
+    BinaryWriter(&body).U32(static_cast<uint32_t>(payload.size()));
+    body += payload;
+    std::string frame;
+    BinaryWriter(&frame).U32(Crc32(body));
+    frame += body;
+    std::string dir = FreshDir("dur_foreign_wal");
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/" + kWalFileName, std::ios::binary) << frame;
+    ExpectOpenFailsWithCorruption(dir);
+  }
+  {
+    SCOPED_TRACE("snapshot version 1");
+    // Without tables, a version-1 payload is the version-2 one minus the
+    // checkpoint generation and heap-file counter (u64 each, after the
+    // u32 version, u64 lsn and u64 clock).
+    std::string dir = FreshDir("dur_foreign_v1");
+    std::string payload = CheckpointPayload(dir, {"CREATE USER alice"});
+    ASSERT_FALSE(payload.empty());
+    payload.erase(4 + 8 + 8, 16);
+    payload[0] = 1;
+    ASSERT_TRUE(WriteCheckpointFile(WalEnv::Default(), dir, payload).ok());
+    ExpectOpenFailsWithCorruption(dir);
+  }
+  {
+    SCOPED_TRACE("table flag 0: an in-memory row dump");
+    std::string dir = FreshDir("dur_foreign_flag");
+    std::string payload = CheckpointPayload(dir, {"CREATE TABLE T (k INT)"});
+    // Walk to table T's flag byte: version, lsn, clock, gen, heap-file
+    // counter, table count, name, then each column's name and type.
+    BinaryReader r(payload);
+    ASSERT_TRUE(r.U32().ok() && r.U64().ok() && r.U64().ok() &&
+                r.U64().ok() && r.U64().ok() && r.U32().ok() &&
+                r.Str().ok());
+    auto n_cols = r.U32();
+    ASSERT_TRUE(n_cols.ok());
+    for (uint32_t c = 0; c < *n_cols; ++c) {
+      ASSERT_TRUE(r.Str().ok() && r.U8().ok());
+    }
+    const size_t flag_at = r.position();
+    // Replace the heap-file reference (flag, name, page count, next row
+    // id, row count) with an empty in-memory dump (flag, next row id, row
+    // count).
+    ASSERT_TRUE(r.U8().ok() && r.Str().ok() && r.U32().ok());
+    auto next_row_id = r.U64();
+    auto row_count = r.U64();
+    ASSERT_TRUE(next_row_id.ok() && row_count.ok());
+    ASSERT_EQ(*row_count, 0u);
+    std::string dump;
+    BinaryWriter d(&dump);
+    d.U8(0);
+    d.U64(*next_row_id);
+    d.U64(0);
+    payload.replace(flag_at, r.position() - flag_at, dump);
+    ASSERT_TRUE(WriteCheckpointFile(WalEnv::Default(), dir, payload).ok());
+    ExpectOpenFailsWithCorruption(dir);
+  }
+  {
+    SCOPED_TRACE("autocommit record that writes rows, journaled with CSN 0");
+    std::string dir = FreshDir("dur_foreign_csn0");
+    WriteLog(dir, {Stmt(1, "CREATE TABLE T (k INT)", 0, 0, 0),
+                   Stmt(2, "INSERT INTO T VALUES (1)", 1, 0, 0)});
+    ExpectOpenFailsWithCorruption(dir);
+  }
 }
 
 TEST(DurabilityGoldenTest, LeftoverCheckpointTmpIsIgnored) {

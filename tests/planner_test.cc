@@ -502,13 +502,6 @@ TEST(TableScanRange, VisitsInclusiveRowIdInterval) {
     ASSERT_TRUE(t->Insert({Value::Int(i)}).ok());
   }
   ASSERT_TRUE(t->Delete(4).ok());
-  std::vector<RowId> seen;
-  ASSERT_TRUE(t->ScanRange(2, 6, [&](RowId id, const Row& row) {
-                 EXPECT_EQ(row[0].as_int(), static_cast<int64_t>(id));
-                 seen.push_back(id);
-                 return Status::Ok();
-               }).ok());
-  EXPECT_EQ(seen, (std::vector<RowId>{2, 3, 5, 6}));
   const MvccSnapshot latest{kLatestCsn, 0};
   EXPECT_EQ(t->VisibleRowIdsInRange(2, 6, latest),
             (std::vector<RowId>{2, 3, 5, 6}));

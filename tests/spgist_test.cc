@@ -187,7 +187,7 @@ void RunSpatialFuzz(IndexT* index, uint64_t seed) {
   // kNN vs brute force.
   for (int q = 0; q < 10; ++q) {
     double x = rng.UniformDouble() * 1000, y = rng.UniformDouble() * 1000;
-    auto knn = index->SearchKnn(x, y, 7);
+    auto knn = SearchKnn(*index, x, y, 7);
     ASSERT_TRUE(knn.ok());
     std::vector<double> brute;
     for (const auto& [p, id] : model) brute.push_back(p.Dist2(x, y));

@@ -7,11 +7,15 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    that exists in the repository (anchors are stripped; absolute URLs
    and pure in-page ``#anchor`` links are skipped);
 2. every file under ``docs/`` is reachable from ``README.md`` by
-   following those links — no orphaned chapters.
+   following those links — no orphaned chapters;
+3. every test citation ``tests/<file>.cc: <Name>`` in backticks (a line
+   break may follow the colon) names a ``TEST``/``TEST_F``/``TEST_P``
+   defined in that file — a renamed or deleted test cannot leave a
+   stale citation behind.
 
 Fenced code blocks are ignored, so EXPLAIN output and SQL snippets
 cannot produce false links. Exit status: 0 = clean, 1 = at least one
-broken link or unreachable doc, 2 = usage error. Run from anywhere;
+broken link, unreachable doc or stale test citation, 2 = usage error. Run from anywhere;
 paths resolve against the repository root (the parent of ``tools/``).
 """
 
@@ -25,18 +29,41 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # (markdown titles in links are not used in this repo).
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^\s*(```|~~~)")
+# `tests/<file>.cc: <Name>`; the whitespace may include a line break.
+CITATION_RE = re.compile(r"`tests/([\w./-]+\.cc):\s+(\w+)`")
+TEST_DEF_RE = re.compile(r"\bTEST(?:_F|_P)?\(\s*\w+\s*,\s*(\w+)\s*\)")
 
 
-def extract_links(path: pathlib.Path):
-    """Yields link targets in `path`, skipping fenced code blocks."""
+def unfenced_text(path: pathlib.Path) -> str:
+    """Returns `path` with its fenced code blocks removed."""
     in_fence = False
+    kept = []
     for line in path.read_text(encoding="utf-8").splitlines():
         if FENCE_RE.match(line):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            kept.append(line)
+    return "\n".join(kept)
+
+
+def extract_links(path: pathlib.Path):
+    """Yields link targets in `path`, skipping fenced code blocks."""
+    for line in unfenced_text(path).splitlines():
         yield from LINK_RE.findall(line)
+
+
+def check_test_citations(source: pathlib.Path, errors: list) -> None:
+    """Appends an error for every citation naming no test in its file."""
+    rel = source.relative_to(REPO_ROOT)
+    for test_file, name in CITATION_RE.findall(unfenced_text(source)):
+        path = REPO_ROOT / "tests" / test_file
+        if not path.is_file():
+            errors.append(f"{rel}: cites missing file tests/{test_file}")
+            continue
+        defined = TEST_DEF_RE.findall(path.read_text(encoding="utf-8"))
+        if name not in defined:
+            errors.append(f"{rel}: tests/{test_file} defines no test {name}")
 
 
 def is_external(target: str) -> bool:
@@ -69,6 +96,7 @@ def main() -> int:
                 continue
             targets.add(resolved)
         edges[source.resolve()] = targets
+        check_test_citations(source, errors)
 
     # BFS from README over markdown-to-markdown edges.
     reachable = set()
