@@ -1,5 +1,6 @@
 // Experiment E3 (paper Figure 10, §5): local dependency tracking —
-// invalidation throughput, procedure-closure reasoning, and the RLE
+// invalidation throughput, cross-table propagation with and without an
+// index on the join key, procedure-closure reasoning, and the RLE
 // compression of the outdated bitmaps.
 #include <benchmark/benchmark.h>
 
@@ -8,6 +9,7 @@
 #include "bio/alignment.h"
 #include "bio/sequence_generator.h"
 #include "core/database.h"
+#include "dep/outdated_bitmap_rle.h"
 
 namespace bdbms {
 namespace {
@@ -80,6 +82,78 @@ void BM_InvalidationPropagation(benchmark::State& state) {
 BENCHMARK(BM_InvalidationPropagation)
     ->ArgsProduct({{100, 400}, {1, 4, 16}});
 
+// Gene -> Protein over `rows` rows each, one protein per gene, joined on
+// GID, with (`indexed`) or without a B+-tree on both join keys. The rows
+// are loaded straight into the tables, so set-up runs no propagation.
+std::unique_ptr<Database> BuildJoinedTables(size_t rows, bool indexed) {
+  auto db = std::make_unique<Database>();
+  (void)db->procedures().Register(MakePredictionToolProcedure("P"));
+  ProcedureInfo lab;
+  lab.name = "lab_experiment";
+  lab.executable = false;
+  (void)db->procedures().Register(lab);
+  (void)db->Execute("CREATE TABLE Gene (GID TEXT, GSequence SEQUENCE)");
+  (void)db->Execute(
+      "CREATE TABLE Protein (PName TEXT, GID TEXT, PSequence SEQUENCE, "
+      "PFunction TEXT)");
+  (void)db->Execute(
+      "CREATE DEPENDENCY rule1 FROM Gene.GSequence TO Protein.PSequence "
+      "USING P JOIN ON Gene.GID = Protein.GID");
+  (void)db->Execute(
+      "CREATE DEPENDENCY rule2 FROM Protein.PSequence TO Protein.PFunction "
+      "USING lab_experiment");
+  if (indexed) {
+    (void)db->Execute("CREATE INDEX gene_gid ON Gene (GID)");
+    (void)db->Execute("CREATE INDEX protein_gid ON Protein (GID)");
+  }
+  Table* gene = *db->GetTable("Gene");
+  Table* protein = *db->GetTable("Protein");
+  SequenceGenerator gen(99);
+  for (size_t g = 0; g < rows; ++g) {
+    std::string gid = SequenceGenerator::GeneId(g);
+    (void)gene->Insert({Value::Text(gid), Value::Sequence(gen.Dna(30))});
+    (void)protein->Insert({Value::Text("p_" + gid), Value::Text(gid),
+                           Value::Sequence("M"), Value::Text("function")});
+  }
+  return db;
+}
+
+// One gene-sequence change: find the joined protein, recompute it from
+// its source row, outdate its function.
+void BM_CrossTablePropagation(benchmark::State& state, bool indexed) {
+  constexpr size_t kRows = 10000;
+  std::unique_ptr<Database> db = BuildJoinedTables(kRows, indexed);
+  Table* gene = *db->GetTable("Gene");
+  SequenceGenerator gen(7);
+  size_t g = 0;
+  for (auto _ : state) {
+    RowId row = (g++ * 7919) % kRows;
+    (void)gene->UpdateCell(row, 1, Value::Sequence(gen.Dna(30)));
+    auto report = db->NotifyCellUpdated("Gene", row, 1);
+    benchmark::DoNotOptimize(report);
+  }
+}
+BENCHMARK_CAPTURE(BM_CrossTablePropagation, indexed, true);
+BENCHMARK_CAPTURE(BM_CrossTablePropagation, scan, false);
+
+// A procedure upgrade: every protein is recomputed from its joined gene,
+// one source lookup per target row.
+void BM_ProcedureChangePropagation(benchmark::State& state, bool indexed) {
+  constexpr size_t kRows = 10000;
+  std::unique_ptr<Database> db = BuildJoinedTables(kRows, indexed);
+  size_t recomputed = 0;
+  for (auto _ : state) {
+    auto report = db->dependencies().OnProcedureChanged("P", db->Resolver());
+    benchmark::DoNotOptimize(report);
+    if (report.ok()) recomputed = report->recomputed.size();
+  }
+  state.counters["recomputed"] = static_cast<double>(recomputed);
+}
+BENCHMARK_CAPTURE(BM_ProcedureChangePropagation, indexed, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProcedureChangePropagation, scan, false)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ProcedureClosure(benchmark::State& state) {
   // A chain of `depth` tables each depending on the previous one.
   size_t depth = static_cast<size_t>(state.range(0));
@@ -122,7 +196,7 @@ void BM_BitmapRleCompression(benchmark::State& state) {
   for (size_t r = start; r < start + marked; ++r) bm.Mark(r, 3);
   std::string rle;
   for (auto _ : state) {
-    rle = bm.SerializeRle(rows);
+    rle = SerializeOutdatedRle(bm, rows);
     benchmark::DoNotOptimize(rle);
   }
   state.counters["raw_bytes"] = static_cast<double>(bm.RawSizeBytes(rows));

@@ -817,9 +817,10 @@ Status Database::CheckpointLocked() {
     (void)name;
     BDBMS_RETURN_IF_ERROR(table->CheckpointPrepare(gen));
   }
-  BDBMS_ASSIGN_OR_RETURN(std::string payload,
-                         SerializeSnapshot(dur_->last_lsn, gen));
-  BDBMS_RETURN_IF_ERROR(WriteCheckpointFile(dur_->env, dur_->dir, payload));
+  BDBMS_RETURN_IF_ERROR(
+      SerializeSnapshot(dur_->last_lsn, gen, &dur_->snapshot));
+  BDBMS_RETURN_IF_ERROR(
+      WriteCheckpointFile(dur_->env, dur_->dir, dur_->snapshot));
   // The rename above is the commit point; only now is it safe to drop the
   // log. A crash in between leaves records with lsn <= the checkpoint's,
   // which recovery skips by lsn.

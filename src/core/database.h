@@ -400,8 +400,9 @@ class Database {
   // Checkpoint payload (de)serialization over the full engine state;
   // defined in src/wal/checkpoint.cc next to the file format. `gen` is the
   // checkpoint generation the paged heaps staged their dirty pages under.
-  Result<std::string> SerializeSnapshot(uint64_t last_lsn,
-                                        uint64_t gen) const;
+  // The payload replaces the contents of `*out`.
+  Status SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
+                           std::string* out) const;
   Status LoadSnapshot(std::string_view payload, uint64_t* last_lsn);
 
   // Durable-mode state; null for memory-only databases.
@@ -418,6 +419,10 @@ class Database {
     uint64_t statements_since_checkpoint = 0;
     uint64_t wal_bytes_total = 0;  // across WalWriter reopens
     uint64_t wal_syncs_total = 0;
+    // Checkpoint payload buffer, reused across checkpoints: a fresh
+    // megabyte-sized string per checkpoint, freed on whichever worker
+    // thread ran it, stays resident in that thread's malloc arena.
+    std::string snapshot;
 
     std::string WalPath() const;
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "index/secondary_index.h"
 #include "txn/mvcc.h"
 
 namespace bdbms {
@@ -23,6 +24,65 @@ bool Reaches(const std::multimap<ColumnRef, ColumnRef>& edges,
     }
   }
   return false;
+}
+
+// Whether an equality probe for `key` on a column of `type` finds exactly
+// the rows Value's `==` matches. Rows are coerced to the column type on
+// write, so every stored non-null cell is encoded as `type`. INT keys on
+// INT columns and string keys on string columns (TEXT and SEQUENCE encode
+// alike) qualify. NULL does not (`==` matches NULL to NULL; FindEqual
+// returns nothing for it), nor does a mixed INT/DOUBLE pair (one rank tag,
+// two encodings), nor any DOUBLE: `==` calls a NaN equal to every number,
+// and the index keeps NaN under its own key.
+bool ProbeMatchesEquality(const Value& key, DataType type) {
+  if (key.type() == DataType::kInt) return type == DataType::kInt;
+  if (key.is_string()) {
+    return type == DataType::kText || type == DataType::kSequence;
+  }
+  return false;
+}
+
+// Current RowIds of `table` whose `col` equals `key`, ascending: exactly
+// the rows a full scan would match, in the scan's order. Probes a
+// single-column B+-tree on `col` when one exists and the key qualifies;
+// otherwise scans. The index keeps an entry for every retained version,
+// so each candidate is re-read and kept only if its current value still
+// matches (a key changed earlier in the transaction leaves a stale entry).
+//
+// Reading `indexes()` without the table latch is safe only because every
+// DML statement on a table a rule names escalates to the exclusive engine
+// gate (Database::Classify), which admits no concurrent index DDL.
+Result<std::vector<RowId>> RowsWithKey(const Table& table, size_t col,
+                                       const Value& key) {
+  std::vector<RowId> rows;
+  const SecondaryIndex* index = nullptr;
+  if (ProbeMatchesEquality(key, table.schema().column(col).type)) {
+    for (const auto& idx : table.indexes()) {
+      if (idx->columns().size() == 1 && idx->column() == col) {
+        index = idx.get();
+        break;
+      }
+    }
+  }
+  if (index == nullptr) {
+    BDBMS_RETURN_IF_ERROR(table.Scan([&](RowId rid, const Row& row) {
+      if (row[col] == key) rows.push_back(rid);
+      return Status::Ok();
+    }));
+    return rows;
+  }
+  BDBMS_ASSIGN_OR_RETURN(std::vector<RowId> candidates,
+                         index->FindEqual(key));
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (i > 0 && candidates[i] == candidates[i - 1]) continue;
+    auto row = table.Get(candidates[i]);
+    if (!row.ok()) {
+      if (row.status().IsNotFound()) continue;  // deleted since
+      return row.status();
+    }
+    if ((*row)[col] == key) rows.push_back(candidates[i]);
+  }
+  return rows;
 }
 
 }  // namespace
@@ -251,13 +311,7 @@ Result<std::vector<RowId>> DependencyManager::AffectedTargetRows(
     if (src_row_data.status().IsNotFound()) return std::vector<RowId>{};
     return src_row_data.status();
   }
-  const Value& key = (*src_row_data)[src_key];
-  std::vector<RowId> affected;
-  BDBMS_RETURN_IF_ERROR(dst->Scan([&](RowId rid, const Row& row) {
-    if (row[dst_key] == key) affected.push_back(rid);
-    return Status::Ok();
-  }));
-  return affected;
+  return RowsWithKey(*dst, dst_key, (*src_row_data)[src_key]);
 }
 
 Result<std::vector<Value>> DependencyManager::GatherInputs(
@@ -283,19 +337,17 @@ Result<std::vector<Value>> DependencyManager::GatherInputs(
       size_t dst_key, dst->schema().ColumnIndex(rule.join->target_key_column));
   BDBMS_ASSIGN_OR_RETURN(Row target_data, dst->Get(target_row));
   const Value& key = target_data[dst_key];
-  std::optional<Row> source_row;
-  BDBMS_RETURN_IF_ERROR(src->Scan([&](RowId, const Row& row) {
-    if (!source_row.has_value() && row[src_key] == key) source_row = row;
-    return Status::Ok();
-  }));
-  if (!source_row.has_value()) {
+  BDBMS_ASSIGN_OR_RETURN(std::vector<RowId> matches,
+                         RowsWithKey(*src, src_key, key));
+  if (matches.empty()) {
     return Status::NotFound("no joining source row for target key " +
                             key.ToString());
   }
+  BDBMS_ASSIGN_OR_RETURN(Row source_row, src->Get(matches.front()));
   std::vector<Value> inputs;
   for (const ColumnRef& s : rule.sources) {
     BDBMS_ASSIGN_OR_RETURN(size_t idx, src->schema().ColumnIndex(s.column));
-    inputs.push_back((*source_row)[idx]);
+    inputs.push_back(source_row[idx]);
   }
   return inputs;
 }
@@ -438,11 +490,8 @@ Result<DependencyManager::PropagationReport> DependencyManager::OnRowErased(
         dst->schema().ColumnIndex(rule.join->target_key_column));
     BDBMS_ASSIGN_OR_RETURN(size_t dst_col,
                            dst->schema().ColumnIndex(rule.target.column));
-    std::vector<RowId> targets;
-    BDBMS_RETURN_IF_ERROR(dst->Scan([&](RowId rid, const Row& r) {
-      if (r[dst_key] == key) targets.push_back(rid);
-      return Status::Ok();
-    }));
+    BDBMS_ASSIGN_OR_RETURN(std::vector<RowId> targets,
+                           RowsWithKey(*dst, dst_key, key));
     for (RowId t_row : targets) {
       BDBMS_ASSIGN_OR_RETURN(
           bool marked, SetOutdated(rule.target.table, t_row, dst_col, true));

@@ -1,7 +1,5 @@
 #include "dep/outdated_bitmap.h"
 
-#include "common/rle.h"
-
 namespace bdbms {
 
 void OutdatedBitmap::Mark(RowId row, size_t col) {
@@ -31,37 +29,6 @@ uint64_t OutdatedBitmap::CountOutdated() const {
     n += static_cast<uint64_t>(__builtin_popcountll(mask));
   }
   return n;
-}
-
-std::vector<bool> OutdatedBitmap::ToBits(RowId row_extent) const {
-  std::vector<bool> bits(row_extent * num_columns_, false);
-  for (const auto& [row, mask] : marks_) {
-    if (row >= row_extent) continue;
-    for (size_t col = 0; col < num_columns_; ++col) {
-      if (mask & ColumnBit(col)) bits[row * num_columns_ + col] = true;
-    }
-  }
-  return bits;
-}
-
-std::string OutdatedBitmap::SerializeRle(RowId row_extent) const {
-  std::string out;
-  BitRle::Serialize(BitRle::Encode(ToBits(row_extent)), &out);
-  return out;
-}
-
-Result<OutdatedBitmap> OutdatedBitmap::DeserializeRle(std::string_view data,
-                                                      size_t num_columns) {
-  if (num_columns == 0) {
-    return Status::InvalidArgument("bitmap needs at least one column");
-  }
-  BDBMS_ASSIGN_OR_RETURN(std::vector<uint32_t> runs, BitRle::Deserialize(data));
-  std::vector<bool> bits = BitRle::Decode(runs);
-  OutdatedBitmap bm(num_columns);
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) bm.Mark(i / num_columns, i % num_columns);
-  }
-  return bm;
 }
 
 }  // namespace bdbms

@@ -3,11 +3,8 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
-#include <vector>
 
 #include "catalog/schema.h"
-#include "common/result.h"
 #include "table/table.h"
 
 namespace bdbms {
@@ -16,11 +13,9 @@ namespace bdbms {
 // set when the cell's value may be invalid because something it was
 // derived from changed and the derivation could not be re-executed.
 //
-// In memory the bitmap is kept sparse (row -> column mask). For
-// persistence — and for the storage comparison of experiment E3 — it
-// serializes to the run-length encoding the paper proposes
-// ("data compression techniques such as Run-Length-Encoding can be used
-// to effectively compress the bitmaps").
+// The bitmap is kept sparse (row -> column mask), and the checkpoint
+// stores it that way. The run-length encoding the paper proposes lives
+// beside the paper's other storage comparisons (outdated_bitmap_rle.h).
 class OutdatedBitmap {
  public:
   explicit OutdatedBitmap(size_t num_columns) : num_columns_(num_columns) {}
@@ -40,18 +35,10 @@ class OutdatedBitmap {
 
   size_t num_columns() const { return num_columns_; }
 
-  // Row-major flattening of the bitmap over rows [0, row_extent).
-  std::vector<bool> ToBits(RowId row_extent) const;
-
   // Raw bitmap bytes for `row_extent` rows: ceil(rows * cols / 8).
   uint64_t RawSizeBytes(RowId row_extent) const {
     return (row_extent * num_columns_ + 7) / 8;
   }
-
-  // RLE-compressed serialization (paper's proposal) and its inverse.
-  std::string SerializeRle(RowId row_extent) const;
-  static Result<OutdatedBitmap> DeserializeRle(std::string_view data,
-                                               size_t num_columns);
 
  private:
   size_t num_columns_;

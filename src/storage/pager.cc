@@ -172,23 +172,30 @@ Status Pager::CheckpointPrepare(uint64_t gen) {
   }
   if (overwrite.empty()) return Status::Ok();
 
+  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<AppendFile> jf,
+                         env_->OpenAppend(jpath));
+  // One page record per append, through one page-sized buffer: the whole
+  // journal as one string is ~1 MB per table, and a checkpoint runs on
+  // whichever worker thread triggered it, whose malloc arena would keep
+  // the freed buffer resident.
   std::string buf;
+  buf.reserve(kJournalEntryBytes);
   buf.append(kJournalMagic, sizeof(kJournalMagic));
   BinaryWriter w(&buf);
   w.U64(gen);
   w.U32(page_count_);
   w.U32(static_cast<uint32_t>(overwrite.size()));
+  BDBMS_RETURN_IF_ERROR(jf->Append(buf));
   for (const auto& [id, slot] : overwrite) {
     BDBMS_RETURN_IF_ERROR(spill_->Read(static_cast<uint64_t>(slot) * kPageSize,
                                        kPageSize, page.bytes()));
     ++stats_.page_reads;
+    buf.clear();
     w.U32(id);
     w.U32(Crc32(PageView(page)));
     buf.append(PageView(page));
+    BDBMS_RETURN_IF_ERROR(jf->Append(buf));
   }
-  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<AppendFile> jf,
-                         env_->OpenAppend(jpath));
-  BDBMS_RETURN_IF_ERROR(jf->Append(buf));
   // The journal must be stable before the manifest rename names its
   // generation; otherwise a crash could commit a checkpoint whose dirty
   // pages exist nowhere durable.

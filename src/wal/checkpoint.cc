@@ -136,10 +136,10 @@ Result<std::optional<Value>> ReadOptValue(BinaryReader* r) {
 
 }  // namespace
 
-Result<std::string> Database::SerializeSnapshot(uint64_t last_lsn,
-                                                uint64_t gen) const {
-  std::string out;
-  BinaryWriter w(&out);
+Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
+                                   std::string* out) const {
+  out->clear();
+  BinaryWriter w(out);
   w.U32(kSnapshotVersion);
   w.U64(last_lsn);
   w.U64(clock_.Peek());
@@ -332,8 +332,7 @@ Result<std::string> Database::SerializeSnapshot(uint64_t last_lsn,
     w.Str(op.inverse_sql);
   }
   w.U64(approvals_.next_op_id());
-
-  return out;
+  return Status::Ok();
 }
 
 Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {

@@ -3,9 +3,15 @@
 // including the paper's exact Figure 9/10 scenario.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+#include <sstream>
+
 #include "catalog/catalog.h"
+#include "core/database.h"
 #include "dep/dependency_manager.h"
 #include "dep/outdated_bitmap.h"
+#include "dep/outdated_bitmap_rle.h"
 #include "dep/procedure.h"
 #include "table/table.h"
 
@@ -103,7 +109,9 @@ class DependencyFixture : public ::testing::Test {
     p.executable = true;
     p.fn = [](const std::vector<Value>& in) -> Result<Value> {
       std::string g = in[0].as_string();
-      return Value::Sequence("P" + g.substr(0, std::min<size_t>(6, g.size())));
+      std::string translated = "P";
+      translated.append(g, 0, std::min<size_t>(6, g.size()));
+      return Value::Sequence(std::move(translated));
     };
     ASSERT_TRUE(procs_.Register(p).ok());
 
@@ -412,8 +420,8 @@ TEST(OutdatedBitmapTest, RleRoundTrip) {
   bm.Mark(0, 1);
   bm.Mark(0, 2);
   bm.Mark(999, 3);
-  std::string serialized = bm.SerializeRle(1000);
-  auto back = OutdatedBitmap::DeserializeRle(serialized, 4);
+  std::string serialized = SerializeOutdatedRle(bm, 1000);
+  auto back = DeserializeOutdatedRle(serialized, 4);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->IsOutdated(0, 1));
   EXPECT_TRUE(back->IsOutdated(0, 2));
@@ -425,9 +433,357 @@ TEST(OutdatedBitmapTest, RleCompressesSparseBitmaps) {
   OutdatedBitmap bm(8);
   bm.Mark(5000, 3);  // single outdated cell in a 10k-row table
   uint64_t raw = bm.RawSizeBytes(10000);
-  std::string rle = bm.SerializeRle(10000);
+  std::string rle = SerializeOutdatedRle(bm, 10000);
   EXPECT_EQ(raw, 10000u);       // 10k rows * 8 cols / 8 bits
   EXPECT_LT(rle.size(), 16u);   // ~3 varints
+}
+
+// --- Join-key index probes (DependencyIndexProbe) -------------------------
+// Dependency propagation finds a rule's target rows, and a target's source
+// row, through a B+-tree on the join key when one exists and by scanning
+// otherwise. Each scenario below runs twice — once with indexes on every
+// join key, once without — and both runs must leave identical rows and
+// outdated bits and return identical propagation reports.
+
+// Gene.GSequence feeds Protein.PSequence through P (joined on GID) and
+// Gene.GNote through F; Protein.PSequence feeds Protein.PFunction through
+// the non-executable lab procedure; Num.V feeds Dbl.D through P, joined
+// from an INT key to a DOUBLE key. F fails on 'BAD', after rule1 has
+// already rewritten the joined proteins (rules run in name order).
+Status RegisterProbeProcedures(Database& db) {
+  ProcedureInfo p;
+  p.name = "P";
+  p.executable = true;
+  p.fn = [](const std::vector<Value>& in) -> Result<Value> {
+    return Value::Sequence("P:" + in[0].as_string());
+  };
+  BDBMS_RETURN_IF_ERROR(db.procedures().Register(p));
+  ProcedureInfo f;
+  f.name = "F";
+  f.executable = true;
+  f.fn = [](const std::vector<Value>& in) -> Result<Value> {
+    if (in[0].as_string() == "BAD") {
+      return Status::InvalidArgument("F rejects BAD");
+    }
+    return Value::Text("len=" + std::to_string(in[0].as_string().size()));
+  };
+  BDBMS_RETURN_IF_ERROR(db.procedures().Register(f));
+  ProcedureInfo lab;
+  lab.name = "lab_experiment";
+  lab.executable = false;
+  return db.procedures().Register(lab);
+}
+
+std::vector<std::string> ProbeSchema(bool indexed) {
+  std::vector<std::string> sql = {
+      "CREATE TABLE Gene (GID TEXT, GSequence SEQUENCE, GNote TEXT)",
+      "CREATE TABLE Protein (PName TEXT, GID TEXT, PSequence SEQUENCE, "
+      "PFunction TEXT)",
+      "CREATE TABLE Num (K INT, V SEQUENCE)",
+      "CREATE TABLE Dbl (K DOUBLE, D SEQUENCE)",
+      "CREATE DEPENDENCY rule1 FROM Gene.GSequence TO Protein.PSequence "
+      "USING P JOIN ON Gene.GID = Protein.GID",
+      "CREATE DEPENDENCY rule2 FROM Protein.PSequence TO Protein.PFunction "
+      "USING lab_experiment",
+      "CREATE DEPENDENCY rule3 FROM Num.V TO Dbl.D "
+      "USING P JOIN ON Num.K = Dbl.K",
+      "CREATE DEPENDENCY rule9 FROM Gene.GSequence TO Gene.GNote USING F",
+  };
+  if (indexed) {
+    sql.push_back("CREATE INDEX gene_gid ON Gene (GID)");
+    sql.push_back("CREATE INDEX protein_gid ON Protein (GID)");
+    sql.push_back("CREATE INDEX num_k ON Num (K)");
+    sql.push_back("CREATE INDEX dbl_k ON Dbl (K)");
+  }
+  return sql;
+}
+
+// Rows and outdated bits of every table.
+std::string DepState(Database& db) {
+  std::ostringstream out;
+  for (const std::string& name : db.catalog().ListTables()) {
+    out << name << ":\n";
+    auto table = db.GetTable(name);
+    if (!table.ok()) continue;
+    (void)(*table)->Scan([&](RowId row_id, const Row& row) {
+      out << "  " << row_id << ":";
+      for (const Value& v : row) out << " " << v.ToString();
+      out << " outdated=" << db.dependencies().OutdatedMask(name, row_id)
+          << "\n";
+      return Status::Ok();
+    });
+  }
+  return out.str();
+}
+
+std::string ReportString(
+    const Result<DependencyManager::PropagationReport>& report) {
+  std::ostringstream out;
+  if (!report.ok()) {
+    out << "error: " << report.status().ToString() << "\n";
+    return out.str();
+  }
+  out << "recomputed:";
+  for (const CellRef& c : report->recomputed) out << " " << c.ToString();
+  out << " outdated:";
+  for (const CellRef& c : report->outdated) out << " " << c.ToString();
+  out << "\n";
+  return out.str();
+}
+
+// Logs each statement's outcome and the state after it.
+void Exec(Database& db, std::ostream& log, const std::string& sql,
+          const std::string& user = "admin") {
+  auto r = db.Execute(sql, user);
+  log << sql << " -> " << (r.ok() ? "ok" : r.status().ToString()) << "\n"
+      << DepState(db);
+}
+
+using ProbeScenario = std::function<void(Database&, std::ostream&)>;
+
+// Runs `scenario` on a fresh in-memory database built by ProbeSchema.
+std::string RunProbeScenario(bool indexed, const ProbeScenario& scenario) {
+  Database db;
+  EXPECT_TRUE(RegisterProbeProcedures(db).ok());
+  for (const std::string& sql : ProbeSchema(indexed)) {
+    auto r = db.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  }
+  std::ostringstream log;
+  scenario(db, log);
+  return log.str();
+}
+
+// The scan run's log, after checking the indexed run matches it.
+std::string ExpectSameWithAndWithoutIndex(const ProbeScenario& scenario) {
+  std::string scanned = RunProbeScenario(false, scenario);
+  std::string probed = RunProbeScenario(true, scenario);
+  EXPECT_EQ(scanned, probed);
+  return scanned;
+}
+
+bool Contains(const std::string& haystack, const std::string& needle) {
+  return haystack.find(needle) != std::string::npos;
+}
+
+TEST(DependencyIndexProbe, DuplicateKeysTakeFirstSourceRowInRowIdOrder) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Gene VALUES ('J2', 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Gene VALUES ('J1', 'CCC', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J2', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p3', 'J1', 'M', 'fn')");
+    // Gene 0 joins J1 too; it now precedes gene 1 among J1's sources.
+    Exec(db, out, "UPDATE Gene SET GID = 'J1' WHERE GSequence = 'AAA'");
+    Exec(db, out, "UPDATE Gene SET GSequence = 'TTT' WHERE GSequence = 'CCC'");
+    out << ReportString(db.NotifyCellUpdated("Gene", 1, 1));
+  });
+  // p1 and p3 are recomputed from gene 0, the first J1 row, not gene 1.
+  EXPECT_TRUE(Contains(got, "0: 'p1' 'J1' 'P:AAA' 'fn' outdated=8")) << got;
+  EXPECT_TRUE(Contains(got, "2: 'p3' 'J1' 'P:AAA' 'fn' outdated=8")) << got;
+  EXPECT_TRUE(Contains(got, "recomputed: Protein[0].2 Protein[2].2 "
+                            "Gene[1].2 outdated:\n"))
+      << got;
+}
+
+TEST(DependencyIndexProbe, NullSourceKeyMatchesNullTargetKeys) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Gene VALUES (NULL, 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', NULL, 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p3', NULL, 'M', 'fn')");
+    Exec(db, out, "UPDATE Gene SET GSequence = 'TTT' WHERE GSequence = 'AAA'");
+    out << ReportString(db.NotifyCellUpdated("Gene", 0, 1));
+  });
+  EXPECT_TRUE(Contains(got, "0: 'p1' NULL 'P:TTT' 'fn' outdated=8")) << got;
+  EXPECT_TRUE(Contains(got, "1: 'p2' 'J1' 'M' 'fn' outdated=8")) << got;
+  EXPECT_TRUE(Contains(got, "2: 'p3' NULL 'P:TTT' 'fn' outdated=8")) << got;
+}
+
+TEST(DependencyIndexProbe, IntSourceKeyMatchesDoubleTargetKey) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Num VALUES (3, 'AAA')");
+    Exec(db, out, "INSERT INTO Dbl VALUES (3.0, 'x')");
+    Exec(db, out, "INSERT INTO Dbl VALUES (3.5, 'y')");
+    Exec(db, out, "UPDATE Num SET V = 'GGG' WHERE K = 3");
+    out << ReportString(db.NotifyCellUpdated("Num", 0, 1));
+  });
+  EXPECT_TRUE(Contains(got, "0: 3 'P:GGG' outdated=0")) << got;
+  EXPECT_TRUE(Contains(got, "1: 3.5 'y' outdated=0")) << got;
+  EXPECT_TRUE(Contains(got, "recomputed: Dbl[0].1 outdated:")) << got;
+}
+
+TEST(DependencyIndexProbe, KeyChangedEarlierInTransactionLeavesStaleEntry) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Gene VALUES ('J1', 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J1', 'M', 'fn')");
+    Exec(db, out, "BEGIN");
+    // p1's superseded J1 version keeps its index entry until vacuum.
+    Exec(db, out, "UPDATE Protein SET GID = 'J9' WHERE PName = 'p1'");
+    Exec(db, out, "UPDATE Gene SET GSequence = 'CCC' WHERE GID = 'J1'");
+    // Back to J1: the index now holds two J1 entries for p1.
+    Exec(db, out, "UPDATE Protein SET GID = 'J1' WHERE PName = 'p1'");
+    Exec(db, out, "UPDATE Gene SET GSequence = 'GGG' WHERE GID = 'J1'");
+    out << ReportString(db.NotifyCellUpdated("Gene", 0, 1));
+    Exec(db, out, "COMMIT");
+  });
+  // While p1 was keyed J9 only p2 followed the gene.
+  EXPECT_TRUE(Contains(got, "0: 'p1' 'J9' 'M' 'fn' outdated=8\n"
+                            "  1: 'p2' 'J1' 'P:CCC' 'fn' outdated=8"))
+      << got;
+  EXPECT_TRUE(Contains(got, "recomputed: Protein[0].2 Protein[1].2 Gene[0].2 "
+                            "outdated:\n"))
+      << got;
+  EXPECT_TRUE(Contains(got, "0: 'p1' 'J1' 'P:GGG' 'fn' outdated=8")) << got;
+}
+
+TEST(DependencyIndexProbe, DeletedTargetRowsAreSkipped) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Gene VALUES ('J1', 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J1', 'M', 'fn')");
+    Exec(db, out, "DELETE FROM Protein WHERE PName = 'p1'");
+    Exec(db, out, "UPDATE Gene SET GSequence = 'CCC' WHERE GID = 'J1'");
+    out << ReportString(db.NotifyCellUpdated("Gene", 0, 1));
+  });
+  EXPECT_TRUE(Contains(got, "recomputed: Protein[1].2 Gene[0].2 outdated:\n"))
+      << got;
+}
+
+TEST(DependencyIndexProbe, RowErasedMarksJoinedTargetsOutdated) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Gene VALUES ('J1', 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Gene VALUES ('J2', 'CCC', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J2', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p3', 'J1', 'M', 'fn')");
+    Exec(db, out, "DELETE FROM Gene WHERE GID = 'J1'");
+    Row pre_image = {Value::Text("J2"), Value::Sequence("CCC"), Value::Null()};
+    out << ReportString(db.dependencies().OnRowErased("Gene", 1, pre_image,
+                                                      db.Resolver()));
+  });
+  EXPECT_TRUE(Contains(got, "0: 'p1' 'J1' 'M' 'fn' outdated=12")) << got;
+  EXPECT_TRUE(Contains(got, "recomputed: outdated: Protein[1].2\n"))
+      << got;
+}
+
+TEST(DependencyIndexProbe, ProcedureChangeRecomputesThroughJoin) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Gene VALUES ('J1', 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Gene VALUES ('J2', 'CCC', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', 'J2', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Num VALUES (7, 'TT')");
+    Exec(db, out, "INSERT INTO Dbl VALUES (7.0, 'x')");
+    out << ReportString(
+        db.dependencies().OnProcedureChanged("P", db.Resolver()));
+    out << DepState(db);
+  });
+  EXPECT_TRUE(Contains(got, "0: 'p1' 'J2' 'P:CCC' 'fn' outdated=8")) << got;
+  EXPECT_TRUE(Contains(got, "1: 'p2' 'J1' 'P:AAA' 'fn' outdated=8")) << got;
+  EXPECT_TRUE(Contains(got, "0: 7 'P:TT' outdated=0")) << got;
+}
+
+TEST(DependencyIndexProbe, DisapprovalPropagatesThroughJoin) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "CREATE USER curator");
+    Exec(db, out, "CREATE USER lab_admin");
+    Exec(db, out, "GRANT SELECT ON Gene TO curator");
+    Exec(db, out, "GRANT INSERT ON Gene TO curator");
+    Exec(db, out, "GRANT UPDATE ON Gene TO curator");
+    Exec(db, out, "INSERT INTO Gene VALUES ('J1', 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J5', 'M', 'fn')");
+    Exec(db, out, "START CONTENT APPROVAL ON Gene APPROVED BY lab_admin");
+    Exec(db, out, "UPDATE Gene SET GSequence = 'CCC' WHERE GID = 'J1'",
+         "curator");
+    Exec(db, out, "INSERT INTO Gene VALUES ('J5', 'GGG', NULL)", "curator");
+    auto pending = db.Execute("SHOW PENDING ON Gene");
+    ASSERT_TRUE(pending.ok());
+    ASSERT_EQ(pending->rows.size(), 2u);
+    for (const auto& row : pending->rows) {
+      Exec(db, out, "DISAPPROVE OPERATION " + row.values[0].ToString(),
+           "lab_admin");
+    }
+  });
+  // The update's rollback recomputes p1 from the restored sequence; the
+  // insert's rollback erases gene J5 and outdates p2.
+  EXPECT_TRUE(Contains(got, "0: 'p1' 'J1' 'P:AAA' 'fn' outdated=8")) << got;
+  EXPECT_TRUE(Contains(got, "1: 'p2' 'J5' 'P:GGG' 'fn' outdated=12")) << got;
+}
+
+TEST(DependencyIndexProbe, FailedStatementRollsBackPropagation) {
+  std::string got = ExpectSameWithAndWithoutIndex([](Database& db,
+                                                     std::ostream& out) {
+    Exec(db, out, "INSERT INTO Gene VALUES ('J1', 'AAA', NULL)");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p1', 'J1', 'M', 'fn')");
+    Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J1', 'M', 'fn')");
+    std::string before = DepState(db);
+    // rule1 rewrites both proteins, then rule9's F fails the statement.
+    Exec(db, out, "UPDATE Gene SET GSequence = 'BAD' WHERE GID = 'J1'");
+    EXPECT_EQ(DepState(db), before);
+    Exec(db, out, "BEGIN");
+    Exec(db, out, "UPDATE Gene SET GSequence = 'CCC' WHERE GID = 'J1'");
+    std::string in_txn = DepState(db);
+    Exec(db, out, "UPDATE Gene SET GSequence = 'BAD' WHERE GID = 'J1'");
+    EXPECT_EQ(DepState(db), in_txn);
+    Exec(db, out, "COMMIT");
+  });
+  EXPECT_TRUE(Contains(got, "F rejects BAD")) << got;
+  EXPECT_TRUE(Contains(got, "1: 'p2' 'J1' 'P:CCC' 'fn' outdated=8")) << got;
+}
+
+TEST(DependencyIndexProbe, ReopenReplaysLogToSameState) {
+  auto scenario = [](bool indexed) {
+    std::string dir = ::testing::TempDir() + "/dep_index_probe_" +
+                      (indexed ? "indexed" : "scan");
+    std::filesystem::remove_all(dir);
+    DurabilityOptions opts;
+    opts.bootstrap = RegisterProbeProcedures;
+    std::ostringstream out;
+    std::string live;
+    {
+      auto db = Database::Open(dir, opts);
+      EXPECT_TRUE(db.ok()) << db.status().ToString();
+      if (!db.ok()) return std::string();
+      std::vector<std::string> schema = ProbeSchema(false);
+      for (const std::string& sql : schema) Exec(**db, out, sql);
+      Exec(**db, out, "INSERT INTO Gene VALUES ('J1', 'AAA', NULL)");
+      Exec(**db, out, "INSERT INTO Protein VALUES ('p1', 'J1', 'M', 'fn')");
+      Exec(**db, out, "UPDATE Gene SET GSequence = 'CCC' WHERE GID = 'J1'");
+      // The index appears mid-out: replay probes it only from here on.
+      if (indexed) {
+        for (const std::string& sql : ProbeSchema(true)) {
+          if (sql.rfind("CREATE INDEX", 0) == 0) (void)(*db)->Execute(sql);
+        }
+      }
+      Exec(**db, out, "INSERT INTO Protein VALUES ('p2', 'J1', 'M', 'fn')");
+      Exec(**db, out, "UPDATE Protein SET GID = 'J2' WHERE PName = 'p1'");
+      Exec(**db, out, "UPDATE Gene SET GSequence = 'GGG' WHERE GID = 'J1'");
+      Exec(**db, out, "DELETE FROM Gene WHERE GID = 'J1'");
+      live = DepState(**db);
+      EXPECT_TRUE((*db)->Close().ok());
+    }
+    auto reopened = Database::Open(dir, opts);
+    EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+    if (!reopened.ok()) return std::string();
+    EXPECT_GT((*reopened)->durability_stats().replayed_on_open, 0u);
+    EXPECT_EQ(DepState(**reopened), live);
+    return out.str() + live;
+  };
+  std::string scanned = scenario(false);
+  EXPECT_EQ(scanned, scenario(true));
+  EXPECT_TRUE(Contains(scanned, "1: 'p2' 'J1' 'P:GGG' 'fn' outdated=12"))
+      << scanned;
 }
 
 }  // namespace
