@@ -59,9 +59,13 @@ void BM_BTreeExactMatch(benchmark::State& state) {
   (*tree)->io_stats().Reset();
   size_t q = 0, hits = 0;
   for (auto _ : state) {
-    auto r = (*tree)->SearchExact(keys[q++ % keys.size()]);
-    benchmark::DoNotOptimize(r);
-    hits = r.ok() ? r->size() : 0;
+    const std::string& key = keys[q++ % keys.size()];
+    hits = 0;
+    auto count = [&](std::string_view, uint64_t) {
+      ++hits;
+      return true;
+    };
+    benchmark::DoNotOptimize((*tree)->ScanRange(key, key + '\0', count));
   }
   state.counters["page_reads_per_query"] =
       static_cast<double>((*tree)->io_stats().page_reads) /

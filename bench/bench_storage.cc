@@ -1,9 +1,9 @@
-// Paged-storage residency benchmarks (ISSUE 9): what sequential scans
+// Paged-storage residency benchmarks: what sequential scans
 // and index point reads cost when the buffer pool holds 100%, 50%, or
 // 10% of a file-backed heap. At 100% every page is a hit after warmup;
 // at 10% a scan churns the whole pool and point reads fault most probes
 // from disk — the counters reported with each result show exactly how
-// much of the work was cache hits vs page reads vs readahead.
+// much of the work was cache hits vs page reads.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -90,12 +90,11 @@ void ReportBufferCounters(benchmark::State& state, const Table& table,
   state.counters["hits"] = static_cast<double>(stats.hits);
   state.counters["misses"] = static_cast<double>(stats.misses);
   state.counters["evictions"] = static_cast<double>(stats.evictions);
-  state.counters["readahead"] = static_cast<double>(stats.readahead);
 }
 
 // One full sequential scan per iteration; arg = percent of the heap the
 // buffer pool may hold. The WHERE clause matches nothing, so the cost is
-// pure page traversal plus readahead.
+// pure page traversal.
 void BM_PagedSeqScan(benchmark::State& state) {
   int pct = state.range(0);
   std::string dir = BenchDir("bench_storage_scan_" + std::to_string(pct));

@@ -8,6 +8,7 @@
 
 #include "bio/alignment.h"
 #include "core/database.h"
+#include "dep/chain_rules.h"
 
 using bdbms::Database;
 using bdbms::ProcedureInfo;
@@ -62,7 +63,8 @@ int main() {
 
   // Rule reasoning: the derived Rule 4 of the paper.
   std::printf("derived chain rules:\n");
-  for (const auto& chain : db.dependencies().DeriveChainRules()) {
+  for (const auto& chain :
+       DeriveChainRules(db.dependencies().rules(), db.procedures())) {
     std::printf("  %s\n", chain.ToString().c_str());
   }
   std::printf("\n");

@@ -78,20 +78,4 @@ std::vector<std::string> AnnotationManager::ListFor(
   return names;
 }
 
-Result<std::vector<std::pair<std::string, AnnotationId>>>
-AnnotationManager::IdsForRow(const std::string& table,
-                             const std::vector<std::string>& ann_names,
-                             RowId row, ColumnMask mask) const {
-  std::vector<std::string> names =
-      ann_names.empty() ? ListFor(table) : ann_names;
-  std::vector<std::pair<std::string, AnnotationId>> out;
-  for (const std::string& name : names) {
-    BDBMS_ASSIGN_OR_RETURN(AnnotationTable * at, Get(table, name));
-    for (AnnotationId id : at->IdsForRow(row, mask)) {
-      out.emplace_back(name, id);
-    }
-  }
-  return out;
-}
-
 }  // namespace bdbms

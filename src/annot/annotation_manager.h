@@ -58,14 +58,6 @@ class AnnotationManager {
       const std::function<void(const std::string&, AnnotationTable*)>& fn)
       const;
 
-  // Aggregates the non-archived bodies covering `row`∩`mask` across the
-  // given annotation tables (or all tables of `table` if `ann_names` is
-  // empty) — the propagation primitive behind the A-SQL SELECT
-  // ANNOTATION(...) operator.
-  Result<std::vector<std::pair<std::string, AnnotationId>>> IdsForRow(
-      const std::string& table, const std::vector<std::string>& ann_names,
-      RowId row, ColumnMask mask) const;
-
  private:
   static std::string Key(const std::string& table, const std::string& ann) {
     return table + "." + ann;

@@ -305,13 +305,4 @@ uint64_t AnnotationTable::count() const {
   return metas_.size();
 }
 
-uint64_t AnnotationTable::live_count() const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  uint64_t n = 0;
-  for (const auto& [id, meta] : metas_) {
-    if (!meta.archived) ++n;
-  }
-  return n;
-}
-
 }  // namespace bdbms

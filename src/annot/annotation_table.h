@@ -116,7 +116,6 @@ class AnnotationTable {
   void AbortAnnotation(AnnotationId id, uint64_t txn);
 
   uint64_t count() const;
-  uint64_t live_count() const;
   uint64_t SizeBytes() const { return heap_->SizeBytes(); }
   const IoStats& io_stats() const { return heap_->io_stats(); }
   IoStats& io_stats() { return heap_->io_stats(); }

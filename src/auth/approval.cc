@@ -16,18 +16,6 @@ std::string_view OpTypeName(OpType t) {
   return "UNKNOWN";
 }
 
-std::string_view OpStateName(OpState s) {
-  switch (s) {
-    case OpState::kPending:
-      return "PENDING";
-    case OpState::kApproved:
-      return "APPROVED";
-    case OpState::kDisapproved:
-      return "DISAPPROVED";
-  }
-  return "UNKNOWN";
-}
-
 Status ApprovalManager::StartContentApproval(
     const std::string& table, const std::vector<std::string>& columns,
     const std::string& approver) {
@@ -84,13 +72,6 @@ Status ApprovalManager::StopContentApproval(
   }
   if (it->second.columns == 0) configs_.erase(it);
   return Status::Ok();
-}
-
-std::optional<ApprovalConfig> ApprovalManager::GetConfig(
-    const std::string& table) const {
-  auto it = configs_.find(table);
-  if (it == configs_.end()) return std::nullopt;
-  return it->second;
 }
 
 bool ApprovalManager::ShouldLog(const std::string& table, OpType type,
@@ -173,15 +154,6 @@ Status ApprovalManager::RestoreOperation(LoggedOperation op) {
   uint64_t id = op.op_id;
   log_[id] = std::move(op);
   return Status::Ok();
-}
-
-Result<const LoggedOperation*> ApprovalManager::GetOperation(
-    uint64_t op_id) const {
-  auto it = log_.find(op_id);
-  if (it == log_.end()) {
-    return Status::NotFound("no logged operation " + std::to_string(op_id));
-  }
-  return &it->second;
 }
 
 std::vector<const LoggedOperation*> ApprovalManager::Pending(

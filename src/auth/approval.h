@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,6 @@ enum class OpType : uint8_t { kInsert = 0, kUpdate = 1, kDelete = 2 };
 std::string_view OpTypeName(OpType t);
 
 enum class OpState : uint8_t { kPending = 0, kApproved = 1, kDisapproved = 2 };
-std::string_view OpStateName(OpState s);
 
 // One logged update operation with everything needed to undo it.
 struct LoggedOperation {
@@ -82,8 +80,6 @@ class ApprovalManager {
   Status StopContentApproval(const std::string& table,
                              const std::vector<std::string>& columns);
 
-  std::optional<ApprovalConfig> GetConfig(const std::string& table) const;
-
   // Should this operation be logged? INSERT/DELETE are monitored whenever
   // approval is on; UPDATE only when it touches a monitored column.
   bool ShouldLog(const std::string& table, OpType type,
@@ -93,8 +89,6 @@ class ApprovalManager {
   Result<uint64_t> LogOperation(OpType type, const std::string& table,
                                 RowId row, const std::string& issuer,
                                 Row old_row, Row new_row);
-
-  Result<const LoggedOperation*> GetOperation(uint64_t op_id) const;
 
   // Pending entries, oldest first; filtered by table when given.
   std::vector<const LoggedOperation*> Pending(

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <functional>
 
 namespace bdbms {
 
@@ -200,19 +199,6 @@ Result<Value> Value::CoerceTo(DataType target) const {
   return Status::InvalidArgument(
       std::string("cannot coerce ") + std::string(DataTypeName(type_)) +
       " to " + std::string(DataTypeName(target)));
-}
-
-size_t Value::Hash() const {
-  switch (type_) {
-    case DataType::kNull:
-      return 0x9e3779b97f4a7c15ull;
-    case DataType::kInt:
-      return std::hash<int64_t>()(as_int());
-    case DataType::kDouble:
-      return std::hash<double>()(std::get<double>(data_));
-    default:
-      return std::hash<std::string>()(as_string());
-  }
 }
 
 }  // namespace bdbms

@@ -96,8 +96,6 @@ class Value {
   // and Text<->Sequence relabeling are allowed; anything else errs.
   Result<Value> CoerceTo(DataType target) const;
 
-  size_t Hash() const;
-
  private:
   DataType type_;
   std::variant<int64_t, double, std::string> data_;

@@ -173,31 +173,6 @@ const XmlElement* XmlElement::FindChild(std::string_view child_tag) const {
   return nullptr;
 }
 
-std::vector<const XmlElement*> XmlElement::FindChildren(
-    std::string_view child_tag) const {
-  std::vector<const XmlElement*> out;
-  for (const auto& c : children) {
-    if (c->tag == child_tag) out.push_back(c.get());
-  }
-  return out;
-}
-
-std::string XmlElement::ToString() const {
-  std::string out = "<" + tag;
-  for (const auto& [k, v] : attributes) {
-    out += " " + k + "=\"" + Xml::Escape(v) + "\"";
-  }
-  if (text.empty() && children.empty()) {
-    out += "/>";
-    return out;
-  }
-  out += ">";
-  out += Xml::Escape(text);
-  for (const auto& c : children) out += c->ToString();
-  out += "</" + tag + ">";
-  return out;
-}
-
 Result<std::unique_ptr<XmlElement>> Xml::Parse(std::string_view input) {
   Parser p(input);
   return p.ParseDocument();

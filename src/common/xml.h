@@ -27,11 +27,6 @@ struct XmlElement {
 
   // First child with the given tag, or nullptr.
   const XmlElement* FindChild(std::string_view child_tag) const;
-  // All children with the given tag.
-  std::vector<const XmlElement*> FindChildren(std::string_view child_tag) const;
-
-  // Serializes this subtree to compact XML with proper escaping.
-  std::string ToString() const;
 };
 
 class Xml {

@@ -72,11 +72,7 @@ Result<std::unique_ptr<Table>> Database::CreatePagedTable(
       BDBMS_RETURN_IF_ERROR(paged_->env->RemoveFile(stale));
     }
   }
-  BDBMS_ASSIGN_OR_RETURN(
-      std::unique_ptr<Table> t,
-      Table::OpenPaged(schema, paged_->env, path, paged_->pool_pages));
-  t->set_readahead_pages(paged_->readahead_pages);
-  return t;
+  return Table::OpenPaged(schema, paged_->env, path, paged_->pool_pages);
 }
 
 ExecContext Database::MakeContext() {
@@ -968,7 +964,6 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     paged->env = env;
     paged->heap_dir = dir + "/heap";
     paged->pool_pages = options.buffer_pool_pages;
-    paged->readahead_pages = options.readahead_pages;
     BDBMS_RETURN_IF_ERROR(env->CreateDir(paged->heap_dir));
     db->paged_ = std::move(paged);
   }

@@ -58,11 +58,6 @@ struct DurabilityOptions {
   // unbounded (every touched page stays resident).
   size_t buffer_pool_pages = 64;
 
-  // Sequential-scan readahead: while a SeqScan walks a paged table, the
-  // next up-to-this-many heap pages are prefetched into the buffer pool.
-  // 0 disables readahead.
-  size_t readahead_pages = 4;
-
   // Run on the freshly constructed engine before any recovery. Procedures
   // (ProcedureRegistry) and provenance system agents are registered
   // programmatically, not via SQL, so a database whose log contains
@@ -194,8 +189,9 @@ class Database {
   bool is_durable() const { return dur_ != nullptr; }
   DurabilityStats durability_stats() const;
 
-  // Retained superseded row versions across all tables — the metric the
-  // GC tests watch ("vacuum must not resurrect or leak versions").
+  // Sum of Table::version_count() over all tables: live rows plus the
+  // superseded versions still retained — the metric the GC tests watch
+  // ("vacuum must not resurrect or leak versions").
   uint64_t version_count() const;
 
   // --- programmatic access to the managers (examples, tests, benches) ----
@@ -434,7 +430,6 @@ class Database {
     WalEnv* env = nullptr;
     std::string heap_dir;  // <dir>/heap
     size_t pool_pages = 64;
-    size_t readahead_pages = 4;
     // Monotonic counter naming heap files (<table>.<counter>.heap);
     // persisted in the manifest so reopened incarnations never collide
     // with files parked by compensations or awaiting GC.

@@ -186,13 +186,6 @@ Result<bool> DependencyManager::SetOutdated(const std::string& table,
   return true;
 }
 
-Result<const DependencyRule*> DependencyManager::GetRule(
-    const std::string& name) const {
-  auto it = rules_.find(name);
-  if (it == rules_.end()) return Status::NotFound("no rule " + name);
-  return &it->second;
-}
-
 std::multimap<ColumnRef, ColumnRef> DependencyManager::BuildEdges(
     const DependencyRule* extra) const {
   std::multimap<ColumnRef, ColumnRef> edges;
@@ -213,84 +206,6 @@ bool DependencyManager::WouldCreateCycle(const DependencyRule& rule) const {
     if (Reaches(edges, rule.target, s)) return true;
   }
   return false;
-}
-
-std::vector<ColumnRef> DependencyManager::ColumnClosure(
-    const ColumnRef& start) const {
-  auto edges = BuildEdges();
-  std::set<ColumnRef> seen;
-  std::deque<ColumnRef> q{start};
-  while (!q.empty()) {
-    ColumnRef cur = q.front();
-    q.pop_front();
-    auto [lo, hi] = edges.equal_range(cur);
-    for (auto it = lo; it != hi; ++it) {
-      if (seen.insert(it->second).second) q.push_back(it->second);
-    }
-  }
-  return {seen.begin(), seen.end()};
-}
-
-std::vector<ColumnRef> DependencyManager::ProcedureClosure(
-    const std::string& procedure) const {
-  std::set<ColumnRef> seen;
-  for (const auto& [name, r] : rules_) {
-    if (r.procedure != procedure) continue;
-    if (seen.insert(r.target).second) {
-      for (const ColumnRef& c : ColumnClosure(r.target)) seen.insert(c);
-    }
-  }
-  return {seen.begin(), seen.end()};
-}
-
-std::vector<ChainRule> DependencyManager::DeriveChainRules(
-    size_t max_chain_len) const {
-  // Edge-level view: (source column, target column, procedure).
-  struct Edge {
-    ColumnRef from;
-    ColumnRef to;
-    std::string procedure;
-    bool executable;
-    bool invertible;
-  };
-  std::vector<Edge> edge_list;
-  for (const auto& [name, r] : rules_) {
-    auto proc = procedures_->Get(r.procedure);
-    bool exec = proc.ok() && (*proc)->executable;
-    bool inv = proc.ok() && (*proc)->invertible;
-    for (const ColumnRef& s : r.sources) {
-      edge_list.push_back({s, r.target, r.procedure, exec, inv});
-    }
-  }
-
-  std::vector<ChainRule> chains;
-  // DFS from every node; paths of length >= 2 become derived rules. The
-  // graph is acyclic (enforced by AddRule) so plain DFS terminates.
-  std::function<void(const ColumnRef&, ChainRule&)> dfs =
-      [&](const ColumnRef& node, ChainRule& path) {
-        if (path.procedures.size() >= max_chain_len) return;
-        for (const Edge& e : edge_list) {
-          if (!(e.from == node)) continue;
-          ChainRule extended = path;
-          extended.target = e.to;
-          extended.procedures.push_back(e.procedure);
-          extended.executable = path.executable && e.executable;
-          extended.invertible = path.invertible && e.invertible;
-          if (extended.procedures.size() >= 2) chains.push_back(extended);
-          dfs(e.to, extended);
-        }
-      };
-  std::set<ColumnRef> starts;
-  for (const Edge& e : edge_list) starts.insert(e.from);
-  for (const ColumnRef& s : starts) {
-    ChainRule seed;
-    seed.source = s;
-    seed.target = s;
-    seed.executable = true;
-    seed.invertible = true;
-    dfs(s, seed);
-  }
-  return chains;
 }
 
 Result<std::vector<RowId>> DependencyManager::AffectedTargetRows(

@@ -35,8 +35,9 @@ struct CellRef {
 };
 
 // bdbms's local dependency tracker (paper §5). Holds the schema-level
-// Procedural Dependency rules, reasons over them (closures, cycles, chain
-// derivation), and at runtime reacts to cell modifications:
+// Procedural Dependency rules, rejects rules that would close a cycle, and
+// at runtime reacts to cell modifications (closures and chain derivation
+// over the rules live in dep/chain_rules.h):
 //  * dependencies whose procedure is executable are re-evaluated in place
 //    (Rule 3: Evalue is recomputed when Gene1/Gene2 change);
 //  * non-executable dependencies mark their targets Outdated in the
@@ -75,20 +76,6 @@ class DependencyManager {
   Status AddRule(DependencyRule rule);
   Status RemoveRule(const std::string& name);
   const std::map<std::string, DependencyRule>& rules() const { return rules_; }
-  Result<const DependencyRule*> GetRule(const std::string& name) const;
-
-  // --- reasoning (paper §5 "Modeling dependencies") -----------------------
-  // All columns transitively dependent on `start` (excluding start itself).
-  std::vector<ColumnRef> ColumnClosure(const ColumnRef& start) const;
-
-  // Closure of a procedure: every column whose value transitively depends
-  // on `procedure`.
-  std::vector<ColumnRef> ProcedureClosure(const std::string& procedure) const;
-
-  // Derives composed rules for every dependency path of length >= 2 (the
-  // paper's Rule 4 = Rule 1 then Rule 2). Chains are executable/invertible
-  // only if every link is.
-  std::vector<ChainRule> DeriveChainRules(size_t max_chain_len = 8) const;
 
   // True if adding `rule` would close a cycle.
   bool WouldCreateCycle(const DependencyRule& rule) const;

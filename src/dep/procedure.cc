@@ -22,13 +22,6 @@ Status ProcedureRegistry::Register(ProcedureInfo info) {
   return Status::Ok();
 }
 
-Status ProcedureRegistry::Unregister(const std::string& name) {
-  if (procs_.erase(name) == 0) {
-    return Status::NotFound("no procedure " + name);
-  }
-  return Status::Ok();
-}
-
 Result<const ProcedureInfo*> ProcedureRegistry::Get(
     const std::string& name) const {
   auto it = procs_.find(name);
@@ -54,13 +47,6 @@ Status ProcedureRegistry::UpdateImplementation(const std::string& name,
   it->second.fn = std::move(fn);
   ++it->second.version;
   return Status::Ok();
-}
-
-std::vector<std::string> ProcedureRegistry::List() const {
-  std::vector<std::string> names;
-  names.reserve(procs_.size());
-  for (const auto& [name, info] : procs_) names.push_back(name);
-  return names;
 }
 
 }  // namespace bdbms

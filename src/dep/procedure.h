@@ -46,16 +46,12 @@ class ProcedureRegistry {
   // Registers a procedure; executable procedures must supply fn.
   Status Register(ProcedureInfo info);
 
-  Status Unregister(const std::string& name);
-
   bool Has(const std::string& name) const { return procs_.count(name) > 0; }
   Result<const ProcedureInfo*> Get(const std::string& name) const;
 
   // Replaces the implementation and bumps the version (models upgrading
   // BLAST-2.2.15); the dependency manager reacts via OnProcedureChanged.
   Status UpdateImplementation(const std::string& name, ProcedureInfo::Fn fn);
-
-  std::vector<std::string> List() const;
 
  private:
   std::map<std::string, ProcedureInfo> procs_;

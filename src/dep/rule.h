@@ -44,19 +44,6 @@ struct DependencyRule {
   std::optional<KeyJoin> join;      // required iff source/target tables differ
 };
 
-// A derived (composed) rule: a chain of base rules, e.g. the paper's
-// Rule 4 = Rule 1 ∘ Rule 2. The chain is executable only if every link is;
-// likewise invertible.
-struct ChainRule {
-  ColumnRef source;
-  ColumnRef target;
-  std::vector<std::string> procedures;  // in application order
-  bool executable = false;
-  bool invertible = false;
-
-  std::string ToString() const;
-};
-
 }  // namespace bdbms
 
 #endif  // BDBMS_DEP_RULE_H_

@@ -238,17 +238,6 @@ Result<PageId> BPlusTree::DescendToLeaf(std::string_view key) const {
   }
 }
 
-Result<std::vector<uint64_t>> BPlusTree::SearchExact(
-    std::string_view key) const {
-  std::vector<uint64_t> out;
-  BDBMS_RETURN_IF_ERROR(ScanRange(key, std::string(key) + '\0',
-                                  [&](std::string_view k, uint64_t payload) {
-                                    if (k == key) out.push_back(payload);
-                                    return true;
-                                  }));
-  return out;
-}
-
 Status BPlusTree::ScanRange(
     std::string_view lo, std::string_view hi,
     const std::function<bool(std::string_view, uint64_t)>& fn) const {
@@ -331,18 +320,6 @@ Status BPlusTree::Delete(std::string_view key, uint64_t payload) {
     leaf_id = node.next;
   }
   return Status::NotFound("no such b+-tree entry");
-}
-
-Result<int> BPlusTree::Height() const {
-  int height = 1;
-  PageId node_id = root_;
-  for (;;) {
-    BDBMS_ASSIGN_OR_RETURN(bool leaf, IsLeaf(node_id));
-    if (leaf) return height;
-    BDBMS_ASSIGN_OR_RETURN(InnerNode node, ReadInner(node_id));
-    node_id = node.children[0];
-    ++height;
-  }
 }
 
 }  // namespace bdbms

@@ -30,9 +30,6 @@ class BPlusTree {
 
   Status Insert(std::string_view key, uint64_t payload);
 
-  // All payloads stored under exactly `key`.
-  Result<std::vector<uint64_t>> SearchExact(std::string_view key) const;
-
   // Visits entries with lo <= key < hi in key order; fn returning false
   // stops the scan.
   Status ScanRange(
@@ -51,8 +48,6 @@ class BPlusTree {
   uint64_t SizeBytes() const { return pager_->SizeBytes(); }
   const IoStats& io_stats() const { return pager_->stats(); }
   IoStats& io_stats() { return pager_->stats(); }
-  // Height of the tree (leaf = 1).
-  Result<int> Height() const;
 
  private:
   explicit BPlusTree(std::unique_ptr<Pager> pager, size_t pool_pages);

@@ -168,10 +168,6 @@ std::string IndexKeyLowestNonNull() { return std::string(1, kRankNumeric); }
 
 std::string IndexKeyUpperFence() { return std::string(1, kRankFence); }
 
-std::string IndexKeySuccessor(const std::string& key) {
-  return key + '\x00';
-}
-
 std::string IndexKeyPrefixUpperBound(std::string prefix) {
   while (!prefix.empty() &&
          static_cast<unsigned char>(prefix.back()) == 0xFF) {

@@ -61,13 +61,6 @@ std::string IndexKeyLowestNonNull();
 // Upper fence above every encodable key (single- or multi-component).
 std::string IndexKeyUpperFence();
 
-// The least byte string strictly greater than `key` in memcmp order.
-// Only meaningful when `key` is a WHOLE stored key: probe bounds on a
-// component of a composite key must use IndexKeyPrefixUpperBound instead
-// — the appended 0x00 is exactly the byte a NULL continuation encodes
-// as, so successor(component) would miss rows whose next column is NULL.
-std::string IndexKeySuccessor(const std::string& key);
-
 // The least key strictly greater than every key that starts with `prefix`
 // (byte-increment of the last non-0xFF byte); the global upper fence when
 // no such key exists. Upper bound of prefix-probe ranges.

@@ -102,27 +102,4 @@ Result<std::vector<RowId>> SecondaryIndex::FindEqual(
   return Find(p);
 }
 
-Result<std::vector<RowId>> SecondaryIndex::FindRange(
-    const std::optional<IndexBound>& lo,
-    const std::optional<IndexBound>& hi) const {
-  if (!lo.has_value() && !hi.has_value()) {
-    // FindRange models `col <op> ...`, so it excludes NULLs even when
-    // unbounded on both sides (unlike a prefix-equality Find).
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<RowId> rows;
-    BDBMS_RETURN_IF_ERROR(tree_->ScanRange(
-        IndexKeyLowestNonNull(), IndexKeyUpperFence(),
-        [&](std::string_view, uint64_t row) {
-          rows.push_back(row);
-          return true;
-        }));
-    std::sort(rows.begin(), rows.end());
-    return rows;
-  }
-  IndexProbe p;
-  p.lo = lo;
-  p.hi = hi;
-  return Find(p);
-}
-
 }  // namespace bdbms

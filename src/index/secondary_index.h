@@ -86,11 +86,8 @@ class SecondaryIndex {
                    const std::function<bool(std::string_view, RowId)>& fn)
       const;
 
-  // Single-column convenience wrappers (equality / folded range).
+  // Single-column equality convenience wrapper.
   Result<std::vector<RowId>> FindEqual(const Value& probe) const;
-  Result<std::vector<RowId>> FindRange(const std::optional<IndexBound>& lo,
-                                       const std::optional<IndexBound>& hi)
-      const;
 
  private:
   SecondaryIndex(std::string name, std::vector<size_t> columns,

@@ -118,11 +118,6 @@ Result<bool> ScanNodeBase::Next(PlanTuple* out) {
   size_t ncols = table_->schema().num_columns();
   const MvccSnapshot& snap = ctx_->snapshot;
   while (pos_ < candidates_.size()) {
-    // Periodic readahead: fault the next window of heap pages into the
-    // buffer pool ahead of the scan cursor (no-op for in-memory tables).
-    if ((pos_ & 63) == 0 && WantReadahead()) {
-      table_->PrefetchRows(candidates_, pos_);
-    }
     RowId row_id = candidates_[pos_++];
     // Every retained version of a row owns its own index entries, so an
     // index probe can return a RowId more than once (adjacent: candidates
@@ -189,8 +184,7 @@ std::string SeqScanNode::Describe() const {
     BufferPoolStats bs = table_->buffer_stats();
     out += " buffers(hit=" + std::to_string(bs.hits) +
            " miss=" + std::to_string(bs.misses) +
-           " evict=" + std::to_string(bs.evictions) +
-           " readahead=" + std::to_string(bs.readahead) + ")";
+           " evict=" + std::to_string(bs.evictions) + ")";
   }
   return out;
 }

@@ -98,12 +98,6 @@ class ScanNodeBase : public PlanNode {
   // " AS alias" / " ANNOTATION(...)" decoration shared by subclasses.
   std::string DescribeSuffix() const;
 
-  // Whether Next() should prefetch upcoming candidates' heap pages.
-  // Only sequential scans benefit: their candidate order matches page
-  // order, so the next candidates name the next pages. Index probes
-  // visit pages in key order, where readahead just pollutes the pool.
-  virtual bool WantReadahead() const { return false; }
-
   const ExecContext* ctx_;
   Table* table_;
   std::string table_name_;
@@ -132,7 +126,6 @@ class SeqScanNode : public ScanNodeBase {
 
  protected:
   Result<std::vector<RowId>> CollectCandidates() override;
-  bool WantReadahead() const override { return true; }
 };
 
 // B+-tree probe: leading-column equalities plus at most one trailing

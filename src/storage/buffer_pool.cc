@@ -5,7 +5,6 @@ namespace bdbms {
 PageHandle::~PageHandle() { Release(); }
 
 Page* PageHandle::page() { return &pool_->frames_[frame_].page; }
-const Page* PageHandle::page() const { return &pool_->frames_[frame_].page; }
 
 void PageHandle::MarkDirty() {
   if (pool_ != nullptr) pool_->MarkDirty(frame_);
@@ -17,14 +16,6 @@ void PageHandle::Release() {
     pool_ = nullptr;
   }
 }
-
-namespace {
-
-// Prefetching into a pool this small evicts pages the scan is about to
-// revisit; skip readahead entirely.
-constexpr size_t kMinPrefetchCapacity = 4;
-
-}  // namespace
 
 BufferPool::BufferPool(Pager* pager, size_t capacity)
     : pager_(pager), capacity_(capacity) {}
@@ -66,26 +57,6 @@ Result<PageHandle> BufferPool::New() {
   frame.in_lru = false;
   page_to_frame_[id] = f;
   return PageHandle(this, f, id);
-}
-
-void BufferPool::Prefetch(PageId id) {
-  if (page_to_frame_.find(id) != page_to_frame_.end()) return;
-  if (capacity_ != 0 && capacity_ < kMinPrefetchCapacity) return;
-  Result<size_t> f = GetFreeFrame();
-  if (!f.ok()) return;  // every frame pinned (or write-back failed): skip
-  Frame& frame = frames_[*f];
-  if (!pager_->ReadPage(id, &frame.page).ok()) {
-    free_list_.push_back(*f);
-    return;
-  }
-  frame.id = id;
-  frame.pin_count = 0;
-  frame.dirty = false;
-  page_to_frame_[id] = *f;
-  lru_.push_front(*f);
-  frame.lru_pos = lru_.begin();
-  frame.in_lru = true;
-  ++stats_.readahead;
 }
 
 Status BufferPool::FlushAll() {

@@ -39,7 +39,6 @@ class PageHandle {
   PageId id() const { return id_; }
 
   Page* page();
-  const Page* page() const;
 
   // Flags the frame so the buffer pool writes it back before eviction.
   void MarkDirty();
@@ -64,7 +63,7 @@ struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t readahead = 0;  // pages loaded by Prefetch, not demand misses
+  uint64_t readahead = 0;  // always 0; kept for e2ebench's readahead metric
 
   void Reset() { *this = BufferPoolStats(); }
 };
@@ -85,12 +84,6 @@ class BufferPool {
 
   // Allocates a fresh zeroed page and pins it (already marked dirty).
   Result<PageHandle> New();
-
-  // Advisory readahead: loads page `id` unpinned at the hot end of the LRU
-  // list. A no-op when the page is resident, the pool is too small for
-  // readahead to help, every frame is pinned, or the read fails — sequential
-  // scans must not turn a prefetch problem into a query error.
-  void Prefetch(PageId id);
 
   // Writes back all dirty frames.
   Status FlushAll();

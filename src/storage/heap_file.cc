@@ -133,11 +133,6 @@ Status HeapFile::CheckpointCommit() {
   return pager_->CheckpointCommit();
 }
 
-void HeapFile::Prefetch(const std::vector<PageId>& pages) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (PageId id : pages) pool_->Prefetch(id);
-}
-
 Status HeapFile::Bootstrap() {
   for (PageId id = 0; id < pager_->page_count(); ++id) {
     BDBMS_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(id));

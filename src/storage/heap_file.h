@@ -61,12 +61,8 @@ class HeapFile {
   Status CheckpointPrepare(uint64_t gen);
   Status CheckpointCommit();
 
-  // Advisory readahead of heap pages (sequential-scan prefetch).
-  void Prefetch(const std::vector<PageId>& pages);
-
   bool paged() const { return pager_->paged(); }
   uint32_t page_count() const { return pager_->page_count(); }
-  uint32_t dirty_page_count() const { return pager_->dirty_page_count(); }
 
   uint64_t record_count() const { return record_count_; }
 

@@ -74,29 +74,6 @@ Status Table::CheckpointCommit() {
   return heap_->CheckpointCommit();
 }
 
-void Table::PrefetchRows(const std::vector<RowId>& candidates,
-                         size_t from) const {
-  if (readahead_pages_ == 0 || !heap_->paged()) return;
-  // Map upcoming candidate rows to distinct heap pages under the shared
-  // latch. Bounded: a scan retriggers readahead periodically, so a small
-  // look-ahead window is enough.
-  constexpr size_t kMaxCandidateScan = 4096;
-  std::vector<PageId> pages;
-  {
-    std::shared_lock<std::shared_mutex> lock(latch_);
-    size_t end = std::min(candidates.size(), from + kMaxCandidateScan);
-    for (size_t i = from; i < end && pages.size() < readahead_pages_; ++i) {
-      auto it = rows_.find(candidates[i]);
-      if (it == rows_.end()) continue;
-      PageId pid = it->second.page_id;
-      if (std::find(pages.begin(), pages.end(), pid) == pages.end()) {
-        pages.push_back(pid);
-      }
-    }
-  }
-  if (!pages.empty()) heap_->Prefetch(pages);
-}
-
 Status Table::Bootstrap() {
   return heap_->ForEach([&](RecordId rid, std::string_view payload) {
     auto decoded = DecodeRecord(payload);

@@ -223,7 +223,6 @@ class Table {
   // --- paged storage -------------------------------------------------------
   bool paged() const { return heap_->paged(); }
   uint32_t heap_page_count() const { return heap_->page_count(); }
-  uint32_t dirty_page_count() const { return heap_->dirty_page_count(); }
   BufferPoolStats buffer_stats() const { return heap_->buffer_stats(); }
 
   // Basename of the paged heap file ("" for in-memory tables); recorded in
@@ -234,14 +233,6 @@ class Table {
   // in-memory tables).
   Status CheckpointPrepare(uint64_t gen);
   Status CheckpointCommit();
-
-  // Sequential-scan readahead: prefetches the heap pages holding the next
-  // candidates of `candidates` starting at index `from` (up to the
-  // configured readahead page count). Advisory; no-op when not paged or
-  // readahead is disabled.
-  void PrefetchRows(const std::vector<RowId>& candidates, size_t from) const;
-
-  void set_readahead_pages(size_t n) { readahead_pages_ = n; }
 
   // Installs the engine's ambient MVCC context. When `mvcc->writer` is
   // non-null, mutators take the versioned path (row writes roll back
@@ -303,7 +294,6 @@ class Table {
   RowId next_row_id_ = 0;
   MvccState* mvcc_ = nullptr;
   std::string heap_file_name_;   // basename of the paged heap ("" if none)
-  size_t readahead_pages_ = 0;   // 0 disables scan prefetch
   mutable std::shared_mutex latch_;
 };
 

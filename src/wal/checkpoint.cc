@@ -379,7 +379,6 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
     BDBMS_ASSIGN_OR_RETURN(
         std::unique_ptr<Table> table,
         Table::OpenPaged(schema, paged_->env, path, paged_->pool_pages));
-    table->set_readahead_pages(paged_->readahead_pages);
     if (table->row_count() != row_cnt) {
       return Status::Corruption(
           "paged heap " + heap_name + " holds " +

@@ -172,7 +172,9 @@ TEST_F(AnnotationTableTest, ArchiveHidesRestoreReveals) {
   ASSERT_TRUE(archived.ok());
   EXPECT_EQ(*archived, 1u);
   EXPECT_TRUE(table_->IdsForCell(0, 0).empty());
-  EXPECT_EQ(table_->live_count(), 0u);
+  auto meta = table_->Meta(*id);
+  ASSERT_TRUE(meta.ok());
+  EXPECT_TRUE(meta->archived);
   EXPECT_EQ(table_->count(), 1u);  // archived, not deleted
 
   auto restored = table_->RestoreMatching({{ColumnBit(0), 0, 0}});
@@ -268,27 +270,37 @@ TEST(AnnotationManagerTest, CreateDropAndLookup) {
   EXPECT_TRUE(mgr.ListFor("Gene").empty());
 }
 
+// A row carries the annotations of every category the query names, and
+// only those.
 TEST(AnnotationManagerTest, IdsForRowAcrossCategories) {
-  LogicalClock clock;
-  AnnotationManager mgr(&clock);
-  ASSERT_TRUE(mgr.CreateAnnotationTable("Gene", "Comments").ok());
-  ASSERT_TRUE(mgr.CreateAnnotationTable("Gene", "Lineage").ok());
-  auto comments = mgr.Get("Gene", "Comments");
-  auto lineage = mgr.Get("Gene", "Lineage");
-  ASSERT_TRUE(comments.ok() && lineage.ok());
-  ASSERT_TRUE((*comments)->Add("<A>c</A>", {{ColumnBit(0), 0, 5}}, "u").ok());
-  ASSERT_TRUE((*lineage)->Add("<A>l</A>", {{ColumnBit(0), 3, 9}}, "u").ok());
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE Gene (GID TEXT, GName TEXT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE ANNOTATION TABLE Comments ON Gene").ok());
+  ASSERT_TRUE(db.Execute("CREATE ANNOTATION TABLE Lineage ON Gene").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO Gene VALUES ('g1', 'a'), ('g2', 'b')").ok());
+  ASSERT_TRUE(db.Execute("ADD ANNOTATION TO Gene.Comments VALUE '<A>c</A>' "
+                         "ON (SELECT GID FROM Gene)")
+                  .ok());
+  ASSERT_TRUE(db.Execute("ADD ANNOTATION TO Gene.Lineage VALUE '<A>l</A>' "
+                         "ON (SELECT GID FROM Gene WHERE GID = 'g2')")
+                  .ok());
 
-  // All categories.
-  auto all = mgr.IdsForRow("Gene", {}, 4, ColumnBit(0));
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 2u);
+  // Both categories.
+  auto all = db.Execute(
+      "SELECT GID FROM Gene ANNOTATION(Comments, Lineage) WHERE GID = 'g2'");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->rows.size(), 1u);
+  EXPECT_EQ(all->rows[0].AllAnnotations().size(), 2u);
 
   // Only the Lineage category (the paper's "propagate a certain type").
-  auto only = mgr.IdsForRow("Gene", {"Lineage"}, 4, ColumnBit(0));
-  ASSERT_TRUE(only.ok());
-  ASSERT_EQ(only->size(), 1u);
-  EXPECT_EQ((*only)[0].first, "Lineage");
+  auto only =
+      db.Execute("SELECT GID FROM Gene ANNOTATION(Lineage) WHERE GID = 'g2'");
+  ASSERT_TRUE(only.ok()) << only.status().ToString();
+  ASSERT_EQ(only->rows.size(), 1u);
+  auto anns = only->rows[0].AllAnnotations();
+  ASSERT_EQ(anns.size(), 1u);
+  EXPECT_EQ(anns[0]->category, "Lineage");
 }
 
 // Every annotation write leaves the table's interval index dirty; the

@@ -100,7 +100,7 @@ TEST_F(ApprovalFixture, ColumnScopedMonitoring) {
 
   // Stop just that column -> monitoring disappears entirely.
   ASSERT_TRUE(mgr_->StopContentApproval("Gene", {"GSequence"}).ok());
-  EXPECT_FALSE(mgr_->GetConfig("Gene").has_value());
+  EXPECT_EQ(mgr_->configs().count("Gene"), 0u);
 }
 
 TEST_F(ApprovalFixture, StartRejectsUnknownTableOrColumn) {
@@ -145,9 +145,9 @@ TEST_F(ApprovalFixture, DeleteDisapprovalReinsertsOldRow) {
   auto op_id = mgr_->LogOperation(OpType::kDelete, "Gene", *rid, "member",
                                   *fetched, {});
   ASSERT_TRUE(op_id.ok());
-  auto op = mgr_->GetOperation(*op_id);
-  ASSERT_TRUE(op.ok());
-  EXPECT_EQ((*op)->inverse_sql,
+  auto op = mgr_->log().find(*op_id);
+  ASSERT_NE(op, mgr_->log().end());
+  EXPECT_EQ(op->second.inverse_sql,
             "INSERT INTO Gene VALUES ('JW0055', 'yabP', 'ATGAAAGTATC')");
 
   auto settled = mgr_->Disapprove(*op_id, "lab_admin", resolver_);

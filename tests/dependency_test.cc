@@ -9,6 +9,7 @@
 
 #include "catalog/catalog.h"
 #include "core/database.h"
+#include "dep/chain_rules.h"
 #include "dep/dependency_manager.h"
 #include "dep/outdated_bitmap.h"
 #include "dep/outdated_bitmap_rle.h"
@@ -209,32 +210,32 @@ TEST_F(DependencyFixture, CycleRejected) {
 }
 
 TEST_F(DependencyFixture, ColumnClosure) {
-  auto closure = mgr_->ColumnClosure({"Gene", "GSequence"});
+  auto closure = ColumnClosure(mgr_->rules(), {"Gene", "GSequence"});
   std::set<ColumnRef> got(closure.begin(), closure.end());
   EXPECT_TRUE(got.count({"Protein", "PSequence"}));
   EXPECT_TRUE(got.count({"Protein", "PFunction"}));
   EXPECT_EQ(got.size(), 2u);
 
   // PFunction is a sink.
-  EXPECT_TRUE(mgr_->ColumnClosure({"Protein", "PFunction"}).empty());
+  EXPECT_TRUE(ColumnClosure(mgr_->rules(), {"Protein", "PFunction"}).empty());
 }
 
 TEST_F(DependencyFixture, ProcedureClosure) {
   // Closure of P: PSequence (direct) + PFunction (downstream).
-  auto closure = mgr_->ProcedureClosure("P");
+  auto closure = ProcedureClosure(mgr_->rules(), "P");
   std::set<ColumnRef> got(closure.begin(), closure.end());
   EXPECT_EQ(got.size(), 2u);
   EXPECT_TRUE(got.count({"Protein", "PSequence"}));
   EXPECT_TRUE(got.count({"Protein", "PFunction"}));
 
   // Closure of BLAST: just Evalue.
-  auto blast = mgr_->ProcedureClosure("BLAST-2.2.15");
+  auto blast = ProcedureClosure(mgr_->rules(), "BLAST-2.2.15");
   ASSERT_EQ(blast.size(), 1u);
   EXPECT_EQ(blast[0], (ColumnRef{"GeneMatching", "Evalue"}));
 }
 
 TEST_F(DependencyFixture, DeriveChainRulesReproducesRule4) {
-  auto chains = mgr_->DeriveChainRules();
+  auto chains = DeriveChainRules(mgr_->rules(), procs_);
   // Exactly one chain of length 2: GSequence -> PFunction via [P, lab].
   ASSERT_EQ(chains.size(), 1u);
   const ChainRule& rule4 = chains[0];

@@ -254,7 +254,7 @@ inline std::string Fingerprint(Database& db) {
   out << "\napproval_log next=" << db.approvals().next_op_id() << "\n";
   for (const auto& [id, op] : db.approvals().log()) {
     out << "  op" << id << " " << OpTypeName(op.type) << " "
-        << OpStateName(op.state) << " " << op.table << "[" << op.row
+        << static_cast<int>(op.state) << " " << op.table << "[" << op.row
         << "] by=" << op.issuer << " ts=" << op.timestamp << " old=";
     for (const Value& v : op.old_row) out << v.ToString() << ",";
     out << " new=";

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "index/btree/bplus_tree.h"
@@ -12,17 +14,28 @@
 namespace bdbms {
 namespace {
 
+// Payloads stored under exactly `key`: the range [key, key + '\0') holds
+// only `key` itself.
+std::vector<uint64_t> Exact(const BPlusTree& tree, const std::string& key) {
+  std::vector<uint64_t> out;
+  auto collect = [&](std::string_view, uint64_t payload) {
+    out.push_back(payload);
+    return true;
+  };
+  EXPECT_TRUE(tree.ScanRange(key, key + '\0', collect).ok());
+  return out;
+}
+
 TEST(BPlusTreeTest, InsertAndExactSearch) {
   auto tree = BPlusTree::CreateInMemory();
   ASSERT_TRUE(tree.ok());
   ASSERT_TRUE((*tree)->Insert("mraW", 1).ok());
   ASSERT_TRUE((*tree)->Insert("ftsI", 2).ok());
   ASSERT_TRUE((*tree)->Insert("mraW", 3).ok());  // duplicate key
-  auto hits = (*tree)->SearchExact("mraW");
-  ASSERT_TRUE(hits.ok());
-  std::sort(hits->begin(), hits->end());
-  EXPECT_EQ(*hits, (std::vector<uint64_t>{1, 3}));
-  EXPECT_TRUE((*tree)->SearchExact("nope")->empty());
+  std::vector<uint64_t> hits = Exact(**tree, "mraW");
+  std::sort(hits.begin(), hits.end());
+  EXPECT_EQ(hits, (std::vector<uint64_t>{1, 3}));
+  EXPECT_TRUE(Exact(**tree, "nope").empty());
 }
 
 TEST(BPlusTreeTest, RangeAndPrefixScan) {
@@ -62,9 +75,8 @@ TEST(BPlusTreeTest, SplitsGrowHeight) {
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE((*tree)->Insert(rng.NextString(24, "ACGT"), i).ok());
   }
-  auto height = (*tree)->Height();
-  ASSERT_TRUE(height.ok());
-  EXPECT_GE(*height, 2);
+  // A single-page tree is one leaf; more pages mean the root split.
+  EXPECT_GT((*tree)->SizeBytes(), kPageSize);
   EXPECT_EQ((*tree)->size(), 5000u);
 }
 
@@ -74,9 +86,7 @@ TEST(BPlusTreeTest, DeleteRemovesSingleEntry) {
   ASSERT_TRUE((*tree)->Insert("key", 1).ok());
   ASSERT_TRUE((*tree)->Insert("key", 2).ok());
   ASSERT_TRUE((*tree)->Delete("key", 1).ok());
-  auto hits = (*tree)->SearchExact("key");
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(*hits, (std::vector<uint64_t>{2}));
+  EXPECT_EQ(Exact(**tree, "key"), (std::vector<uint64_t>{2}));
   EXPECT_TRUE((*tree)->Delete("key", 1).IsNotFound());
 }
 
