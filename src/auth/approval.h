@@ -110,8 +110,8 @@ class ApprovalManager {
   // --- checkpoint serialization -------------------------------------------
   // Full state enumeration: configs (including switched-off ones, which
   // keep their column/approver fields) and the complete operation log,
-  // settled entries included — GetOperation() can still be asked about
-  // them after recovery.
+  // settled entries included — after recovery, log() still lists them and
+  // settling one again fails "already settled", not NotFound.
   const std::map<std::string, ApprovalConfig>& configs() const {
     return configs_;
   }

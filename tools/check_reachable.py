@@ -20,9 +20,9 @@ name is the demangled name without its parameter list, and covers every
 overload; the caller says who needs the function although no engine
 binary calls it. ``#`` starts a comment.
 
-Usage: ``python3 tools/check_reachable.py [--build-dir DIR]
-[--source-dir DIR] [--allowlist FILE] [--jobs N]``. Exit status: 0 =
-clean, 1 = unreached or stale names, 2 = build or usage error.
+Usage: ``python3 tools/check_reachable.py [--build-dir DIR]``. Exit
+status: 0 = clean, 1 = unreached or stale names, 2 = build or usage
+error.
 """
 
 import argparse
@@ -33,6 +33,7 @@ import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+ALLOWLIST = REPO_ROOT / "tools" / "reachable.txt"
 BINARIES = ("bdbms_server", "bdbms_client")
 
 
@@ -45,8 +46,8 @@ def run(cmd, **kwargs):
     return result.stdout
 
 
-def configure(source, build, link_flags):
-    run(["cmake", "-S", str(source), "-B", str(build),
+def configure(build, link_flags):
+    run(["cmake", "-S", str(REPO_ROOT), "-B", str(build),
          "-DCMAKE_BUILD_TYPE=Debug",
          "-DCMAKE_CXX_FLAGS_DEBUG=",
          "-DCMAKE_CXX_FLAGS=-O0 -fno-inline -ffunction-sections",
@@ -56,9 +57,9 @@ def configure(source, build, link_flags):
          "-DBDBMS_BUILD_EXAMPLES=OFF", "-DBDBMS_BUILD_TOOLS=ON"])
 
 
-def build_targets(build, targets, jobs):
-    run(["cmake", "--build", str(build), "-j", str(jobs), "--target"] +
-        list(targets))
+def build_targets(build, targets):
+    run(["cmake", "--build", str(build), "-j", str(os.cpu_count() or 2),
+         "--target"] + list(targets))
 
 
 def defined_functions(path, types):
@@ -112,23 +113,18 @@ def read_allowlist(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--source-dir", default=str(REPO_ROOT))
     parser.add_argument("--build-dir", default=str(REPO_ROOT /
                                                    "build-reach"))
-    parser.add_argument("--allowlist", default=str(REPO_ROOT / "tools" /
-                                                   "reachable.txt"))
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
     args = parser.parse_args()
-    source = pathlib.Path(args.source_dir).resolve()
     build = pathlib.Path(args.build_dir).resolve()
 
-    allowlist, bad = read_allowlist(pathlib.Path(args.allowlist))
+    allowlist, bad = read_allowlist(ALLOWLIST)
     if bad:
         sys.stderr.write("\n".join(bad) + "\n")
         return 2
 
-    configure(source, build, [])
-    build_targets(build, ["bdbms"], args.jobs)
+    configure(build, [])
+    build_targets(build, ["bdbms"])
     library = build / "src" / "libbdbms.a"
     strong = defined_functions(library, {"T"})
     names = {m: qualified_name(d) for m, d in demangle(sorted(strong)).items()}
@@ -138,8 +134,8 @@ def main():
 
     # Relinking with the roots as extra undefined references changes only
     # the link line, so the objects built above are reused.
-    configure(source, build, ["-Wl,--require-defined=" + m for m in roots])
-    build_targets(build, BINARIES, args.jobs)
+    configure(build, ["-Wl,--require-defined=" + m for m in roots])
+    build_targets(build, BINARIES)
     reached = set()
     for binary in BINARIES:
         reached |= defined_functions(build / "tools" / binary, {"T", "t"})
@@ -155,7 +151,7 @@ def main():
         print("stale allowlist entry: " + name)
     if unreached:
         print("Delete these functions, move them out of libbdbms, or add "
-              "them with their caller to " + args.allowlist)
+              "them with their caller to " + str(ALLOWLIST))
     return 1 if unreached or stale else 0
 
 
