@@ -144,7 +144,7 @@ void BM_ProcedureChangePropagation(benchmark::State& state, bool indexed) {
   std::unique_ptr<Database> db = BuildJoinedTables(kRows, indexed);
   size_t recomputed = 0;
   for (auto _ : state) {
-    auto report = db->dependencies().OnProcedureChanged("P", db->Resolver());
+    auto report = db->dependencies().OnProcedureChanged("P");
     benchmark::DoNotOptimize(report);
     if (report.ok()) recomputed = report->recomputed.size();
   }

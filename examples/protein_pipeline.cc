@@ -87,8 +87,7 @@ int main() {
 
   // The wet lab re-verified the function: revalidate with a new value.
   auto report = db.dependencies().RevalidateWithValue(
-      "Protein", 0, 3, Value::Text("methyltransferase (verified 2026-06)"),
-      db.Resolver());
+      "Protein", 0, 3, Value::Text("methyltransferase (verified 2026-06)"));
   if (report.ok()) {
     std::printf("revalidated Protein.PFunction (cascade touched %zu cells)\n\n",
                 report->total());
@@ -105,7 +104,7 @@ int main() {
             bdbms::AlignmentEvalue(score, a.size(), b.size()));
       });
   auto blast_report =
-      db.dependencies().OnProcedureChanged("BLAST-2.2.15", db.Resolver());
+      db.dependencies().OnProcedureChanged("BLAST-2.2.15");
   if (blast_report.ok()) {
     std::printf("BLAST upgraded: %zu Evalue cells re-evaluated\n\n",
                 blast_report->recomputed.size());

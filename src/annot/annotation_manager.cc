@@ -14,14 +14,16 @@ void AnnotationManager::ForEachTable(
 }
 
 Status AnnotationManager::CreateAnnotationTable(const std::string& table,
-                                                const std::string& ann_name) {
+                                                const std::string& ann_name,
+                                                bool is_provenance) {
   std::string key = Key(table, ann_name);
   if (tables_.count(key)) {
     return Status::AlreadyExists("annotation table " + key +
                                  " already exists");
   }
-  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<AnnotationTable> at,
-                         AnnotationTable::CreateInMemory(ann_name, clock_));
+  BDBMS_ASSIGN_OR_RETURN(
+      std::unique_ptr<AnnotationTable> at,
+      AnnotationTable::CreateInMemory(ann_name, clock_, is_provenance));
   at->set_mvcc(mvcc_);
   tables_[key] = std::move(at);
   if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {

@@ -1,13 +1,13 @@
 #ifndef BDBMS_ANNOT_ANNOTATION_MANAGER_H_
 #define BDBMS_ANNOT_ANNOTATION_MANAGER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "annot/annotation_table.h"
-#include "catalog/catalog.h"
 #include "common/clock.h"
 #include "common/result.h"
 #include "txn/mvcc.h"
@@ -16,9 +16,9 @@ namespace bdbms {
 
 // The bdbms annotation manager (paper §2, §3): owns the annotation storage
 // space — every AnnotationTable of every user relation — and implements
-// the storage side of the A-SQL commands. Command-level validation
-// (catalog existence, authorization) happens in the executor; this class
-// is the storage authority.
+// the A-SQL annotation-table commands. It is the one registry of
+// annotation tables; the executor checks that the user table exists
+// before creating one.
 class AnnotationManager {
  public:
   // `clock` stamps annotations; must outlive the manager.
@@ -27,9 +27,10 @@ class AnnotationManager {
   AnnotationManager(const AnnotationManager&) = delete;
   AnnotationManager& operator=(const AnnotationManager&) = delete;
 
-  // CREATE ANNOTATION TABLE <ann_name> ON <table> (storage side).
+  // CREATE ANNOTATION TABLE <ann_name> ON <table> [AS PROVENANCE].
   Status CreateAnnotationTable(const std::string& table,
-                               const std::string& ann_name);
+                               const std::string& ann_name,
+                               bool is_provenance = false);
 
   // DROP ANNOTATION TABLE <ann_name> ON <table>.
   Status DropAnnotationTable(const std::string& table,

@@ -8,11 +8,12 @@
 namespace bdbms {
 
 Result<std::unique_ptr<AnnotationTable>> AnnotationTable::CreateInMemory(
-    std::string name, LogicalClock* clock, size_t pool_pages) {
+    std::string name, LogicalClock* clock, bool is_provenance,
+    size_t pool_pages) {
   BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> heap,
                          HeapFile::CreateInMemory(pool_pages));
-  return std::unique_ptr<AnnotationTable>(
-      new AnnotationTable(std::move(name), clock, std::move(heap)));
+  return std::unique_ptr<AnnotationTable>(new AnnotationTable(
+      std::move(name), clock, is_provenance, std::move(heap)));
 }
 
 std::string AnnotationTable::EncodeRecord(const AnnotationMeta& meta,

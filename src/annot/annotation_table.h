@@ -31,14 +31,18 @@ namespace bdbms {
 class AnnotationTable {
  public:
   // `clock` assigns creation timestamps (used by ARCHIVE/RESTORE BETWEEN);
-  // it must outlive the table.
+  // it must outlive the table. A provenance table (CREATE ANNOTATION
+  // TABLE ... AS PROVENANCE) takes writes from system agents only, and
+  // DML records provenance into it automatically.
   static Result<std::unique_ptr<AnnotationTable>> CreateInMemory(
-      std::string name, LogicalClock* clock, size_t pool_pages = 64);
+      std::string name, LogicalClock* clock, bool is_provenance = false,
+      size_t pool_pages = 64);
 
   AnnotationTable(const AnnotationTable&) = delete;
   AnnotationTable& operator=(const AnnotationTable&) = delete;
 
   const std::string& name() const { return name_; }
+  bool is_provenance() const { return is_provenance_; }
 
   // Validates `xml_body` as XML and stores it over `regions`. Under an
   // ambient MVCC writer the annotation is tagged with the writer's txn
@@ -127,9 +131,12 @@ class AnnotationTable {
   void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
  private:
-  AnnotationTable(std::string name, LogicalClock* clock,
+  AnnotationTable(std::string name, LogicalClock* clock, bool is_provenance,
                   std::unique_ptr<HeapFile> heap)
-      : name_(std::move(name)), clock_(clock), heap_(std::move(heap)) {}
+      : name_(std::move(name)),
+        is_provenance_(is_provenance),
+        clock_(clock),
+        heap_(std::move(heap)) {}
 
   // (Re)writes the heap record for `id` after a metadata change.
   Status Rewrite(AnnotationId id, const std::string& body);
@@ -143,6 +150,7 @@ class AnnotationTable {
   static bool VisibleTo(const AnnotationMeta& meta, const MvccSnapshot* snap);
 
   std::string name_;
+  bool is_provenance_;
   LogicalClock* clock_;
   std::unique_ptr<HeapFile> heap_;
   std::map<AnnotationId, AnnotationMeta> metas_;

@@ -100,6 +100,26 @@ Status AccessControl::Revoke(const std::string& principal,
   return Status::Ok();
 }
 
+void AccessControl::DropGrantsOn(const std::string& table) {
+  std::vector<std::pair<std::pair<std::string, std::string>,
+                        std::set<Privilege>>>
+      dropped;
+  for (auto it = grants_.begin(); it != grants_.end();) {
+    if (it->first.second == table) {
+      dropped.emplace_back(it->first, std::move(it->second));
+      it = grants_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
+  if (!dropped.empty() && w != nullptr) {
+    w->undo.push_back([this, dropped] {
+      for (const auto& [key, privileges] : dropped) grants_[key] = privileges;
+    });
+  }
+}
+
 bool AccessControl::IsGranted(const std::string& user,
                               const std::string& table,
                               Privilege privilege) const {

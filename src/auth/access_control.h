@@ -60,6 +60,9 @@ class AccessControl {
                Privilege privilege);
   Status Revoke(const std::string& principal, const std::string& table,
                 Privilege privilege);
+  // Removes every grant on `table` (DROP TABLE), so a later table of the
+  // same name starts with none.
+  void DropGrantsOn(const std::string& table);
 
   // True if `user` holds `privilege` on `table` directly, through any of
   // its groups, or by being a superuser.

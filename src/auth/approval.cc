@@ -19,7 +19,8 @@ std::string_view OpTypeName(OpType t) {
 Status ApprovalManager::StartContentApproval(
     const std::string& table, const std::vector<std::string>& columns,
     const std::string& approver) {
-  BDBMS_ASSIGN_OR_RETURN(TableSchema schema, catalog_->GetSchema(table));
+  BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(table));
+  const TableSchema& schema = t->schema();
   if (approver.empty()) {
     return Status::InvalidArgument("APPROVED BY must name a user or group");
   }
@@ -64,7 +65,8 @@ Status ApprovalManager::StopContentApproval(
     configs_.erase(it);
     return Status::Ok();
   }
-  BDBMS_ASSIGN_OR_RETURN(TableSchema schema, catalog_->GetSchema(table));
+  BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(table));
+  const TableSchema& schema = t->schema();
   RecordConfigUndo(table);
   for (const std::string& c : columns) {
     BDBMS_ASSIGN_OR_RETURN(size_t idx, schema.ColumnIndex(c));
@@ -86,7 +88,8 @@ Result<std::string> ApprovalManager::BuildInverseSql(OpType type,
                                                      const std::string& table,
                                                      RowId row,
                                                      const Row& old_row) const {
-  BDBMS_ASSIGN_OR_RETURN(TableSchema schema, catalog_->GetSchema(table));
+  BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(table));
+  const TableSchema& schema = t->schema();
   switch (type) {
     case OpType::kInsert:
       // Inverse of INSERT is DELETE (paper §6).
@@ -206,7 +209,7 @@ Status ApprovalManager::Approve(uint64_t op_id, const std::string& principal) {
 }
 
 Result<LoggedOperation> ApprovalManager::Disapprove(
-    uint64_t op_id, const std::string& principal, const TableResolver& tables) {
+    uint64_t op_id, const std::string& principal) {
   auto it = log_.find(op_id);
   if (it == log_.end()) {
     return Status::NotFound("no logged operation " + std::to_string(op_id));
@@ -216,7 +219,7 @@ Result<LoggedOperation> ApprovalManager::Disapprove(
     return Status::FailedPrecondition("operation already settled");
   }
   BDBMS_RETURN_IF_ERROR(CheckApprover(op, principal));
-  BDBMS_ASSIGN_OR_RETURN(Table * t, tables(op.table));
+  BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(op.table));
 
   // Execute the inverse statement.
   switch (op.type) {

@@ -1,7 +1,6 @@
 #ifndef BDBMS_AUTH_APPROVAL_H_
 #define BDBMS_AUTH_APPROVAL_H_
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -55,9 +54,6 @@ struct MvccState;
 // The approval log + configuration store.
 class ApprovalManager {
  public:
-  using TableResolver =
-      std::function<Result<Table*>(const std::string& table)>;
-
   ApprovalManager(Catalog* catalog, AccessControl* access, LogicalClock* clock)
       : catalog_(catalog), access_(access), clock_(clock) {}
 
@@ -98,12 +94,12 @@ class ApprovalManager {
   // APPROVED BY user/group (superusers always may).
   Status Approve(uint64_t op_id, const std::string& principal);
 
-  // Disapproves: executes the inverse statement through `tables`, removing
-  // the operation's effect, and marks the entry. Returns the settled entry
-  // so the caller can run dependency invalidation on the touched cells.
+  // Disapproves: executes the inverse statement on the catalog's table,
+  // removing the operation's effect, and marks the entry. Returns the
+  // settled entry so the caller can run dependency invalidation on the
+  // touched cells.
   Result<LoggedOperation> Disapprove(uint64_t op_id,
-                                     const std::string& principal,
-                                     const TableResolver& tables);
+                                     const std::string& principal);
 
   uint64_t log_size() const { return log_.size(); }
 

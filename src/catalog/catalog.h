@@ -1,123 +1,66 @@
 #ifndef BDBMS_CATALOG_CATALOG_H_
 #define BDBMS_CATALOG_CATALOG_H_
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "catalog/schema.h"
-#include "catalog/statistics.h"
 #include "common/result.h"
+#include "table/table.h"
 
 namespace bdbms {
 
-// Metadata about one annotation table attached to a user relation
-// (paper Figure 4: CREATE ANNOTATION TABLE <ann> ON <table>). Annotation
-// tables categorize annotations — e.g. one for provenance, one for user
-// comments (Section 3.1).
-struct AnnotationTableInfo {
-  std::string name;        // annotation table name (unique per user table)
-  std::string on_table;    // the user relation it annotates
-  bool is_provenance = false;  // provenance tables get system-only writers
-};
-
-// How a secondary index is organized: a B+-tree over the order-preserving
-// composite key codec, or an SP-GiST trie over one sequence/text column
-// (CREATE SEQUENCE INDEX ... USING SPGIST).
-enum class IndexKind { kBTree, kSpGist };
-
-// Metadata about one secondary index (CREATE [SEQUENCE] INDEX <name> ON
-// <table> (<columns>)). The storage object lives in Table; the catalog
-// entry is what DDL validates against.
-struct IndexInfo {
-  std::string name;     // index name (unique per user table)
-  std::string on_table;
-  std::string column;   // leading key column (compat accessor)
-  std::vector<std::string> columns;  // full key column list, in order
-  IndexKind kind = IndexKind::kBTree;
-};
-
 struct MvccState;
 
-// System catalog: user tables and their annotation tables. Dependency
-// rules live in DependencyManager, ACL/approval state in
-// AuthorizationManager; the catalog is the name authority all of them
-// validate against.
+// Builds the storage object of a table: a durable database opens paged
+// heaps, a memory-only one builds in-memory tables.
+using TableFactory =
+    std::function<Result<std::unique_ptr<Table>>(const TableSchema&)>;
+
+// System catalog: the one registry of user tables. It owns every Table;
+// a Table owns its indexes and ANALYZE statistics, and AnnotationManager
+// owns the annotation tables, so dropping a table drops its indexes and
+// statistics with it. Dependency rules live in DependencyManager,
+// ACL/approval state in AccessControl and ApprovalManager; all of them
+// resolve table names here.
 class Catalog {
  public:
   Catalog() = default;
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
-  // Transactions: while a writer is installed, every catalog mutation
-  // pushes a compensation that restores the prior entry (or absence)
-  // exactly.
+  // Transactions: installed on every registered Table as well. While a
+  // writer is installed, CreateTable and DropTable push a compensation
+  // that restores the prior registration (or absence) exactly.
   void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
-  // --- user tables -------------------------------------------------------
-  Status CreateTable(const TableSchema& schema);
+  // Validates the schema (non-empty name, at least one column, name not
+  // taken), then registers the Table that `storage` builds for it — an
+  // in-memory one when `storage` is null.
+  Status CreateTable(const TableSchema& schema,
+                     const TableFactory& storage = nullptr);
+
+  // Unregisters `name`. While a writer is installed the Table — rows,
+  // indexes and statistics — is parked in the compensation instead of
+  // destroyed: rollback re-registers it intact, and until the
+  // transaction settles its write set may still name it.
   Status DropTable(const std::string& name);
-  bool HasTable(const std::string& name) const;
-  Result<TableSchema> GetSchema(const std::string& name) const;
-  std::vector<std::string> ListTables() const;
 
-  // --- annotation tables -------------------------------------------------
-  // Registers `ann_name` over `on_table`. Annotation table names are scoped
-  // per user table (the A-SQL surface addresses them as table.ann_name).
-  Status CreateAnnotationTable(const std::string& on_table,
-                               const std::string& ann_name,
-                               bool is_provenance = false);
-  Status DropAnnotationTable(const std::string& on_table,
-                             const std::string& ann_name);
-  bool HasAnnotationTable(const std::string& on_table,
-                          const std::string& ann_name) const;
-  Result<AnnotationTableInfo> GetAnnotationTable(
-      const std::string& on_table, const std::string& ann_name) const;
-  // All annotation tables attached to `on_table`.
-  std::vector<AnnotationTableInfo> ListAnnotationTables(
-      const std::string& on_table) const;
-
-  // --- secondary indexes ---------------------------------------------------
-  // Registers index `index_name` over `on_table`(`columns`); validates the
-  // table and every column exist, the name is unused on that table, the
-  // key columns are distinct, and — for SP-GiST — that the key is a single
-  // TEXT/SEQUENCE column.
-  Status CreateIndex(const std::string& on_table,
-                     const std::string& index_name,
-                     const std::vector<std::string>& columns,
-                     IndexKind kind = IndexKind::kBTree);
-  Status CreateIndex(const std::string& on_table,
-                     const std::string& index_name,
-                     const std::string& column) {
-    return CreateIndex(on_table, index_name,
-                       std::vector<std::string>{column});
+  bool HasTable(const std::string& name) const {
+    return tables_.count(name) > 0;
   }
-  Status DropIndex(const std::string& on_table, const std::string& index_name);
-  bool HasIndex(const std::string& on_table,
-                const std::string& index_name) const;
-  // All indexes on `on_table`.
-  std::vector<IndexInfo> ListIndexes(const std::string& on_table) const;
+  // NotFound ("no table <name>") for unknown tables.
+  Result<Table*> GetTable(const std::string& name) const;
 
-  // --- statistics (ANALYZE) ------------------------------------------------
-  // Stores the statistics snapshot ANALYZE collected for `table`,
-  // replacing any previous snapshot. NotFound on unknown tables.
-  Status SetStats(const std::string& table, TableStats stats);
-  // The latest snapshot for `table`; nullptr when the table was never
-  // analyzed (or was dropped/recreated since, which clears statistics).
-  const TableStats* GetStats(const std::string& table) const;
+  // Every table, in name order.
+  const std::map<std::string, std::unique_ptr<Table>>& tables() const {
+    return tables_;
+  }
 
  private:
-  static std::string AnnKey(const std::string& on_table,
-                            const std::string& ann_name) {
-    return on_table + "." + ann_name;
-  }
-
-  std::map<std::string, TableSchema> tables_;
-  // Keyed by "tbl.ann".
-  std::map<std::string, AnnotationTableInfo> annotation_tables_;
-  // Keyed by "tbl.index".
-  std::map<std::string, IndexInfo> indexes_;
-  std::map<std::string, TableStats> stats_;
+  std::map<std::string, std::unique_ptr<Table>> tables_;
   MvccState* mvcc_ = nullptr;
 };
 

@@ -39,15 +39,7 @@ std::string Database::Durable::WalPath() const {
 }
 
 Result<Table*> Database::GetTable(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table " + name);
-  }
-  return it->second.get();
-}
-
-DependencyManager::TableResolver Database::Resolver() {
-  return [this](const std::string& name) { return GetTable(name); };
+  return catalog_.GetTable(name);
 }
 
 const std::vector<DeletionLogEntry>& Database::DeletionLog(
@@ -57,7 +49,7 @@ const std::vector<DeletionLogEntry>& Database::DeletionLog(
 
 Result<DependencyManager::PropagationReport> Database::NotifyCellUpdated(
     const std::string& table, RowId row, size_t col) {
-  return dependencies_.OnCellUpdated(table, row, col, Resolver());
+  return dependencies_.OnCellUpdated(table, row, col);
 }
 
 Result<std::unique_ptr<Table>> Database::CreatePagedTable(
@@ -84,38 +76,11 @@ ExecContext Database::MakeContext() {
   ctx.approvals = &approvals_;
   ctx.access = &access_;
   ctx.clock = &clock_;
-  ctx.tables = [this](const std::string& name) { return GetTable(name); };
-  ctx.create_table = [this](const TableSchema& schema) -> Status {
-    std::unique_ptr<Table> t;
-    if (paged_ != nullptr) {
-      BDBMS_ASSIGN_OR_RETURN(t, CreatePagedTable(schema));
-    } else {
-      BDBMS_ASSIGN_OR_RETURN(t, Table::CreateInMemory(schema));
-    }
-    t->set_mvcc(&mvcc_state_);
-    if (MvccWriter* w = mvcc_state_.writer) {
-      w->undo.push_back([this, name = schema.name()] { tables_.erase(name); });
-    }
-    tables_[schema.name()] = std::move(t);
-    return Status::Ok();
-  };
-  ctx.drop_table = [this](const std::string& name) -> Status {
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      return Status::NotFound("no table storage for " + name);
-    }
-    if (MvccWriter* w = mvcc_state_.writer) {
-      // Park the storage object instead of destroying it: ROLLBACK
-      // re-inserts it wholesale, rows and indexes intact, no rebuild, and
-      // until the transaction settles its write set may still name it.
-      auto held =
-          std::make_shared<std::unique_ptr<Table>>(std::move(it->second));
-      w->undo.push_back(
-          [this, name, held] { tables_[name] = std::move(*held); });
-    }
-    tables_.erase(it);
-    return Status::Ok();
-  };
+  if (paged_ != nullptr) {
+    ctx.new_table = [this](const TableSchema& schema) {
+      return CreatePagedTable(schema);
+    };
+  }
   ctx.deletion_log = &deletion_log_;
   return ctx;
 }
@@ -132,14 +97,8 @@ Database::TxnState* Database::FindTxn(const void* token) const {
 }
 
 bool Database::TableInvolved(const std::string& table) const {
-  if (approvals_.configs().count(table) != 0) return true;
-  for (const auto& [name, rule] : dependencies_.rules()) {
-    if (rule.target.table == table) return true;
-    for (const ColumnRef& src : rule.sources) {
-      if (src.table == table) return true;
-    }
-  }
-  return false;
+  return approvals_.configs().count(table) != 0 ||
+         dependencies_.RuleOn(table) != nullptr;
 }
 
 Database::StmtClass Database::Classify(const Statement& stmt) const {
@@ -560,7 +519,7 @@ void Database::SettleWritesLocked(MvccWriter& writer, MvccWriter::Mark from,
 }
 
 void Database::CaptureBases(PendingStatement* ps) const {
-  for (const auto& [name, table] : tables_) {
+  for (const auto& [name, table] : catalog_.tables()) {
     ps->row_bases.emplace_back(name, table->next_row_id());
   }
   annotations_.ForEachTable([&](const std::string& key, AnnotationTable* at) {
@@ -579,12 +538,12 @@ void Database::ApplyReplayBases(const WalRecord& rec) {
   // transactions' statement-time allocations pushed past this group's.
   const bool exact = rec.kind != WalRecordKind::kTxnCommit;
   for (const auto& [name, base] : rec.row_bases) {
-    auto it = tables_.find(name);
-    if (it == tables_.end()) continue;
+    auto table = catalog_.GetTable(name);
+    if (!table.ok()) continue;
     if (exact) {
-      it->second->SetNextRowId(base);
+      (*table)->SetNextRowId(base);
     } else {
-      it->second->AdvanceNextRowId(base);
+      (*table)->AdvanceNextRowId(base);
     }
   }
   if (!rec.ann_bases.empty()) {
@@ -616,7 +575,9 @@ uint64_t Database::ComputeOldestCsnLocked() const {
 }
 
 void Database::VacuumAllLocked(uint64_t oldest_csn) {
-  for (auto& [name, table] : tables_) table->Vacuum(oldest_csn);
+  for (const auto& [name, table] : catalog_.tables()) {
+    table->Vacuum(oldest_csn);
+  }
 }
 
 void Database::TryVacuumLocked() {
@@ -653,7 +614,9 @@ void Database::ApplyRollbackClockPolicy(const TxnState& t) {
 uint64_t Database::version_count() const {
   std::lock_guard<std::mutex> w(writer_mu_);
   uint64_t total = 0;
-  for (const auto& [name, table] : tables_) total += table->version_count();
+  for (const auto& [name, table] : catalog_.tables()) {
+    total += table->version_count();
+  }
   return total;
 }
 
@@ -809,8 +772,7 @@ Status Database::CheckpointLocked() {
   // overlays are untouched, so a failure here is an ordinary retryable
   // error — the committed checkpoint and log are still authoritative.
   const uint64_t gen = paged_->checkpoint_gen + 1;
-  for (auto& [name, table] : tables_) {
-    (void)name;
+  for (const auto& [name, table] : catalog_.tables()) {
     BDBMS_RETURN_IF_ERROR(table->CheckpointPrepare(gen));
   }
   BDBMS_RETURN_IF_ERROR(
@@ -826,8 +788,7 @@ Status Database::CheckpointLocked() {
   // authoritative state; if writing home fails the in-memory engine can
   // no longer prove it matches it, so latch the store — reopening runs
   // the same journal application from a clean slate.
-  for (auto& [name, table] : tables_) {
-    (void)name;
+  for (const auto& [name, table] : catalog_.tables()) {
     Status committed = table->CheckpointCommit();
     if (!committed.ok()) {
       TearDownWal();
@@ -984,12 +945,10 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   uint64_t last_lsn = 0;
   if (env->FileExists(ckpt_path)) {
     BDBMS_ASSIGN_OR_RETURN(std::string payload, ReadCheckpointFile(env, dir));
+    // Reloaded rows carry no version metadata — everything in a
+    // checkpoint is ancient (committed before any snapshot that can ever
+    // be taken again).
     BDBMS_RETURN_IF_ERROR(db->LoadSnapshot(payload, &last_lsn));
-    // Snapshot-loaded tables must record index-DDL compensations and
-    // version rows like freshly created ones. Their reloaded rows carry
-    // no version metadata — everything in a checkpoint is ancient
-    // (committed before any snapshot that can ever be taken again).
-    for (auto& [name, table] : db->tables_) table->set_mvcc(&db->mvcc_state_);
   }
 
   {
@@ -999,7 +958,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     // rolled-back CREATEs, and stale overlay files. Runs before replay so
     // replayed CREATEs start from a clean directory.
     std::set<std::string> keep;
-    for (const auto& [name, table] : db->tables_) {
+    for (const auto& [name, table] : db->catalog_.tables()) {
       keep.insert(table->heap_file_name());
       keep.insert(table->heap_file_name() + ".spill");
     }

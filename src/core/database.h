@@ -204,11 +204,8 @@ class Database {
   ApprovalManager& approvals() { return approvals_; }
   LogicalClock& clock() { return clock_; }
 
-  // Storage object of a user table.
+  // Storage object of a user table (the catalog's).
   Result<Table*> GetTable(const std::string& name);
-
-  // A resolver bound to this database (for manager APIs that need one).
-  DependencyManager::TableResolver Resolver();
 
   // Rows removed via ADD ANNOTATION ... ON (DELETE ...), with the
   // annotation explaining why (paper §3.2).
@@ -439,8 +436,8 @@ class Database {
     uint64_t checkpoint_gen = 0;
   };
 
-  // Creates (replacing any stale files) the paged table `name`; used by
-  // both the executor's create_table hook and snapshot load.
+  // Creates (replacing any stale files) the paged heap of a new table:
+  // the storage factory CREATE TABLE uses on a durable database.
   Result<std::unique_ptr<Table>> CreatePagedTable(const TableSchema& schema);
 
   LogicalClock clock_;
@@ -451,7 +448,6 @@ class Database {
   DependencyManager dependencies_;
   AccessControl access_;
   ApprovalManager approvals_;
-  std::map<std::string, std::unique_ptr<Table>> tables_;
   std::map<std::string, std::vector<DeletionLogEntry>> deletion_log_;
   std::unique_ptr<Durable> dur_;
   std::unique_ptr<PagedStorage> paged_;

@@ -99,13 +99,13 @@ Status DependencyManager::AddRule(DependencyRule rule) {
     }
   }
   // Validate tables and columns against the catalog.
-  BDBMS_ASSIGN_OR_RETURN(TableSchema src_schema,
-                         catalog_->GetSchema(src_table));
+  BDBMS_ASSIGN_OR_RETURN(Table * src, catalog_->GetTable(src_table));
+  const TableSchema& src_schema = src->schema();
   for (const ColumnRef& s : rule.sources) {
     BDBMS_RETURN_IF_ERROR(src_schema.ColumnIndex(s.column).status());
   }
-  BDBMS_ASSIGN_OR_RETURN(TableSchema dst_schema,
-                         catalog_->GetSchema(rule.target.table));
+  BDBMS_ASSIGN_OR_RETURN(Table * dst, catalog_->GetTable(rule.target.table));
+  const TableSchema& dst_schema = dst->schema();
   BDBMS_RETURN_IF_ERROR(dst_schema.ColumnIndex(rule.target.column).status());
 
   // Procedure must be known.
@@ -168,6 +168,17 @@ Status DependencyManager::RemoveRule(const std::string& name) {
   return Status::Ok();
 }
 
+const DependencyRule* DependencyManager::RuleOn(
+    const std::string& table) const {
+  for (const auto& [name, rule] : rules_) {
+    if (rule.target.table == table) return &rule;
+    for (const ColumnRef& src : rule.sources) {
+      if (src.table == table) return &rule;
+    }
+  }
+  return nullptr;
+}
+
 Result<bool> DependencyManager::SetOutdated(const std::string& table,
                                             RowId row, size_t col,
                                             bool outdated) {
@@ -209,14 +220,13 @@ bool DependencyManager::WouldCreateCycle(const DependencyRule& rule) const {
 }
 
 Result<std::vector<RowId>> DependencyManager::AffectedTargetRows(
-    const DependencyRule& rule, RowId source_row,
-    const TableResolver& tables) {
+    const DependencyRule& rule, RowId source_row) {
   const std::string& src_table = rule.sources[0].table;
   if (!rule.join.has_value()) {
     return std::vector<RowId>{source_row};  // same table, same row
   }
-  BDBMS_ASSIGN_OR_RETURN(Table * src, tables(src_table));
-  BDBMS_ASSIGN_OR_RETURN(Table * dst, tables(rule.target.table));
+  BDBMS_ASSIGN_OR_RETURN(Table * src, catalog_->GetTable(src_table));
+  BDBMS_ASSIGN_OR_RETURN(Table * dst, catalog_->GetTable(rule.target.table));
   BDBMS_ASSIGN_OR_RETURN(
       size_t src_key, src->schema().ColumnIndex(rule.join->source_key_column));
   BDBMS_ASSIGN_OR_RETURN(
@@ -230,10 +240,9 @@ Result<std::vector<RowId>> DependencyManager::AffectedTargetRows(
 }
 
 Result<std::vector<Value>> DependencyManager::GatherInputs(
-    const DependencyRule& rule, RowId target_row,
-    const TableResolver& tables) {
+    const DependencyRule& rule, RowId target_row) {
   const std::string& src_table = rule.sources[0].table;
-  BDBMS_ASSIGN_OR_RETURN(Table * dst, tables(rule.target.table));
+  BDBMS_ASSIGN_OR_RETURN(Table * dst, catalog_->GetTable(rule.target.table));
   if (!rule.join.has_value()) {
     // Sources live in the target row's own table.
     BDBMS_ASSIGN_OR_RETURN(Row row, dst->Get(target_row));
@@ -245,7 +254,7 @@ Result<std::vector<Value>> DependencyManager::GatherInputs(
     return inputs;
   }
   // Cross-table: locate the (first) source row joining to the target row.
-  BDBMS_ASSIGN_OR_RETURN(Table * src, tables(src_table));
+  BDBMS_ASSIGN_OR_RETURN(Table * src, catalog_->GetTable(src_table));
   BDBMS_ASSIGN_OR_RETURN(
       size_t src_key, src->schema().ColumnIndex(rule.join->source_key_column));
   BDBMS_ASSIGN_OR_RETURN(
@@ -268,22 +277,21 @@ Result<std::vector<Value>> DependencyManager::GatherInputs(
 }
 
 Result<DependencyManager::PropagationReport> DependencyManager::OnCellUpdated(
-    const std::string& table, RowId row, size_t col,
-    const TableResolver& tables) {
-  BDBMS_ASSIGN_OR_RETURN(TableSchema schema, catalog_->GetSchema(table));
+    const std::string& table, RowId row, size_t col) {
+  BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(table));
+  const TableSchema& schema = t->schema();
   if (col >= schema.num_columns()) {
     return Status::OutOfRange("column index out of range");
   }
   PropagationReport report;
   std::deque<WorkItem> work;
   work.push_back({{table, schema.column(col).name}, row, true});
-  BDBMS_RETURN_IF_ERROR(Propagate(std::move(work), &report, tables));
+  BDBMS_RETURN_IF_ERROR(Propagate(std::move(work), &report));
   return report;
 }
 
 Status DependencyManager::Propagate(std::deque<WorkItem> work,
-                                    PropagationReport* report,
-                                    const TableResolver& tables) {
+                                    PropagationReport* report) {
   // Deduplicate (cell, validity) work items; the rule graph is acyclic so
   // this terminates, the dedupe just avoids rework on diamonds.
   std::set<std::tuple<std::string, std::string, RowId, bool>> enqueued;
@@ -304,10 +312,11 @@ Status DependencyManager::Propagate(std::deque<WorkItem> work,
       if (!matches) continue;
 
       BDBMS_ASSIGN_OR_RETURN(std::vector<RowId> targets,
-                             AffectedTargetRows(rule, item.row, tables));
+                             AffectedTargetRows(rule, item.row));
       BDBMS_ASSIGN_OR_RETURN(const ProcedureInfo* proc,
                              procedures_->Get(rule.procedure));
-      BDBMS_ASSIGN_OR_RETURN(Table * dst, tables(rule.target.table));
+      BDBMS_ASSIGN_OR_RETURN(Table * dst,
+                             catalog_->GetTable(rule.target.table));
       BDBMS_ASSIGN_OR_RETURN(size_t dst_col,
                              dst->schema().ColumnIndex(rule.target.column));
 
@@ -316,7 +325,7 @@ Status DependencyManager::Propagate(std::deque<WorkItem> work,
         bool valid_next;
         if (item.upstream_valid && proc->executable) {
           BDBMS_ASSIGN_OR_RETURN(std::vector<Value> inputs,
-                                 GatherInputs(rule, t_row, tables));
+                                 GatherInputs(rule, t_row));
           BDBMS_ASSIGN_OR_RETURN(Value out, proc->fn(inputs));
           BDBMS_RETURN_IF_ERROR(dst->UpdateCell(t_row, dst_col, out));
           // The recomputed value is fresh again.
@@ -344,15 +353,14 @@ Status DependencyManager::Propagate(std::deque<WorkItem> work,
 }
 
 Result<DependencyManager::PropagationReport>
-DependencyManager::OnProcedureChanged(const std::string& procedure,
-                                      const TableResolver& tables) {
+DependencyManager::OnProcedureChanged(const std::string& procedure) {
   BDBMS_ASSIGN_OR_RETURN(const ProcedureInfo* proc,
                          procedures_->Get(procedure));
   PropagationReport report;
   std::deque<WorkItem> work;
   for (const auto& [name, rule] : rules_) {
     if (rule.procedure != procedure) continue;
-    BDBMS_ASSIGN_OR_RETURN(Table * dst, tables(rule.target.table));
+    BDBMS_ASSIGN_OR_RETURN(Table * dst, catalog_->GetTable(rule.target.table));
     BDBMS_ASSIGN_OR_RETURN(size_t dst_col,
                            dst->schema().ColumnIndex(rule.target.column));
     std::vector<RowId> all_rows;
@@ -364,7 +372,7 @@ DependencyManager::OnProcedureChanged(const std::string& procedure,
       CellRef cell{rule.target.table, t_row, dst_col};
       if (proc->executable) {
         BDBMS_ASSIGN_OR_RETURN(std::vector<Value> inputs,
-                               GatherInputs(rule, t_row, tables));
+                               GatherInputs(rule, t_row));
         BDBMS_ASSIGN_OR_RETURN(Value out, proc->fn(inputs));
         BDBMS_RETURN_IF_ERROR(dst->UpdateCell(t_row, dst_col, out));
         BDBMS_RETURN_IF_ERROR(
@@ -379,19 +387,18 @@ DependencyManager::OnProcedureChanged(const std::string& procedure,
       }
     }
   }
-  BDBMS_RETURN_IF_ERROR(Propagate(std::move(work), &report, tables));
+  BDBMS_RETURN_IF_ERROR(Propagate(std::move(work), &report));
   return report;
 }
 
 Result<DependencyManager::PropagationReport> DependencyManager::OnRowErased(
-    const std::string& table, RowId row, const Row& old_values,
-    const TableResolver& tables) {
+    const std::string& table, RowId row, const Row& old_values) {
   PropagationReport report;
   std::deque<WorkItem> work;
   for (const auto& [name, rule] : rules_) {
     if (rule.sources[0].table != table) continue;
     if (!rule.join.has_value()) continue;  // same-table target died with row
-    BDBMS_ASSIGN_OR_RETURN(Table * src, tables(table));
+    BDBMS_ASSIGN_OR_RETURN(Table * src, catalog_->GetTable(table));
     BDBMS_ASSIGN_OR_RETURN(
         size_t src_key,
         src->schema().ColumnIndex(rule.join->source_key_column));
@@ -399,7 +406,7 @@ Result<DependencyManager::PropagationReport> DependencyManager::OnRowErased(
       return Status::Internal("row image does not match schema");
     }
     const Value& key = old_values[src_key];
-    BDBMS_ASSIGN_OR_RETURN(Table * dst, tables(rule.target.table));
+    BDBMS_ASSIGN_OR_RETURN(Table * dst, catalog_->GetTable(rule.target.table));
     BDBMS_ASSIGN_OR_RETURN(
         size_t dst_key,
         dst->schema().ColumnIndex(rule.join->target_key_column));
@@ -417,7 +424,7 @@ Result<DependencyManager::PropagationReport> DependencyManager::OnRowErased(
     }
   }
   (void)row;
-  BDBMS_RETURN_IF_ERROR(Propagate(std::move(work), &report, tables));
+  BDBMS_RETURN_IF_ERROR(Propagate(std::move(work), &report));
   return report;
 }
 
@@ -442,9 +449,9 @@ Result<OutdatedBitmap*> DependencyManager::BitmapFor(
     const std::string& table) {
   auto it = bitmaps_.find(table);
   if (it != bitmaps_.end()) return &it->second;
-  BDBMS_ASSIGN_OR_RETURN(TableSchema schema, catalog_->GetSchema(table));
+  BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(table));
   auto [inserted, ok] =
-      bitmaps_.emplace(table, OutdatedBitmap(schema.num_columns()));
+      bitmaps_.emplace(table, OutdatedBitmap(t->schema().num_columns()));
   return &inserted->second;
 }
 
@@ -452,6 +459,17 @@ const OutdatedBitmap* DependencyManager::FindBitmap(
     const std::string& table) const {
   auto it = bitmaps_.find(table);
   return it == bitmaps_.end() ? nullptr : &it->second;
+}
+
+void DependencyManager::DropBitmap(const std::string& table) {
+  auto it = bitmaps_.find(table);
+  if (it == bitmaps_.end()) return;
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, table, bitmap = std::move(it->second)] {
+      bitmaps_.emplace(table, bitmap);
+    });
+  }
+  bitmaps_.erase(it);
 }
 
 Status DependencyManager::Revalidate(const std::string& table, RowId row,
@@ -465,12 +483,11 @@ Status DependencyManager::Revalidate(const std::string& table, RowId row,
 
 Result<DependencyManager::PropagationReport>
 DependencyManager::RevalidateWithValue(const std::string& table, RowId row,
-                                       size_t col, Value value,
-                                       const TableResolver& tables) {
-  BDBMS_ASSIGN_OR_RETURN(Table * t, tables(table));
+                                       size_t col, Value value) {
+  BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(table));
   BDBMS_RETURN_IF_ERROR(t->UpdateCell(row, col, std::move(value)));
   BDBMS_RETURN_IF_ERROR(SetOutdated(table, row, col, false).status());
-  return OnCellUpdated(table, row, col, tables);
+  return OnCellUpdated(table, row, col);
 }
 
 }  // namespace bdbms

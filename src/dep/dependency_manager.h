@@ -2,7 +2,6 @@
 #define BDBMS_DEP_DEPENDENCY_MANAGER_H_
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -46,11 +45,6 @@ struct CellRef {
 //    cell is itself outdated regardless of executability.
 class DependencyManager {
  public:
-  // Gives the propagation engine access to user tables without coupling
-  // this class to the Database facade.
-  using TableResolver =
-      std::function<Result<Table*>(const std::string& table)>;
-
   struct PropagationReport {
     std::vector<CellRef> recomputed;  // auto-updated by executable procedures
     std::vector<CellRef> outdated;    // newly marked in bitmaps
@@ -77,6 +71,10 @@ class DependencyManager {
   Status RemoveRule(const std::string& name);
   const std::map<std::string, DependencyRule>& rules() const { return rules_; }
 
+  // The first rule, by name, that reads or writes `table`; nullptr when
+  // none does. DROP TABLE is refused while one exists.
+  const DependencyRule* RuleOn(const std::string& table) const;
+
   // True if adding `rule` would close a cycle.
   bool WouldCreateCycle(const DependencyRule& rule) const;
 
@@ -84,21 +82,18 @@ class DependencyManager {
   // Called after table[row].col changed; recomputes / marks everything
   // transitively affected.
   Result<PropagationReport> OnCellUpdated(const std::string& table, RowId row,
-                                          size_t col,
-                                          const TableResolver& tables);
+                                          size_t col);
 
   // Called when a procedure implementation changed (e.g. BLAST upgraded):
   // re-evaluates or invalidates the procedure's entire closure.
-  Result<PropagationReport> OnProcedureChanged(const std::string& procedure,
-                                               const TableResolver& tables);
+  Result<PropagationReport> OnProcedureChanged(const std::string& procedure);
 
   // Called when a row disappeared (DELETE, or rollback of a disapproved
   // INSERT). `old_values` is the erased row's pre-image, used to locate
   // joined dependents; their derivations lost an input, so they are marked
   // outdated (never recomputed) and the invalidation cascades.
   Result<PropagationReport> OnRowErased(const std::string& table, RowId row,
-                                        const Row& old_values,
-                                        const TableResolver& tables);
+                                        const Row& old_values);
 
   // --- outdated state (paper §5 "Tracking outdated data") -----------------
   bool IsOutdated(const std::string& table, RowId row, size_t col) const;
@@ -109,6 +104,9 @@ class DependencyManager {
   // catalog). Null result only if the table is unknown.
   Result<OutdatedBitmap*> BitmapFor(const std::string& table);
   const OutdatedBitmap* FindBitmap(const std::string& table) const;
+  // Forgets `table`'s outdated bits (DROP TABLE), so a later table of the
+  // same name starts with none.
+  void DropBitmap(const std::string& table);
 
   // "Validating outdated data": the user confirmed the value is still
   // correct — clear the bit without modifying the cell.
@@ -118,8 +116,7 @@ class DependencyManager {
   // propagate the change onward.
   Result<PropagationReport> RevalidateWithValue(const std::string& table,
                                                 RowId row, size_t col,
-                                                Value value,
-                                                const TableResolver& tables);
+                                                Value value);
 
  private:
   struct WorkItem {
@@ -129,19 +126,16 @@ class DependencyManager {
   };
 
   // Runs the worklist until empty, filling `report`.
-  Status Propagate(std::deque<WorkItem> work, PropagationReport* report,
-                   const TableResolver& tables);
+  Status Propagate(std::deque<WorkItem> work, PropagationReport* report);
 
   // Rows of the rule's target table affected by a change of `source_row`
   // in the rule's source table.
   Result<std::vector<RowId>> AffectedTargetRows(const DependencyRule& rule,
-                                                RowId source_row,
-                                                const TableResolver& tables);
+                                                RowId source_row);
 
   // Gathers current source values for recomputing `target_row`.
   Result<std::vector<Value>> GatherInputs(const DependencyRule& rule,
-                                          RowId target_row,
-                                          const TableResolver& tables);
+                                          RowId target_row);
 
   // Directed column-graph edges from all rules (+ optionally one extra).
   std::multimap<ColumnRef, ColumnRef> BuildEdges(

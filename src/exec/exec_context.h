@@ -39,9 +39,9 @@ struct ExecContext {
   ApprovalManager* approvals = nullptr;
   AccessControl* access = nullptr;
   LogicalClock* clock = nullptr;
-  std::function<Result<Table*>(const std::string&)> tables;
-  std::function<Status(const TableSchema&)> create_table;
-  std::function<Status(const std::string&)> drop_table;
+  // Storage of CREATE TABLE's new table: paged heaps for a durable
+  // database; null builds an in-memory table.
+  TableFactory new_table;
   std::map<std::string, std::vector<DeletionLogEntry>>* deletion_log = nullptr;
   // The transaction's writer while a mutating statement runs (null for a
   // read); mutation paths that live in the executor itself (the deletion

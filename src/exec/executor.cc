@@ -138,27 +138,26 @@ Result<QueryResult> Executor::ExecExplain(const ExplainStmt& stmt) {
 Result<QueryResult> Executor::ExecAnalyze(const AnalyzeStmt& stmt) {
   // ANALYZE reads every row of its targets, so it demands the same
   // SELECT privilege a full scan would.
-  std::vector<std::string> targets;
+  std::vector<std::pair<std::string, Table*>> targets;
   if (stmt.table.empty()) {
-    targets = ctx_.catalog->ListTables();
-  } else {
-    if (!ctx_.catalog->HasTable(stmt.table)) {
-      return Status::NotFound("no table " + stmt.table);
+    for (const auto& [name, table] : ctx_.catalog->tables()) {
+      targets.emplace_back(name, table.get());
     }
-    targets.push_back(stmt.table);
+  } else {
+    BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(stmt.table));
+    targets.emplace_back(stmt.table, t);
   }
   // Check every target up front so a privilege failure midway cannot
   // leave a partial batch of refreshed snapshots behind.
-  for (const std::string& name : targets) {
+  for (const auto& [name, t] : targets) {
     BDBMS_RETURN_IF_ERROR(ctx_.access->Check(user_, name, Privilege::kSelect));
   }
   QueryResult r;
   r.columns = {"table", "rows"};
-  for (const std::string& name : targets) {
-    BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.tables(name));
+  for (const auto& [name, t] : targets) {
     BDBMS_ASSIGN_OR_RETURN(TableStats stats, t->ComputeStats());
     uint64_t row_count = stats.row_count;
-    BDBMS_RETURN_IF_ERROR(ctx_.catalog->SetStats(name, std::move(stats)));
+    t->SetStats(std::move(stats));
     ResultRow row;
     row.values = {Value::Text(name),
                   Value::Int(static_cast<int64_t>(row_count))};
@@ -223,12 +222,8 @@ Result<QueryResult> Executor::ExecCreateTable(const CreateTableStmt& stmt) {
   if (!ctx_.access->IsSuperuser(user_)) {
     return Status::PermissionDenied("only superusers may create tables");
   }
-  BDBMS_RETURN_IF_ERROR(ctx_.catalog->CreateTable(stmt.schema));
-  Status st = ctx_.create_table(stmt.schema);
-  if (!st.ok()) {
-    (void)ctx_.catalog->DropTable(stmt.schema.name());
-    return st;
-  }
+  BDBMS_RETURN_IF_ERROR(
+      ctx_.catalog->CreateTable(stmt.schema, ctx_.new_table));
   QueryResult r;
   r.message = "table " + stmt.schema.name() + " created";
   return r;
@@ -238,9 +233,23 @@ Result<QueryResult> Executor::ExecDropTable(const DropTableStmt& stmt) {
   if (!ctx_.access->IsSuperuser(user_)) {
     return Status::PermissionDenied("only superusers may drop tables");
   }
+  // No CASCADE: a rule or approval config naming a dropped table would
+  // fail every later write on its other tables, and the checkpoint
+  // restore that re-validates it.
+  if (const DependencyRule* rule = ctx_.dependencies->RuleOn(stmt.table)) {
+    return Status::FailedPrecondition("cannot drop table " + stmt.table +
+                                      ": dependency rule " + rule->name +
+                                      " names it");
+  }
+  if (ctx_.approvals->configs().count(stmt.table) != 0) {
+    return Status::FailedPrecondition(
+        "cannot drop table " + stmt.table +
+        ": content approval is configured on it");
+  }
   BDBMS_RETURN_IF_ERROR(ctx_.catalog->DropTable(stmt.table));
   ctx_.annotations->DropAllFor(stmt.table);
-  BDBMS_RETURN_IF_ERROR(ctx_.drop_table(stmt.table));
+  ctx_.access->DropGrantsOn(stmt.table);
+  ctx_.dependencies->DropBitmap(stmt.table);
   QueryResult r;
   r.message = "table " + stmt.table + " dropped";
   return r;
@@ -250,22 +259,10 @@ Result<QueryResult> Executor::ExecCreateIndex(const CreateIndexStmt& stmt) {
   if (!ctx_.access->IsSuperuser(user_)) {
     return Status::PermissionDenied("only superusers may create indexes");
   }
-  IndexKind kind = stmt.spgist ? IndexKind::kSpGist : IndexKind::kBTree;
-  BDBMS_RETURN_IF_ERROR(
-      ctx_.catalog->CreateIndex(stmt.table, stmt.index, stmt.columns, kind));
-  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.tables(stmt.table));
-  std::vector<size_t> columns;
-  for (const std::string& name : stmt.columns) {
-    BDBMS_ASSIGN_OR_RETURN(size_t column, t->schema().ColumnIndex(name));
-    columns.push_back(column);
-  }
-  Status st = stmt.spgist
-                  ? t->CreateSequenceIndex(stmt.index, columns.front())
-                  : t->CreateIndex(stmt.index, std::move(columns));
-  if (!st.ok()) {
-    (void)ctx_.catalog->DropIndex(stmt.table, stmt.index);
-    return st;
-  }
+  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(stmt.table));
+  BDBMS_RETURN_IF_ERROR(t->CreateIndex(
+      stmt.index, stmt.columns,
+      stmt.spgist ? IndexKind::kSpGist : IndexKind::kBTree));
   QueryResult r;
   std::string cols;
   for (const std::string& name : stmt.columns) {
@@ -281,14 +278,8 @@ Result<QueryResult> Executor::ExecDropIndex(const DropIndexStmt& stmt) {
   if (!ctx_.access->IsSuperuser(user_)) {
     return Status::PermissionDenied("only superusers may drop indexes");
   }
-  if (!ctx_.catalog->HasIndex(stmt.table, stmt.index)) {
-    return Status::NotFound("no index " + stmt.index + " on " + stmt.table);
-  }
-  // Drop the storage object first: if that fails the catalog entry stays,
-  // keeping both sides of the metadata in sync.
-  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.tables(stmt.table));
+  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(stmt.table));
   BDBMS_RETURN_IF_ERROR(t->DropIndex(stmt.index));
-  BDBMS_RETURN_IF_ERROR(ctx_.catalog->DropIndex(stmt.table, stmt.index));
   QueryResult r;
   r.message = "index " + stmt.index + " dropped from " + stmt.table;
   return r;
@@ -297,11 +288,11 @@ Result<QueryResult> Executor::ExecDropIndex(const DropIndexStmt& stmt) {
 Status Executor::AfterCellsChanged(const std::string& table, RowId row,
                                    ColumnMask cols, const std::string& op) {
   // Local dependency tracking (paper §5).
-  BDBMS_ASSIGN_OR_RETURN(TableSchema schema, ctx_.catalog->GetSchema(table));
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
+  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(table));
+  for (size_t c = 0; c < t->schema().num_columns(); ++c) {
     if ((cols & ColumnBit(c)) == 0) continue;
     BDBMS_RETURN_IF_ERROR(
-        ctx_.dependencies->OnCellUpdated(table, row, c, ctx_.tables).status());
+        ctx_.dependencies->OnCellUpdated(table, row, c).status());
   }
   // System-maintained provenance (paper §4).
   return AutoProvenance(table, {Region{cols, row, row}}, op);
@@ -310,28 +301,25 @@ Status Executor::AfterCellsChanged(const std::string& table, RowId row,
 Status Executor::AutoProvenance(const std::string& table,
                                 const std::vector<Region>& regions,
                                 const std::string& op) {
-  for (const AnnotationTableInfo& info :
-       ctx_.catalog->ListAnnotationTables(table)) {
-    if (!info.is_provenance) continue;
+  for (const std::string& ann : ctx_.annotations->ListFor(table)) {
+    BDBMS_ASSIGN_OR_RETURN(AnnotationTable * at,
+                           ctx_.annotations->Get(table, ann));
+    if (!at->is_provenance()) continue;
     ProvenanceRecord rec;
     rec.source = "local";
     rec.operation = op;
     rec.user = user_;
     BDBMS_RETURN_IF_ERROR(
-        ctx_.provenance->Record(table, info.name, regions, rec, "system")
-            .status());
+        ctx_.provenance->Record(table, ann, regions, rec, "system").status());
   }
   return Status::Ok();
 }
 
 Result<QueryResult> Executor::ExecInsert(const InsertStmt& stmt,
                                          std::vector<RowId>* inserted) {
-  if (!ctx_.catalog->HasTable(stmt.table)) {
-    return Status::NotFound("no table " + stmt.table);
-  }
+  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(stmt.table));
   BDBMS_RETURN_IF_ERROR(
       ctx_.access->Check(user_, stmt.table, Privilege::kInsert));
-  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.tables(stmt.table));
   const std::vector<BoundColumn> no_columns;
   const PlanTuple no_tuple;
   size_t ncols = t->schema().num_columns();
@@ -382,12 +370,9 @@ Result<std::vector<std::pair<RowId, Row>>> Executor::CollectDmlMatches(
 Result<QueryResult> Executor::ExecUpdate(
     const UpdateStmt& stmt,
     std::vector<std::pair<RowId, ColumnMask>>* touched) {
-  if (!ctx_.catalog->HasTable(stmt.table)) {
-    return Status::NotFound("no table " + stmt.table);
-  }
+  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(stmt.table));
   BDBMS_RETURN_IF_ERROR(
       ctx_.access->Check(user_, stmt.table, Privilege::kUpdate));
-  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.tables(stmt.table));
   const TableSchema& schema = t->schema();
 
   // Bind assignment targets.
@@ -438,12 +423,9 @@ Result<QueryResult> Executor::ExecUpdate(
 
 Result<QueryResult> Executor::ExecDelete(const DeleteStmt& stmt,
                                          const std::string& annotation_body) {
-  if (!ctx_.catalog->HasTable(stmt.table)) {
-    return Status::NotFound("no table " + stmt.table);
-  }
+  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(stmt.table));
   BDBMS_RETURN_IF_ERROR(
       ctx_.access->Check(user_, stmt.table, Privilege::kDelete));
-  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.tables(stmt.table));
   BDBMS_ASSIGN_OR_RETURN(auto matches,
                          CollectDmlMatches(stmt.table, stmt.where.get()));
 
@@ -470,8 +452,7 @@ Result<QueryResult> Executor::ExecDelete(const DeleteStmt& stmt,
     }
     BDBMS_RETURN_IF_ERROR(t->Delete(rid));
     BDBMS_RETURN_IF_ERROR(
-        ctx_.dependencies->OnRowErased(stmt.table, rid, old_row, ctx_.tables)
-            .status());
+        ctx_.dependencies->OnRowErased(stmt.table, rid, old_row).status());
     ++count;
   }
   QueryResult r;
@@ -486,14 +467,11 @@ Result<QueryResult> Executor::ExecDelete(const DeleteStmt& stmt,
 
 Result<QueryResult> Executor::ExecCreateAnnTable(
     const CreateAnnTableStmt& stmt) {
-  BDBMS_RETURN_IF_ERROR(ctx_.catalog->CreateAnnotationTable(
-      stmt.table, stmt.ann_table, stmt.provenance));
-  Status st =
-      ctx_.annotations->CreateAnnotationTable(stmt.table, stmt.ann_table);
-  if (!st.ok()) {
-    (void)ctx_.catalog->DropAnnotationTable(stmt.table, stmt.ann_table);
-    return st;
+  if (!ctx_.catalog->HasTable(stmt.table)) {
+    return Status::NotFound("no table " + stmt.table);
   }
+  BDBMS_RETURN_IF_ERROR(ctx_.annotations->CreateAnnotationTable(
+      stmt.table, stmt.ann_table, stmt.provenance));
   QueryResult r;
   r.message = "annotation table " + stmt.ann_table + " created on " +
               stmt.table + (stmt.provenance ? " (provenance)" : "");
@@ -501,8 +479,6 @@ Result<QueryResult> Executor::ExecCreateAnnTable(
 }
 
 Result<QueryResult> Executor::ExecDropAnnTable(const DropAnnTableStmt& stmt) {
-  BDBMS_RETURN_IF_ERROR(
-      ctx_.catalog->DropAnnotationTable(stmt.table, stmt.ann_table));
   BDBMS_RETURN_IF_ERROR(
       ctx_.annotations->DropAnnotationTable(stmt.table, stmt.ann_table));
   QueryResult r;
@@ -514,9 +490,9 @@ Result<QueryResult> Executor::ExecDropAnnTable(const DropAnnTableStmt& stmt) {
 Result<QueryResult> Executor::ExecAddAnnotation(const AddAnnotationStmt& stmt) {
   // Validate targets.
   for (const auto& [table, ann] : stmt.targets) {
-    BDBMS_ASSIGN_OR_RETURN(AnnotationTableInfo info,
-                           ctx_.catalog->GetAnnotationTable(table, ann));
-    if (info.is_provenance) {
+    BDBMS_ASSIGN_OR_RETURN(AnnotationTable * at,
+                           ctx_.annotations->Get(table, ann));
+    if (at->is_provenance()) {
       if (!ctx_.provenance->IsSystemAgent(user_)) {
         return Status::PermissionDenied(
             "only system agents may write provenance annotations");
@@ -538,11 +514,10 @@ Result<QueryResult> Executor::ExecAddAnnotation(const AddAnnotationStmt& stmt) {
     std::vector<RowId> inserted;
     BDBMS_ASSIGN_OR_RETURN(QueryResult qr, ExecInsert(*ins, &inserted));
     side_effect_rows = qr.affected;
-    BDBMS_ASSIGN_OR_RETURN(TableSchema schema,
-                           ctx_.catalog->GetSchema(on_table));
+    BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(on_table));
     std::vector<std::pair<RowId, ColumnMask>> targets;
     for (RowId rid : inserted) {
-      targets.emplace_back(rid, AllColumnsMask(schema.num_columns()));
+      targets.emplace_back(rid, AllColumnsMask(t->schema().num_columns()));
     }
     regions = ComputeRegions(targets);
   } else if (const auto* upd = std::get_if<UpdateStmt>(&stmt.on->node)) {
@@ -553,11 +528,10 @@ Result<QueryResult> Executor::ExecAddAnnotation(const AddAnnotationStmt& stmt) {
     // Annotate the assigned cells (even if values happened to be equal the
     // user's intent covers them): use assigned columns per row.
     std::vector<std::pair<RowId, ColumnMask>> targets;
-    BDBMS_ASSIGN_OR_RETURN(TableSchema schema,
-                           ctx_.catalog->GetSchema(on_table));
+    BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(on_table));
     ColumnMask assigned = 0;
     for (const auto& [col, expr] : upd->assignments) {
-      BDBMS_ASSIGN_OR_RETURN(size_t idx, schema.ColumnIndex(col));
+      BDBMS_ASSIGN_OR_RETURN(size_t idx, t->schema().ColumnIndex(col));
       assigned |= ColumnBit(idx);
     }
     for (const auto& [rid, changed] : touched) {
@@ -721,23 +695,22 @@ Result<QueryResult> Executor::ExecApprove(const ApproveStmt& stmt) {
   }
   BDBMS_ASSIGN_OR_RETURN(
       LoggedOperation op,
-      ctx_.approvals->Disapprove(stmt.op_id, user_, ctx_.tables));
+      ctx_.approvals->Disapprove(stmt.op_id, user_));
   // The rollback changed data; run dependency invalidation (paper §6:
   // "Executing the inverse statement may affect other elements ... It is
   // the functionality of the Local Dependency Tracking feature to track
   // and invalidate these elements").
-  BDBMS_ASSIGN_OR_RETURN(TableSchema schema, ctx_.catalog->GetSchema(op.table));
+  BDBMS_ASSIGN_OR_RETURN(Table * t, ctx_.catalog->GetTable(op.table));
   switch (op.type) {
     case OpType::kInsert:
       // Row removed again.
       BDBMS_RETURN_IF_ERROR(
-          ctx_.dependencies
-              ->OnRowErased(op.table, op.row, op.new_row, ctx_.tables)
+          ctx_.dependencies->OnRowErased(op.table, op.row, op.new_row)
               .status());
       break;
     case OpType::kDelete: {
       // Row restored: all its cells (re)appeared.
-      ColumnMask all = AllColumnsMask(schema.num_columns());
+      ColumnMask all = AllColumnsMask(t->schema().num_columns());
       BDBMS_RETURN_IF_ERROR(AfterCellsChanged(op.table, op.row, all, "update"));
       break;
     }

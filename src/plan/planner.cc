@@ -601,21 +601,16 @@ Result<PlanNodePtr> Planner::BuildScan(
     const TableRef& ref, std::vector<const Expr*> conjuncts,
     bool attach_metadata, bool try_ann_interval,
     const std::vector<size_t>* covering_columns) {
-  if (!ctx_->catalog->HasTable(ref.table)) {
-    return Status::NotFound("no table " + ref.table);
-  }
+  BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->catalog->GetTable(ref.table));
   if (attach_metadata) {
     BDBMS_RETURN_IF_ERROR(
         ctx_->access->Check(user_, ref.table, Privilege::kSelect));
   }
-  BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->tables(ref.table));
 
   std::vector<std::string> ann_names = ref.annotation_tables;
   if (ref.all_annotations) ann_names = ctx_->annotations->ListFor(ref.table);
   for (const std::string& a : ann_names) {
-    if (!ctx_->catalog->HasAnnotationTable(ref.table, a)) {
-      return Status::NotFound("no annotation table " + a + " on " + ref.table);
-    }
+    BDBMS_RETURN_IF_ERROR(ctx_->annotations->Get(ref.table, a).status());
   }
 
   std::string qualifier = ref.alias.empty() ? ref.table : ref.alias;
@@ -624,7 +619,7 @@ Result<PlanNodePtr> Planner::BuildScan(
 
   // Planning cardinality: the ANALYZE snapshot when one exists (stale
   // until the next ANALYZE), else the live row count.
-  const TableStats* stats = ctx_->catalog->GetStats(ref.table);
+  const TableStats* stats = table->stats();
   double table_rows = stats != nullptr
                           ? static_cast<double>(stats->row_count)
                           : static_cast<double>(table->row_count());
@@ -731,14 +726,13 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
   std::vector<const TableStats*> table_stats(nscans, nullptr);
   for (size_t i = 0; i < nscans; ++i) {
     const TableRef& ref = stmt.from[i];
-    // GetSchema doubles as the existence check (NotFound on unknown).
-    BDBMS_ASSIGN_OR_RETURN(TableSchema schema,
-                           ctx_->catalog->GetSchema(ref.table));
-    table_stats[i] = ctx_->catalog->GetStats(ref.table);
+    // GetTable doubles as the existence check (NotFound on unknown).
+    BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->catalog->GetTable(ref.table));
+    table_stats[i] = table->stats();
     std::string qualifier = ref.alias.empty() ? ref.table : ref.alias;
     size_t begin = joined.size();
     size_t local = 0;
-    for (BoundColumn& c : QualifiedColumns(schema, qualifier)) {
+    for (BoundColumn& c : QualifiedColumns(table->schema(), qualifier)) {
       joined.push_back(std::move(c));
       joined_stats.push_back(ColumnStatsOf(table_stats[i], local++));
     }
@@ -1050,7 +1044,7 @@ Result<PlanNodePtr> Planner::TryPlanTopKScan(const SelectStmt& stmt) {
 
   const TableRef& ref = stmt.from[0];
   if (!ctx_->catalog->HasTable(ref.table)) return PlanNodePtr();
-  BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->tables(ref.table));
+  BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->catalog->GetTable(ref.table));
   std::string qualifier = ref.alias.empty() ? ref.table : ref.alias;
   std::vector<BoundColumn> scan_columns =
       QualifiedColumns(table->schema(), qualifier);
@@ -1071,13 +1065,11 @@ Result<PlanNodePtr> Planner::TryPlanTopKScan(const SelectStmt& stmt) {
   std::vector<std::string> ann_names = ref.annotation_tables;
   if (ref.all_annotations) ann_names = ctx_->annotations->ListFor(ref.table);
   for (const std::string& a : ann_names) {
-    if (!ctx_->catalog->HasAnnotationTable(ref.table, a)) {
-      return Status::NotFound("no annotation table " + a + " on " + ref.table);
-    }
+    BDBMS_RETURN_IF_ERROR(ctx_->annotations->Get(ref.table, a).status());
   }
 
   size_t k = static_cast<size_t>(*stmt.limit);
-  const TableStats* stats = ctx_->catalog->GetStats(ref.table);
+  const TableStats* stats = table->stats();
   double table_rows = stats != nullptr
                           ? static_cast<double>(stats->row_count)
                           : static_cast<double>(table->row_count());

@@ -501,50 +501,53 @@ void Table::SetNextRowId(RowId next) {
 }
 
 Status Table::CreateIndex(const std::string& name,
-                          std::vector<size_t> columns) {
+                          const std::vector<std::string>& columns,
+                          IndexKind kind) {
   if (columns.empty()) {
     return Status::InvalidArgument("index needs at least one column");
   }
-  for (size_t column : columns) {
-    if (column >= schema_.num_columns()) {
-      return Status::OutOfRange("index column out of range");
+  std::vector<size_t> positions;
+  for (const std::string& column : columns) {
+    std::optional<size_t> found = schema_.FindColumn(column);
+    if (!found.has_value()) {
+      return Status::NotFound("no column " + column + " in " +
+                              schema_.name());
     }
+    if (std::find(positions.begin(), positions.end(), *found) !=
+        positions.end()) {
+      return Status::InvalidArgument("duplicate index column " + column);
+    }
+    DataType type = schema_.column(*found).type;
+    if (kind == IndexKind::kSpGist && type != DataType::kText &&
+        type != DataType::kSequence) {
+      return Status::InvalidArgument(
+          "sequence index requires a TEXT or SEQUENCE column");
+    }
+    positions.push_back(*found);
+  }
+  if (kind == IndexKind::kSpGist && positions.size() != 1) {
+    return Status::InvalidArgument("sequence index takes exactly one column");
   }
   if (FindIndex(name) != nullptr || FindSequenceIndex(name) != nullptr) {
     return Status::AlreadyExists("index " + name + " already exists on " +
                                  schema_.name());
   }
-  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SecondaryIndex> index,
-                         SecondaryIndex::Create(name, std::move(columns)));
-  BDBMS_RETURN_IF_ERROR(ScanAllVersions([&](RowId row_id, const Row& row) {
-    return index->Insert(row, row_id);
-  }));
-  indexes_.push_back(std::move(index));
-  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
-    w->undo.push_back([this, name] { (void)DropIndex(name); });
+  if (kind == IndexKind::kSpGist) {
+    const size_t column = positions.front();
+    BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SequenceIndex> index,
+                           SequenceIndex::Create(name, column));
+    BDBMS_RETURN_IF_ERROR(ScanAllVersions([&](RowId row_id, const Row& row) {
+      return index->Insert(row[column], row_id);
+    }));
+    seq_indexes_.push_back(std::move(index));
+  } else {
+    BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SecondaryIndex> index,
+                           SecondaryIndex::Create(name, std::move(positions)));
+    BDBMS_RETURN_IF_ERROR(ScanAllVersions([&](RowId row_id, const Row& row) {
+      return index->Insert(row, row_id);
+    }));
+    indexes_.push_back(std::move(index));
   }
-  return Status::Ok();
-}
-
-Status Table::CreateSequenceIndex(const std::string& name, size_t column) {
-  if (column >= schema_.num_columns()) {
-    return Status::OutOfRange("index column out of range");
-  }
-  if (schema_.column(column).type != DataType::kText &&
-      schema_.column(column).type != DataType::kSequence) {
-    return Status::InvalidArgument(
-        "sequence index requires a TEXT or SEQUENCE column");
-  }
-  if (FindIndex(name) != nullptr || FindSequenceIndex(name) != nullptr) {
-    return Status::AlreadyExists("index " + name + " already exists on " +
-                                 schema_.name());
-  }
-  BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SequenceIndex> index,
-                         SequenceIndex::Create(name, column));
-  BDBMS_RETURN_IF_ERROR(ScanAllVersions([&](RowId row_id, const Row& row) {
-    return index->Insert(row[column], row_id);
-  }));
-  seq_indexes_.push_back(std::move(index));
   if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
     w->undo.push_back([this, name] { (void)DropIndex(name); });
   }
@@ -641,6 +644,13 @@ Status Table::IndexRemove(RowId row_id, const Row& row) {
     note(index->Remove(row[index->column()], row_id));
   }
   return first;
+}
+
+void Table::SetStats(TableStats stats) {
+  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
+    w->undo.push_back([this, prior = stats_] { stats_ = prior; });
+  }
+  stats_ = std::move(stats);
 }
 
 Result<TableStats> Table::ComputeStats(size_t histogram_buckets) const {

@@ -20,6 +20,11 @@ namespace bdbms {
 class SecondaryIndex;
 class SequenceIndex;
 
+// How a secondary index is organized: a B+-tree over the order-preserving
+// composite key codec, or an SP-GiST trie over one sequence/text column
+// (CREATE SEQUENCE INDEX ... USING SPGIST).
+enum class IndexKind : uint8_t { kBTree, kSpGist };
+
 // Logical row identifier: assigned densely in insertion order and never
 // reused. The paper models a relation as a 2-D space (columns × tuples,
 // Figure 5); RowId is the tuple axis, so annotation regions and outdated
@@ -70,9 +75,10 @@ struct RowMvcc {
 //
 // Concurrency: public accessors and mutators latch an internal
 // shared_mutex, so snapshot readers can fetch rows while a writer
-// mutates. Index DDL (Create*/DropIndex) and the index accessors are
-// deliberately unlatched — they run or are only mutated under the
-// engine's exclusive gate, which admits no concurrent table access.
+// mutates. Index DDL (CreateIndex/DropIndex), the index accessors and the
+// statistics snapshot are deliberately unlatched — they run or are only
+// mutated under the engine's exclusive gate, which admits no concurrent
+// table access.
 class Table {
  public:
   // Fresh in-memory table.
@@ -165,18 +171,15 @@ class Table {
   uint64_t version_count() const;
 
   // --- secondary indexes ---------------------------------------------------
-  // Builds a B+-tree index named `name` over the given columns (composite
-  // keys in column-list order) from every version, current or retained;
-  // maintained by every subsequent Insert/Update/Delete. Each version owns
-  // exactly one entry per index until vacuum or abort removes it.
-  Status CreateIndex(const std::string& name, std::vector<size_t> columns);
-  Status CreateIndex(const std::string& name, size_t column) {
-    return CreateIndex(name, std::vector<size_t>{column});
-  }
-
-  // Builds an SP-GiST trie sequence index named `name` over one
-  // string-typed column; maintained like the B+-tree indexes.
-  Status CreateSequenceIndex(const std::string& name, size_t column);
+  // Builds index `name` over the named columns from every version, current
+  // or retained; maintained by every subsequent Insert/Update/Delete. Each
+  // version owns exactly one entry per index until vacuum or abort removes
+  // it. A B+-tree keys on the columns in list order (composite keys); an
+  // SP-GiST trie takes exactly one TEXT/SEQUENCE column. Fails when a
+  // column is unknown or repeated, or the name is taken on this table.
+  Status CreateIndex(const std::string& name,
+                     const std::vector<std::string>& columns,
+                     IndexKind kind = IndexKind::kBTree);
 
   // Drops a B+-tree or sequence index by name.
   Status DropIndex(const std::string& name);
@@ -200,6 +203,15 @@ class Table {
   // non-null values are all numeric) an equi-width histogram with
   // `histogram_buckets` buckets.
   Result<TableStats> ComputeStats(size_t histogram_buckets = 16) const;
+
+  // The statistics snapshot ANALYZE stored last, or nullptr before the
+  // first ANALYZE. A snapshot goes stale under DML until the next ANALYZE
+  // and is dropped with the table. SetStats replaces it; under a writer
+  // the prior snapshot (or its absence) comes back on rollback.
+  const TableStats* stats() const {
+    return stats_.has_value() ? &*stats_ : nullptr;
+  }
+  void SetStats(TableStats stats);
 
   // One past the largest RowId ever assigned (the tuple-axis extent).
   RowId next_row_id() const;
@@ -236,7 +248,7 @@ class Table {
 
   // Installs the engine's ambient MVCC context. When `mvcc->writer` is
   // non-null, mutators take the versioned path (row writes roll back
-  // through AbortRow) and index DDL pushes a compensation.
+  // through AbortRow) and index DDL and SetStats push a compensation.
   void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
  private:
@@ -291,6 +303,7 @@ class Table {
   std::map<RowId, RowMvcc> mvcc_rows_;
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
   std::vector<std::unique_ptr<SequenceIndex>> seq_indexes_;
+  std::optional<TableStats> stats_;
   RowId next_row_id_ = 0;
   MvccState* mvcc_ = nullptr;
   std::string heap_file_name_;   // basename of the paged heap ("" if none)

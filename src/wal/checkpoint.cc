@@ -4,6 +4,8 @@
 
 #include "common/crc32.h"
 #include "core/database.h"
+#include "index/secondary_index.h"
+#include "index/sequence_index.h"
 #include "storage/page.h"
 #include "wal/serializer.h"
 
@@ -149,22 +151,16 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
   w.U64(paged_->next_heap_file);
 
   // --- user tables: schema, heap rows, annotations, indexes, stats ------
-  std::vector<std::string> table_names = catalog_.ListTables();
-  w.U32(static_cast<uint32_t>(table_names.size()));
-  for (const std::string& name : table_names) {
-    BDBMS_ASSIGN_OR_RETURN(TableSchema schema, catalog_.GetSchema(name));
+  w.U32(static_cast<uint32_t>(catalog_.tables().size()));
+  for (const auto& [name, owned] : catalog_.tables()) {
+    const Table& table = *owned;
+    const TableSchema& schema = table.schema();
     w.Str(name);
     w.U32(static_cast<uint32_t>(schema.num_columns()));
     for (const ColumnDef& col : schema.columns()) {
       w.Str(col.name);
       w.U8(static_cast<uint8_t>(col.type));
     }
-
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      return Status::Internal("catalog table " + name + " has no storage");
-    }
-    const Table& table = *it->second;
     // The rows already live durably in the heap file (CheckpointPrepare
     // staged every dirty page under `gen` before this runs); record a
     // reference instead of dumping them. row_count doubles as a restore
@@ -175,13 +171,13 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
     w.U64(table.next_row_id());
     w.U64(table.row_count());
 
-    std::vector<AnnotationTableInfo> anns = catalog_.ListAnnotationTables(name);
+    std::vector<std::string> anns = annotations_.ListFor(name);
     w.U32(static_cast<uint32_t>(anns.size()));
-    for (const AnnotationTableInfo& info : anns) {
-      w.Str(info.name);
-      w.U8(info.is_provenance ? 1 : 0);
+    for (const std::string& ann_name : anns) {
       BDBMS_ASSIGN_OR_RETURN(AnnotationTable * ann,
-                             annotations_.Get(name, info.name));
+                             annotations_.Get(name, ann_name));
+      w.Str(ann_name);
+      w.U8(ann->is_provenance() ? 1 : 0);
       w.U64(ann->next_id());
       w.U64(ann->count());
       Status body_err = Status::Ok();
@@ -207,16 +203,25 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
       BDBMS_RETURN_IF_ERROR(body_err);
     }
 
-    std::vector<IndexInfo> indexes = catalog_.ListIndexes(name);
-    w.U32(static_cast<uint32_t>(indexes.size()));
-    for (const IndexInfo& idx : indexes) {
-      w.Str(idx.name);
-      w.U8(static_cast<uint8_t>(idx.kind));
-      w.U32(static_cast<uint32_t>(idx.columns.size()));
-      for (const std::string& col : idx.columns) w.Str(col);
+    // Indexes in creation order, B+-trees first: reloading them in this
+    // order keeps the planner's tie-breaks between equal-cost indexes.
+    auto write_index = [&](const std::string& index_name, IndexKind kind,
+                           const std::vector<size_t>& columns) {
+      w.Str(index_name);
+      w.U8(static_cast<uint8_t>(kind));
+      w.U32(static_cast<uint32_t>(columns.size()));
+      for (size_t col : columns) w.Str(schema.column(col).name);
+    };
+    w.U32(static_cast<uint32_t>(table.indexes().size() +
+                                table.sequence_indexes().size()));
+    for (const auto& idx : table.indexes()) {
+      write_index(idx->name(), IndexKind::kBTree, idx->columns());
+    }
+    for (const auto& idx : table.sequence_indexes()) {
+      write_index(idx->name(), IndexKind::kSpGist, {idx->column()});
     }
 
-    const TableStats* stats = catalog_.GetStats(name);
+    const TableStats* stats = table.stats();
     w.U8(stats ? 1 : 0);
     if (stats) {
       w.U64(stats->row_count);
@@ -273,7 +278,7 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
     }
   }
   std::vector<std::pair<std::string, const OutdatedBitmap*>> bitmaps;
-  for (const std::string& name : table_names) {
+  for (const auto& [name, table] : catalog_.tables()) {
     const OutdatedBitmap* bm = dependencies_.FindBitmap(name);
     if (bm != nullptr && !bm->entries().empty()) bitmaps.emplace_back(name, bm);
   }
@@ -360,7 +365,6 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
       BDBMS_RETURN_IF_ERROR(
           schema.AddColumn(col_name, static_cast<DataType>(type)));
     }
-    BDBMS_RETURN_IF_ERROR(catalog_.CreateTable(schema));
     BDBMS_ASSIGN_OR_RETURN(uint8_t paged_table, r.U8());
     if (paged_table != 1) {
       return Status::Corruption("table " + name +
@@ -370,31 +374,35 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
     BDBMS_ASSIGN_OR_RETURN(uint32_t heap_pages, r.U32());
     BDBMS_ASSIGN_OR_RETURN(uint64_t next_row_id, r.U64());
     BDBMS_ASSIGN_OR_RETURN(uint64_t row_cnt, r.U64());
-    const std::string path = paged_->heap_dir + "/" + heap_name;
-    // Repair the heap to exactly the committed checkpoint's state (apply
-    // or discard a leftover redo journal, cut provisional extensions, drop
-    // the overlay) before scanning it.
-    BDBMS_RETURN_IF_ERROR(
-        Pager::RecoverPagedHeap(paged_->env, path, gen, heap_pages));
-    BDBMS_ASSIGN_OR_RETURN(
-        std::unique_ptr<Table> table,
-        Table::OpenPaged(schema, paged_->env, path, paged_->pool_pages));
-    if (table->row_count() != row_cnt) {
-      return Status::Corruption(
-          "paged heap " + heap_name + " holds " +
-          std::to_string(table->row_count()) + " rows, checkpoint records " +
-          std::to_string(row_cnt));
-    }
-    table->AdvanceNextRowId(next_row_id);
-    tables_[name] = std::move(table);
+    auto open_heap =
+        [&](const TableSchema& s) -> Result<std::unique_ptr<Table>> {
+      const std::string path = paged_->heap_dir + "/" + heap_name;
+      // Repair the heap to exactly the committed checkpoint's state (apply
+      // or discard a leftover redo journal, cut provisional extensions,
+      // drop the overlay) before scanning it.
+      BDBMS_RETURN_IF_ERROR(
+          Pager::RecoverPagedHeap(paged_->env, path, gen, heap_pages));
+      BDBMS_ASSIGN_OR_RETURN(
+          std::unique_ptr<Table> table,
+          Table::OpenPaged(s, paged_->env, path, paged_->pool_pages));
+      if (table->row_count() != row_cnt) {
+        return Status::Corruption(
+            "paged heap " + heap_name + " holds " +
+            std::to_string(table->row_count()) + " rows, checkpoint records " +
+            std::to_string(row_cnt));
+      }
+      table->AdvanceNextRowId(next_row_id);
+      return table;
+    };
+    BDBMS_RETURN_IF_ERROR(catalog_.CreateTable(schema, open_heap));
+    BDBMS_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(name));
 
     BDBMS_ASSIGN_OR_RETURN(uint32_t n_ann, r.U32());
     for (uint32_t a = 0; a < n_ann; ++a) {
       BDBMS_ASSIGN_OR_RETURN(std::string ann_name, r.Str());
       BDBMS_ASSIGN_OR_RETURN(uint8_t is_prov, r.U8());
       BDBMS_RETURN_IF_ERROR(
-          catalog_.CreateAnnotationTable(name, ann_name, is_prov != 0));
-      BDBMS_RETURN_IF_ERROR(annotations_.CreateAnnotationTable(name, ann_name));
+          annotations_.CreateAnnotationTable(name, ann_name, is_prov != 0));
       BDBMS_ASSIGN_OR_RETURN(AnnotationTable * ann,
                              annotations_.Get(name, ann_name));
       BDBMS_ASSIGN_OR_RETURN(uint64_t next_ann_id, r.U64());
@@ -433,22 +441,8 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
         BDBMS_ASSIGN_OR_RETURN(std::string col, r.Str());
         columns.push_back(std::move(col));
       }
-      BDBMS_RETURN_IF_ERROR(catalog_.CreateIndex(
-          name, idx_name, columns, static_cast<IndexKind>(kind)));
-      Table* table_ptr = tables_[name].get();
-      std::vector<size_t> col_indices;
-      for (const std::string& col : columns) {
-        BDBMS_ASSIGN_OR_RETURN(size_t idx,
-                               table_ptr->schema().ColumnIndex(col));
-        col_indices.push_back(idx);
-      }
-      if (static_cast<IndexKind>(kind) == IndexKind::kSpGist) {
-        BDBMS_RETURN_IF_ERROR(
-            table_ptr->CreateSequenceIndex(idx_name, col_indices.front()));
-      } else {
-        BDBMS_RETURN_IF_ERROR(
-            table_ptr->CreateIndex(idx_name, std::move(col_indices)));
-      }
+      BDBMS_RETURN_IF_ERROR(table->CreateIndex(
+          idx_name, columns, static_cast<IndexKind>(kind)));
     }
 
     BDBMS_ASSIGN_OR_RETURN(uint8_t has_stats, r.U8());
@@ -478,7 +472,7 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
         }
         stats.columns.push_back(std::move(cs));
       }
-      BDBMS_RETURN_IF_ERROR(catalog_.SetStats(name, std::move(stats)));
+      table->SetStats(std::move(stats));
     }
   }
 

@@ -56,26 +56,21 @@ class ApprovalFixture : public ::testing::Test {
     ASSERT_TRUE(gene.AddColumn("GName", DataType::kText).ok());
     ASSERT_TRUE(gene.AddColumn("GSequence", DataType::kSequence).ok());
     ASSERT_TRUE(catalog_.CreateTable(gene).ok());
-    auto t = Table::CreateInMemory(gene);
+    auto t = catalog_.GetTable("Gene");
     ASSERT_TRUE(t.ok());
-    gene_ = std::move(*t);
+    gene_ = *t;
 
     ASSERT_TRUE(access_.CreateUser("member").ok());
     ASSERT_TRUE(access_.CreateUser("lab_admin").ok());
 
     mgr_ = std::make_unique<ApprovalManager>(&catalog_, &access_, &clock_);
-    resolver_ = [this](const std::string& name) -> Result<Table*> {
-      if (name == "Gene") return gene_.get();
-      return Status::NotFound("no table " + name);
-    };
   }
 
   Catalog catalog_;
   AccessControl access_;
   LogicalClock clock_;
-  std::unique_ptr<Table> gene_;
+  Table* gene_ = nullptr;
   std::unique_ptr<ApprovalManager> mgr_;
-  ApprovalManager::TableResolver resolver_;
 };
 
 TEST_F(ApprovalFixture, StartStopAndShouldLog) {
@@ -127,7 +122,7 @@ TEST_F(ApprovalFixture, InsertLoggedAndDisapprovedRollsBack) {
             "DELETE FROM Gene WHERE _rowid = " + std::to_string(*rid));
 
   // Disapproval executes the inverse.
-  auto settled = mgr_->Disapprove(*op_id, "lab_admin", resolver_);
+  auto settled = mgr_->Disapprove(*op_id, "lab_admin");
   ASSERT_TRUE(settled.ok());
   EXPECT_FALSE(gene_->Get(*rid).ok());
   EXPECT_TRUE(mgr_->Pending("Gene").empty());
@@ -150,7 +145,7 @@ TEST_F(ApprovalFixture, DeleteDisapprovalReinsertsOldRow) {
   EXPECT_EQ(op->second.inverse_sql,
             "INSERT INTO Gene VALUES ('JW0055', 'yabP', 'ATGAAAGTATC')");
 
-  auto settled = mgr_->Disapprove(*op_id, "lab_admin", resolver_);
+  auto settled = mgr_->Disapprove(*op_id, "lab_admin");
   ASSERT_TRUE(settled.ok());
   auto restored = gene_->Get(*rid);
   ASSERT_TRUE(restored.ok());
@@ -173,7 +168,7 @@ TEST_F(ApprovalFixture, UpdateDisapprovalRestoresOldValues) {
                                   *old_row, *new_row);
   ASSERT_TRUE(op_id.ok());
 
-  auto settled = mgr_->Disapprove(*op_id, "lab_admin", resolver_);
+  auto settled = mgr_->Disapprove(*op_id, "lab_admin");
   ASSERT_TRUE(settled.ok());
   auto restored = gene_->Get(*rid);
   ASSERT_TRUE(restored.ok());
@@ -194,7 +189,7 @@ TEST_F(ApprovalFixture, ApproveSettlesWithoutSideEffects) {
   EXPECT_TRUE(mgr_->Pending("Gene").empty());
   // Double settle fails.
   EXPECT_TRUE(mgr_->Approve(*op_id, "lab_admin").IsFailedPrecondition());
-  EXPECT_TRUE(mgr_->Disapprove(*op_id, "lab_admin", resolver_)
+  EXPECT_TRUE(mgr_->Disapprove(*op_id, "lab_admin")
                   .status()
                   .IsFailedPrecondition());
 }

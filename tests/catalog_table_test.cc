@@ -4,6 +4,7 @@
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "common/random.h"
+#include "core/database.h"
 #include "storage/pager.h"
 #include "table/table.h"
 #include "wal/wal_env.h"
@@ -69,11 +70,12 @@ TEST(CatalogTest, CreateAndDropTable) {
   ASSERT_TRUE(cat.CreateTable(GeneSchema()).ok());
   EXPECT_TRUE(cat.HasTable("DB1_Gene"));
   EXPECT_TRUE(cat.CreateTable(GeneSchema()).IsAlreadyExists());
-  auto schema = cat.GetSchema("DB1_Gene");
-  ASSERT_TRUE(schema.ok());
-  EXPECT_EQ(schema->num_columns(), 3u);
+  auto table = cat.GetTable("DB1_Gene");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->schema().num_columns(), 3u);
   ASSERT_TRUE(cat.DropTable("DB1_Gene").ok());
   EXPECT_FALSE(cat.HasTable("DB1_Gene"));
+  EXPECT_TRUE(cat.GetTable("DB1_Gene").status().IsNotFound());
   EXPECT_TRUE(cat.DropTable("DB1_Gene").IsNotFound());
 }
 
@@ -83,25 +85,35 @@ TEST(CatalogTest, RejectsEmptyTable) {
   EXPECT_FALSE(cat.CreateTable(TableSchema("")).ok());
 }
 
+// Annotation tables live in the AnnotationManager; CREATE checks the user
+// table against the catalog, and DROP TABLE takes them along.
 TEST(CatalogTest, AnnotationTables) {
-  Catalog cat;
-  ASSERT_TRUE(cat.CreateTable(GeneSchema()).ok());
-  EXPECT_TRUE(
-      cat.CreateAnnotationTable("NoSuch", "GAnnotation").IsNotFound());
-  ASSERT_TRUE(cat.CreateAnnotationTable("DB1_Gene", "GAnnotation").ok());
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE DB1_Gene (GID TEXT)").ok());
+  EXPECT_TRUE(db.Execute("CREATE ANNOTATION TABLE GAnnotation ON NoSuch")
+                  .status()
+                  .IsNotFound());
   ASSERT_TRUE(
-      cat.CreateAnnotationTable("DB1_Gene", "GProvenance", true).ok());
-  EXPECT_TRUE(cat.CreateAnnotationTable("DB1_Gene", "GAnnotation")
+      db.Execute("CREATE ANNOTATION TABLE GAnnotation ON DB1_Gene").ok());
+  ASSERT_TRUE(db.Execute("CREATE ANNOTATION TABLE GProvenance ON DB1_Gene "
+                         "AS PROVENANCE")
+                  .ok());
+  EXPECT_TRUE(db.Execute("CREATE ANNOTATION TABLE GAnnotation ON DB1_Gene")
+                  .status()
                   .IsAlreadyExists());
-  EXPECT_TRUE(cat.HasAnnotationTable("DB1_Gene", "GAnnotation"));
-  auto info = cat.GetAnnotationTable("DB1_Gene", "GProvenance");
-  ASSERT_TRUE(info.ok());
-  EXPECT_TRUE(info->is_provenance);
-  EXPECT_EQ(cat.ListAnnotationTables("DB1_Gene").size(), 2u);
+  auto plain = db.annotations().Get("DB1_Gene", "GAnnotation");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_FALSE((*plain)->is_provenance());
+  auto prov = db.annotations().Get("DB1_Gene", "GProvenance");
+  ASSERT_TRUE(prov.ok());
+  EXPECT_TRUE((*prov)->is_provenance());
+  EXPECT_EQ(db.annotations().ListFor("DB1_Gene").size(), 2u);
 
   // Dropping the user table cascades.
-  ASSERT_TRUE(cat.DropTable("DB1_Gene").ok());
-  EXPECT_FALSE(cat.HasAnnotationTable("DB1_Gene", "GAnnotation"));
+  ASSERT_TRUE(db.Execute("DROP TABLE DB1_Gene").ok());
+  EXPECT_TRUE(
+      db.annotations().Get("DB1_Gene", "GAnnotation").status().IsNotFound());
+  EXPECT_TRUE(db.annotations().ListFor("DB1_Gene").empty());
 }
 
 TEST(TableTest, InsertGetUpdateDelete) {

@@ -554,6 +554,110 @@ TEST(DatabaseTest, DropTableCascades) {
   EXPECT_FALSE(db.annotations().Get("T", "A").ok());
 }
 
+// A rule or approval config left naming a dropped table would fail every
+// later write on the tables still named with it, so DROP TABLE refuses
+// while one exists — whether the table is a rule's source or its target.
+TEST(DatabaseTest, DropTableRefusedWhileRuleOrApprovalNamesIt) {
+  Database db;
+  ProcedureInfo lab;
+  lab.name = "lab";
+  lab.executable = false;
+  ASSERT_TRUE(db.procedures().Register(lab).ok());
+  EXEC_OK(db, "CREATE TABLE G (GID TEXT, S TEXT)");
+  EXEC_OK(db, "CREATE TABLE Q (GID TEXT, F TEXT)");
+  EXEC_OK(db,
+          "CREATE DEPENDENCY r1 FROM G.S TO Q.F USING lab "
+          "JOIN ON G.GID = Q.GID");
+  for (const std::string table : {"Q", "G"}) {
+    auto r = db.Execute("DROP TABLE " + table);
+    ASSERT_TRUE(r.status().IsFailedPrecondition()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("dependency rule r1"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  // Both tables and the rule survive: writes on either side still work.
+  EXEC_OK(db, "INSERT INTO Q VALUES ('g1', 'fn')");
+  EXEC_OK(db, "INSERT INTO G VALUES ('g1', 'AAA')");
+  EXEC_OK(db, "UPDATE G SET S = 'CCC' WHERE GID = 'g1'");
+  EXPECT_TRUE(db.dependencies().IsOutdated("Q", 0, 1));
+  EXEC_OK(db, "DELETE FROM G WHERE GID = 'g1'");
+
+  EXEC_OK(db, "DROP DEPENDENCY r1");
+  EXEC_OK(db, "START CONTENT APPROVAL ON Q APPROVED BY admin");
+  auto r = db.Execute("DROP TABLE Q");
+  ASSERT_TRUE(r.status().IsFailedPrecondition()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("content approval"), std::string::npos)
+      << r.status().ToString();
+  EXEC_OK(db, "STOP CONTENT APPROVAL ON Q");
+  EXEC_OK(db, "DROP TABLE Q");
+  EXEC_OK(db, "DROP TABLE G");
+  EXPECT_TRUE(db.Execute("DROP TABLE G").status().IsNotFound());
+}
+
+// Grants belong to the table: a new table of the same name starts with
+// none, and a rolled-back DROP brings them back.
+TEST(DatabaseTest, DropTableDropsItsGrants) {
+  Database db;
+  EXEC_OK(db, "CREATE USER u");
+  EXEC_OK(db, "CREATE TABLE Q (k TEXT)");
+  EXEC_OK(db, "CREATE TABLE Other (k TEXT)");
+  EXEC_OK(db, "GRANT SELECT ON Q TO u");
+  EXEC_OK(db, "GRANT INSERT ON Q TO u");
+  EXEC_OK(db, "GRANT SELECT ON Other TO u");
+  ASSERT_TRUE(db.Execute("SELECT k FROM Q", "u").ok());
+
+  EXEC_OK(db, "BEGIN");
+  EXEC_OK(db, "DROP TABLE Q");
+  EXEC_OK(db, "ROLLBACK");
+  EXPECT_TRUE(db.Execute("SELECT k FROM Q", "u").ok());
+  EXPECT_TRUE(db.access().IsGranted("u", "Q", Privilege::kInsert));
+
+  EXEC_OK(db, "DROP TABLE Q");
+  EXEC_OK(db, "CREATE TABLE Q (k TEXT)");
+  EXPECT_TRUE(
+      db.Execute("SELECT k FROM Q", "u").status().IsPermissionDenied());
+  EXPECT_TRUE(db.Execute("INSERT INTO Q VALUES ('x')", "u")
+                  .status()
+                  .IsPermissionDenied());
+  EXPECT_EQ(db.access().grants().count({"u", "Q"}), 0u);
+  // Grants on other tables are untouched.
+  EXPECT_TRUE(db.Execute("SELECT k FROM Other", "u").ok());
+}
+
+// Outdated marks belong to the table too: a new table of the same name
+// must not inherit the old one's marks as `_outdated` annotations.
+TEST(DatabaseTest, DropTableDropsItsOutdatedMarks) {
+  Database db;
+  ProcedureInfo lab;
+  lab.name = "lab";
+  lab.executable = false;
+  ASSERT_TRUE(db.procedures().Register(lab).ok());
+  EXEC_OK(db, "CREATE TABLE G (GID TEXT, S TEXT)");
+  EXEC_OK(db, "CREATE TABLE Q (GID TEXT, F TEXT)");
+  EXEC_OK(db,
+          "CREATE DEPENDENCY r1 FROM G.S TO Q.F USING lab "
+          "JOIN ON G.GID = Q.GID");
+  EXEC_OK(db, "INSERT INTO G VALUES ('g1', 'AAA')");
+  EXEC_OK(db, "INSERT INTO Q VALUES ('g1', 'fn')");
+  EXEC_OK(db, "UPDATE G SET S = 'CCC' WHERE GID = 'g1'");
+  ASSERT_TRUE(db.dependencies().IsOutdated("Q", 0, 1));
+  EXEC_OK(db, "DROP DEPENDENCY r1");
+
+  EXEC_OK(db, "BEGIN");
+  EXEC_OK(db, "DROP TABLE Q");
+  EXEC_OK(db, "ROLLBACK");
+  EXPECT_TRUE(db.dependencies().IsOutdated("Q", 0, 1));
+
+  EXEC_OK(db, "DROP TABLE Q");
+  EXEC_OK(db, "CREATE TABLE Q (GID TEXT, F TEXT)");
+  EXEC_OK(db, "INSERT INTO Q VALUES ('new', 'fresh')");
+  EXPECT_EQ(db.dependencies().OutdatedCount("Q"), 0u);
+  auto r = db.Execute("SELECT F FROM Q");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_TRUE(r->rows[0].annotations[0].empty());
+}
+
 TEST(DatabaseTest, ParseErrorsSurfaceCleanly) {
   Database db;
   auto r = db.Execute("SELEC nonsense");

@@ -95,14 +95,6 @@ class DependencyFixture : public ::testing::Test {
     ASSERT_TRUE(catalog_.CreateTable(protein).ok());
     ASSERT_TRUE(catalog_.CreateTable(matching).ok());
 
-    auto gene_t = Table::CreateInMemory(gene);
-    auto protein_t = Table::CreateInMemory(protein);
-    auto matching_t = Table::CreateInMemory(matching);
-    ASSERT_TRUE(gene_t.ok() && protein_t.ok() && matching_t.ok());
-    tables_["Gene"] = std::move(*gene_t);
-    tables_["Protein"] = std::move(*protein_t);
-    tables_["GeneMatching"] = std::move(*matching_t);
-
     // Prediction tool P: protein sequence derived as "translated" gene seq
     // (first 6 chars, uppercased 'P' prefix) — a deterministic stand-in.
     ProcedureInfo p;
@@ -156,21 +148,15 @@ class DependencyFixture : public ::testing::Test {
     r3.target = {"GeneMatching", "Evalue"};
     r3.procedure = "BLAST-2.2.15";
     ASSERT_TRUE(mgr_->AddRule(r3).ok());
-
-    resolver_ = [this](const std::string& name) -> Result<Table*> {
-      auto it = tables_.find(name);
-      if (it == tables_.end()) return Status::NotFound("no table " + name);
-      return it->second.get();
-    };
   }
 
-  Table* table(const std::string& name) { return tables_.at(name).get(); }
+  Table* table(const std::string& name) {
+    return catalog_.tables().at(name).get();
+  }
 
   Catalog catalog_;
   ProcedureRegistry procs_;
-  std::map<std::string, std::unique_ptr<Table>> tables_;
   std::unique_ptr<DependencyManager> mgr_;
-  DependencyManager::TableResolver resolver_;
 };
 
 TEST_F(DependencyFixture, RuleValidation) {
@@ -277,10 +263,10 @@ TEST_F(DependencyFixture, Figure10Scenario) {
 
   // Modify the sequences of JW0080 (row 0) and JW0082 (row 1).
   ASSERT_TRUE(gene->UpdateCell(0, 2, Value::Sequence("GTGAAACTGGA")).ok());
-  auto rep0 = mgr_->OnCellUpdated("Gene", 0, 2, resolver_);
+  auto rep0 = mgr_->OnCellUpdated("Gene", 0, 2);
   ASSERT_TRUE(rep0.ok());
   ASSERT_TRUE(gene->UpdateCell(1, 2, Value::Sequence("TTGAAACTGGA")).ok());
-  auto rep1 = mgr_->OnCellUpdated("Gene", 1, 2, resolver_);
+  auto rep1 = mgr_->OnCellUpdated("Gene", 1, 2);
   ASSERT_TRUE(rep1.ok());
 
   // PSequence (col 2) was auto-recomputed by P -> bits stay 0.
@@ -311,7 +297,7 @@ TEST_F(DependencyFixture, SameTableRecompute) {
                   .ok());
   // Changing Gene1 re-runs BLAST automatically.
   ASSERT_TRUE(matching->UpdateCell(0, 0, Value::Sequence("ATCCTGGTT")).ok());
-  auto rep = mgr_->OnCellUpdated("GeneMatching", 0, 0, resolver_);
+  auto rep = mgr_->OnCellUpdated("GeneMatching", 0, 0);
   ASSERT_TRUE(rep.ok());
   ASSERT_EQ(rep->recomputed.size(), 1u);
   EXPECT_TRUE(rep->outdated.empty());
@@ -338,7 +324,7 @@ TEST_F(DependencyFixture, ProcedureChangeReevaluatesClosure) {
                         return Value::Double(42.0);
                       })
                   .ok());
-  auto rep = mgr_->OnProcedureChanged("BLAST-2.2.15", resolver_);
+  auto rep = mgr_->OnProcedureChanged("BLAST-2.2.15");
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(rep->recomputed.size(), 5u);
   for (RowId r = 0; r < 5; ++r) {
@@ -353,7 +339,7 @@ TEST_F(DependencyFixture, NonExecutableProcedureChangeMarksOutdated) {
   ASSERT_TRUE(protein->Insert({Value::Text("x"), Value::Text("JW1"),
                                Value::Sequence("M"), Value::Text("f")})
                   .ok());
-  auto rep = mgr_->OnProcedureChanged("lab_experiment", resolver_);
+  auto rep = mgr_->OnProcedureChanged("lab_experiment");
   ASSERT_TRUE(rep.ok());
   EXPECT_TRUE(rep->recomputed.empty());
   ASSERT_EQ(rep->outdated.size(), 1u);
@@ -370,7 +356,7 @@ TEST_F(DependencyFixture, RevalidationClearsBit) {
                                Value::Sequence("M"), Value::Text("f")})
                   .ok());
   ASSERT_TRUE(gene->UpdateCell(0, 2, Value::Sequence("CCC")).ok());
-  ASSERT_TRUE(mgr_->OnCellUpdated("Gene", 0, 2, resolver_).ok());
+  ASSERT_TRUE(mgr_->OnCellUpdated("Gene", 0, 2).ok());
   ASSERT_TRUE(mgr_->IsOutdated("Protein", 0, 3));
 
   // Paper: "a modification to a gene sequence may not affect the
@@ -391,12 +377,11 @@ TEST_F(DependencyFixture, RevalidateWithValueUpdatesAndPropagates) {
                                Value::Sequence("M"), Value::Text("f")})
                   .ok());
   ASSERT_TRUE(gene->UpdateCell(0, 2, Value::Sequence("CCC")).ok());
-  ASSERT_TRUE(mgr_->OnCellUpdated("Gene", 0, 2, resolver_).ok());
+  ASSERT_TRUE(mgr_->OnCellUpdated("Gene", 0, 2).ok());
   ASSERT_TRUE(mgr_->IsOutdated("Protein", 0, 3));
 
   auto rep = mgr_->RevalidateWithValue("Protein", 0, 3,
-                                       Value::Text("verified function"),
-                                       resolver_);
+                                       Value::Text("verified function"));
   ASSERT_TRUE(rep.ok());
   EXPECT_FALSE(mgr_->IsOutdated("Protein", 0, 3));
   auto row = protein->Get(0);
@@ -502,11 +487,9 @@ std::vector<std::string> ProbeSchema(bool indexed) {
 // Rows and outdated bits of every table.
 std::string DepState(Database& db) {
   std::ostringstream out;
-  for (const std::string& name : db.catalog().ListTables()) {
+  for (const auto& [name, table] : db.catalog().tables()) {
     out << name << ":\n";
-    auto table = db.GetTable(name);
-    if (!table.ok()) continue;
-    (void)(*table)->Scan([&](RowId row_id, const Row& row) {
+    (void)table->Scan([&](RowId row_id, const Row& row) {
       out << "  " << row_id << ":";
       for (const Value& v : row) out << " " << v.ToString();
       out << " outdated=" << db.dependencies().OutdatedMask(name, row_id)
@@ -667,8 +650,7 @@ TEST(DependencyIndexProbe, RowErasedMarksJoinedTargetsOutdated) {
     Exec(db, out, "INSERT INTO Protein VALUES ('p3', 'J1', 'M', 'fn')");
     Exec(db, out, "DELETE FROM Gene WHERE GID = 'J1'");
     Row pre_image = {Value::Text("J2"), Value::Sequence("CCC"), Value::Null()};
-    out << ReportString(db.dependencies().OnRowErased("Gene", 1, pre_image,
-                                                      db.Resolver()));
+    out << ReportString(db.dependencies().OnRowErased("Gene", 1, pre_image));
   });
   EXPECT_TRUE(Contains(got, "0: 'p1' 'J1' 'M' 'fn' outdated=12")) << got;
   EXPECT_TRUE(Contains(got, "recomputed: outdated: Protein[1].2\n"))
@@ -684,8 +666,7 @@ TEST(DependencyIndexProbe, ProcedureChangeRecomputesThroughJoin) {
     Exec(db, out, "INSERT INTO Protein VALUES ('p2', 'J1', 'M', 'fn')");
     Exec(db, out, "INSERT INTO Num VALUES (7, 'TT')");
     Exec(db, out, "INSERT INTO Dbl VALUES (7.0, 'x')");
-    out << ReportString(
-        db.dependencies().OnProcedureChanged("P", db.Resolver()));
+    out << ReportString(db.dependencies().OnProcedureChanged("P"));
     out << DepState(db);
   });
   EXPECT_TRUE(Contains(got, "0: 'p1' 'J2' 'P:CCC' 'fn' outdated=8")) << got;

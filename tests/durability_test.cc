@@ -219,6 +219,62 @@ TEST(DurabilityTest, CheckpointPlusLogTailRecovers) {
   EXPECT_EQ(before, ReferenceFingerprint());
 }
 
+// A refused DROP TABLE leaves the rule's tables in place, so the
+// checkpoint restore can re-validate the rule.
+TEST(DurabilityTest, RefusedDropTableKeepsCheckpointRestorable) {
+  std::string dir = FreshDir("dur_drop_refused");
+  std::string before;
+  {
+    auto db = Database::Open(dir, DurableOpts());
+    ASSERT_TRUE(db.ok());
+    EXEC_OK(**db, "CREATE TABLE G (GID TEXT, S TEXT)", "admin");
+    EXEC_OK(**db, "CREATE TABLE Q (GID TEXT, F TEXT)", "admin");
+    EXEC_OK(**db,
+            "CREATE DEPENDENCY r1 FROM G.S TO Q.F USING lab_experiment "
+            "JOIN ON G.GID = Q.GID",
+            "admin");
+    EXPECT_TRUE(
+        (*db)->Execute("DROP TABLE Q").status().IsFailedPrecondition());
+    EXEC_OK(**db, "CHECKPOINT", "admin");
+    before = Fingerprint(**db);
+  }
+  auto db = Database::Open(dir, DurableOpts());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(Fingerprint(**db), before);
+  EXEC_OK(**db, "INSERT INTO Q VALUES ('g1', 'fn')", "admin");
+  EXEC_OK(**db, "INSERT INTO G VALUES ('g1', 'AAA')", "admin");
+  EXEC_OK(**db, "UPDATE G SET S = 'CCC' WHERE GID = 'g1'", "admin");
+  EXPECT_TRUE((*db)->dependencies().IsOutdated("Q", 0, 1));
+}
+
+// The planner breaks cost ties between indexes by creation order; the
+// checkpoint keeps that order, so a reopen plans the same index.
+TEST(DurabilityTest, EqualCostIndexTieSurvivesReopen) {
+  std::string dir = FreshDir("dur_index_tie");
+  const std::string explain = "EXPLAIN SELECT b FROM T WHERE a = 3";
+  std::string before;
+  {
+    auto db = Database::Open(dir, DurableOpts());
+    ASSERT_TRUE(db.ok());
+    EXEC_OK(**db, "CREATE TABLE T (a INT, b INT)", "admin");
+    EXEC_OK(**db,
+            "INSERT INTO T VALUES (1, 1), (2, 2), (3, 3), (4, 4), (3, 5)",
+            "admin");
+    EXEC_OK(**db, "CREATE INDEX zz ON T (a)", "admin");
+    EXEC_OK(**db, "CREATE INDEX aa ON T (a)", "admin");
+    auto r = (*db)->Execute(explain);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    before = r->message;
+    EXPECT_NE(before.find("USING zz"), std::string::npos) << before;
+    EXEC_OK(**db, "CHECKPOINT", "admin");
+  }
+  auto db = Database::Open(dir, DurableOpts());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto r = (*db)->Execute(explain);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->message, before);
+}
+
 TEST(DurabilityTest, AutoCheckpointTriggersEveryNStatements) {
   std::string dir = FreshDir("dur_auto_ckpt");
   {

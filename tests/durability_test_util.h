@@ -127,61 +127,52 @@ inline std::string Fingerprint(Database& db) {
   std::ostringstream out;
   out << "clock=" << db.clock().Peek() << "\n";
 
-  for (const std::string& name : db.catalog().ListTables()) {
-    auto schema = db.catalog().GetSchema(name);
-    if (!schema.ok()) {
-      out << "table " << name << " <no schema>\n";
-      continue;
-    }
+  for (const auto& [name, table] : db.catalog().tables()) {
+    const TableSchema& schema = table->schema();
     out << "table " << name << " (";
-    for (const ColumnDef& col : schema->columns()) {
+    for (const ColumnDef& col : schema.columns()) {
       out << col.name << ":" << DataTypeName(col.type) << ",";
     }
     out << ")\n";
 
-    auto table = db.GetTable(name);
-    if (!table.ok()) {
-      out << "  <no storage>\n";
-      continue;
-    }
-    out << "  next_row_id=" << (*table)->next_row_id() << "\n";
-    (void)(*table)->Scan([&](RowId row_id, const Row& row) {
+    out << "  next_row_id=" << table->next_row_id() << "\n";
+    (void)table->Scan([&](RowId row_id, const Row& row) {
       out << "  row " << row_id << ":";
       for (const Value& v : row) out << " " << v.ToString();
       out << "\n";
       return Status::Ok();
     });
 
-    for (const AnnotationTableInfo& info :
-         db.catalog().ListAnnotationTables(name)) {
-      out << "  ann " << info.name << " prov=" << info.is_provenance << "\n";
-      auto ann = db.annotations().Get(name, info.name);
-      if (!ann.ok()) continue;
-      out << "    next_id=" << (*ann)->next_id() << "\n";
-      (*ann)->ForEach(/*include_archived=*/true, [&](const AnnotationMeta& m) {
+    for (const std::string& ann_name : db.annotations().ListFor(name)) {
+      AnnotationTable* ann = *db.annotations().Get(name, ann_name);
+      out << "  ann " << ann_name << " prov=" << ann->is_provenance() << "\n";
+      out << "    next_id=" << ann->next_id() << "\n";
+      ann->ForEach(/*include_archived=*/true, [&](const AnnotationMeta& m) {
         out << "    a" << m.id << " ts=" << m.timestamp
             << " arch=" << m.archived << " by=" << m.author << " regions=";
         for (const Region& reg : m.regions) {
           out << "[" << reg.columns << "," << reg.row_begin << ","
               << reg.row_end << "]";
         }
-        auto body = (*ann)->Body(m.id);
+        auto body = ann->Body(m.id);
         out << " body=" << (body.ok() ? *body : "<err>") << "\n";
       });
     }
 
-    for (const IndexInfo& idx : db.catalog().ListIndexes(name)) {
-      out << "  index " << idx.name
-          << " kind=" << (idx.kind == IndexKind::kSpGist ? "spgist" : "btree")
-          << " cols=";
-      for (const std::string& c : idx.columns) out << c << ",";
-      const SecondaryIndex* si = (*table)->FindIndex(idx.name);
-      const SequenceIndex* qi = (*table)->FindSequenceIndex(idx.name);
-      out << " entries="
-          << (si ? si->entry_count() : (qi ? qi->entry_count() : 0)) << "\n";
+    // Each index family in creation order: the planner breaks cost ties
+    // by it, so a reopen that reorders indexes shows up here.
+    for (const auto& idx : table->indexes()) {
+      out << "  index " << idx->name() << " kind=btree cols=";
+      for (size_t c : idx->columns()) out << schema.column(c).name << ",";
+      out << " entries=" << idx->entry_count() << "\n";
+    }
+    for (const auto& idx : table->sequence_indexes()) {
+      out << "  index " << idx->name() << " kind=spgist cols="
+          << schema.column(idx->column()).name << ","
+          << " entries=" << idx->entry_count() << "\n";
     }
 
-    if (const TableStats* stats = db.catalog().GetStats(name)) {
+    if (const TableStats* stats = table->stats()) {
       out << "  stats rows=" << stats->row_count;
       for (const ColumnStats& cs : stats->columns) {
         out << " [nn=" << cs.non_null << " null=" << cs.null_count
@@ -278,30 +269,23 @@ inline std::string ReferenceFingerprint(size_t prefix = SIZE_MAX) {
 // counts match and every live row is reachable through its own key. A
 // recovery that rebuilt indexes from stale rows fails here.
 inline void VerifyIndexConsistency(Database& db) {
-  for (const std::string& name : db.catalog().ListTables()) {
-    auto table = db.GetTable(name);
-    ASSERT_TRUE(table.ok()) << name;
-    for (const IndexInfo& info : db.catalog().ListIndexes(name)) {
-      if (info.kind == IndexKind::kSpGist) {
-        const SequenceIndex* qi = (*table)->FindSequenceIndex(info.name);
-        ASSERT_NE(qi, nullptr) << info.name;
-        size_t column = qi->column();
-        (void)(*table)->Scan([&](RowId row_id, const Row& row) {
-          if (!row[column].is_string()) return Status::Ok();
-          auto found = qi->FindExact(row[column].as_string());
-          EXPECT_TRUE(found.ok());
-          EXPECT_TRUE(std::find(found->begin(), found->end(), row_id) !=
-                      found->end())
-              << info.name << " lost row " << row_id;
-          return Status::Ok();
-        });
-        continue;
-      }
-      const SecondaryIndex* si = (*table)->FindIndex(info.name);
-      ASSERT_NE(si, nullptr) << info.name;
-      EXPECT_EQ(si->entry_count(), (*table)->row_count())
-          << info.name << " entry count diverged from heap";
-      (void)(*table)->Scan([&](RowId row_id, const Row& row) {
+  for (const auto& [name, table] : db.catalog().tables()) {
+    for (const auto& qi : table->sequence_indexes()) {
+      size_t column = qi->column();
+      (void)table->Scan([&](RowId row_id, const Row& row) {
+        if (!row[column].is_string()) return Status::Ok();
+        auto found = qi->FindExact(row[column].as_string());
+        EXPECT_TRUE(found.ok());
+        EXPECT_TRUE(std::find(found->begin(), found->end(), row_id) !=
+                    found->end())
+            << qi->name() << " lost row " << row_id;
+        return Status::Ok();
+      });
+    }
+    for (const auto& si : table->indexes()) {
+      EXPECT_EQ(si->entry_count(), table->row_count())
+          << si->name() << " entry count diverged from heap";
+      (void)table->Scan([&](RowId row_id, const Row& row) {
         IndexProbe probe;
         bool has_null = false;
         for (size_t c : si->columns()) {
@@ -313,7 +297,7 @@ inline void VerifyIndexConsistency(Database& db) {
         EXPECT_TRUE(found.ok());
         EXPECT_TRUE(std::find(found->begin(), found->end(), row_id) !=
                     found->end())
-            << info.name << " lost row " << row_id;
+            << si->name() << " lost row " << row_id;
         return Status::Ok();
       });
     }

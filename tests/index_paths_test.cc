@@ -132,7 +132,7 @@ TEST(CompositeIndexProbe, PrefixEqualityAndTrailingRange) {
   ins(Value::Int(1), Value::Null(), Value::Double(3.0));       // row 2
   ins(Value::Int(2), Value::Text("x"), Value::Double(4.0));    // row 3
   ins(Value::Int(2), Value::Text("xa"), Value::Double(5.0));   // row 4
-  ASSERT_TRUE(t->CreateIndex("ab", std::vector<size_t>{0, 1}).ok());
+  ASSERT_TRUE(t->CreateIndex("ab", {"a", "b"}).ok());
   const SecondaryIndex* idx = t->FindIndex("ab");
   ASSERT_NE(idx, nullptr);
   EXPECT_EQ(idx->entry_count(), 5u);
@@ -296,10 +296,16 @@ TEST_F(IndexPathsFixture, SequenceIndexDdlValidation) {
   // DROP INDEX removes sequence indexes too.
   EXEC_OK(db_, "DROP INDEX s ON Prot");
   EXEC_OK(db_, "CREATE INDEX s ON Prot (PID)");
-  // Catalog metadata records the full column list.
-  auto indexes = db_.catalog().ListIndexes("Prot");
-  ASSERT_EQ(indexes.size(), 1u);
-  EXPECT_EQ(indexes[0].columns, (std::vector<std::string>{"PID"}));
+  // The table holds the new B+-tree over the full column list, and no
+  // trace of the dropped trie.
+  auto table = db_.GetTable("Prot");
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ((*table)->indexes().size(), 1u);
+  EXPECT_TRUE((*table)->sequence_indexes().empty());
+  const SecondaryIndex* s = (*table)->FindIndex("s");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->columns(),
+            std::vector<size_t>{*(*table)->schema().ColumnIndex("PID")});
 }
 
 // ---------------------------------------------------------------------------
@@ -439,8 +445,8 @@ TEST(SequenceIndexNulBytes, RejectedBeforeAnyMutation) {
   auto table = Table::CreateInMemory(schema);
   ASSERT_TRUE(table.ok());
   Table* t = table->get();
-  ASSERT_TRUE(t->CreateIndex("bt", std::vector<size_t>{1}).ok());
-  ASSERT_TRUE(t->CreateSequenceIndex("trie", 1).ok());
+  ASSERT_TRUE(t->CreateIndex("bt", {"seq"}).ok());
+  ASSERT_TRUE(t->CreateIndex("trie", {"seq"}, IndexKind::kSpGist).ok());
   Row bad = {Value::Int(1), Value::Text(std::string("A\0C", 3))};
   EXPECT_FALSE(t->Insert(bad).ok());
   EXPECT_EQ(t->row_count(), 0u);

@@ -124,7 +124,7 @@ TEST(IntegrationTest, FullCurationLifecycle) {
   // --- the lab revalidates the still-outdated function --------------------
   EXPECT_TRUE(db.dependencies().IsOutdated("Protein", 0, 3));
   auto report = db.dependencies().RevalidateWithValue(
-      "Protein", 0, 3, Value::Text("methyltransferase"), db.Resolver());
+      "Protein", 0, 3, Value::Text("methyltransferase"));
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(db.dependencies().IsOutdated("Protein", 0, 3));
 

@@ -169,22 +169,29 @@ TEST_F(ExplainFixture, ExplainRejectsNonDml) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ExplainFixture, CreateIndexValidation) {
-  EXPECT_FALSE(db_.Execute("CREATE INDEX i ON NoSuch (x)").ok());
-  EXPECT_FALSE(db_.Execute("CREATE INDEX i ON Gene (NoCol)").ok());
+  EXPECT_TRUE(
+      db_.Execute("CREATE INDEX i ON NoSuch (x)").status().IsNotFound());
+  EXPECT_TRUE(
+      db_.Execute("CREATE INDEX i ON Gene (NoCol)").status().IsNotFound());
   EXEC_OK(db_, "CREATE INDEX i ON Gene (GID)");
-  EXPECT_FALSE(db_.Execute("CREATE INDEX i ON Gene (GName)").ok());
-  EXPECT_FALSE(db_.Execute("DROP INDEX nope ON Gene").ok());
+  EXPECT_TRUE(db_.Execute("CREATE INDEX i ON Gene (GName)")
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_TRUE(
+      db_.Execute("DROP INDEX nope ON Gene").status().IsNotFound());
   // Non-superusers may not manage indexes.
-  EXPECT_FALSE(db_.Execute("CREATE INDEX j ON Gene (GName)", "mallory").ok());
-  // Catalog metadata and the storage object agree.
-  auto indexes = db_.catalog().ListIndexes("Gene");
-  ASSERT_EQ(indexes.size(), 1u);
-  EXPECT_EQ(indexes[0].name, "i");
-  EXPECT_EQ(indexes[0].column, "GID");
+  EXPECT_TRUE(db_.Execute("CREATE INDEX j ON Gene (GName)", "mallory")
+                  .status()
+                  .IsPermissionDenied());
+  // The table holds exactly the index that was created, built over
+  // every row.
   auto table = db_.GetTable("Gene");
   ASSERT_TRUE(table.ok());
+  ASSERT_EQ((*table)->indexes().size(), 1u);
+  EXPECT_TRUE((*table)->sequence_indexes().empty());
   const SecondaryIndex* index = (*table)->FindIndex("i");
   ASSERT_NE(index, nullptr);
+  EXPECT_EQ(index->columns(), std::vector<size_t>{0});
   EXPECT_EQ(index->entry_count(), (*table)->row_count());
 }
 

@@ -21,6 +21,13 @@ namespace {
                          << _r.status().ToString();               \
   } while (0)
 
+// The ANALYZE snapshot stored on `table` (nullptr when never analyzed).
+const TableStats* StatsOf(Database& db, const std::string& table) {
+  auto t = db.GetTable(table);
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return t.ok() ? (*t)->stats() : nullptr;
+}
+
 std::string Explain(Database& db, const std::string& sql) {
   auto r = db.Execute("EXPLAIN " + sql);
   EXPECT_TRUE(r.ok()) << sql << "\n-> " << r.status().ToString();
@@ -43,7 +50,7 @@ TEST(Analyze, CollectsRowCountNdvMinMaxAndNulls) {
   EXPECT_EQ(r->rows[0].values[0].as_string(), "T");
   EXPECT_EQ(r->rows[0].values[1].as_int(), 5);
 
-  const TableStats* stats = db.catalog().GetStats("T");
+  const TableStats* stats = StatsOf(db, "T");
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->row_count, 5u);
   ASSERT_EQ(stats->columns.size(), 3u);
@@ -73,7 +80,7 @@ TEST(Analyze, EmptyTableAndAllTables) {
   auto r = db.Execute("ANALYZE");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows.size(), 2u);
-  const TableStats* stats = db.catalog().GetStats("Empty");
+  const TableStats* stats = StatsOf(db, "Empty");
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->row_count, 0u);
   ASSERT_EQ(stats->columns.size(), 1u);
@@ -130,7 +137,7 @@ TEST(Analyze, StaleAfterBulkDeleteUntilReanalyzed) {
   EXEC_OK(db, "ANALYZE T");
   EXPECT_NE(Explain(db, "SELECT * FROM T").find("rows=10"),
             std::string::npos);
-  EXPECT_EQ(db.catalog().GetStats("T")->row_count, 10u);
+  EXPECT_EQ(StatsOf(db, "T")->row_count, 10u);
 }
 
 TEST(Analyze, DropTableClearsStats) {
@@ -138,10 +145,10 @@ TEST(Analyze, DropTableClearsStats) {
   EXEC_OK(db, "CREATE TABLE T (x INT)");
   EXEC_OK(db, "INSERT INTO T VALUES (1)");
   EXEC_OK(db, "ANALYZE T");
-  ASSERT_NE(db.catalog().GetStats("T"), nullptr);
+  ASSERT_NE(StatsOf(db, "T"), nullptr);
   EXEC_OK(db, "DROP TABLE T");
   EXEC_OK(db, "CREATE TABLE T (x INT)");
-  EXPECT_EQ(db.catalog().GetStats("T"), nullptr);
+  EXPECT_EQ(StatsOf(db, "T"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

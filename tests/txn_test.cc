@@ -82,9 +82,8 @@ std::vector<std::pair<std::string, std::string>> MutationStorm() {
 // once no transaction holds uncommitted or superseded versions.
 uint64_t LiveRows(Database& db) {
   uint64_t rows = 0;
-  for (const std::string& name : db.catalog().ListTables()) {
-    auto table = db.GetTable(name);
-    if (table.ok()) rows += (*table)->row_count();
+  for (const auto& [name, table] : db.catalog().tables()) {
+    rows += table->row_count();
   }
   return rows;
 }
