@@ -79,8 +79,9 @@ BENCHMARK(BM_TxnBatchInMemory)
     ->Unit(benchmark::kMicrosecond);
 
 // The same batches durably, with per-statement fsync for autocommit. The
-// transaction variant journals the whole group at COMMIT under a single
-// fsync, so the gap here is the fsync amortization a transaction buys.
+// transaction variant journals the whole batch at COMMIT as one WAL frame
+// under a single fsync, so the gap here is the fsync amortization a
+// transaction buys.
 void BM_TxnBatchDurable(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const bool txn = state.range(1) != 0;

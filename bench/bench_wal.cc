@@ -74,7 +74,7 @@ BENCHMARK(BM_CommitInMemory)->Unit(benchmark::kMicrosecond);
 
 // Database::Open cost against a log of range(0) committed statements;
 // range(1) selects whether a checkpoint bounds the replay to zero
-// records (the log itself is empty after a checkpoint).
+// statements (the log itself is empty after a checkpoint).
 void BM_Recovery(benchmark::State& state) {
   int statements = static_cast<int>(state.range(0));
   bool checkpointed = state.range(1) != 0;

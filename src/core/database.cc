@@ -271,8 +271,8 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
   BDBMS_RETURN_IF_ERROR(WritableLocked());
   if (t.implicit) BeginLocked(t);
   const uint64_t clock_before = clock_.Peek();
-  PendingStatement ps;
-  if (dur_) CaptureBases(&ps);
+  WalStatement journaled;
+  if (dur_) CaptureBases(&journaled.bases);
   t.savepoints.push_back(t.writer.BeginStatement());
   auto result = ExecuteUnder(stmt, user, t.snapshot, &t.writer);
   if (!result.ok()) {
@@ -292,14 +292,12 @@ Result<QueryResult> Database::RunMutation(TxnState& t, const Statement& stmt,
   ++mutation_epoch_;
   ++t.own_mutations;
   if (dur_) {
-    // Replay reads at the journaled snapshot (`versioned` = 1), or at the
-    // latest state for a statement that ran escalated (0).
-    ps.user = user;
-    ps.sql = std::string(sql);
-    ps.clock_before = clock_before;
-    ps.versioned = t.escalated ? 0 : 1;
-    ps.snapshot = t.escalated ? 0 : t.snapshot.csn;
-    t.pending.push_back(std::move(ps));
+    // Replay reads at the journaled snapshot: kLatestCsn once escalated.
+    journaled.clock = clock_before;
+    journaled.user = user;
+    journaled.sql = std::string(sql);
+    journaled.snapshot = t.snapshot.csn;
+    t.pending.push_back(std::move(journaled));
   }
   if (t.implicit) {
     BDBMS_RETURN_IF_ERROR(CommitLocked(t));
@@ -518,26 +516,25 @@ void Database::SettleWritesLocked(MvccWriter& writer, MvccWriter::Mark from,
   writer.annotations.resize(from.annotations);
 }
 
-void Database::CaptureBases(PendingStatement* ps) const {
+void Database::CaptureBases(WalIdBases* bases) const {
   for (const auto& [name, table] : catalog_.tables()) {
-    ps->row_bases.emplace_back(name, table->next_row_id());
+    bases->rows.emplace_back(name, table->next_row_id());
   }
   annotations_.ForEachTable([&](const std::string& key, AnnotationTable* at) {
-    ps->ann_bases.emplace_back(key, at->next_id());
+    bases->annotations.emplace_back(key, at->next_id());
   });
 }
 
-void Database::ApplyReplayBases(const WalRecord& rec) {
-  // Statement records carry the counters the statement *allocated from*
-  // and must restore them exactly: group commit appends a transaction's
-  // statements at COMMIT time, so a concurrently committed record that
-  // landed earlier in the log can carry counters captured later — a
-  // monotonic advance would then replay the ids too high. The commit
-  // marker carries the counters as of COMMIT and is applied as a
-  // max-advance, restoring the end-of-group high-water mark that other
-  // transactions' statement-time allocations pushed past this group's.
-  const bool exact = rec.kind != WalRecordKind::kTxnCommit;
-  for (const auto& [name, base] : rec.row_bases) {
+void Database::ApplyReplayBases(const WalIdBases& bases, bool exact) {
+  // A statement carries the counters it *allocated from* and must restore
+  // them exactly: a transaction's frame is appended at COMMIT time, so a
+  // concurrently committed frame that landed earlier in the log can carry
+  // counters captured later — a monotonic advance would then replay the
+  // ids too high. A frame's end bases carry the counters as of COMMIT and
+  // are applied as a max-advance, restoring the end-of-transaction
+  // high-water mark that other transactions' statement-time allocations
+  // pushed past this one's.
+  for (const auto& [name, base] : bases.rows) {
     auto table = catalog_.GetTable(name);
     if (!table.ok()) continue;
     if (exact) {
@@ -546,9 +543,9 @@ void Database::ApplyReplayBases(const WalRecord& rec) {
       (*table)->AdvanceNextRowId(base);
     }
   }
-  if (!rec.ann_bases.empty()) {
-    std::map<std::string, uint64_t> want(rec.ann_bases.begin(),
-                                         rec.ann_bases.end());
+  if (!bases.annotations.empty()) {
+    std::map<std::string, uint64_t> want(bases.annotations.begin(),
+                                         bases.annotations.end());
     annotations_.ForEachTable([&](const std::string& key, AnnotationTable* at) {
       auto it = want.find(key);
       if (it == want.end()) return;
@@ -620,65 +617,31 @@ uint64_t Database::version_count() const {
   return total;
 }
 
-Status Database::JournalLocked(const TxnState& t, uint64_t csn) {
+Status Database::JournalLocked(TxnState& t, uint64_t csn) {
   BDBMS_RETURN_IF_ERROR(WritableLocked());
-  // An implicit transaction is one bare statement record carrying its
-  // commit CSN. An explicit one is a BEGIN-framed group: begin marker,
-  // buffered statements, commit marker carrying the CSN.
-  std::vector<WalRecord> records;
-  if (!t.implicit) {
-    WalRecord begin;
-    begin.clock = t.clock_at_begin;
-    begin.kind = WalRecordKind::kTxnBegin;
-    records.push_back(std::move(begin));
-  }
-  uint8_t any_versioned = 0;
-  for (const PendingStatement& p : t.pending) {
-    WalRecord rec;
-    rec.clock = p.clock_before;
-    rec.user = p.user;
-    rec.sql = p.sql;
-    rec.versioned = p.versioned;
-    rec.snapshot = p.snapshot;
-    if (t.implicit) rec.csn = csn;
-    rec.row_bases = p.row_bases;
-    rec.ann_bases = p.ann_bases;
-    any_versioned |= p.versioned;
-    records.push_back(std::move(rec));
-  }
-  if (!t.implicit) {
-    WalRecord commit;
-    commit.clock = clock_.Peek();
-    commit.kind = WalRecordKind::kTxnCommit;
-    commit.versioned = any_versioned;
-    commit.csn = csn;
-    // Commit-time id counters: replay applies these as a max-advance
-    // after the group's members, restoring the high-water mark that
-    // other transactions' statement-time allocations pushed past this
-    // group's own (see ApplyReplayBases).
-    PendingStatement commit_bases;
-    CaptureBases(&commit_bases);
-    commit.row_bases = std::move(commit_bases.row_bases);
-    commit.ann_bases = std::move(commit_bases.ann_bases);
-    records.push_back(std::move(commit));
-  }
+  const uint64_t statements = t.pending.size();
+  WalFrame frame;
+  frame.csn = csn;
+  frame.statements = std::move(t.pending);
   uint64_t lsn = dur_->last_lsn;
-  for (WalRecord& rec : records) {
-    rec.lsn = ++lsn;
-    Status appended = dur_->wal->Append(rec);
-    if (!appended.ok()) {
-      // The log may now end in a torn record. Latch the writer dead: a
-      // later commit appended after torn bytes would be fsync-acked yet
-      // silently discarded by recovery (the scan stops at the tear). A
-      // partially appended group is harmless on its own — recovery
-      // discards a begin marker without a commit marker.
-      TearDownWal();
-      return appended;
-    }
+  for (WalStatement& s : frame.statements) s.lsn = ++lsn;
+  if (!t.implicit) {
+    // Commit-time id counters: replay applies these as a max-advance
+    // after the frame's statements, restoring the high-water mark that
+    // other transactions' statement-time allocations pushed past this
+    // transaction's own (see ApplyReplayBases).
+    CaptureBases(&frame.end_bases);
   }
-  // A transaction is durable exactly when its commit marker is, so a
-  // group always gets its own fsync; group_commit_interval batches only
-  // implicit transactions.
+  Status appended = dur_->wal->Append(frame);
+  if (!appended.ok()) {
+    // The log may now end in a torn frame. Latch the writer dead: a later
+    // commit appended after torn bytes would be fsync-acked yet silently
+    // discarded by recovery (the scan stops at the tear).
+    TearDownWal();
+    return appended;
+  }
+  // COMMIT of an explicit transaction returns only once its frame is on
+  // stable storage; group_commit_interval batches only implicit ones.
   const uint64_t interval =
       std::max<uint64_t>(dur_->options.group_commit_interval, 1);
   if (!t.implicit || dur_->wal->unsynced() >= interval) {
@@ -691,7 +654,7 @@ Status Database::JournalLocked(const TxnState& t, uint64_t csn) {
     }
   }
   dur_->last_lsn = lsn;
-  dur_->statements_since_checkpoint += t.pending.size();
+  dur_->statements_since_checkpoint += statements;
   if (dur_->options.checkpoint_interval > 0 &&
       dur_->statements_since_checkpoint >= dur_->options.checkpoint_interval) {
     // The transaction IS durably committed at this point, and this thread
@@ -846,65 +809,65 @@ DurabilityStats Database::durability_stats() const {
   return stats;
 }
 
-Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
-  auto parsed = ParseStatement(rec.sql);
-  if (!parsed.ok()) {
-    return Status::Corruption("WAL replay: lsn " + std::to_string(rec.lsn) +
-                              " does not parse: " + parsed.status().message());
+Status Database::ReplayFrame(const WalFrame& frame) {
+  // The statements were one transaction: they share one writer, and the
+  // frame's journaled CSN stamps the whole write set. A DROP parks its
+  // storage in that writer until then, so every entry of the set is alive
+  // when it is stamped.
+  MvccWriter writer;
+  writer.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+  for (const WalStatement& s : frame.statements) {
+    auto parsed = ParseStatement(s.sql);
+    if (!parsed.ok()) {
+      return Status::Corruption("WAL replay: lsn " + std::to_string(s.lsn) +
+                                " does not parse: " +
+                                parsed.status().message());
+    }
+    // Restore the exact clock value and id counters the statement
+    // originally saw, so every timestamp/id handed out during replay
+    // matches the original run (aborted transactions burned ids the log
+    // never shows).
+    clock_.Reset(s.clock);
+    ApplyReplayBases(s.bases, /*exact=*/true);
+    // Re-create the original execution mode: the statement writes
+    // versions and reads at the journaled snapshot, so visibility
+    // decisions replay bit for bit against the version stamps of earlier
+    // replayed commits. A statement that ran escalated reads the latest
+    // state and can no longer conflict, as the escalation's full vacuum
+    // guaranteed in the original run.
+    writer.snapshot_csn = s.snapshot;
+    writer.BeginStatement();
+    auto result = ExecuteUnder(*parsed, s.user,
+                               MvccSnapshot{s.snapshot, writer.txn_id},
+                               &writer);
+    if (!result.ok()) {
+      return Status::Corruption(
+          "WAL replay diverged at lsn " + std::to_string(s.lsn) + " (" +
+          s.sql + "): " + result.status().message() +
+          " — if the statement is CREATE DEPENDENCY, the procedure "
+          "registry must be re-populated via DurabilityOptions::bootstrap");
+    }
   }
-  // Restore the exact clock value and id counters the statement
-  // originally saw, so every timestamp/id handed out during replay
-  // matches the original run (aborted transactions burned ids the log
-  // never shows).
-  clock_.Reset(rec.clock);
-  ApplyReplayBases(rec);
-  // Re-create the original execution mode: the statement writes versions
-  // under its transaction's writer and reads at the journaled snapshot,
-  // so visibility decisions replay bit for bit against the version
-  // stamps of earlier replayed commits. A statement that ran escalated
-  // (`versioned` = 0) reads the latest state and can no longer conflict,
-  // as the escalation's full vacuum guaranteed in the original run.
-  MvccWriter local;
-  MvccWriter* writer = group_writer;
-  if (writer == nullptr) {
-    local.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-    writer = &local;
-  }
-  writer->snapshot_csn = rec.versioned ? rec.snapshot : kLatestCsn;
-  writer->BeginStatement();
-  const MvccSnapshot snapshot{writer->snapshot_csn, writer->txn_id};
-  auto result = ExecuteUnder(*parsed, rec.user, snapshot, writer);
-  if (!result.ok()) {
-    return Status::Corruption(
-        "WAL replay diverged at lsn " + std::to_string(rec.lsn) + " (" +
-        rec.sql + "): " + result.status().message() +
-        " — if the statement is CREATE DEPENDENCY, the procedure registry "
-        "must be re-populated via DurabilityOptions::bootstrap");
-  }
-  // Implicit-transaction record: stamp with the journaled commit CSN.
-  if (writer == &local) return CommitReplayed(local, rec);
-  return Status::Ok();
-}
-
-Status Database::CommitReplayed(MvccWriter& writer, const WalRecord& rec) {
   if (!writer.rows.empty() || !writer.annotations.empty()) {
     // The engine journals a CSN for every commit that wrote; settling
     // with CSN 0 would discard committed writes.
-    if (rec.csn == 0) {
-      return Status::Corruption("WAL replay: lsn " + std::to_string(rec.lsn) +
-                                " wrote rows or annotations but journals "
-                                "no commit CSN");
+    if (frame.csn == 0) {
+      return Status::Corruption(
+          "WAL replay: frame ending at lsn " +
+          std::to_string(frame.statements.back().lsn) +
+          " wrote rows or annotations but journals no commit CSN");
     }
-    SettleWritesLocked(writer, {}, rec.csn);
-    if (rec.csn >= next_csn_.load(std::memory_order_relaxed)) {
-      next_csn_.store(rec.csn + 1, std::memory_order_relaxed);
+    SettleWritesLocked(writer, {}, frame.csn);
+    if (frame.csn >= next_csn_.load(std::memory_order_relaxed)) {
+      next_csn_.store(frame.csn + 1, std::memory_order_relaxed);
     }
-    if (rec.csn > last_completed_csn_.load(std::memory_order_relaxed)) {
-      last_completed_csn_.store(rec.csn, std::memory_order_relaxed);
+    if (frame.csn > last_completed_csn_.load(std::memory_order_relaxed)) {
+      last_completed_csn_.store(frame.csn, std::memory_order_relaxed);
     }
   }
   // Stamped: storage parked by a replayed DROP can go.
   writer.undo.clear();
+  ApplyReplayBases(frame.end_bases, /*exact=*/false);
   return Status::Ok();
 }
 
@@ -974,64 +937,24 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   if (env->FileExists(wal_path)) {
     BDBMS_ASSIGN_OR_RETURN(std::string data, env->ReadFileToString(wal_path));
     BDBMS_ASSIGN_OR_RETURN(WalScan scan, ScanWal(data));
-    bool dangling = false;
-    uint64_t truncate_at = 0;
-    const size_t n = scan.records.size();
-    size_t i = 0;
-    while (i < n) {
-      const WalRecord& rec = scan.records[i];
-      if (rec.kind == WalRecordKind::kStatement) {
-        if (rec.lsn > last_lsn) {  // else already in the checkpoint
-          BDBMS_RETURN_IF_ERROR(db->ReplayRecord(rec, nullptr));
-          last_lsn = rec.lsn;
-          ++replayed;
-        }
-        ++i;
-        continue;
-      }
-      if (rec.kind == WalRecordKind::kTxnCommit) {
+    for (const WalFrame& frame : scan.frames) {
+      // Each frame is all or nothing: its CRC covers every statement.
+      const uint64_t first = frame.statements.front().lsn;
+      const uint64_t last = frame.statements.back().lsn;
+      if (last <= last_lsn) continue;  // already in the checkpoint
+      if (first <= last_lsn) {
+        // Checkpoints wait for open transactions, so none can cover
+        // part of a frame.
         return Status::Corruption(
-            "WAL: commit marker without an open transaction at lsn " +
-            std::to_string(rec.lsn));
+            "WAL frame of lsns " + std::to_string(first) + ".." +
+            std::to_string(last) + " straddles the checkpoint at lsn " +
+            std::to_string(last_lsn));
       }
-      // kTxnBegin: the group counts only if its commit marker made it
-      // into the valid prefix. A dangling group is the expected shape of
-      // a crash mid-commit — discard it, and everything after it, by
-      // truncating at the begin marker's byte offset (later appends must
-      // extend the last record recovery acknowledged).
-      size_t end = i + 1;
-      while (end < n && scan.records[end].kind == WalRecordKind::kStatement) {
-        ++end;
-      }
-      if (end == n || scan.records[end].kind != WalRecordKind::kTxnCommit) {
-        dangling = true;
-        truncate_at = scan.record_offsets[i];
-        break;
-      }
-      // Members share one writer (they were one transaction); the commit
-      // marker's journaled CSN stamps the whole write set. A member's DROP
-      // parks its storage in that writer until then, so every entry of
-      // the set is alive when it is stamped.
-      MvccWriter group_writer;
-      group_writer.txn_id =
-          db->next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t k = i + 1; k < end; ++k) {
-        const WalRecord& member = scan.records[k];
-        if (member.lsn <= last_lsn) continue;
-        BDBMS_RETURN_IF_ERROR(db->ReplayRecord(member, &group_writer));
-        ++replayed;
-      }
-      const WalRecord& commit = scan.records[end];
-      if (commit.lsn > last_lsn) {
-        BDBMS_RETURN_IF_ERROR(db->CommitReplayed(group_writer, commit));
-        db->ApplyReplayBases(commit);
-      }
-      last_lsn = std::max(last_lsn, commit.lsn);
-      i = end + 1;
+      BDBMS_RETURN_IF_ERROR(db->ReplayFrame(frame));
+      last_lsn = last;
+      replayed += frame.statements.size();
     }
-    if (dangling) {
-      BDBMS_RETURN_IF_ERROR(env->TruncateFile(wal_path, truncate_at));
-    } else if (scan.tail_discarded) {
+    if (scan.tail_discarded) {
       // Cut the torn/corrupt tail so future appends extend valid data.
       BDBMS_RETURN_IF_ERROR(env->TruncateFile(wal_path, scan.valid_bytes));
     }

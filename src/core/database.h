@@ -69,7 +69,7 @@ struct DurabilityOptions {
 // Counters describing the durability subsystem, for tests and benches.
 struct DurabilityStats {
   uint64_t last_lsn = 0;             // newest committed statement's lsn
-  uint64_t replayed_on_open = 0;     // WAL records replayed by Open()
+  uint64_t replayed_on_open = 0;     // statements Open() replayed
   uint64_t checkpoints_taken = 0;    // by this instance (manual + auto)
   uint64_t checkpoint_failures = 0;  // failed auto-checkpoints (retried)
   uint64_t wal_bytes_appended = 0;   // by this instance
@@ -119,10 +119,10 @@ struct DurabilityStats {
 //    transactions. From then on the transaction runs alone: it still
 //    writes versions, but reads the latest state.
 //
-// Commit order is journaled: versioned WAL records carry their snapshot
-// and commit CSNs, so recovery replays the exact visibility decisions of
-// the original run. Superseded versions are garbage-collected as soon as
-// no live snapshot can need them.
+// Commit order is journaled: each WAL frame carries its commit CSN and
+// each statement its read snapshot, so recovery replays the exact
+// visibility decisions of the original run. Superseded versions are
+// garbage-collected as soon as no live snapshot can need them.
 //
 // The programmatic manager accessors below bypass the gate and remain
 // single-threaded, like the CIDR'07 prototype.
@@ -217,18 +217,6 @@ class Database {
       const std::string& table, RowId row, size_t col);
 
  private:
-  // One executed statement of a transaction, buffered until commit (the
-  // WAL never sees uncommitted work).
-  struct PendingStatement {
-    std::string user;
-    std::string sql;
-    uint64_t clock_before = 0;
-    uint8_t versioned = 0;
-    uint64_t snapshot = 0;
-    std::vector<std::pair<std::string, uint64_t>> row_bases;
-    std::vector<std::pair<std::string, uint64_t>> ann_bases;
-  };
-
   // State of one transaction. An explicit one (BEGIN) lives in txns_
   // keyed by session token. An autocommit statement runs as an implicit
   // one: stack-local, never registered, committed by the statement's own
@@ -242,7 +230,9 @@ class Database {
     MvccWriter writer;  // write set: versions and compensations
     // Where each executed statement began in the write set.
     std::vector<MvccWriter::Mark> savepoints;
-    std::vector<PendingStatement> pending;
+    // Its executed statements, buffered for its WAL frame (the WAL never
+    // sees uncommitted work); lsns are assigned at commit.
+    std::vector<WalStatement> pending;
     uint64_t clock_at_begin = 0;
     uint64_t clock_at_escalation = 0;
     uint64_t epoch_at_begin = 0;  // mutation_epoch_ at BEGIN
@@ -340,11 +330,12 @@ class Database {
   void SettleWritesLocked(MvccWriter& writer, MvccWriter::Mark from,
                           uint64_t csn);
 
-  // Fills `ps` with every table's next_row_id and every annotation
+  // Fills `bases` with every table's next_row_id and every annotation
   // table's next_id (aborted transactions burn ids without leaving WAL
-  // records, so replay restores the counters explicitly).
-  void CaptureBases(PendingStatement* ps) const;
-  void ApplyReplayBases(const WalRecord& rec);
+  // entries, so replay restores the counters explicitly). Replay sets
+  // them exactly, or (`exact` false) only advances them.
+  void CaptureBases(WalIdBases* bases) const;
+  void ApplyReplayBases(const WalIdBases& bases, bool exact);
 
   // min snapshot CSN across open transactions and in-flight readers;
   // caller holds txn_mu_.
@@ -358,12 +349,11 @@ class Database {
   // caller holds writer_mu_.
   void ApplyRollbackClockPolicy(const TxnState& t);
 
-  // Journals a committing transaction with commit CSN `csn` (0 when it
-  // wrote no versions) and drives the fsync / deferred-checkpoint
-  // cadence: an implicit one as a bare statement record on the
-  // group-commit cadence, an explicit one as a BEGIN-framed group with
-  // its own fsync.
-  Status JournalLocked(const TxnState& t, uint64_t csn);
+  // Journals a committing transaction as one WAL frame with commit CSN
+  // `csn` (0 when it wrote no versions), moving its statements out, and
+  // drives the fsync / deferred-checkpoint cadence: an implicit one on
+  // the group-commit cadence, an explicit one with its own fsync.
+  Status JournalLocked(TxnState& t, uint64_t csn);
 
   // Runs a deferred auto-checkpoint if one is due and no transaction is
   // open. Called after the gate hold of the triggering statement ends.
@@ -378,17 +368,11 @@ class Database {
   // the torn tail).
   void TearDownWal();
 
-  // Re-executes one WAL record with its recorded user, clock value, id
-  // bases and snapshot (`versioned` = 1: the journaled one; 0: the
-  // latest). `group_writer` is the shared write set of the enclosing
-  // transaction frame, null for autocommit records.
-  Status ReplayRecord(const WalRecord& rec, MvccWriter* group_writer);
-
-  // Commits a replayed transaction's write set with the CSN journaled on
-  // `rec` (the autocommit record or the commit marker), advances the CSN
-  // counters past it and drops its compensations. A write set journaled
-  // with CSN 0 is Corruption.
-  Status CommitReplayed(MvccWriter& writer, const WalRecord& rec);
+  // Re-executes one WAL frame as one transaction: each statement with its
+  // recorded user, clock value, id bases and snapshot, then commits the
+  // write set with the frame's CSN and advances the id counters to its
+  // end bases. A frame that wrote but journals CSN 0 is Corruption.
+  Status ReplayFrame(const WalFrame& frame);
 
   // Checkpoint payload (de)serialization over the full engine state;
   // defined in src/wal/checkpoint.cc next to the file format. `gen` is the

@@ -246,6 +246,14 @@ Result<QueryResult> Executor::ExecDropTable(const DropTableStmt& stmt) {
         "cannot drop table " + stmt.table +
         ": content approval is configured on it");
   }
+  // A pending operation settles by table name: disapproving it after a
+  // drop and re-create would run its inverse on the new table.
+  const auto pending = ctx_.approvals->Pending(stmt.table);
+  if (!pending.empty()) {
+    return Status::FailedPrecondition(
+        "cannot drop table " + stmt.table + ": pending operation " +
+        std::to_string(pending.front()->op_id) + " names it");
+  }
   BDBMS_RETURN_IF_ERROR(ctx_.catalog->DropTable(stmt.table));
   ctx_.annotations->DropAllFor(stmt.table);
   ctx_.access->DropGrantsOn(stmt.table);

@@ -11,7 +11,7 @@
 
 namespace bdbms {
 
-// Little-endian byte-stream writer used for WAL record payloads and the
+// Little-endian byte-stream writer used for WAL frame payloads and the
 // checkpoint snapshot. Fixed-width integers keep the format independent of
 // host struct layout; strings are u32-length-prefixed.
 class BinaryWriter {

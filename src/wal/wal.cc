@@ -9,41 +9,96 @@ namespace {
 
 constexpr size_t kFrameHeader = 8;  // u32 crc + u32 len
 
+// First payload byte of every frame. A log written before frames existed
+// starts its payload with an lsn instead; a CRC-valid payload that does
+// not decode as exactly this layout is reported, never skipped.
+constexpr uint8_t kFrameFormat = 1;
+
+void PutBases(BinaryWriter& w, const WalIdBases& bases) {
+  for (const auto* list : {&bases.rows, &bases.annotations}) {
+    w.U32(static_cast<uint32_t>(list->size()));
+    for (const auto& [name, base] : *list) {
+      w.Str(name);
+      w.U64(base);
+    }
+  }
+}
+
+Status GetBases(BinaryReader& r, WalIdBases* bases) {
+  for (auto* list : {&bases->rows, &bases->annotations}) {
+    BDBMS_ASSIGN_OR_RETURN(uint32_t n, r.U32());
+    for (uint32_t i = 0; i < n; ++i) {
+      BDBMS_ASSIGN_OR_RETURN(std::string name, r.Str());
+      BDBMS_ASSIGN_OR_RETURN(uint64_t base, r.U64());
+      list->emplace_back(std::move(name), base);
+    }
+  }
+  return Status::Ok();
+}
+
+// Decodes one CRC-valid payload; `prev_lsn` is the last lsn before it.
+Result<WalFrame> DecodeFrame(std::string_view payload, uint64_t prev_lsn) {
+  BinaryReader r(payload);
+  BDBMS_ASSIGN_OR_RETURN(uint8_t format, r.U8());
+  if (format != kFrameFormat) {
+    return Status::Corruption("WAL frame format " + std::to_string(format) +
+                              " is not " + std::to_string(kFrameFormat));
+  }
+  WalFrame frame;
+  BDBMS_ASSIGN_OR_RETURN(frame.csn, r.U64());
+  BDBMS_ASSIGN_OR_RETURN(uint32_t n, r.U32());
+  if (n == 0) return Status::Corruption("WAL frame holds no statements");
+  for (uint32_t i = 0; i < n; ++i) {
+    WalStatement s;
+    BDBMS_ASSIGN_OR_RETURN(s.lsn, r.U64());
+    BDBMS_ASSIGN_OR_RETURN(s.clock, r.U64());
+    BDBMS_ASSIGN_OR_RETURN(s.user, r.Str());
+    BDBMS_ASSIGN_OR_RETURN(s.sql, r.Str());
+    BDBMS_ASSIGN_OR_RETURN(s.snapshot, r.U64());
+    BDBMS_RETURN_IF_ERROR(GetBases(r, &s.bases));
+    if (s.lsn <= prev_lsn) {
+      return Status::Corruption("WAL lsn not increasing: " +
+                                std::to_string(s.lsn) + " after " +
+                                std::to_string(prev_lsn));
+    }
+    prev_lsn = s.lsn;
+    frame.statements.push_back(std::move(s));
+  }
+  BDBMS_RETURN_IF_ERROR(GetBases(r, &frame.end_bases));
+  if (!r.AtEnd()) {
+    return Status::Corruption("WAL frame ending at lsn " +
+                              std::to_string(prev_lsn) +
+                              " has trailing bytes");
+  }
+  return frame;
+}
+
 }  // namespace
 
-std::string EncodeWalRecord(const WalRecord& rec) {
-  std::string payload;
-  BinaryWriter w(&payload);
-  w.U64(rec.lsn);
-  w.U64(rec.clock);
-  w.U8(static_cast<uint8_t>(rec.kind));
-  w.Str(rec.user);
-  w.Str(rec.sql);
-  w.U8(rec.versioned);
-  w.U64(rec.snapshot);
-  w.U64(rec.csn);
-  w.U32(static_cast<uint32_t>(rec.row_bases.size()));
-  for (const auto& [name, base] : rec.row_bases) {
-    w.Str(name);
-    w.U64(base);
+std::string EncodeWalFrame(const WalFrame& frame) {
+  std::string out(kFrameHeader, '\0');  // crc and len, patched below
+  BinaryWriter w(&out);
+  w.U8(kFrameFormat);
+  w.U64(frame.csn);
+  w.U32(static_cast<uint32_t>(frame.statements.size()));
+  for (const WalStatement& s : frame.statements) {
+    w.U64(s.lsn);
+    w.U64(s.clock);
+    w.Str(s.user);
+    w.Str(s.sql);
+    w.U64(s.snapshot);
+    PutBases(w, s.bases);
   }
-  w.U32(static_cast<uint32_t>(rec.ann_bases.size()));
-  for (const auto& [name, base] : rec.ann_bases) {
-    w.Str(name);
-    w.U64(base);
-  }
+  PutBases(w, frame.end_bases);
 
-  std::string framed;
-  BinaryWriter f(&framed);
-  f.U32(0);  // crc placeholder
-  f.U32(static_cast<uint32_t>(payload.size()));
-  framed += payload;
-  uint32_t crc = Crc32(std::string_view(framed).substr(4));
-  // Patch the placeholder in place (little-endian).
-  for (size_t i = 0; i < 4; ++i) {
-    framed[i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
-  return framed;
+  auto patch = [&out](size_t at, uint32_t v) {  // little-endian
+    for (size_t i = 0; i < 4; ++i) {
+      out[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+  };
+  patch(4, static_cast<uint32_t>(out.size() - kFrameHeader));
+  patch(0, Crc32(std::string_view(out).substr(4)));
+  return out;
 }
 
 Result<WalScan> ScanWal(std::string_view data) {
@@ -57,51 +112,14 @@ Result<WalScan> ScanWal(std::string_view data) {
     uint32_t len = header.U32().value();
     if (data.size() - pos - kFrameHeader < len) break;  // torn payload
     std::string_view crc_span = data.substr(pos + 4, 4 + len);
-    if (Crc32(crc_span) != crc) break;  // corrupted record: cut here
+    if (Crc32(crc_span) != crc) break;  // corrupted frame: cut here
 
-    BinaryReader r(data.substr(pos + kFrameHeader, len));
-    WalRecord rec;
-    BDBMS_ASSIGN_OR_RETURN(rec.lsn, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(rec.clock, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
-    if (kind > static_cast<uint8_t>(WalRecordKind::kTxnCommit)) {
-      return Status::Corruption("WAL record kind out of range: " +
-                                std::to_string(kind));
-    }
-    rec.kind = static_cast<WalRecordKind>(kind);
-    BDBMS_ASSIGN_OR_RETURN(rec.user, r.Str());
-    BDBMS_ASSIGN_OR_RETURN(rec.sql, r.Str());
-    BDBMS_ASSIGN_OR_RETURN(rec.versioned, r.U8());
-    BDBMS_ASSIGN_OR_RETURN(rec.snapshot, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(rec.csn, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(uint32_t nrow, r.U32());
-    for (uint32_t i = 0; i < nrow; ++i) {
-      std::pair<std::string, uint64_t> entry;
-      BDBMS_ASSIGN_OR_RETURN(entry.first, r.Str());
-      BDBMS_ASSIGN_OR_RETURN(entry.second, r.U64());
-      rec.row_bases.push_back(std::move(entry));
-    }
-    BDBMS_ASSIGN_OR_RETURN(uint32_t nann, r.U32());
-    for (uint32_t i = 0; i < nann; ++i) {
-      std::pair<std::string, uint64_t> entry;
-      BDBMS_ASSIGN_OR_RETURN(entry.first, r.Str());
-      BDBMS_ASSIGN_OR_RETURN(entry.second, r.U64());
-      rec.ann_bases.push_back(std::move(entry));
-    }
-    if (!r.AtEnd()) {
-      return Status::Corruption("WAL record at lsn " +
-                                std::to_string(rec.lsn) +
-                                " has trailing bytes");
-    }
-    if (rec.lsn <= prev_lsn) {
-      return Status::Corruption("WAL lsn not increasing: " +
-                                std::to_string(rec.lsn) + " after " +
-                                std::to_string(prev_lsn));
-    }
-    prev_lsn = rec.lsn;
-    scan.record_offsets.push_back(pos);
+    BDBMS_ASSIGN_OR_RETURN(
+        WalFrame frame, DecodeFrame(data.substr(pos + kFrameHeader, len),
+                                    prev_lsn));
+    prev_lsn = frame.statements.back().lsn;
     pos += kFrameHeader + len;
-    scan.records.push_back(std::move(rec));
+    scan.frames.push_back(std::move(frame));
     scan.valid_bytes = pos;
   }
   scan.tail_discarded = scan.valid_bytes < data.size();
@@ -115,8 +133,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
   return std::unique_ptr<WalWriter>(new WalWriter(std::move(file)));
 }
 
-Status WalWriter::Append(const WalRecord& rec) {
-  std::string framed = EncodeWalRecord(rec);
+Status WalWriter::Append(const WalFrame& frame) {
+  std::string framed = EncodeWalFrame(frame);
   BDBMS_RETURN_IF_ERROR(file_->Append(framed));
   bytes_appended_ += framed.size();
   ++unsynced_;

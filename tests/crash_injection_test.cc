@@ -2,7 +2,7 @@
 // sweeps a simulated crash across EVERY byte offset of a multi-statement
 // workload's WAL — with and without a mid-workload checkpoint — and
 // asserts each recovery yields a prefix-consistent database: exactly the
-// statements whose records are complete at the cut are visible, nothing
+// transactions whose frames are complete at the cut are visible, nothing
 // half-applied, indexes consistent with heaps. A fault-wrapping file
 // layer additionally injects short writes, fsync failures and loss of
 // unsynced (page-cache) data at the write path.
@@ -44,24 +44,24 @@ void WriteFile(const std::string& path, std::string_view data) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
-// End offset of every complete record in `log`, in order. boundaries[i]
-// is where record i+1 ends — a crash at that exact offset commits i+1
-// statements.
-std::vector<size_t> RecordBoundaries(const std::string& log) {
+// End offset of every complete frame in `log`, in order. boundaries[i]
+// is where frame i+1 ends — a crash at that exact offset commits i+1
+// transactions (statements, for an autocommit workload).
+std::vector<size_t> FrameBoundaries(const std::string& log) {
   auto scan = ScanWal(log);
   EXPECT_TRUE(scan.ok());
   EXPECT_FALSE(scan->tail_discarded) << "source log must be intact";
   std::vector<size_t> boundaries;
   size_t pos = 0;
-  for (const WalRecord& rec : scan->records) {
-    pos += EncodeWalRecord(rec).size();
+  for (const WalFrame& frame : scan->frames) {
+    pos += EncodeWalFrame(frame).size();
     boundaries.push_back(pos);
   }
   EXPECT_EQ(pos, log.size());
   return boundaries;
 }
 
-size_t CompleteRecordsAt(const std::vector<size_t>& boundaries, size_t cut) {
+size_t CompleteFramesAt(const std::vector<size_t>& boundaries, size_t cut) {
   size_t n = 0;
   while (n < boundaries.size() && boundaries[n] <= cut) ++n;
   return n;
@@ -90,7 +90,7 @@ void CopyHeapDir(const std::string& src, const std::string& dir) {
 void SweepEveryOffset(const std::string& src, const std::string& ckpt_bytes,
                       const std::string& log, size_t base_statements,
                       const std::string& work_name) {
-  std::vector<size_t> boundaries = RecordBoundaries(log);
+  std::vector<size_t> boundaries = FrameBoundaries(log);
   // One reference fingerprint per possible surviving prefix.
   std::vector<std::string> refs(boundaries.size() + 1);
   for (size_t n = 0; n <= boundaries.size(); ++n) {
@@ -112,13 +112,13 @@ void SweepEveryOffset(const std::string& src, const std::string& ckpt_bytes,
     auto db = Database::Open(dir, DurableOpts());
     ASSERT_TRUE(db.ok()) << "crash at offset " << cut << ": "
                          << db.status().ToString();
-    size_t expected = CompleteRecordsAt(boundaries, cut);
+    size_t expected = CompleteFramesAt(boundaries, cut);
     ASSERT_EQ((*db)->durability_stats().replayed_on_open, expected)
         << "crash at offset " << cut;
     ASSERT_EQ(Fingerprint(**db), refs[expected])
         << "crash at offset " << cut << " is not prefix-consistent";
     // Index/heap cross-checks once per distinct recovered state (they are
-    // identical for every cut inside the same record).
+    // identical for every cut inside the same frame).
     if (expected != prev_expected) {
       VerifyIndexConsistency(**db);
       prev_expected = expected;
@@ -191,7 +191,7 @@ TEST(CrashInjectionTest, EveryOffsetAfterRowFullCheckpointRecoversAPrefix) {
 
 TEST(CrashInjectionTest, CorruptedByteAnywhereStillRecoversAPrefix) {
   // Bit flips (as opposed to truncation) at a sample of offsets: recovery
-  // must keep exactly the records before the damaged one.
+  // must keep exactly the frames before the damaged one.
   std::string src = FreshDir("crash_flip_src");
   {
     auto db = Database::Open(src, DurableOpts());
@@ -200,7 +200,7 @@ TEST(CrashInjectionTest, CorruptedByteAnywhereStillRecoversAPrefix) {
     ASSERT_TRUE((*db)->Close().ok());
   }
   std::string log = ReadFile(src + "/" + kWalFileName);
-  std::vector<size_t> boundaries = RecordBoundaries(log);
+  std::vector<size_t> boundaries = FrameBoundaries(log);
 
   std::string dir = FreshDir("crash_flip_work");
   for (size_t off = 0; off < log.size(); off += 97) {  // prime stride
@@ -212,8 +212,8 @@ TEST(CrashInjectionTest, CorruptedByteAnywhereStillRecoversAPrefix) {
 
     auto db = Database::Open(dir, DurableOpts());
     ASSERT_TRUE(db.ok()) << "flip at " << off;
-    // The record containing `off` and everything after it are cut.
-    size_t expected = CompleteRecordsAt(boundaries, off);
+    // The frame containing `off` and everything after it are cut.
+    size_t expected = CompleteFramesAt(boundaries, off);
     ASSERT_EQ((*db)->durability_stats().replayed_on_open, expected)
         << "flip at " << off;
     ASSERT_EQ(Fingerprint(**db), ReferenceFingerprint(expected))
@@ -229,48 +229,61 @@ TEST(CrashInjectionTest, CorruptedByteAnywhereStillRecoversAPrefix) {
 constexpr size_t kTxnFrom = 10;
 constexpr size_t kTxnTo = 18;
 
-// Runs the standard workload with [kTxnFrom, kTxnTo) wrapped in a
-// transaction, leaving a WAL whose middle is a BEGIN-framed group.
-void RunWorkloadWithTxn(Database& db) {
+// The transactional sweep's statements in log order: a side table, then
+// the standard workload, whose statements [kTxnFrom, kTxnTo) run inside
+// one transaction after two writes to the side table. Those two run
+// versioned (the side table drives no rule or approval); the
+// transaction escalates at its first standard statement, a GRANT.
+std::vector<std::pair<std::string, std::string>> TxnWorkload() {
   auto statements = StandardWorkload();
+  statements.insert(statements.begin() + kTxnFrom,
+                    {{"admin", "INSERT INTO Side VALUES (1)"},
+                     {"admin", "UPDATE Side SET k = 2 WHERE k = 1"}});
+  statements.insert(statements.begin(), {"admin", "CREATE TABLE Side (k INT)"});
+  return statements;
+}
+// TxnWorkload() indexes of the transaction's statements: [kSweepTxnFrom,
+// kSweepTxnTo).
+constexpr size_t kSweepTxnFrom = kTxnFrom + 1;
+constexpr size_t kSweepTxnTo = kTxnTo + 3;
+// Runs inside the transaction after the side-table writes, fails, and
+// must leave no trace in the transaction's frame.
+constexpr const char* kFailingStatement = "INSERT INTO Missing VALUES (1)";
+
+void RunWorkloadWithTxn(Database& db) {
+  auto statements = TxnWorkload();
   auto exec = [&](size_t i) {
     auto r = db.Execute(statements[i].second, statements[i].first);
     ASSERT_TRUE(r.ok()) << statements[i].second << "\n-> "
                         << r.status().ToString();
   };
-  for (size_t i = 0; i < kTxnFrom; ++i) exec(i);
+  for (size_t i = 0; i < kSweepTxnFrom; ++i) exec(i);
   ASSERT_TRUE(db.Execute("BEGIN").ok());
-  for (size_t i = kTxnFrom; i < kTxnTo; ++i) exec(i);
+  exec(kSweepTxnFrom);
+  exec(kSweepTxnFrom + 1);
+  ASSERT_FALSE(db.Execute(kFailingStatement).ok());
+  for (size_t i = kSweepTxnFrom + 2; i < kSweepTxnTo; ++i) exec(i);
   ASSERT_TRUE(db.Execute("COMMIT").ok());
-  for (size_t i = kTxnTo; i < statements.size(); ++i) exec(i);
+  for (size_t i = kSweepTxnTo; i < statements.size(); ++i) exec(i);
 }
 
-// How many workload statements survive recovery when the first `n`
-// records of the log are intact: statements in a begin-framed group count
-// only once the group's commit marker is inside the prefix.
-size_t VisibleStatements(const std::vector<WalRecord>& records, size_t n) {
-  size_t visible = 0;
-  size_t in_group = 0;
-  bool group_open = false;
+// In-memory autocommit run of the first `n` TxnWorkload() statements.
+std::string TxnReferenceFingerprint(size_t n) {
+  Database ref;
+  EXPECT_TRUE(RegisterProcedures(ref).ok());
+  auto statements = TxnWorkload();
   for (size_t i = 0; i < n; ++i) {
-    switch (records[i].kind) {
-      case WalRecordKind::kStatement:
-        if (group_open) {
-          ++in_group;
-        } else {
-          ++visible;
-        }
-        break;
-      case WalRecordKind::kTxnBegin:
-        group_open = true;
-        in_group = 0;
-        break;
-      case WalRecordKind::kTxnCommit:
-        visible += in_group;
-        group_open = false;
-        break;
-    }
+    auto r = ref.Execute(statements[i].second, statements[i].first);
+    EXPECT_TRUE(r.ok()) << statements[i].second;
   }
+  return Fingerprint(ref);
+}
+
+// How many statements survive recovery when the first `n` frames of the
+// log are intact.
+size_t VisibleStatements(const std::vector<WalFrame>& frames, size_t n) {
+  size_t visible = 0;
+  for (size_t i = 0; i < n; ++i) visible += frames[i].statements.size();
   return visible;
 }
 
@@ -286,12 +299,22 @@ TEST(CrashInjectionTest, EveryOffsetAcrossTxnGroupIsAllOrNothing) {
   auto scan = ScanWal(log);
   ASSERT_TRUE(scan.ok());
   ASSERT_FALSE(scan->tail_discarded);
-  // The whole workload plus the two transaction markers.
-  ASSERT_EQ(scan->records.size(), StandardWorkload().size() + 2);
-  std::vector<size_t> boundaries = RecordBoundaries(log);
+  // One frame per autocommit statement, one for the whole transaction.
+  const size_t txn_size = kSweepTxnTo - kSweepTxnFrom;
+  ASSERT_EQ(scan->frames.size(), TxnWorkload().size() - txn_size + 1);
+  // The transaction's frame holds exactly its successful statements,
+  // versioned until the escalation.
+  const WalFrame& txn = scan->frames[kSweepTxnFrom];
+  ASSERT_EQ(txn.statements.size(), txn_size);
+  for (size_t i = 0; i < txn_size; ++i) {
+    EXPECT_EQ(txn.statements[i].sql, TxnWorkload()[kSweepTxnFrom + i].second);
+    EXPECT_EQ(txn.statements[i].snapshot == kLatestCsn, i >= 2) << i;
+  }
+  EXPECT_NE(txn.csn, 0u);
+  std::vector<size_t> boundaries = FrameBoundaries(log);
 
-  std::vector<std::string> refs(StandardWorkload().size() + 1);
-  for (size_t n = 0; n < refs.size(); ++n) refs[n] = ReferenceFingerprint(n);
+  std::vector<std::string> refs(TxnWorkload().size() + 1);
+  for (size_t n = 0; n < refs.size(); ++n) refs[n] = TxnReferenceFingerprint(n);
 
   std::string dir = FreshDir("crash_txn_work");
   size_t prev_visible = SIZE_MAX;
@@ -303,8 +326,8 @@ TEST(CrashInjectionTest, EveryOffsetAcrossTxnGroupIsAllOrNothing) {
     auto db = Database::Open(dir, DurableOpts());
     ASSERT_TRUE(db.ok()) << "crash at offset " << cut << ": "
                          << db.status().ToString();
-    size_t complete = CompleteRecordsAt(boundaries, cut);
-    size_t visible = VisibleStatements(scan->records, complete);
+    size_t complete = CompleteFramesAt(boundaries, cut);
+    size_t visible = VisibleStatements(scan->frames, complete);
     ASSERT_EQ((*db)->durability_stats().replayed_on_open, visible)
         << "crash at offset " << cut;
     ASSERT_EQ(Fingerprint(**db), refs[visible])
@@ -314,21 +337,20 @@ TEST(CrashInjectionTest, EveryOffsetAcrossTxnGroupIsAllOrNothing) {
       VerifyIndexConsistency(**db);
       prev_visible = visible;
     }
-    // Where recovery had to discard a dangling group, the WAL was
-    // truncated at the begin marker. Prove the log is appendable again:
-    // commit a statement, reopen, and expect it on top of the prefix —
-    // an un-truncated dangling group would break LSN monotonicity here.
-    // Records 0..kTxnFrom-1 are the autocommit prefix, record kTxnFrom
-    // is the begin marker, and the commit marker is record kTxnTo + 1.
-    const bool dangled = complete > kTxnFrom && complete < kTxnTo + 2;
-    if (dangled && cut % 50 == 0) {
+    // A crash inside the transaction's frame leaves it torn; recovery cut
+    // it away. Prove the log is appendable again: commit a statement,
+    // reopen, and expect it on top of the prefix — torn bytes left in
+    // place would hide every later frame from the scan.
+    const bool torn = complete == kSweepTxnFrom &&
+                      cut > boundaries[kSweepTxnFrom - 1];
+    if (torn && cut % 50 == 0) {
       ASSERT_TRUE((*db)->Execute("CREATE USER survivor").ok())
           << "crash at offset " << cut;
       ASSERT_TRUE((*db)->Close().ok());
       auto reopened = Database::Open(dir, DurableOpts());
       ASSERT_TRUE(reopened.ok())
-          << "append after dangling-group truncation broke recovery at "
-          << cut << ": " << reopened.status().ToString();
+          << "append after a torn frame broke recovery at " << cut << ": "
+          << reopened.status().ToString();
       ASSERT_EQ((*reopened)->durability_stats().replayed_on_open,
                 visible + 1);
     }
@@ -363,26 +385,11 @@ TEST(CrashInjectionTest, OpenTxnAtCrashIsInvisibleAfterRecovery) {
 }
 
 TEST(CrashInjectionTest, TornCommitRollsBackMemoryAndRecoveryDropsGroup) {
-  // Let the commit-time append tear inside the transaction's group: the
-  // file ends in a begin marker plus partial statements, no commit
-  // marker. COMMIT must report the failure and roll back in memory;
-  // recovery must discard the dangling group and stay appendable.
-  std::string clean = FreshDir("crash_torn_commit_clean");
-  {
-    auto db = Database::Open(clean, DurableOpts());
-    ASSERT_TRUE(db.ok());
-    RunWorkloadWithTxn(**db);
-    ASSERT_TRUE((*db)->Close().ok());
-  }
-  std::vector<size_t> boundaries =
-      RecordBoundaries(ReadFile(clean + "/" + kWalFileName));
-  // Allow the prefix statements plus the begin marker, two group members
-  // and 7 bytes of the third.
-  const size_t budget = boundaries[kTxnFrom + 2] + 7;
-
+  // Let the commit-time append tear inside the transaction's frame. COMMIT
+  // must report the failure and roll back in memory; recovery must cut
+  // the torn frame and stay appendable.
   std::string dir = FreshDir("crash_torn_commit");
   FaultEnv fault;
-  fault.append_budget = static_cast<int64_t>(budget);
   DurabilityOptions opts = DurableOpts();
   opts.env = &fault;
   {
@@ -395,9 +402,12 @@ TEST(CrashInjectionTest, TornCommitRollsBackMemoryAndRecoveryDropsGroup) {
       auto r = (*db)->Execute(statements[i].second, statements[i].first);
       ASSERT_TRUE(r.ok()) << statements[i].second;
     }
+    // Past the frame header, well short of the frame's end.
+    fault.append_budget = 100;
     auto commit = (*db)->Execute("COMMIT");
     ASSERT_FALSE(commit.ok());
     EXPECT_TRUE(commit.status().IsIoError()) << commit.status().ToString();
+    EXPECT_EQ(fault.append_budget, 0) << "the frame fit the budget";
     // The failed commit rolled the transaction back in memory.
     EXPECT_EQ(Fingerprint(**db), ReferenceFingerprint(kTxnFrom));
     EXPECT_FALSE((*db)->InTransaction());
@@ -406,7 +416,7 @@ TEST(CrashInjectionTest, TornCommitRollsBackMemoryAndRecoveryDropsGroup) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->durability_stats().replayed_on_open, kTxnFrom);
   EXPECT_EQ(Fingerprint(**db), ReferenceFingerprint(kTxnFrom));
-  // The dangling group was truncated away: the log accepts new commits.
+  // The torn frame was truncated away: the log accepts new commits.
   ASSERT_TRUE((*db)->Execute("CREATE USER survivor").ok());
   ASSERT_TRUE((*db)->Close().ok());
   auto reopened = Database::Open(dir, DurableOpts());
@@ -414,10 +424,10 @@ TEST(CrashInjectionTest, TornCommitRollsBackMemoryAndRecoveryDropsGroup) {
   EXPECT_EQ((*reopened)->durability_stats().replayed_on_open, kTxnFrom + 1);
 }
 
-// --- MVCC commit groups under crash ----------------------------------------
+// --- MVCC transaction frames under crash -----------------------------------
 
 // A concurrent workload whose WAL carries the full MVCC extension: two
-// transactions whose statements interleave (so each group's journaled
+// transactions whose statements interleave (so each frame's journaled
 // snapshot CSNs and id bases were captured while the other was still
 // uncommitted) plus a long-lived reader snapshot open across both
 // commits, keeping version chains alive at crash time.
@@ -484,7 +494,7 @@ TEST(CrashInjectionTest, EveryOffsetAcrossMvccCommitGroupsIsAllOrNothing) {
       ASSERT_TRUE((*db)->Execute(sql, "admin").ok()) << sql;
     }
     // Reader snapshot open across both commits: at every crash point
-    // inside the groups, superseded versions are still pinned in memory.
+    // inside the frames, superseded versions are still pinned in memory.
     Session reader(db->get(), "admin");
     ASSERT_TRUE(reader.Execute("BEGIN").ok());
     auto before = reader.Execute("SELECT Owner, Bal FROM Acct");
@@ -516,9 +526,10 @@ TEST(CrashInjectionTest, EveryOffsetAcrossMvccCommitGroupsIsAllOrNothing) {
   auto scan = ScanWal(log);
   ASSERT_TRUE(scan.ok());
   ASSERT_FALSE(scan->tail_discarded);
-  // Every statement plus two begin/commit marker pairs.
-  ASSERT_EQ(scan->records.size(), MvccFlatStatements().size() + 4);
-  std::vector<size_t> boundaries = RecordBoundaries(log);
+  // One frame per autocommit statement and per transaction.
+  ASSERT_EQ(scan->frames.size(), MvccSetupStatements().size() + 2 +
+                                     MvccTrailingStatements().size());
+  std::vector<size_t> boundaries = FrameBoundaries(log);
 
   std::vector<std::string> ref_fp(MvccFlatStatements().size() + 1);
   std::vector<uint64_t> ref_versions(ref_fp.size());
@@ -527,10 +538,10 @@ TEST(CrashInjectionTest, EveryOffsetAcrossMvccCommitGroupsIsAllOrNothing) {
   }
   // Id allocation is not transactional (PostgreSQL sequence semantics):
   // T2's uncommitted INSERT had already advanced Acct's row-id counter
-  // when T1 committed, and T1's commit marker journals that counter as
-  // its commit-time high-water mark. A crash that keeps T1 but loses T2
-  // therefore recovers with the id burned — one higher than the serial
-  // oracle, which never ran T2. Patch the oracle for exactly that
+  // when T1 committed, and T1's frame journals that counter in its end
+  // bases as its commit-time high-water mark. A crash that keeps T1 but
+  // loses T2 therefore recovers with the id burned — one higher than the
+  // serial oracle, which never ran T2. Patch the oracle for exactly that
   // window; every other line must still match.
   {
     const size_t t1_visible =
@@ -551,8 +562,8 @@ TEST(CrashInjectionTest, EveryOffsetAcrossMvccCommitGroupsIsAllOrNothing) {
     auto db = Database::Open(dir, DurableOpts());
     ASSERT_TRUE(db.ok()) << "crash at offset " << cut << ": "
                          << db.status().ToString();
-    size_t complete = CompleteRecordsAt(boundaries, cut);
-    size_t visible = VisibleStatements(scan->records, complete);
+    size_t complete = CompleteFramesAt(boundaries, cut);
+    size_t visible = VisibleStatements(scan->frames, complete);
     ASSERT_EQ((*db)->durability_stats().replayed_on_open, visible)
         << "crash at offset " << cut;
     ASSERT_EQ(Fingerprint(**db), ref_fp[visible])
@@ -589,8 +600,8 @@ TEST(CrashInjectionTest, EveryOffsetAcrossMvccCommitGroupsIsAllOrNothing) {
 // --- fault-wrapping file layer (short writes, fsync failures) --------------
 
 TEST(CrashInjectionTest, ShortWriteSurfacesErrorAndRecoveryDropsTornRecord) {
-  // Learn the record sizes from a clean run, then allow the faulty run
-  // exactly 11 statements plus 5 bytes of the 12th record.
+  // Learn the frame sizes from a clean run, then allow the faulty run
+  // exactly 11 statements plus 5 bytes of the 12th frame.
   std::string clean = FreshDir("crash_short_clean");
   {
     auto db = Database::Open(clean, DurableOpts());
@@ -599,7 +610,7 @@ TEST(CrashInjectionTest, ShortWriteSurfacesErrorAndRecoveryDropsTornRecord) {
     ASSERT_TRUE((*db)->Close().ok());
   }
   std::vector<size_t> boundaries =
-      RecordBoundaries(ReadFile(clean + "/" + kWalFileName));
+      FrameBoundaries(ReadFile(clean + "/" + kWalFileName));
   constexpr size_t kSurvivors = 11;
 
   std::string dir = FreshDir("crash_short");
@@ -615,7 +626,7 @@ TEST(CrashInjectionTest, ShortWriteSurfacesErrorAndRecoveryDropsTornRecord) {
       auto r = (*db)->Execute(statements[i].second, statements[i].first);
       ASSERT_TRUE(r.ok()) << statements[i].second;
     }
-    // The next statement's append tears mid-record; the error surfaces.
+    // The next statement's append tears mid-frame; the error surfaces.
     auto r = (*db)->Execute(statements[kSurvivors].second,
                             statements[kSurvivors].first);
     ASSERT_FALSE(r.ok());
@@ -636,7 +647,7 @@ TEST(CrashInjectionTest, ShortWriteSurfacesErrorAndRecoveryDropsTornRecord) {
     // Reads still work on the latched (but intact) in-memory state.
     EXPECT_TRUE((*db)->Execute("SELECT GID FROM Gene").ok());
   }
-  // Recovery (real filesystem) sees 11 intact records + 5 torn bytes.
+  // Recovery (real filesystem) sees 11 intact frames + 5 torn bytes.
   auto db = Database::Open(dir, DurableOpts());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->durability_stats().replayed_on_open, kSurvivors);

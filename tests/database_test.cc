@@ -594,6 +594,36 @@ TEST(DatabaseTest, DropTableRefusedWhileRuleOrApprovalNamesIt) {
   EXPECT_TRUE(db.Execute("DROP TABLE G").status().IsNotFound());
 }
 
+// A pending operation settles by table name, so DROP TABLE refuses while
+// one names the table: disapproving it after a drop and re-create would
+// run its inverse on the new table's rows.
+TEST(DatabaseTest, DropTableRefusedWhilePendingOperationNamesIt) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE P (v TEXT)");
+  EXEC_OK(db, "START CONTENT APPROVAL ON P APPROVED BY admin");
+  EXEC_OK(db, "INSERT INTO P VALUES ('old')");  // operation 1, pending
+  EXEC_OK(db, "STOP CONTENT APPROVAL ON P");
+  auto r = db.Execute("DROP TABLE P");
+  ASSERT_TRUE(r.status().IsFailedPrecondition()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("pending operation 1"),
+            std::string::npos)
+      << r.status().ToString();
+  EXEC_OK(db, "INSERT INTO P VALUES ('newrow')");
+  EXEC_OK(db, "DISAPPROVE OPERATION 1");  // removes 'old' only
+  auto rows = db.Execute("SELECT v FROM P");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0].values[0].as_string(), "newrow");
+  // Settled: nothing pending names P any more.
+  EXEC_OK(db, "DROP TABLE P");
+  EXEC_OK(db, "CREATE TABLE P (v TEXT)");
+  EXEC_OK(db, "INSERT INTO P VALUES ('fresh')");
+  EXPECT_FALSE(db.Execute("DISAPPROVE OPERATION 1").ok());
+  rows = db.Execute("SELECT v FROM P");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 1u);
+}
+
 // Grants belong to the table: a new table of the same name starts with
 // none, and a rolled-back DROP brings them back.
 TEST(DatabaseTest, DropTableDropsItsGrants) {

@@ -13,6 +13,7 @@
 #include "common/crc32.h"
 #include "core/database.h"
 #include "durability_test_util.h"
+#include "fault_fs.h"
 #include "storage/pager.h"
 #include "wal/checkpoint.h"
 #include "wal/serializer.h"
@@ -37,30 +38,42 @@ using testutil::VerifyIndexConsistency;
 
 // --- WAL framing ----------------------------------------------------------
 
+// An autocommit frame: one statement, no end bases.
+WalFrame Autocommit(uint64_t lsn, uint64_t clock, std::string user,
+                    std::string sql) {
+  return WalFrame{.statements = {WalStatement{.lsn = lsn,
+                                              .clock = clock,
+                                              .user = std::move(user),
+                                              .sql = std::move(sql)}}};
+}
+
 TEST(WalFormatTest, RoundTripsRecords) {
-  WalRecord a{1, 10, "admin", "CREATE TABLE T (x INT)"};
-  WalRecord b{2, 11, "alice", "INSERT INTO T VALUES (1)"};
-  std::string log = EncodeWalRecord(a) + EncodeWalRecord(b);
+  WalFrame a = Autocommit(1, 10, "admin", "CREATE TABLE T (x INT)");
+  WalFrame b = Autocommit(2, 11, "alice", "INSERT INTO T VALUES (1)");
+  b.csn = 1;
+  b.statements[0].snapshot = 5;
+  b.statements[0].bases = {{{"T", 0}}, {}};
+  std::string log = EncodeWalFrame(a) + EncodeWalFrame(b);
   auto scan = ScanWal(log);
   ASSERT_TRUE(scan.ok());
   EXPECT_FALSE(scan->tail_discarded);
   EXPECT_EQ(scan->valid_bytes, log.size());
-  ASSERT_EQ(scan->records.size(), 2u);
-  EXPECT_EQ(scan->records[0], a);
-  EXPECT_EQ(scan->records[1], b);
+  ASSERT_EQ(scan->frames.size(), 2u);
+  EXPECT_EQ(scan->frames[0], a);
+  EXPECT_EQ(scan->frames[1], b);
 }
 
 TEST(WalFormatTest, TornTailIsDiscardedAtEveryCut) {
-  WalRecord a{1, 10, "admin", "CREATE TABLE T (x INT)"};
-  WalRecord b{2, 11, "alice", "INSERT INTO T VALUES (1)"};
-  std::string log = EncodeWalRecord(a) + EncodeWalRecord(b);
-  size_t first = EncodeWalRecord(a).size();
+  WalFrame a = Autocommit(1, 10, "admin", "CREATE TABLE T (x INT)");
+  WalFrame b = Autocommit(2, 11, "alice", "INSERT INTO T VALUES (1)");
+  std::string log = EncodeWalFrame(a) + EncodeWalFrame(b);
+  size_t first = EncodeWalFrame(a).size();
   for (size_t cut = 0; cut <= log.size(); ++cut) {
     auto scan = ScanWal(std::string_view(log).substr(0, cut));
     ASSERT_TRUE(scan.ok()) << cut;
     size_t expect = cut >= log.size() ? 2 : (cut >= first ? 1 : 0);
-    EXPECT_EQ(scan->records.size(), expect) << "cut at " << cut;
-    // Record boundaries (0, first, full) leave nothing to discard.
+    EXPECT_EQ(scan->frames.size(), expect) << "cut at " << cut;
+    // Frame boundaries (0, first, full) leave nothing to discard.
     EXPECT_EQ(scan->tail_discarded,
               cut != 0 && cut != first && cut != log.size())
         << "cut at " << cut;
@@ -68,24 +81,31 @@ TEST(WalFormatTest, TornTailIsDiscardedAtEveryCut) {
 }
 
 TEST(WalFormatTest, CorruptedByteCutsLogAtThatRecord) {
-  WalRecord a{1, 10, "admin", "CREATE TABLE T (x INT)"};
-  WalRecord b{2, 11, "alice", "INSERT INTO T VALUES (1)"};
-  std::string log = EncodeWalRecord(a) + EncodeWalRecord(b);
-  size_t first = EncodeWalRecord(a).size();
+  WalFrame a = Autocommit(1, 10, "admin", "CREATE TABLE T (x INT)");
+  WalFrame b = Autocommit(2, 11, "alice", "INSERT INTO T VALUES (1)");
+  std::string log = EncodeWalFrame(a) + EncodeWalFrame(b);
+  size_t first = EncodeWalFrame(a).size();
   std::string corrupt = log;
-  corrupt[first + 12] ^= 0x40;  // inside record b's payload
+  corrupt[first + 12] ^= 0x40;  // inside frame b's payload
   auto scan = ScanWal(corrupt);
   ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->records.size(), 1u);
-  EXPECT_EQ(scan->records[0], a);
+  ASSERT_EQ(scan->frames.size(), 1u);
+  EXPECT_EQ(scan->frames[0], a);
   EXPECT_TRUE(scan->tail_discarded);
   EXPECT_EQ(scan->valid_bytes, first);
 }
 
 TEST(WalFormatTest, NonMonotonicLsnIsCorruption) {
-  std::string log = EncodeWalRecord({2, 10, "admin", "A"}) +
-                    EncodeWalRecord({2, 11, "admin", "B"});
+  // Across frames and inside one.
+  std::string log = EncodeWalFrame(Autocommit(2, 10, "admin", "A")) +
+                    EncodeWalFrame(Autocommit(2, 11, "admin", "B"));
   auto scan = ScanWal(log);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_TRUE(scan.status().IsCorruption());
+
+  WalFrame both = Autocommit(3, 10, "admin", "A");
+  both.statements.push_back(Autocommit(3, 11, "admin", "B").statements[0]);
+  scan = ScanWal(EncodeWalFrame(both));
   ASSERT_FALSE(scan.ok());
   EXPECT_TRUE(scan.status().IsCorruption());
 }
@@ -328,59 +348,54 @@ TEST(DurabilityTest, ReplayRestoresClockExactly) {
   EXPECT_EQ((*db)->clock().Peek(), clock_before_close);
 }
 
-void WriteLog(const std::string& dir, const std::vector<WalRecord>& log) {
+void WriteLog(const std::string& dir, const std::vector<WalFrame>& log) {
   std::filesystem::create_directories(dir);
   std::ofstream out(dir + "/" + kWalFileName, std::ios::binary);
-  for (const WalRecord& rec : log) out << EncodeWalRecord(rec);
+  for (const WalFrame& frame : log) out << EncodeWalFrame(frame);
 }
 
-WalRecord Stmt(uint64_t lsn, std::string sql, uint8_t versioned,
-               uint64_t snapshot, uint64_t csn) {
-  return WalRecord{.lsn = lsn,
-                   .user = "admin",
-                   .sql = std::move(sql),
-                   .versioned = versioned,
-                   .snapshot = snapshot,
-                   .csn = csn};
+// A statement that read at `snapshot` (kLatestCsn: it ran escalated).
+WalStatement Stmt(uint64_t lsn, std::string sql, uint64_t snapshot) {
+  return WalStatement{
+      .lsn = lsn, .user = "admin", .sql = std::move(sql), .snapshot = snapshot};
 }
 
 TEST(DurabilityTest, ReplaysEscalatedAndVersionedRecordsAtJournaledSnapshots) {
-  // Escalated records (`versioned` = 0) replay at the latest state;
-  // versioned ones at their journaled snapshot. Every commit that wrote
-  // carries the CSN the live engine hands out, so each record sees
-  // exactly the commits its snapshot covers, and readers after the
-  // reopen see them all.
+  // Escalated statements (snapshot kLatestCsn) replay at the latest
+  // state; versioned ones at their journaled snapshot, also inside an
+  // explicit transaction's frame that escalates after a versioned
+  // statement. Every commit that wrote carries the CSN the live engine
+  // hands out, so each statement sees exactly the commits its snapshot
+  // covers, and readers after the reopen see them all.
   std::string dir = FreshDir("dur_escalated_and_versioned");
-  auto marker = [](uint64_t lsn, WalRecordKind kind, uint64_t csn) {
-    WalRecord rec;
-    rec.lsn = lsn;
-    rec.kind = kind;
-    rec.csn = csn;
-    return rec;
-  };
-  std::vector<WalRecord> log = {
-      Stmt(1, "CREATE TABLE T (k INT)", 0, 0, 0),
-      Stmt(2, "INSERT INTO T VALUES (1)", 0, 0, 1),
-      Stmt(3, "INSERT INTO T VALUES (2)", 1, 1, 2),
-      Stmt(4, "UPDATE T SET k = 3 WHERE k = 1", 1, 2, 3),
-      marker(5, WalRecordKind::kTxnBegin, 0),
-      Stmt(6, "INSERT INTO T VALUES (4)", 0, 0, 0),
-      marker(7, WalRecordKind::kTxnCommit, 4),
-      Stmt(8, "UPDATE T SET k = 5 WHERE k = 4", 1, 4, 5),
-      Stmt(9, "CREATE ANNOTATION TABLE N ON T", 0, 0, 0),
-      Stmt(10,
-           "ADD ANNOTATION TO T.N VALUE '<A>curated</A>' "
-           "ON (SELECT k FROM T WHERE k = 5)",
-           0, 0, 6),
+  constexpr uint64_t kLatest = kLatestCsn;
+  std::vector<WalFrame> log = {
+      {0, {Stmt(1, "CREATE TABLE T (k INT)", kLatest)}},
+      {1, {Stmt(2, "INSERT INTO T VALUES (1)", kLatest)}},
+      {2, {Stmt(3, "INSERT INTO T VALUES (2)", 1)}},
+      {3, {Stmt(4, "UPDATE T SET k = 3 WHERE k = 1", 2)}},
+      {4,
+       {Stmt(5, "INSERT INTO T VALUES (4)", 3),
+        Stmt(6, "CREATE ANNOTATION TABLE N ON T", kLatest)},
+       {{{"T", 3}}, {{"T.N", 0}}}},
+      {5, {Stmt(7, "UPDATE T SET k = 5 WHERE k = 4", 4)}},
+      {6,
+       {Stmt(8,
+             "ADD ANNOTATION TO T.N VALUE '<A>curated</A>' "
+             "ON (SELECT k FROM T WHERE k = 5)",
+             kLatest)}},
       // Reads the escalated annotation at its journaled snapshot.
-      Stmt(11,
-           "ADD ANNOTATION TO T.N VALUE '<A>seen</A>' "
-           "ON (SELECT k FROM T ANNOTATION(N) AWHERE VALUE LIKE '%curated%')",
-           1, 6, 7),
-      Stmt(12,
-           "ADD ANNOTATION TO T.N VALUE '<A>tail</A>' "
-           "ON (SELECT k FROM T WHERE k = 2)",
-           0, 0, 8),
+      {7,
+       {Stmt(9,
+             "ADD ANNOTATION TO T.N VALUE '<A>seen</A>' "
+             "ON (SELECT k FROM T ANNOTATION(N) AWHERE VALUE LIKE "
+             "'%curated%')",
+             6)}},
+      {8,
+       {Stmt(10,
+             "ADD ANNOTATION TO T.N VALUE '<A>tail</A>' "
+             "ON (SELECT k FROM T WHERE k = 2)",
+             kLatest)}},
   };
   WriteLog(dir, log);
   {
@@ -403,14 +418,80 @@ TEST(DurabilityTest, ReplaysEscalatedAndVersionedRecordsAtJournaledSnapshots) {
     EXPECT_EQ(bodies, "2:<A>tail</A>;3:;5:<A>curated</A><A>seen</A>;");
   }
 
-  // A writing escalated commit journaled without its CSN is not a log
-  // this engine writes.
-  std::string unstamped = FreshDir("dur_escalated_unstamped");
-  log[1].csn = 0;
-  WriteLog(unstamped, log);
-  auto db = Database::Open(unstamped, DurableOpts());
-  ASSERT_FALSE(db.ok());
-  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  // A writing commit journaled without its CSN is not a log this engine
+  // writes, autocommit or explicit.
+  for (size_t frame : {1, 4}) {
+    std::string unstamped =
+        FreshDir("dur_escalated_unstamped_" + std::to_string(frame));
+    std::vector<WalFrame> bad = log;
+    bad[frame].csn = 0;
+    WriteLog(unstamped, bad);
+    SCOPED_TRACE(frame);
+    auto db = Database::Open(unstamped, DurableOpts());
+    ASSERT_FALSE(db.ok());
+    EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  }
+}
+
+TEST(DurabilityTest, CommitAppendsOneFramePerTransaction) {
+  // A k-statement COMMIT is one WAL append and one fsync, and advances
+  // last_lsn by k: the statements share one CRC-checked frame. A
+  // statement that failed inside the transaction is not in it.
+  std::string dir = FreshDir("dur_one_frame");
+  testutil::FaultEnv env;  // counts appends; injects nothing
+  DurabilityOptions opts = DurableOpts();
+  opts.env = &env;
+  const std::vector<std::string> txn = {
+      "INSERT INTO T VALUES (1)", "UPDATE T SET k = 2 WHERE k = 1",
+      "CREATE INDEX kidx ON T (k)", "INSERT INTO T VALUES (3)"};
+  {
+    auto db = Database::Open(dir, opts);
+    ASSERT_TRUE(db.ok());
+    EXEC_OK(**db, "CREATE TABLE T (k INT)", "admin");
+    EXPECT_EQ(env.appends, 1u);
+    EXEC_OK(**db, "BEGIN", "admin");
+    EXEC_OK(**db, txn[0], "admin");
+    EXEC_OK(**db, txn[1], "admin");
+    EXPECT_FALSE((*db)->Execute("INSERT INTO Missing VALUES (1)").ok());
+    EXEC_OK(**db, txn[2], "admin");
+    EXEC_OK(**db, txn[3], "admin");
+    EXPECT_EQ(env.appends, 1u) << "the WAL saw uncommitted work";
+    const DurabilityStats before = (*db)->durability_stats();
+    EXEC_OK(**db, "COMMIT", "admin");
+    const DurabilityStats after = (*db)->durability_stats();
+    EXPECT_EQ(env.appends, 2u);
+    EXPECT_EQ(after.last_lsn - before.last_lsn, txn.size());
+    EXPECT_EQ(after.wal_syncs - before.wal_syncs, 1u);
+    EXPECT_EQ(after.statements_since_checkpoint, 1 + txn.size());
+  }
+  std::ifstream in(dir + "/" + kWalFileName, std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  auto scan = ScanWal(data);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_EQ(scan->frames.size(), 2u);
+  const WalFrame& frame = scan->frames[1];
+  ASSERT_EQ(frame.statements.size(), txn.size());
+  for (size_t i = 0; i < txn.size(); ++i) {
+    EXPECT_EQ(frame.statements[i].sql, txn[i]);
+    EXPECT_EQ(frame.statements[i].lsn, 2 + i);
+  }
+  EXPECT_NE(frame.csn, 0u);
+  EXPECT_EQ(frame.end_bases.rows, (decltype(frame.end_bases.rows){{"T", 2}}));
+  // Versioned until CREATE INDEX escalated the transaction.
+  EXPECT_NE(frame.statements[1].snapshot, kLatestCsn);
+  EXPECT_EQ(frame.statements[2].snapshot, kLatestCsn);
+  EXPECT_EQ(frame.statements[3].snapshot, kLatestCsn);
+
+  auto db = Database::Open(dir, DurableOpts());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->durability_stats().replayed_on_open, 1 + txn.size());
+  EXPECT_EQ((*db)->durability_stats().last_lsn, 1 + txn.size());
+  auto r = (*db)->Execute("SELECT k FROM T ORDER BY k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::string keys;
+  for (const auto& row : r->rows) keys += row.values[0].ToString() + ";";
+  EXPECT_EQ(keys, "2;3;");
 }
 
 // --- recovery goldens -------------------------------------------------------
@@ -517,6 +598,38 @@ std::string CheckpointPayload(const std::string& dir,
   return payload.ok() ? *payload : std::string();
 }
 
+// Frames `payload` the way every log of this engine is framed: u32 crc
+// of (len, payload), u32 len.
+std::string Framed(const std::string& payload) {
+  std::string body;
+  BinaryWriter(&body).U32(static_cast<uint32_t>(payload.size()));
+  body += payload;
+  std::string frame;
+  BinaryWriter(&frame).U32(Crc32(body));
+  return frame + body;
+}
+
+// A record in the layout logs had before one frame per transaction:
+// u64 lsn, u64 clock, u8 kind (0 statement, 1 begin, 2 commit), str
+// user, str sql, u8 versioned, u64 snapshot, u64 csn, row bases, ann
+// bases.
+std::string RecordBeforeFrames(uint64_t lsn, uint64_t clock, uint8_t kind,
+                               const std::string& sql, uint64_t csn) {
+  std::string payload;
+  BinaryWriter w(&payload);
+  w.U64(lsn);
+  w.U64(clock);
+  w.U8(kind);
+  w.Str(kind == 0 ? "admin" : "");
+  w.Str(sql);
+  w.U8(0);
+  w.U64(0);
+  w.U64(csn);
+  w.U32(0);
+  w.U32(0);
+  return Framed(payload);
+}
+
 TEST(DurabilityGoldenTest, ForeignFormatsFailOpenLoudly) {
   {
     SCOPED_TRACE("WAL record framed without the MVCC fields");
@@ -524,19 +637,44 @@ TEST(DurabilityGoldenTest, ForeignFormatsFailOpenLoudly) {
     BinaryWriter w(&payload);
     w.U64(1);  // lsn
     w.U64(0);  // clock
-    w.U8(static_cast<uint8_t>(WalRecordKind::kStatement));
+    w.U8(0);   // kind: statement
     w.Str("admin");
     w.Str("CREATE TABLE T (k INT)");
-    std::string body;
-    BinaryWriter(&body).U32(static_cast<uint32_t>(payload.size()));
-    body += payload;
-    std::string frame;
-    BinaryWriter(&frame).U32(Crc32(body));
-    frame += body;
     std::string dir = FreshDir("dur_foreign_wal");
     std::filesystem::create_directories(dir);
-    std::ofstream(dir + "/" + kWalFileName, std::ios::binary) << frame;
+    std::ofstream(dir + "/" + kWalFileName, std::ios::binary)
+        << Framed(payload);
     ExpectOpenFailsWithCorruption(dir);
+  }
+  // Records from before one frame per transaction. Their first payload
+  // byte is the low byte of the lsn, so at lsn 1 it equals the frame
+  // format byte and the rest of the payload must fail to decode; a clock
+  // of 4660 makes the would-be statement count nonzero.
+  for (uint64_t lsn : {1, 7}) {
+    for (uint64_t clock : {0, 4660}) {
+      const std::string at =
+          std::to_string(lsn) + "_" + std::to_string(clock);
+      {
+        SCOPED_TRACE("autocommit record at lsn/clock " + at);
+        std::string dir = FreshDir("dur_foreign_record_" + at);
+        std::filesystem::create_directories(dir);
+        std::ofstream(dir + "/" + kWalFileName, std::ios::binary)
+            << RecordBeforeFrames(lsn, clock, 0, "CREATE TABLE T (k INT)",
+                                  0);
+        ExpectOpenFailsWithCorruption(dir);
+      }
+      {
+        SCOPED_TRACE("begin/statement/commit group at lsn/clock " + at);
+        std::string dir = FreshDir("dur_foreign_group_" + at);
+        std::filesystem::create_directories(dir);
+        std::ofstream(dir + "/" + kWalFileName, std::ios::binary)
+            << RecordBeforeFrames(lsn, clock, 1, "", 0) +
+                   RecordBeforeFrames(lsn + 1, clock, 0,
+                                      "CREATE TABLE T (k INT)", 0) +
+                   RecordBeforeFrames(lsn + 2, clock + 1, 2, "", 0);
+        ExpectOpenFailsWithCorruption(dir);
+      }
+    }
   }
   {
     SCOPED_TRACE("snapshot version 1");
@@ -587,10 +725,38 @@ TEST(DurabilityGoldenTest, ForeignFormatsFailOpenLoudly) {
   {
     SCOPED_TRACE("autocommit record that writes rows, journaled with CSN 0");
     std::string dir = FreshDir("dur_foreign_csn0");
-    WriteLog(dir, {Stmt(1, "CREATE TABLE T (k INT)", 0, 0, 0),
-                   Stmt(2, "INSERT INTO T VALUES (1)", 1, 0, 0)});
+    WriteLog(dir, {{0, {Stmt(1, "CREATE TABLE T (k INT)", kLatestCsn)}},
+                   {0, {Stmt(2, "INSERT INTO T VALUES (1)", 0)}}});
     ExpectOpenFailsWithCorruption(dir);
   }
+}
+
+TEST(DurabilityGoldenTest, FrameStraddlingCheckpointFailsOpenLoudly) {
+  std::string dir = FreshDir("dur_straddle");
+  {
+    auto db = Database::Open(dir, DurableOpts());
+    ASSERT_TRUE(db.ok());
+    EXEC_OK(**db, "CREATE TABLE T (k INT)", "admin");
+    EXEC_OK(**db, "INSERT INTO T VALUES (1)", "admin");
+    ASSERT_TRUE((*db)->Checkpoint().ok());  // at lsn 2
+  }
+  // Frames at or below the checkpoint's lsn (a crash between the
+  // checkpoint's rename and the log truncation) are skipped...
+  WriteLog(dir, {{0, {Stmt(1, "CREATE TABLE T (k INT)", kLatestCsn)}},
+                 {1, {Stmt(2, "INSERT INTO T VALUES (1)", 0)}}});
+  {
+    auto db = Database::Open(dir, DurableOpts());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->durability_stats().replayed_on_open, 0u);
+    EXPECT_EQ((*db)->version_count(), 1u);
+  }
+  // ...but the checkpoint waits for open transactions, so no frame of
+  // this engine straddles it.
+  WriteLog(dir, {{0, {Stmt(1, "CREATE TABLE T (k INT)", kLatestCsn)}},
+                 {1,
+                  {Stmt(2, "INSERT INTO T VALUES (1)", 0),
+                   Stmt(3, "INSERT INTO T VALUES (2)", 0)}}});
+  ExpectOpenFailsWithCorruption(dir);
 }
 
 TEST(DurabilityGoldenTest, LeftoverCheckpointTmpIsIgnored) {

@@ -18,6 +18,7 @@ FaultAppendFile::~FaultAppendFile() {
 
 Status FaultAppendFile::Append(std::string_view data) {
   if (env_->crashed_) return Status::IoError("simulated crash");
+  ++env_->appends;
   if (env_->append_budget >= 0) {
     if (static_cast<int64_t>(data.size()) > env_->append_budget) {
       // Short write: the in-budget prefix lands, the rest is torn off.

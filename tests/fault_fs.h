@@ -48,6 +48,9 @@ class FaultEnv : public WalEnv {
   // still succeed; once spent, every page fsync returns IoError.
   int64_t page_sync_budget = -1;
 
+  // Append calls across every file this environment opened.
+  uint64_t appends = 0;
+
   // Simulated power failure: every buffered-but-unsynced byte is gone and
   // all handles go dead (subsequent Append/Sync fail, which the Database
   // destructor ignores — a crashed process does not get to flush).

@@ -13,9 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/database.h"
 #include "core/session.h"
 #include "durability_test_util.h"
+#include "wal/serializer.h"
 #include "wal/wal.h"
 
 namespace bdbms {
@@ -380,35 +382,94 @@ TEST(TxnTest, RolledBackTxnWritesNothingToWal) {
 
 // --- WAL framing ----------------------------------------------------------
 
-TEST(TxnWalFormatTest, TxnMarkersRoundTrip) {
-  WalRecord begin{1, 10, "", "", WalRecordKind::kTxnBegin};
-  WalRecord stmt{2, 10, "admin", "INSERT INTO T VALUES (1)",
-                 WalRecordKind::kStatement};
-  WalRecord commit{3, 12, "", "", WalRecordKind::kTxnCommit};
-  std::string log = EncodeWalRecord(begin) + EncodeWalRecord(stmt) +
-                    EncodeWalRecord(commit);
-  auto scan = ScanWal(log);
-  ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->records.size(), 3u);
-  EXPECT_EQ(scan->records[0], begin);
-  EXPECT_EQ(scan->records[1], stmt);
-  EXPECT_EQ(scan->records[2], commit);
-  ASSERT_EQ(scan->record_offsets.size(), 3u);
-  EXPECT_EQ(scan->record_offsets[0], 0u);
-  EXPECT_EQ(scan->record_offsets[1], EncodeWalRecord(begin).size());
-  EXPECT_EQ(scan->valid_bytes, log.size());
+// An explicit transaction's frame: two statements, the second escalated,
+// and the end-of-transaction id bases.
+WalFrame TwoStatementFrame() {
+  return WalFrame{
+      .csn = 7,
+      .statements = {{.lsn = 4,
+                      .clock = 10,
+                      .user = "admin",
+                      .sql = "INSERT INTO T VALUES (1)",
+                      .snapshot = 6,
+                      .bases = {{{"T", 3}}, {{"T.N", 1}}}},
+                     {.lsn = 5,
+                      .clock = 11,
+                      .user = "alice",
+                      .sql = "CREATE INDEX i ON T (k)",
+                      .snapshot = kLatestCsn,
+                      .bases = {{{"T", 4}}, {{"T.N", 1}}}}},
+      .end_bases = {{{"T", 5}}, {{"T.N", 2}}}};
 }
 
-TEST(TxnWalFormatTest, OutOfRangeKindIsCorruption) {
-  // A CRC-valid record with an unknown kind is not a torn tail — it is a
-  // file from the future or real corruption, and like a non-monotonic
-  // LSN it must fail the scan rather than be silently dropped.
-  WalRecord good{1, 10, "admin", "A", WalRecordKind::kStatement};
-  WalRecord bad{2, 11, "admin", "B", static_cast<WalRecordKind>(9)};
-  std::string log = EncodeWalRecord(good) + EncodeWalRecord(bad);
+TEST(TxnWalFormatTest, MultiStatementFrameRoundTrips) {
+  WalFrame txn = TwoStatementFrame();
+  WalFrame next{.csn = 0,
+                .statements = {{.lsn = 6, .clock = 12, .user = "admin",
+                                .sql = "CREATE USER bob",
+                                .snapshot = kLatestCsn}}};
+  std::string log = EncodeWalFrame(txn) + EncodeWalFrame(next);
   auto scan = ScanWal(log);
-  ASSERT_FALSE(scan.ok());
-  EXPECT_TRUE(scan.status().IsCorruption());
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_EQ(scan->frames.size(), 2u);
+  EXPECT_EQ(scan->frames[0], txn);
+  EXPECT_EQ(scan->frames[1], next);
+  EXPECT_EQ(scan->valid_bytes, log.size());
+  EXPECT_FALSE(scan->tail_discarded);
+}
+
+TEST(TxnWalFormatTest, MalformedFrameIsCorruption) {
+  // A CRC-valid frame that does not decode as exactly the frame layout
+  // is not a torn tail — it is a file from another format or real
+  // corruption, and like a non-monotonic LSN it must fail the scan
+  // rather than be silently dropped. Each case re-frames a damaged copy
+  // of a valid payload under a fresh CRC.
+  const std::string good = EncodeWalFrame(TwoStatementFrame());
+  const std::string payload = good.substr(8);
+  auto reframed = [](const std::string& body) {
+    std::string framed;
+    BinaryWriter w(&framed);
+    w.U32(0);
+    w.U32(static_cast<uint32_t>(body.size()));
+    framed += body;
+    const uint32_t crc = Crc32(std::string_view(framed).substr(4));
+    std::string out;
+    BinaryWriter(&out).U32(crc);
+    return out + framed.substr(4);
+  };
+  ASSERT_EQ(reframed(payload), good);
+
+  std::string unknown_format = payload;
+  unknown_format[0] = 9;
+  // The statement count (after u8 format, u64 csn) claims one more
+  // statement than the frame holds.
+  std::string short_list = payload;
+  short_list[9] = 3;
+  std::string trailing = payload + "x";
+  std::string no_statements;
+  BinaryWriter w(&no_statements);
+  w.U8(static_cast<uint8_t>(payload[0]));
+  w.U64(0);
+  w.U32(0);
+  w.U32(0);
+  w.U32(0);
+  for (const auto& [name, body] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"unknown format byte", unknown_format},
+           {"short statement list", short_list},
+           {"trailing bytes", trailing},
+           {"no statements", no_statements}}) {
+    SCOPED_TRACE(name);
+    // Also after an intact frame: the scan must not cut there either.
+    const WalFrame intact{
+        .statements = {{.lsn = 1, .user = "admin", .sql = "A"}}};
+    for (const std::string& log :
+         {reframed(body), EncodeWalFrame(intact) + reframed(body)}) {
+      auto scan = ScanWal(log);
+      ASSERT_FALSE(scan.ok());
+      EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
+    }
+  }
 }
 
 }  // namespace
