@@ -26,22 +26,6 @@ bool Reaches(const std::multimap<ColumnRef, ColumnRef>& edges,
   return false;
 }
 
-// Whether an equality probe for `key` on a column of `type` finds exactly
-// the rows Value's `==` matches. Rows are coerced to the column type on
-// write, so every stored non-null cell is encoded as `type`. INT keys on
-// INT columns and string keys on string columns (TEXT and SEQUENCE encode
-// alike) qualify. NULL does not (`==` matches NULL to NULL; FindEqual
-// returns nothing for it), nor does a mixed INT/DOUBLE pair (one rank tag,
-// two encodings), nor any DOUBLE: `==` calls a NaN equal to every number,
-// and the index keeps NaN under its own key.
-bool ProbeMatchesEquality(const Value& key, DataType type) {
-  if (key.type() == DataType::kInt) return type == DataType::kInt;
-  if (key.is_string()) {
-    return type == DataType::kText || type == DataType::kSequence;
-  }
-  return false;
-}
-
 // Current RowIds of `table` whose `col` equals `key`, ascending: exactly
 // the rows a full scan would match, in the scan's order. Probes a
 // single-column B+-tree on `col` when one exists and the key qualifies;
@@ -56,7 +40,7 @@ Result<std::vector<RowId>> RowsWithKey(const Table& table, size_t col,
                                        const Value& key) {
   std::vector<RowId> rows;
   const SecondaryIndex* index = nullptr;
-  if (ProbeMatchesEquality(key, table.schema().column(col).type)) {
+  if (ProbeMatchesEquality(key.type(), table.schema().column(col).type)) {
     for (const auto& idx : table.indexes()) {
       if (idx->columns().size() == 1 && idx->column() == col) {
         index = idx.get();

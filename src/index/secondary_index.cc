@@ -94,6 +94,15 @@ Result<std::vector<RowId>> SecondaryIndex::Find(
   return rows;
 }
 
+bool ProbeMatchesEquality(DataType key_type, DataType column_type) {
+  if (key_type == DataType::kInt) return column_type == DataType::kInt;
+  if (key_type == DataType::kText || key_type == DataType::kSequence) {
+    return column_type == DataType::kText ||
+           column_type == DataType::kSequence;
+  }
+  return false;
+}
+
 Result<std::vector<RowId>> SecondaryIndex::FindEqual(
     const Value& probe) const {
   if (probe.is_null()) return std::vector<RowId>{};

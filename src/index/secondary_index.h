@@ -35,6 +35,18 @@ struct IndexProbe {
   std::optional<std::string> like_prefix;
 };
 
+// Whether an equality probe with a key of type `key_type` on a column
+// declared `column_type` finds exactly the rows `Value::Compare` calls
+// equal. Rows are coerced to the column type on write, so every stored
+// non-null cell is encoded as `column_type`. INT keys on INT columns and
+// string keys on string columns (TEXT and SEQUENCE encode alike) qualify.
+// NULL does not (a probe for it returns nothing), nor does a mixed
+// INT/DOUBLE pair (one rank tag, two encodings), nor any DOUBLE: `==`
+// calls a NaN equal to every number, and the index keeps NaN under its
+// own key. Every index-equality caller — dependency propagation's
+// RowsWithKey and the planner's index nested-loop join — shares this rule.
+bool ProbeMatchesEquality(DataType key_type, DataType column_type);
+
 // A secondary index over one or more columns of a user table: a disk-paged
 // B+-tree mapping the order-preserving composite key encoding of the cell
 // values (key_codec.h) to the RowId. Maintained by Table on every

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+
+#include "index/key_codec.h"
 
 namespace bdbms {
 
@@ -9,20 +12,80 @@ namespace {
 
 double Clamp01(double s) { return std::clamp(s, 0.0, 1.0); }
 
-// Fraction of non-null values below `v`, histogram first, then linear
-// interpolation between the analyzed extremes.
-std::optional<double> FractionBelow(const ColumnStats& stats, double v) {
-  if (stats.histogram.has_value() && stats.histogram->total > 0) {
-    return stats.histogram->FractionBelow(v);
+// Fraction of the analyzed string range [min, max] below `v`, from their
+// order-preserving index keys (key_codec.h). The bytes the encoded min
+// and max share carry no information and are skipped; the next
+// kStringDigits bytes of each key are read as digits in base
+// (hi - lo + 1), where [lo, hi] is the byte range the digits of min and
+// max span. A byte of `v` outside [lo, hi] is clamped into it and a key
+// that ends early is padded with lo, so both bounds of one range are
+// read on the same scale. Digit-only ids such as 'G001000' then
+// interpolate in base 10, not 256.
+std::optional<double> StringFractionBelow(const Value& min, const Value& max,
+                                          const Value& v) {
+  constexpr size_t kStringDigits = 8;
+  if (v.Compare(min) <= 0) return 0.0;
+  if (v.Compare(max) >= 0) return 1.0;
+  // A string key ends in a two-byte terminator that is not data.
+  auto encode = [](const Value& x) {
+    std::string key = EncodeIndexKey(x);
+    key.resize(key.size() - 2);
+    return key;
+  };
+  const std::string kmin = encode(min), kmax = encode(max);
+  size_t skip = 0;
+  while (skip < kmin.size() && skip < kmax.size() &&
+         kmin[skip] == kmax[skip]) {
+    ++skip;
+  }
+  int lo = 255, hi = 0;
+  for (const std::string* key : {&kmin, &kmax}) {
+    for (size_t i = skip; i < key->size() && i < skip + kStringDigits; ++i) {
+      int b = static_cast<unsigned char>((*key)[i]);
+      lo = std::min(lo, b);
+      hi = std::max(hi, b);
+    }
+  }
+  if (hi < lo) return std::nullopt;
+  double base = hi - lo + 1;
+  auto position = [&](const std::string& key) {
+    double pos = 0.0, scale = 1.0;
+    for (size_t i = skip; i < skip + kStringDigits; ++i) {
+      scale /= base;
+      if (i < key.size()) {
+        int b = std::clamp<int>(static_cast<unsigned char>(key[i]), lo, hi);
+        pos += (b - lo) * scale;
+      }
+    }
+    return pos;
+  };
+  double p_min = position(kmin), p_max = position(kmax);
+  if (p_max <= p_min) return std::nullopt;
+  return Clamp01((position(encode(v)) - p_min) / (p_max - p_min));
+}
+
+// Fraction of non-null values below `v`: the histogram for numeric
+// columns, else linear interpolation between the analyzed extremes
+// (numeric, or string via their index keys).
+std::optional<double> FractionBelow(const ColumnStats& stats,
+                                    const Value& v) {
+  if (v.is_numeric() && stats.histogram.has_value() &&
+      stats.histogram->total > 0) {
+    return stats.histogram->FractionBelow(v.as_double());
   }
   if (!stats.min.has_value() || !stats.max.has_value()) return std::nullopt;
-  if (!stats.min->is_numeric() || !stats.max->is_numeric()) {
+  if (v.is_string() && stats.min->is_string() && stats.max->is_string()) {
+    return StringFractionBelow(*stats.min, *stats.max, v);
+  }
+  if (!v.is_numeric() || !stats.min->is_numeric() ||
+      !stats.max->is_numeric()) {
     return std::nullopt;
   }
   double lo = stats.min->as_double(), hi = stats.max->as_double();
-  if (v <= lo) return 0.0;
-  if (v >= hi) return 1.0;
-  return hi > lo ? (v - lo) / (hi - lo) : 1.0;
+  double x = v.as_double();
+  if (x <= lo) return 0.0;
+  if (x >= hi) return 1.0;
+  return hi > lo ? (x - lo) / (hi - lo) : 1.0;
 }
 
 // `column <op> literal` with the column on the left (callers flip).
@@ -75,6 +138,11 @@ double IndexOnlyScanCost(double table_rows, double matching_rows) {
   return IndexProbeCost(table_rows) + matching_rows * cost::kIndexKeyTuple;
 }
 
+double JoinKeySelectivity(const ColumnStats* key_stats) {
+  if (key_stats == nullptr || key_stats->ndv == 0) return cost::kDefaultEq;
+  return Clamp01(1.0 / static_cast<double>(key_stats->ndv));
+}
+
 double ClampRows(double rows, double input_rows) {
   if (input_rows <= 0.0) return 0.0;
   return std::max(rows, 1.0);
@@ -93,14 +161,14 @@ double RangeSelectivity(const ColumnStats* stats,
   double below_hi = 1.0, below_lo = 0.0;
   bool interpolated = false;
   if (stats != nullptr) {
-    if (hi.has_value() && hi->value.is_numeric()) {
-      if (auto f = FractionBelow(*stats, hi->value.as_double())) {
+    if (hi.has_value()) {
+      if (auto f = FractionBelow(*stats, hi->value)) {
         below_hi = *f;
         interpolated = true;
       }
     }
-    if (lo.has_value() && lo->value.is_numeric()) {
-      if (auto f = FractionBelow(*stats, lo->value.as_double())) {
+    if (lo.has_value()) {
+      if (auto f = FractionBelow(*stats, lo->value)) {
         below_lo = *f;
         interpolated = true;
       }

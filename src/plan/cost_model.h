@@ -58,6 +58,13 @@ double IndexScanCost(double table_rows, double matching_rows);
 // kSeqTuple < kRandomFetch).
 double IndexOnlyScanCost(double table_rows, double matching_rows);
 
+// Fraction of a table one equality probe matches when the key is known
+// only at execution time (the parameterized inner of an index
+// nested-loop join): 1/NDV of the key column, the default equality
+// selectivity when it was never analyzed. `key_stats` may be null. One
+// probe then costs IndexScanCost(rows, rows * JoinKeySelectivity(...)).
+double JoinKeySelectivity(const ColumnStats* key_stats);
+
 // A nonempty input never estimates below one row (the standard clamp:
 // a zero estimate would zero out everything above it).
 double ClampRows(double rows, double input_rows);
@@ -67,8 +74,9 @@ double ClampRows(double rows, double input_rows);
 double EqSelectivity(const ColumnStats* stats, const Value& probe);
 
 // Selectivity of a (half-)bounded range probe: histogram interpolation
-// when available, min/max linear interpolation for numeric extremes,
-// else the default per bounded side. `stats` may be null.
+// when available, else linear interpolation between the analyzed min and
+// max — numeric, or string on their order-preserving index keys — else
+// the default per bounded side. `stats` may be null.
 double RangeSelectivity(const ColumnStats* stats,
                         const std::optional<IndexBound>& lo,
                         const std::optional<IndexBound>& hi);

@@ -230,6 +230,13 @@ bool IndexScanNode::RecheckVisible(const Row& row) const {
   return ProbeMatchesRow(probe_, index_->columns(), row);
 }
 
+bool IndexScanNode::BindEqualityKey(const Value& key) {
+  DataType column_type = table_->schema().column(index_->column()).type;
+  if (!ProbeMatchesEquality(key.type(), column_type)) return false;
+  probe_.eq.assign(1, key);
+  return true;
+}
+
 std::string IndexScanNode::Describe() const {
   // predicate_text_ is already parenthesized per conjunct. A probe whose
   // trailing constraint is a folded LIKE prefix announces itself as
@@ -861,6 +868,34 @@ std::vector<const PlanNode*> LimitNode::Children() const {
   return {child_.get()};
 }
 
+namespace {
+
+// A join's output tuple: the left values and per-column annotations, then
+// the right ones. It no longer corresponds to one stored row.
+void ConcatTuples(const PlanTuple& left, const PlanTuple& right,
+                  PlanTuple* out) {
+  out->values = left.values;
+  out->values.insert(out->values.end(), right.values.begin(),
+                     right.values.end());
+  out->anns = left.anns;
+  out->anns.insert(out->anns.end(), right.anns.begin(), right.anns.end());
+  out->source_row = 0;
+  out->has_source = false;
+}
+
+// Whether every (left column, right column) key pair is equal under the
+// engine's comparison; a NULL key never joins (SQL `=` is not true on it).
+bool KeysEqual(const std::vector<std::pair<size_t, size_t>>& keys,
+               const PlanTuple& left, const PlanTuple& right) {
+  for (const auto& [l, r] : keys) {
+    const Value& lv = left.values[l];
+    if (lv.is_null() || lv.Compare(right.values[r]) != 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 NestedLoopJoinNode::NestedLoopJoinNode(PlanNodePtr left, PlanNodePtr right)
     : left_(std::move(left)), right_(std::move(right)) {
   columns_ = left_->columns();
@@ -889,14 +924,7 @@ Result<bool> NestedLoopJoinNode::Next(PlanTuple* out) {
       have_left_ = false;
       continue;
     }
-    const PlanTuple& rhs = right_tuples_[right_pos_++];
-    out->values = current_left_.values;
-    out->values.insert(out->values.end(), rhs.values.begin(),
-                       rhs.values.end());
-    out->anns = current_left_.anns;
-    out->anns.insert(out->anns.end(), rhs.anns.begin(), rhs.anns.end());
-    out->source_row = 0;
-    out->has_source = false;
+    ConcatTuples(current_left_, right_tuples_[right_pos_++], out);
     return true;
   }
 }
@@ -980,21 +1008,8 @@ Result<bool> HashJoinNode::Next(PlanTuple* out) {
       const PlanTuple& rhs = (*bucket_)[bucket_pos_++];
       // Re-verify with the engine's comparison: hash equality is
       // necessary but (for numerics beyond 2^53) not sufficient.
-      bool match = true;
-      for (const auto& [l, r] : keys_) {
-        if (current_left_.values[l].Compare(rhs.values[r]) != 0) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      out->values = current_left_.values;
-      out->values.insert(out->values.end(), rhs.values.begin(),
-                         rhs.values.end());
-      out->anns = current_left_.anns;
-      out->anns.insert(out->anns.end(), rhs.anns.begin(), rhs.anns.end());
-      out->source_row = 0;
-      out->has_source = false;
+      if (!KeysEqual(keys_, current_left_, rhs)) continue;
+      ConcatTuples(current_left_, rhs, out);
       return true;
     }
   }
@@ -1006,6 +1021,55 @@ std::string HashJoinNode::Describe() const {
 
 std::vector<const PlanNode*> HashJoinNode::Children() const {
   return {left_.get(), right_.get()};
+}
+
+IndexNestedLoopJoinNode::IndexNestedLoopJoinNode(
+    PlanNodePtr outer, PlanNodePtr inner, IndexScanNode* probe,
+    std::vector<std::pair<size_t, size_t>> keys, std::string predicate_text)
+    : outer_(std::move(outer)),
+      inner_(std::move(inner)),
+      probe_(probe),
+      keys_(std::move(keys)),
+      predicate_text_(std::move(predicate_text)) {
+  columns_ = outer_->columns();
+  const auto& inner_cols = inner_->columns();
+  columns_.insert(columns_.end(), inner_cols.begin(), inner_cols.end());
+}
+
+Status IndexNestedLoopJoinNode::Open() {
+  have_outer_ = false;
+  return outer_->Open();
+}
+
+Result<bool> IndexNestedLoopJoinNode::Next(PlanTuple* out) {
+  for (;;) {
+    if (!have_outer_) {
+      BDBMS_ASSIGN_OR_RETURN(bool more, outer_->Next(&current_outer_));
+      if (!more) return false;
+      if (!probe_->BindEqualityKey(
+              current_outer_.values[keys_.front().first])) {
+        continue;
+      }
+      BDBMS_RETURN_IF_ERROR(inner_->Open());
+      have_outer_ = true;
+    }
+    BDBMS_ASSIGN_OR_RETURN(bool more, inner_->Next(&inner_tuple_));
+    if (!more) {
+      have_outer_ = false;
+      continue;
+    }
+    if (!KeysEqual(keys_, current_outer_, inner_tuple_)) continue;
+    ConcatTuples(current_outer_, inner_tuple_, out);
+    return true;
+  }
+}
+
+std::string IndexNestedLoopJoinNode::Describe() const {
+  return "IndexNestedLoopJoin " + predicate_text_;
+}
+
+std::vector<const PlanNode*> IndexNestedLoopJoinNode::Children() const {
+  return {outer_.get(), inner_.get()};
 }
 
 SetOpNode::SetOpNode(SetOpKind kind, PlanNodePtr left, PlanNodePtr right)

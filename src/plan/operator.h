@@ -147,6 +147,13 @@ class IndexScanNode : public ScanNodeBase {
 
   std::string Describe() const override;
 
+  // Re-targets the probe to `leading key column = key` for the next
+  // Open(): the parameterized inner of an IndexNestedLoopJoin. False, and
+  // the probe unchanged, when an index probe for `key` would not find
+  // exactly the rows Value::Compare calls equal (ProbeMatchesEquality) —
+  // NULL included, which joins nothing.
+  bool BindEqualityKey(const Value& key);
+
  protected:
   Result<std::vector<RowId>> CollectCandidates() override;
   bool RecheckVisible(const Row& row) const override;
@@ -580,6 +587,40 @@ class HashJoinNode : public PlanNode {
   const std::vector<PlanTuple>* bucket_ = nullptr;
   size_t bucket_pos_ = 0;
   bool have_left_ = false;
+};
+
+// Index nested-loop equi-join: streams the outer (left) side and, per
+// outer tuple, binds the outer key into `probe` — the IndexScan on the
+// inner table's join-key index at the bottom of `inner`, under the
+// inner's pushed conjuncts as a Filter — and re-opens `inner`. Only the
+// inner rows matching the key are read, so a selective outer side never
+// scans the inner table. Visibility, the stale-entry recheck and
+// annotation attachment are the IndexScan's own. NULL outer keys join
+// nothing; every key pair is verified with Value::Compare, and output
+// tuples are built as HashJoin builds them.
+class IndexNestedLoopJoinNode : public PlanNode {
+ public:
+  // `keys`: (outer column, inner column) pairs joined by equality; the
+  // first is the probed one. `probe` is owned by `inner`.
+  IndexNestedLoopJoinNode(PlanNodePtr outer, PlanNodePtr inner,
+                          IndexScanNode* probe,
+                          std::vector<std::pair<size_t, size_t>> keys,
+                          std::string predicate_text);
+
+  Status Open() override;
+  Result<bool> Next(PlanTuple* out) override;
+  std::string Describe() const override;
+  std::vector<const PlanNode*> Children() const override;
+
+ private:
+  PlanNodePtr outer_;
+  PlanNodePtr inner_;
+  IndexScanNode* probe_;
+  std::vector<std::pair<size_t, size_t>> keys_;
+  std::string predicate_text_;
+  PlanTuple current_outer_;
+  PlanTuple inner_tuple_;
+  bool have_outer_ = false;  // inner_ is open on current_outer_'s key
 };
 
 // UNION / INTERSECT / EXCEPT with annotation union on value-equal tuples

@@ -140,6 +140,14 @@ const ColumnStats* ColumnStatsOf(const TableStats* stats, size_t column) {
   return &stats->columns[column];
 }
 
+// Planning cardinality: the ANALYZE snapshot when one exists (stale until
+// the next ANALYZE), else the live row count.
+double PlanningRows(const Table& table) {
+  const TableStats* stats = table.stats();
+  return stats != nullptr ? static_cast<double>(stats->row_count)
+                          : static_cast<double>(table.row_count());
+}
+
 // Extracts `col LIKE 'prefix...'` from a conjunct: the column must be
 // string-typed, the pattern a string literal with a nonempty literal
 // prefix before the first wildcard.
@@ -600,7 +608,7 @@ struct JoinPred {
 Result<PlanNodePtr> Planner::BuildScan(
     const TableRef& ref, std::vector<const Expr*> conjuncts,
     bool attach_metadata, bool try_ann_interval,
-    const std::vector<size_t>* covering_columns) {
+    const std::vector<size_t>* covering_columns, JoinProbe* join_probe) {
   BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->catalog->GetTable(ref.table));
   if (attach_metadata) {
     BDBMS_RETURN_IF_ERROR(
@@ -617,18 +625,25 @@ Result<PlanNodePtr> Planner::BuildScan(
   std::vector<BoundColumn> scan_columns =
       QualifiedColumns(table->schema(), qualifier);
 
-  // Planning cardinality: the ANALYZE snapshot when one exists (stale
-  // until the next ANALYZE), else the live row count.
   const TableStats* stats = table->stats();
-  double table_rows = stats != nullptr
-                          ? static_cast<double>(stats->row_count)
-                          : static_cast<double>(table->row_count());
+  double table_rows = PlanningRows(*table);
 
   // Index-only scans answer from index keys alone; requesting annotation
   // propagation means fetching base rows anyway, so the path is off.
   if (!ann_names.empty()) covering_columns = nullptr;
-  std::optional<AccessChoice> choice = ChooseAccessPath(
-      *table, scan_columns, conjuncts, stats, table_rows, covering_columns);
+  std::optional<AccessChoice> choice;
+  if (join_probe != nullptr) {
+    // The key is bound per outer tuple; NULL stands in until then.
+    choice.emplace();
+    choice->index = join_probe->index;
+    choice->probe.eq.push_back(Value::Null());
+    choice->predicate_text = join_probe->predicate_text;
+    choice->selectivity = JoinKeySelectivity(
+        ColumnStatsOf(stats, join_probe->index->column()));
+  } else {
+    choice = ChooseAccessPath(*table, scan_columns, conjuncts, stats,
+                              table_rows, covering_columns);
+  }
   // A covering scan without any probe still reads every index entry; for
   // an AWHERE query the annotation-interval scan visits only the (often
   // far fewer) potentially annotated rows, so the probe-less pass must
@@ -683,10 +698,12 @@ Result<PlanNodePtr> Planner::BuildScan(
       scan->SetEstimate(ClampRows(match, table_rows),
                         IndexOnlyScanCost(table_rows, match));
     } else {
-      scan = std::make_unique<IndexScanNode>(
+      auto index_scan = std::make_unique<IndexScanNode>(
           ctx_, table, ref.table, qualifier, std::move(ann_names),
           attach_metadata, choice->index, std::move(choice->probe),
           std::move(choice->predicate_text));
+      if (join_probe != nullptr) join_probe->scan = index_scan.get();
+      scan = std::move(index_scan);
       scan->SetEstimate(ClampRows(match, table_rows),
                         IndexScanCost(table_rows, match));
     }
@@ -723,11 +740,13 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
   std::vector<BoundColumn> joined;
   std::vector<const ColumnStats*> joined_stats;
   std::vector<std::pair<size_t, size_t>> scan_ranges;  // [begin, end) per scan
+  std::vector<Table*> tables(nscans, nullptr);
   std::vector<const TableStats*> table_stats(nscans, nullptr);
   for (size_t i = 0; i < nscans; ++i) {
     const TableRef& ref = stmt.from[i];
     // GetTable doubles as the existence check (NotFound on unknown).
     BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->catalog->GetTable(ref.table));
+    tables[i] = table;
     table_stats[i] = table->stats();
     std::string qualifier = ref.alias.empty() ? ref.table : ref.alias;
     size_t begin = joined.size();
@@ -824,7 +843,7 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
   std::vector<size_t> widths(nscans, 0);
   for (size_t i = 0; i < nscans; ++i) {
     BDBMS_ASSIGN_OR_RETURN(
-        scans[i], BuildScan(stmt.from[i], std::move(pushed[i]),
+        scans[i], BuildScan(stmt.from[i], pushed[i],
                             /*attach_metadata=*/true, try_ann_interval,
                             have_required ? &required_columns : nullptr));
     scan_rows[i] = scans[i]->est_rows();
@@ -843,9 +862,11 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
   // estimated input, then repeatedly fold in the not-yet-joined relation
   // minimizing the estimated intermediate cardinality, preferring
   // relations reachable through an equi-join predicate so cross products
-  // come last. Both join operators materialize their right input, so the
-  // smaller of (accumulated plan, new relation) goes right — the build
-  // side of a HashJoin — and the larger streams through as the probe.
+  // come last. An equi-join step probes the new relation's index once per
+  // accumulated row when that is cheaper than hashing (below); otherwise
+  // the smaller of (accumulated plan, new relation) goes right — the
+  // materialized build side of a HashJoin or NestedLoopJoin — and the
+  // larger streams through as the probe.
   PlanNodePtr plan;
   std::vector<bool> in_set(nscans, false);
   std::vector<size_t> col_offset(nscans, 0);
@@ -891,8 +912,12 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
       }
 
       // Collect the predicates connecting `best` to the joined set, as
-      // (column in the accumulated plan, column local to the new scan).
+      // (column in the accumulated plan, column local to the new scan),
+      // each with the joined-space column its accumulated side reads and
+      // that column's declared type.
       std::vector<std::pair<size_t, size_t>> keys;
+      std::vector<size_t> key_outer;
+      std::vector<DataType> key_outer_types;
       std::string predicate_text;
       for (JoinPred& pred : join_preds) {
         if (pred.used) continue;
@@ -902,6 +927,12 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
           keys.emplace_back(
               col_offset[pred.scan[other]] + pred.local_col[other],
               pred.local_col[side]);
+          key_outer.push_back(scan_ranges[pred.scan[other]].first +
+                              pred.local_col[other]);
+          key_outer_types.push_back(tables[pred.scan[other]]
+                                        ->schema()
+                                        .column(pred.local_col[other])
+                                        .type);
           if (!predicate_text.empty()) predicate_text += " AND ";
           predicate_text += ExprToString(*pred.expr);
           pred.used = true;
@@ -909,40 +940,99 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
         }
       }
 
-      // Orientation: the smaller side builds (right), the larger probes.
-      bool new_is_probe = scan_rows[best] > cur_rows;
-      PlanNodePtr left = std::move(plan);
-      PlanNodePtr right = std::move(scans[best]);
-      if (new_is_probe) {
-        std::swap(left, right);
-        for (auto& [set_col, new_col] : keys) std::swap(set_col, new_col);
-        // The output layout becomes new-scan columns ++ accumulated ones.
-        for (size_t i = 0; i < nscans; ++i) {
-          if (in_set[i]) col_offset[i] += widths[best];
-        }
-        col_offset[best] = 0;
-      } else {
-        col_offset[best] = width;
-      }
       double build_rows = std::min(cur_rows, scan_rows[best]);
       double probe_rows = std::max(cur_rows, scan_rows[best]);
-      double both_cost = left->est_cost() + right->est_cost();
+      double both_cost = plan->est_cost() + scans[best]->est_cost();
+      double hash_cost = both_cost + build_rows * cost::kHashBuild +
+                         probe_rows * cost::kHashProbe;
+
+      // Index nested-loop alternative: per accumulated row, probe a
+      // B+-tree of the new relation led by a join key column, filtering
+      // the matches by the relation's pushed conjuncts. Eligible only
+      // when the declared key types make the index probe find exactly the
+      // rows `=` matches (ProbeMatchesEquality); chosen only when cheaper
+      // than the hash join.
+      JoinProbe probe;
+      size_t probe_key = 0;
+      double probe_cost = hash_cost;
+      const Table& inner = *tables[best];
+      double inner_rows = PlanningRows(inner);
+      for (size_t k = 0; k < keys.size(); ++k) {
+        size_t col = keys[k].second;
+        if (!ProbeMatchesEquality(key_outer_types[k],
+                                  inner.schema().column(col).type)) {
+          continue;
+        }
+        double match = inner_rows * JoinKeySelectivity(ColumnStatsOf(
+                                         table_stats[best], col));
+        double per_probe =
+            IndexScanCost(inner_rows, match) +
+            match * cost::kFilterTuple *
+                static_cast<double>(pushed[best].size());
+        double c = plan->est_cost() + cur_rows * per_probe;
+        if (c >= probe_cost) continue;
+        for (const auto& index : inner.indexes()) {
+          if (index->column() != col) continue;
+          // Every index led by `col` probes alike; take the first.
+          probe.index = index.get();
+          probe_key = k;
+          probe_cost = c;
+          break;
+        }
+      }
+
       PlanNodePtr join;
       double join_cost;
-      if (!keys.empty()) {
-        join_cost = both_cost + build_rows * cost::kHashBuild +
-                    probe_rows * cost::kHashProbe;
-        join = std::make_unique<HashJoinNode>(std::move(left),
-                                              std::move(right),
-                                              std::move(keys),
-                                              std::move(predicate_text));
+      if (probe.index != nullptr) {
+        const BoundColumn& inner_col =
+            joined[scan_ranges[best].first + keys[probe_key].second];
+        const BoundColumn& outer_col = joined[key_outer[probe_key]];
+        // Appended stepwise, like TryPlanTopKScan's predicate text.
+        probe.predicate_text = "(";
+        probe.predicate_text += inner_col.qualifier + "." + inner_col.name +
+                                " = " + outer_col.qualifier + "." +
+                                outer_col.name + ")";
+        std::swap(keys[0], keys[probe_key]);
+        BDBMS_ASSIGN_OR_RETURN(
+            PlanNodePtr inner_plan,
+            BuildScan(stmt.from[best], pushed[best],
+                      /*attach_metadata=*/true, /*try_ann_interval=*/false,
+                      /*covering_columns=*/nullptr, &probe));
+        join_cost = probe_cost;
+        join = std::make_unique<IndexNestedLoopJoinNode>(
+            std::move(plan), std::move(inner_plan), probe.scan,
+            std::move(keys), std::move(predicate_text));
+        col_offset[best] = width;
       } else {
-        best_rows = ClampRows(cur_rows * scan_rows[best],
-                              cur_rows * scan_rows[best]);
-        join_cost = both_cost +
-                    cur_rows * scan_rows[best] * cost::kNlPair;
-        join = std::make_unique<NestedLoopJoinNode>(std::move(left),
-                                                    std::move(right));
+        // Orientation: the smaller side builds (right), the larger probes.
+        bool new_is_probe = scan_rows[best] > cur_rows;
+        PlanNodePtr left = std::move(plan);
+        PlanNodePtr right = std::move(scans[best]);
+        if (new_is_probe) {
+          std::swap(left, right);
+          for (auto& [set_col, new_col] : keys) std::swap(set_col, new_col);
+          // The output layout becomes new-scan columns ++ accumulated ones.
+          for (size_t i = 0; i < nscans; ++i) {
+            if (in_set[i]) col_offset[i] += widths[best];
+          }
+          col_offset[best] = 0;
+        } else {
+          col_offset[best] = width;
+        }
+        if (!keys.empty()) {
+          join_cost = hash_cost;
+          join = std::make_unique<HashJoinNode>(std::move(left),
+                                                std::move(right),
+                                                std::move(keys),
+                                                std::move(predicate_text));
+        } else {
+          best_rows = ClampRows(cur_rows * scan_rows[best],
+                                cur_rows * scan_rows[best]);
+          join_cost = both_cost +
+                      cur_rows * scan_rows[best] * cost::kNlPair;
+          join = std::make_unique<NestedLoopJoinNode>(std::move(left),
+                                                      std::move(right));
+        }
       }
       join->SetEstimate(best_rows, join_cost);
       plan = std::move(join);
@@ -1069,10 +1159,7 @@ Result<PlanNodePtr> Planner::TryPlanTopKScan(const SelectStmt& stmt) {
   }
 
   size_t k = static_cast<size_t>(*stmt.limit);
-  const TableStats* stats = table->stats();
-  double table_rows = stats != nullptr
-                          ? static_cast<double>(stats->row_count)
-                          : static_cast<double>(table->row_count());
+  double table_rows = PlanningRows(*table);
   // Appended stepwise: an inline "(" + std::string temporary trips GCC
   // 12's -Wrestrict false positive (PR105329) in Release builds.
   std::string predicate_text = "(";

@@ -30,9 +30,13 @@ namespace bdbms {
 //  * a single-table SELECT whose referenced columns are all key columns
 //    of an index answers from the index keys alone (IndexOnlyScan, no
 //    base-table fetches), with or without a probe;
-//  * equi-join conjuncts (`a.col = b.col`) become HashJoin keys; the
-//    join order is chosen greedily by estimated cardinality, with
-//    NestedLoopJoin kept for predicate-less (cross product) joins;
+//  * equi-join conjuncts (`a.col = b.col`) become join keys; the join
+//    order is chosen greedily by estimated cardinality. Each step joins
+//    with a HashJoin, or with an IndexNestedLoopJoin that probes the new
+//    relation's B+-tree once per accumulated row when that relation has
+//    an index led by a join key of a matching type and the probes cost
+//    less than the hash join; NestedLoopJoin is kept for predicate-less
+//    (cross product) joins;
 //  * a single-table SELECT with AWHERE and no index probe scans only the
 //    row intervals covered by live annotations (plus outdated rows),
 //    courtesy of the annotation interval structures;
@@ -68,13 +72,25 @@ class Planner {
   Result<PlanNodePtr> PlanFromWhere(const SelectStmt& stmt,
                                     bool allow_index_only);
 
+  // The parameterized inner of an index nested-loop join: an IndexScan
+  // on `index` whose leading-column equality the join binds per outer
+  // tuple. BuildScan sets `scan` to the node it built.
+  struct JoinProbe {
+    const SecondaryIndex* index = nullptr;
+    std::string predicate_text;
+    IndexScanNode* scan = nullptr;
+  };
+
   // One FROM entry with its pushed conjuncts; chooses the access path.
   // `covering_columns` (nullable) is the statement's full referenced-
   // column set; an index covering it may answer without row fetches.
+  // With `join_probe` the access path is that probe and every conjunct
+  // filters above it.
   Result<PlanNodePtr> BuildScan(const TableRef& ref,
                                 std::vector<const Expr*> conjuncts,
                                 bool attach_metadata, bool try_ann_interval,
-                                const std::vector<size_t>* covering_columns);
+                                const std::vector<size_t>* covering_columns,
+                                JoinProbe* join_probe = nullptr);
 
   // set-op recursion: rhs plans suppress their own LIMIT (it applies to
   // the combined result, like a trailing ORDER BY).

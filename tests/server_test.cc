@@ -370,5 +370,80 @@ TEST(EngineConcurrencyTest, ParallelSessionsSharedAndExclusive) {
   EXPECT_EQ((*table)->row_count(), 3u * 3u);  // 3 writers x 3 commits
 }
 
+// Readers run a Gene-Protein join planned as an index nested-loop join
+// while writers move Protein keys. Every move keeps the key inside the
+// joined Gene range, so every snapshot joins the same 20 rows: a probe
+// that saw half of a move, or kept a row reached through a stale index
+// entry, shows as a wrong count.
+TEST(EngineConcurrencyTest, IndexNestedLoopJoinWhileWritersMoveKeys) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE Gene (GID TEXT, GName TEXT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE Protein (PName TEXT, GID TEXT)").ok());
+  auto gene_id = [](int i) {
+    return std::string("G") + static_cast<char>('0' + i / 10) +
+           static_cast<char>('0' + i % 10);
+  };
+  std::string genes = "INSERT INTO Gene VALUES ";
+  std::string proteins = "INSERT INTO Protein VALUES ";
+  for (int i = 0; i < 100; ++i) {
+    if (i > 0) genes += ", ";
+    genes += "('" + gene_id(i) + "', 'g" + std::to_string(i) + "')";
+    for (int j = 2 * i; j < 2 * i + 2; ++j) {
+      if (j > 0) proteins += ", ";
+      proteins += "('p" + std::to_string(j) + "', '" + gene_id(i) + "')";
+    }
+  }
+  ASSERT_TRUE(db.Execute(genes).ok());
+  ASSERT_TRUE(db.Execute(proteins).ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX gene_gid ON Gene (GID)").ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX protein_gid ON Protein (GID)").ok());
+  ASSERT_TRUE(db.Execute("ANALYZE").ok());
+  const std::string join =
+      "SELECT G.GName, P.PName FROM Gene G, Protein P "
+      "WHERE G.GID = P.GID AND G.GID >= 'G10' AND G.GID < 'G20'";
+  auto plan = db.Execute("EXPLAIN " + join);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE(plan->message.find("IndexNestedLoopJoin"), std::string::npos)
+      << plan->message;
+
+  std::atomic<int> failures{0};
+  std::atomic<int> wrong_counts{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      Session session(&db, "admin");
+      for (int t = 0; t < 30; ++t) {
+        // Proteins 20..39 belong to genes 10..19; move one to another
+        // gene of that range.
+        int protein = 20 + (w * 7 + t * 3) % 20;
+        int gene = 10 + (w + t * 7) % 10;
+        if (!session
+                 .Execute("UPDATE Protein SET GID = '" + gene_id(gene) +
+                          "' WHERE PName = 'p" + std::to_string(protein) +
+                          "'")
+                 .ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      Session session(&db, "admin");
+      for (int i = 0; i < 30; ++i) {
+        auto rows = session.Execute(join);
+        if (!rows.ok()) {
+          ++failures;
+        } else if (rows->rows.size() != 20) {
+          ++wrong_counts;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wrong_counts.load(), 0);
+}
+
 }  // namespace
 }  // namespace bdbms

@@ -10,6 +10,7 @@
 
 #include "catalog/statistics.h"
 #include "core/database.h"
+#include "plan/cost_model.h"
 
 namespace bdbms {
 namespace {
@@ -207,6 +208,29 @@ TEST_F(CostBasedScanFixture, OutOfRangeProbeEstimatesOneRow) {
   EXPECT_EQ(r->rows.size(), 0u);
 }
 
+// String ranges interpolate between the analyzed min and max on one
+// scale: the byte range of the min and max digits after their shared
+// prefix ('0'..'9' here). A bound byte outside it is clamped, so a
+// letter in one bound does not read that bound in another base.
+TEST(CostBasedStringRange, BoundsOfOneRangeShareOneScale) {
+  ColumnStats gid;
+  gid.non_null = 5000;
+  gid.ndv = 5000;
+  gid.min = Value::Text("G000000");
+  gid.max = Value::Text("G004999");
+  auto rows = [&](const char* lo, const char* hi) {
+    return 5000 * RangeSelectivity(&gid, IndexBound{Value::Text(lo), true},
+                                   IndexBound{Value::Text(hi), false});
+  };
+  EXPECT_NEAR(rows("G001000", "G001050"), 50.0, 1.0);
+  // 'A' sorts above '9' and reads as 9: [G001009, G001050).
+  EXPECT_NEAR(rows("G00100A", "G001050"), 41.0, 1.0);
+  EXPECT_NEAR(rows("G001000", "G00105A"), 59.0, 1.0);
+  // Bounds beyond the analyzed extremes.
+  EXPECT_NEAR(rows("A", "G001000"), 5000 * (1000.0 / 4999.0), 1e-6);
+  EXPECT_NEAR(rows("G004000", "Z"), 5000 * (999.0 / 4999.0), 1e-6);
+}
+
 // ---------------------------------------------------------------------------
 // Join reordering + HashJoin (golden plans)
 // ---------------------------------------------------------------------------
@@ -385,6 +409,16 @@ TEST(HashJoinEquivalence, MixedIntDoubleKeysCompareNumerically) {
   ASSERT_TRUE(db.Execute("CREATE TABLE B (y DOUBLE)").ok());
   ASSERT_TRUE(db.Execute("INSERT INTO A VALUES (1), (2), (3)").ok());
   ASSERT_TRUE(db.Execute("INSERT INTO B VALUES (1.0), (2.5), (3.0)").ok());
+  // An index on the inner key does not make the join probe it: an INT
+  // key cannot find DOUBLE cells exactly in the index (one numeric rank,
+  // two encodings), so the join stays a HashJoin.
+  ASSERT_TRUE(db.Execute("CREATE INDEX b_y ON B (y)").ok());
+  EXPECT_EQ(Explain(db, "SELECT x FROM A, B WHERE A.x = B.y ORDER BY x"),
+            "Sort [x ASC]  (rows=3 cost=16.2)\n"
+            "  Project [x]  (rows=3 cost=13.8)\n"
+            "    HashJoin (A.x = B.y)  (rows=3 cost=13.5)\n"
+            "      SeqScan A  (rows=3 cost=3.0)\n"
+            "      SeqScan B  (rows=3 cost=3.0)\n");
   auto r = db.Execute(
       "SELECT x FROM A, B WHERE A.x = B.y ORDER BY x");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
