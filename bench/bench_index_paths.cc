@@ -1,5 +1,4 @@
-// The new access paths (ISSUE 4) over a 10k-row sequence table:
-// index-only scans vs the fetch-per-row IndexScan, a composite probe vs a
+// Access paths over a 10k-row sequence table: a composite probe vs a
 // single-column probe + residual filter, and the SP-GiST trie prefix
 // descent vs the SeqScan + LIKE pipeline. Each pair shares one dataset,
 // so the gap is the access path, not the data.
@@ -75,23 +74,6 @@ void RunQuery(benchmark::State& state, int mode, const char* sql) {
                          static_cast<double>(std::max<uint64_t>(
                              1, static_cast<uint64_t>(state.iterations()))));
 }
-
-// --- index-only vs fetch-per-row -------------------------------------------
-// Both run the same probe on the same index; the covering variant projects
-// only key columns, so it skips all 200 base-row fetches.
-
-void BM_CoveredRange_IndexScanFetch(benchmark::State& state) {
-  // Score forces the base-table fetch per matching row.
-  RunQuery(state, 1,
-           "SELECT PID, Score FROM Prot WHERE PID >= 5000 AND PID < 5200");
-}
-BENCHMARK(BM_CoveredRange_IndexScanFetch);
-
-void BM_CoveredRange_IndexOnlyScan(benchmark::State& state) {
-  RunQuery(state, 1,
-           "SELECT PID FROM Prot WHERE PID >= 5000 AND PID < 5200");
-}
-BENCHMARK(BM_CoveredRange_IndexOnlyScan);
 
 // --- composite probe vs single-column probe + filter ------------------------
 // org equality matches 200 rows; the composite key narrows to 2 inside

@@ -21,14 +21,6 @@ void AppendBigEndian(std::string* out, uint64_t v) {
   }
 }
 
-uint64_t ReadBigEndian(std::string_view data) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(data[i]);
-  }
-  return v;
-}
-
 void AppendEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
     out->push_back(c);
@@ -83,80 +75,6 @@ std::string EncodeCompositeKey(const std::vector<Value>& values) {
   std::string key;
   for (const Value& v : values) AppendIndexKey(&key, v);
   return key;
-}
-
-Result<std::vector<Value>> DecodeCompositeKey(
-    std::string_view key, const std::vector<DataType>& types) {
-  std::vector<Value> values;
-  values.reserve(types.size());
-  size_t off = 0;
-  for (DataType type : types) {
-    if (off >= key.size()) return Status::Corruption("index key too short");
-    char rank = key[off++];
-    if (rank == kRankNull) {
-      values.push_back(Value::Null());
-      continue;
-    }
-    if (rank == kRankNumeric) {
-      if (off + 8 > key.size()) {
-        return Status::Corruption("truncated numeric index key component");
-      }
-      uint64_t bits = ReadBigEndian(key.substr(off, 8));
-      off += 8;
-      if (type == DataType::kInt) {
-        values.push_back(
-            Value::Int(static_cast<int64_t>(bits ^ (uint64_t{1} << 63))));
-      } else if (type == DataType::kDouble) {
-        if (bits & (uint64_t{1} << 63)) {
-          bits ^= uint64_t{1} << 63;  // positive: undo the sign flip
-        } else {
-          bits = ~bits;  // negative: undo the full inversion
-        }
-        double d;
-        std::memcpy(&d, &bits, 8);
-        values.push_back(Value::Double(d));
-      } else {
-        return Status::Corruption("numeric index key for a string column");
-      }
-      continue;
-    }
-    if (rank == kRankString) {
-      if (type != DataType::kText && type != DataType::kSequence) {
-        return Status::Corruption("string index key for a numeric column");
-      }
-      std::string s;
-      bool closed = false;
-      while (off < key.size()) {
-        char c = key[off++];
-        if (c != kEscape) {
-          s.push_back(c);
-          continue;
-        }
-        if (off >= key.size()) break;  // dangling escape: corrupt
-        char next = key[off++];
-        if (next == kTerminator) {
-          closed = true;
-          break;
-        }
-        if (next != kEscapedNul) {
-          return Status::Corruption("bad escape in string index key");
-        }
-        s.push_back(kEscape);
-      }
-      if (!closed) {
-        return Status::Corruption("unterminated string index key component");
-      }
-      values.push_back(type == DataType::kText
-                           ? Value::Text(std::move(s))
-                           : Value::Sequence(std::move(s)));
-      continue;
-    }
-    return Status::Corruption("unknown index key rank tag");
-  }
-  if (off != key.size()) {
-    return Status::Corruption("trailing bytes after index key components");
-  }
-  return values;
 }
 
 void AppendStringKeyPrefix(std::string* out, std::string_view prefix) {

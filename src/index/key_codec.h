@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/result.h"
 #include "common/value.h"
 
 namespace bdbms {
@@ -27,13 +26,6 @@ namespace bdbms {
 //               encoding prefix-free, so concatenating components preserves
 //               lexicographic row order ("ab" < "abc" because the
 //               terminator byte 0x00 sorts below every continuation).
-//
-// Component encodings are self-delimiting, so a composite key can be
-// decoded back into its column values given the declared column types
-// (INT and DOUBLE share the numeric rank tag; a secondary index only ever
-// stores keys of its columns' declared types because rows are coerced on
-// write, so the schema disambiguates). That reversibility is what makes
-// index-only scans possible.
 void AppendIndexKey(std::string* out, const Value& v);
 
 // Single-component convenience wrapper around AppendIndexKey.
@@ -41,12 +33,6 @@ std::string EncodeIndexKey(const Value& v);
 
 // Concatenation of the component encodings of `values`.
 std::string EncodeCompositeKey(const std::vector<Value>& values);
-
-// Inverse of EncodeCompositeKey: decodes one value per entry of `types`
-// (the declared column types, used to pick INT vs DOUBLE under the shared
-// numeric rank). Fails if the key does not parse or has trailing bytes.
-Result<std::vector<Value>> DecodeCompositeKey(
-    std::string_view key, const std::vector<DataType>& types);
 
 // Appends the *unterminated* string-component prefix for `prefix` (rank
 // tag + escaped bytes, no terminator): every string component whose value

@@ -33,17 +33,16 @@ Status SecondaryIndex::Remove(const Row& row, RowId row_id) {
   return tree_->Delete(KeyOf(row), row_id);
 }
 
-Status SecondaryIndex::ScanProbe(
-    const IndexProbe& probe,
-    const std::function<bool(std::string_view, RowId)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
+Result<std::vector<RowId>> SecondaryIndex::Find(
+    const IndexProbe& probe) const {
+  std::vector<RowId> rows;
   // Equality with NULL is never true; such probes match nothing.
   for (const Value& v : probe.eq) {
-    if (v.is_null()) return Status::Ok();
+    if (v.is_null()) return rows;
   }
   if ((probe.lo.has_value() && probe.lo->value.is_null()) ||
       (probe.hi.has_value() && probe.hi->value.is_null())) {
-    return Status::Ok();
+    return rows;
   }
   std::string prefix = EncodeCompositeKey(probe.eq);
   std::string lo_key, hi_key;
@@ -79,17 +78,14 @@ Status SecondaryIndex::ScanProbe(
     lo_key = prefix;
     hi_key = IndexKeyPrefixUpperBound(prefix);
   }
-  return tree_->ScanRange(lo_key, hi_key, fn);
-}
-
-Result<std::vector<RowId>> SecondaryIndex::Find(
-    const IndexProbe& probe) const {
-  std::vector<RowId> rows;
-  BDBMS_RETURN_IF_ERROR(
-      ScanProbe(probe, [&](std::string_view, RowId row) {
-        rows.push_back(row);
-        return true;
-      }));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    BDBMS_RETURN_IF_ERROR(
+        tree_->ScanRange(lo_key, hi_key, [&](std::string_view, RowId row) {
+          rows.push_back(row);
+          return true;
+        }));
+  }
   std::sort(rows.begin(), rows.end());
   return rows;
 }

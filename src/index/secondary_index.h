@@ -1,7 +1,6 @@
 #ifndef BDBMS_INDEX_SECONDARY_INDEX_H_
 #define BDBMS_INDEX_SECONDARY_INDEX_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -27,7 +26,7 @@ struct IndexBound {
 // the next key column —
 //   * a (half-)bounded range (`lo`/`hi`), or
 //   * a string-prefix constraint (`like_prefix`, from LIKE 'p%').
-// Everything empty is a full-index scan (the covering-scan access path).
+// Everything empty is a full-index scan.
 struct IndexProbe {
   std::vector<Value> eq;
   std::optional<IndexBound> lo;
@@ -52,8 +51,8 @@ bool ProbeMatchesEquality(DataType key_type, DataType column_type);
 // values (key_codec.h) to the RowId. Maintained by Table on every
 // INSERT/UPDATE/DELETE (and therefore by approval rollbacks, which run
 // through the same Table mutations); consulted by the planner to turn
-// WHERE equality/range/LIKE-prefix predicates into IndexScan,
-// IndexOnlyScan and ScanPrefix probes.
+// WHERE equality/range/LIKE-prefix predicates into IndexScan and
+// ScanPrefix probes, and join keys into index nested-loop probes.
 //
 // NULL cells are indexed (under the null rank tag) so maintenance is
 // uniform, but range probes never return them: SQL comparisons are never
@@ -86,17 +85,9 @@ class SecondaryIndex {
   Status Insert(const Row& row, RowId row_id);
   Status Remove(const Row& row, RowId row_id);
 
-  // --- probes (planner/IndexScan/IndexOnlyScan) ---------------------------
+  // --- probes (planner/IndexScan) -----------------------------------------
   // RowIds matching `probe`, ascending.
   Result<std::vector<RowId>> Find(const IndexProbe& probe) const;
-
-  // Visits (encoded composite key, RowId) entries matching `probe` in key
-  // order; `fn` returning false stops the scan. The key bytes decode back
-  // into the indexed column values (DecodeCompositeKey), which is how
-  // index-only scans answer queries without touching the base table.
-  Status ScanProbe(const IndexProbe& probe,
-                   const std::function<bool(std::string_view, RowId)>& fn)
-      const;
 
   // Single-column equality convenience wrapper.
   Result<std::vector<RowId>> FindEqual(const Value& probe) const;

@@ -134,10 +134,6 @@ double IndexScanCost(double table_rows, double matching_rows) {
   return IndexProbeCost(table_rows) + matching_rows * cost::kRandomFetch;
 }
 
-double IndexOnlyScanCost(double table_rows, double matching_rows) {
-  return IndexProbeCost(table_rows) + matching_rows * cost::kIndexKeyTuple;
-}
-
 double JoinKeySelectivity(const ColumnStats* key_stats) {
   if (key_stats == nullptr || key_stats->ndv == 0) return cost::kDefaultEq;
   return Clamp01(1.0 / static_cast<double>(key_stats->ndv));

@@ -18,8 +18,6 @@ namespace cost {
 
 inline constexpr double kSeqTuple = 1.0;     // scan + decode one heap tuple
 inline constexpr double kRandomFetch = 2.0;  // fetch one row via index RowId
-inline constexpr double kIndexKeyTuple = 0.5;  // decode one index entry
-                                               // (index-only scans)
 inline constexpr double kFilterTuple = 0.1;  // evaluate one predicate once
 inline constexpr double kHashBuild = 1.5;    // hash-insert one build tuple
 inline constexpr double kHashProbe = 1.0;    // probe with one stream tuple
@@ -52,11 +50,6 @@ double SeqScanCost(double rows);
 
 // Index-scan cost: one descent plus a random fetch per matching row.
 double IndexScanCost(double table_rows, double matching_rows);
-
-// Index-only-scan cost: one descent plus a key decode per matching entry —
-// no base-table fetch, which is the whole point (kIndexKeyTuple <
-// kSeqTuple < kRandomFetch).
-double IndexOnlyScanCost(double table_rows, double matching_rows);
 
 // Fraction of a table one equality probe matches when the key is known
 // only at execution time (the parameterized inner of an index

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "bio/alignment.h"
-#include "index/key_codec.h"
 #include "plan/expr_eval.h"
 #include "sql/ast_printer.h"
 
@@ -69,8 +68,7 @@ namespace {
 
 // Appends the synthesized `_outdated` annotations (paper §5) for the
 // outdated cells of `row_id`. Shared by every metadata-attaching scan so
-// the rendering cannot drift between access paths — it needs only the
-// RowId, which is why index-only scans keep it too.
+// the rendering cannot drift between access paths.
 void AppendOutdatedAnnotations(
     const ExecContext* ctx, const std::string& table_name, RowId row_id,
     std::vector<std::vector<ResultAnnotation>>* anns) {
@@ -246,95 +244,6 @@ std::string IndexScanNode::Describe() const {
       probe_.like_prefix.has_value() ? "ScanPrefix " : "IndexScan ";
   return label + table_name_ + DescribeSuffix() + " USING " +
          index_->name() + " " + predicate_text_;
-}
-
-IndexOnlyScanNode::IndexOnlyScanNode(const ExecContext* ctx, Table* table,
-                                     std::string table_name,
-                                     std::string qualifier,
-                                     bool attach_metadata,
-                                     const SecondaryIndex* index,
-                                     IndexProbe probe,
-                                     std::string predicate_text)
-    : ctx_(ctx),
-      table_(table),
-      table_name_(std::move(table_name)),
-      qualifier_(std::move(qualifier)),
-      attach_metadata_(attach_metadata),
-      index_(index),
-      probe_(std::move(probe)),
-      predicate_text_(std::move(predicate_text)) {
-  columns_ = QualifiedColumns(table_->schema(), qualifier_);
-  for (size_t c : index_->columns()) {
-    key_types_.push_back(table_->schema().column(c).type);
-  }
-}
-
-Status IndexOnlyScanNode::Open() {
-  rows_.clear();
-  pos_ = 0;
-  have_emitted_ = false;
-  last_emitted_ = 0;
-  size_t ncols = table_->schema().num_columns();
-  Status decode_status = Status::Ok();
-  BDBMS_RETURN_IF_ERROR(
-      index_->ScanProbe(probe_, [&](std::string_view key, RowId row_id) {
-        auto values = DecodeCompositeKey(key, key_types_);
-        if (!values.ok()) {
-          decode_status = values.status();
-          return false;
-        }
-        Row row(ncols, Value::Null());
-        for (size_t i = 0; i < index_->columns().size(); ++i) {
-          row[index_->columns()[i]] = std::move((*values)[i]);
-        }
-        rows_.emplace_back(row_id, std::move(row));
-        return true;
-      }));
-  BDBMS_RETURN_IF_ERROR(decode_status);
-  std::sort(rows_.begin(), rows_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return Status::Ok();
-}
-
-Result<bool> IndexOnlyScanNode::Next(PlanTuple* out) {
-  size_t ncols = table_->schema().num_columns();
-  while (pos_ < rows_.size()) {
-    auto& [row_id, row] = rows_[pos_++];
-    // Version chains keep dead keys indexed until vacuum: only entries
-    // whose decoded key cells match the version the snapshot sees are
-    // real, and each surviving RowId is emitted once.
-    if (have_emitted_ && row_id == last_emitted_) continue;
-    BDBMS_ASSIGN_OR_RETURN(std::optional<Row> visible,
-                           table_->GetVisible(row_id, ctx_->snapshot));
-    if (!visible.has_value()) continue;
-    bool matches = true;
-    for (size_t c : index_->columns()) {
-      if ((*visible)[c].Compare(row[c]) != 0) {
-        matches = false;
-        break;
-      }
-    }
-    if (!matches) continue;
-    have_emitted_ = true;
-    last_emitted_ = row_id;
-    out->values = std::move(row);
-    out->anns.assign(ncols, {});
-    out->source_row = row_id;
-    out->has_source = true;
-    if (attach_metadata_) {
-      AppendOutdatedAnnotations(ctx_, table_name_, row_id, &out->anns);
-    }
-    return true;
-  }
-  return false;
-}
-
-std::string IndexOnlyScanNode::Describe() const {
-  std::string out = "IndexOnlyScan " + table_name_;
-  if (qualifier_ != table_name_) out += " AS " + qualifier_;
-  out += " USING " + index_->name();
-  if (!predicate_text_.empty()) out += " " + predicate_text_;
-  return out;
 }
 
 Result<std::vector<RowId>> SpgistScanNode::CollectCandidates() {

@@ -164,44 +164,6 @@ class IndexScanNode : public ScanNodeBase {
   std::string predicate_text_;
 };
 
-// Index-only scan: answers the query from the index's own keys, never
-// fetching base-table rows. Eligible when the index's key columns cover
-// every column the statement references (the planner checks); uncovered
-// columns are padded with NULL but are provably never read. Output tuples
-// stay full table width so the column space matches the other scans, and
-// stay in RowId order. Synthesized `_outdated` annotations still attach
-// (they need only the RowId); regular annotation attachment disqualifies
-// the path at planning time.
-class IndexOnlyScanNode : public PlanNode {
- public:
-  IndexOnlyScanNode(const ExecContext* ctx, Table* table,
-                    std::string table_name, std::string qualifier,
-                    bool attach_metadata, const SecondaryIndex* index,
-                    IndexProbe probe, std::string predicate_text);
-
-  Status Open() override;
-  Result<bool> Next(PlanTuple* out) override;
-  std::string Describe() const override;
-
- private:
-  const ExecContext* ctx_;
-  Table* table_;
-  std::string table_name_;
-  std::string qualifier_;
-  bool attach_metadata_;
-  const SecondaryIndex* index_;
-  IndexProbe probe_;
-  std::string predicate_text_;
-  std::vector<DataType> key_types_;      // declared types of the key columns
-  std::vector<std::pair<RowId, Row>> rows_;  // decoded, RowId-ascending
-  size_t pos_ = 0;
-  // Snapshot-mode dedup: version chains keep old keys indexed until
-  // vacuum, so one RowId can surface through several entries; emit it
-  // once (rows_ is RowId-sorted, so tracking the last emitted id works).
-  bool have_emitted_ = false;
-  RowId last_emitted_ = 0;
-};
-
 // SP-GiST trie probe over a sequence index: prefix (LIKE 'p%') or exact
 // match on one string column. Candidates come from the trie; output stays
 // in RowId order.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "plan/cost_model.h"
@@ -69,12 +67,11 @@ struct LikeComparison {
 };
 
 // The access path the planner settled on for one scan, plus its
-// estimates: a B+-tree probe (`index`, possibly index-only) or an SP-GiST
-// sequence-index probe (`seq_index`).
+// estimates: a B+-tree probe (`index`) or an SP-GiST sequence-index probe
+// (`seq_index`).
 struct AccessChoice {
   const SecondaryIndex* index = nullptr;
   IndexProbe probe;
-  bool index_only = false;
   const SequenceIndex* seq_index = nullptr;
   // Which trie descent `seq_index` performs: a prefix/exact probe
   // (SpgistScan), an NFA-guided regex search (SpgistRegexScan), or a
@@ -302,17 +299,14 @@ std::optional<AlignComparison> MatchAlignThreshold(
 // Per B+-tree index (composite or not): equality conjuncts are matched to
 // the leading key columns; the first key column without an equality may
 // take the folded range bounds on it (tightest per side) or one LIKE
-// prefix instead. When `covering_columns` is given and the index's key
-// columns contain all of them, the candidate becomes an *index-only* scan
-// (answered from the keys, no base-table fetches) — even with no probe at
-// all, where it competes as a cheaper full pass over the index.
+// prefix instead. An index with no such constraint is no candidate.
 //
 // Per SP-GiST sequence index: a LIKE-prefix or string-equality conjunct
 // on the indexed column becomes a trie descent (SpgistScan).
 std::optional<AccessChoice> ChooseAccessPath(
     const Table& table, const std::vector<BoundColumn>& scan_columns,
     const std::vector<const Expr*>& conjuncts, const TableStats* stats,
-    double table_rows, const std::vector<size_t>* covering_columns) {
+    double table_rows) {
   std::vector<ColumnComparison> comparisons;
   std::vector<LikeComparison> likes;
   std::vector<RegexComparison> regexes;
@@ -403,19 +397,8 @@ std::optional<AccessChoice> ChooseAccessPath(
                      choice.probe.lo.has_value() ||
                      choice.probe.hi.has_value() ||
                      choice.probe.like_prefix.has_value();
-    bool covering = covering_columns != nullptr;
-    if (covering) {
-      for (size_t need : *covering_columns) {
-        if (std::count(index->columns().begin(), index->columns().end(),
-                       need) == 0) {
-          covering = false;
-          break;
-        }
-      }
-    }
-    if (!has_probe && !covering) continue;
-    choice.index_only = covering;
-    choice.selectivity = has_probe ? sel : 1.0;
+    if (!has_probe) continue;
+    choice.selectivity = sel;
     candidates.push_back(std::move(choice));
   }
   for (const auto& owned : table.sequence_indexes()) {
@@ -495,78 +478,14 @@ std::optional<AccessChoice> ChooseAccessPath(
     double match = table_rows * choice.selectivity;
     double residual =
         total - static_cast<double>(choice.consumed.size());
-    double access = choice.index_only
-                        ? IndexOnlyScanCost(table_rows, match)
-                        : IndexScanCost(table_rows, match);
-    choice.plan_cost = access + match * cost::kFilterTuple * residual;
+    choice.plan_cost = IndexScanCost(table_rows, match) +
+                       match * cost::kFilterTuple * residual;
     if (choice.plan_cost >= seq_cost) continue;
     if (!best.has_value() || choice.plan_cost < best->plan_cost) {
       best = std::move(choice);
     }
   }
   return best;
-}
-
-// Collects the indices (within `columns`) of every column the statement
-// could read from its single scan's tuples; false when coverage cannot be
-// established (an unknown column disables the index-only path — the
-// binding error, if any, surfaces identically either way).
-bool ComputeRequiredColumns(const SelectStmt& stmt,
-                            const std::vector<BoundColumn>& columns,
-                            std::vector<size_t>* out) {
-  std::set<size_t> needed;
-  auto add_all = [&] {
-    for (size_t i = 0; i < columns.size(); ++i) needed.insert(i);
-  };
-  std::vector<const Expr*> refs;
-  if (stmt.star) {
-    add_all();
-  } else {
-    for (const SelectItem& item : stmt.items) {
-      CollectColumnRefs(item.expr.get(), &refs);
-      for (const std::string& col : item.promote_columns) {
-        auto bound = BindColumn(columns, "", col);
-        if (!bound.ok()) return false;
-        needed.insert(*bound);
-      }
-    }
-  }
-  CollectColumnRefs(stmt.where.get(), &refs);
-  CollectColumnRefs(stmt.having.get(), &refs);
-  for (const Expr* ref : refs) {
-    if (ref->column == "*") {  // qualifier.* projection
-      add_all();
-      continue;
-    }
-    auto bound = BindColumn(columns, ref->qualifier, ref->column);
-    if (!bound.ok()) return false;
-    needed.insert(*bound);
-  }
-  for (const std::string& col : stmt.group_by) {
-    auto bound = BindColumn(columns, "", col);
-    if (!bound.ok()) return false;
-    needed.insert(*bound);
-  }
-  // ORDER BY binds against the projected output; a name that also binds
-  // here is a base column flowing through (include it), anything else is
-  // a projection alias the scan need not cover. Expression keys read
-  // whatever columns they reference.
-  for (const OrderKey& key : stmt.order_by) {
-    if (key.expr) {
-      std::vector<const Expr*> key_refs;
-      CollectColumnRefs(key.expr.get(), &key_refs);
-      for (const Expr* ref : key_refs) {
-        auto bound = BindColumn(columns, ref->qualifier, ref->column);
-        if (!bound.ok()) return false;
-        needed.insert(*bound);
-      }
-      continue;
-    }
-    auto bound = BindColumn(columns, "", key.column);
-    if (bound.ok()) needed.insert(*bound);
-  }
-  out->assign(needed.begin(), needed.end());
-  return true;
 }
 
 // Appends a Filter node for the given conjuncts (no-op when empty),
@@ -607,8 +526,7 @@ struct JoinPred {
 
 Result<PlanNodePtr> Planner::BuildScan(
     const TableRef& ref, std::vector<const Expr*> conjuncts,
-    bool attach_metadata, bool try_ann_interval,
-    const std::vector<size_t>* covering_columns, JoinProbe* join_probe) {
+    bool attach_metadata, bool try_ann_interval, JoinProbe* join_probe) {
   BDBMS_ASSIGN_OR_RETURN(Table * table, ctx_->catalog->GetTable(ref.table));
   if (attach_metadata) {
     BDBMS_RETURN_IF_ERROR(
@@ -628,9 +546,6 @@ Result<PlanNodePtr> Planner::BuildScan(
   const TableStats* stats = table->stats();
   double table_rows = PlanningRows(*table);
 
-  // Index-only scans answer from index keys alone; requesting annotation
-  // propagation means fetching base rows anyway, so the path is off.
-  if (!ann_names.empty()) covering_columns = nullptr;
   std::optional<AccessChoice> choice;
   if (join_probe != nullptr) {
     // The key is bound per outer tuple; NULL stands in until then.
@@ -642,17 +557,7 @@ Result<PlanNodePtr> Planner::BuildScan(
         ColumnStatsOf(stats, join_probe->index->column()));
   } else {
     choice = ChooseAccessPath(*table, scan_columns, conjuncts, stats,
-                              table_rows, covering_columns);
-  }
-  // A covering scan without any probe still reads every index entry; for
-  // an AWHERE query the annotation-interval scan visits only the (often
-  // far fewer) potentially annotated rows, so the probe-less pass must
-  // not displace it.
-  if (choice.has_value() && try_ann_interval && attach_metadata &&
-      choice->seq_index == nullptr && choice->probe.eq.empty() &&
-      !choice->probe.lo.has_value() && !choice->probe.hi.has_value() &&
-      !choice->probe.like_prefix.has_value()) {
-    choice.reset();
+                              table_rows);
   }
   PlanNodePtr scan;
   if (choice.has_value()) {
@@ -691,12 +596,6 @@ Result<PlanNodePtr> Planner::BuildScan(
       }
       scan->SetEstimate(ClampRows(match, table_rows),
                         IndexScanCost(table_rows, match));
-    } else if (choice->index_only) {
-      scan = std::make_unique<IndexOnlyScanNode>(
-          ctx_, table, ref.table, qualifier, attach_metadata, choice->index,
-          std::move(choice->probe), std::move(choice->predicate_text));
-      scan->SetEstimate(ClampRows(match, table_rows),
-                        IndexOnlyScanCost(table_rows, match));
     } else {
       auto index_scan = std::make_unique<IndexScanNode>(
           ctx_, table, ref.table, qualifier, std::move(ann_names),
@@ -728,8 +627,7 @@ Result<PlanNodePtr> Planner::BuildScan(
   return WrapFilter(std::move(scan), std::move(conjuncts), resolver);
 }
 
-Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
-                                           bool allow_index_only) {
+Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt) {
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM clause is empty");
   }
@@ -830,22 +728,13 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
   // candidates are exactly the potentially annotated rows.
   bool try_ann_interval = nscans == 1 && stmt.awhere != nullptr;
 
-  // Index-only eligibility: a single-table statement whose full
-  // referenced-column set is known. The join machinery reads arbitrary
-  // columns across the joined space, so joins keep fetching base rows.
-  std::vector<size_t> required_columns;
-  bool have_required =
-      allow_index_only && nscans == 1 &&
-      ComputeRequiredColumns(stmt, joined, &required_columns);
-
   std::vector<PlanNodePtr> scans(nscans);
   std::vector<double> scan_rows(nscans, 0.0);
   std::vector<size_t> widths(nscans, 0);
   for (size_t i = 0; i < nscans; ++i) {
     BDBMS_ASSIGN_OR_RETURN(
         scans[i], BuildScan(stmt.from[i], pushed[i],
-                            /*attach_metadata=*/true, try_ann_interval,
-                            have_required ? &required_columns : nullptr));
+                            /*attach_metadata=*/true, try_ann_interval));
     scan_rows[i] = scans[i]->est_rows();
     widths[i] = scan_ranges[i].second - scan_ranges[i].first;
   }
@@ -997,7 +886,7 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
             PlanNodePtr inner_plan,
             BuildScan(stmt.from[best], pushed[best],
                       /*attach_metadata=*/true, /*try_ann_interval=*/false,
-                      /*covering_columns=*/nullptr, &probe));
+                      &probe));
         join_cost = probe_cost;
         join = std::make_unique<IndexNestedLoopJoinNode>(
             std::move(plan), std::move(inner_plan), probe.scan,
@@ -1085,9 +974,7 @@ Result<PlanNodePtr> Planner::PlanFromWhere(const SelectStmt& stmt,
 }
 
 Result<PlanNodePtr> Planner::PlanTargetScan(const SelectStmt& stmt) {
-  // Annotation commands address cells of the base rows; keep every scan
-  // row-fetching (no index-only shortcut).
-  return PlanFromWhere(stmt, /*allow_index_only=*/false);
+  return PlanFromWhere(stmt);
 }
 
 Result<PlanNodePtr> Planner::PlanDmlScan(const std::string& table,
@@ -1099,8 +986,7 @@ Result<PlanNodePtr> Planner::PlanDmlScan(const std::string& table,
   // Conjuncts that do not bind against the table stay residual so binding
   // errors surface at evaluation time, exactly like the WHERE filter.
   return BuildScan(ref, std::move(conjuncts), /*attach_metadata=*/false,
-                   /*try_ann_interval=*/false,
-                   /*covering_columns=*/nullptr);
+                   /*try_ann_interval=*/false);
 }
 
 Result<PlanNodePtr> Planner::TryPlanTopKScan(const SelectStmt& stmt) {
@@ -1183,8 +1069,7 @@ Result<PlanNodePtr> Planner::PlanSelectImpl(const SelectStmt& stmt,
     order_consumed = plan != nullptr;
   }
   if (plan == nullptr) {
-    BDBMS_ASSIGN_OR_RETURN(plan, PlanFromWhere(stmt,
-                                               /*allow_index_only=*/true));
+    BDBMS_ASSIGN_OR_RETURN(plan, PlanFromWhere(stmt));
   }
 
   // Estimate helper for the tuple-in/tuple-out nodes above the join.

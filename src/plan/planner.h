@@ -27,9 +27,6 @@ namespace bdbms {
 //  * `ORDER BY DISTANCE(col, 'seq') LIMIT k` over a sequence-indexed
 //    column becomes a best-first ranked trie traversal with the LIMIT
 //    pushed into the scan (SpgistTopKScan);
-//  * a single-table SELECT whose referenced columns are all key columns
-//    of an index answers from the index keys alone (IndexOnlyScan, no
-//    base-table fetches), with or without a probe;
 //  * equi-join conjuncts (`a.col = b.col`) become join keys; the join
 //    order is chosen greedily by estimated cardinality. Each step joins
 //    with a HashJoin, or with an IndexNestedLoopJoin that probes the new
@@ -67,10 +64,8 @@ class Planner {
 
  private:
   // Scans + join + Filter + AWhere (steps shared by PlanSelect and
-  // PlanTargetScan). `allow_index_only` gates the covering-index path
-  // (annotation commands and DML always fetch base rows).
-  Result<PlanNodePtr> PlanFromWhere(const SelectStmt& stmt,
-                                    bool allow_index_only);
+  // PlanTargetScan).
+  Result<PlanNodePtr> PlanFromWhere(const SelectStmt& stmt);
 
   // The parameterized inner of an index nested-loop join: an IndexScan
   // on `index` whose leading-column equality the join binds per outer
@@ -82,14 +77,11 @@ class Planner {
   };
 
   // One FROM entry with its pushed conjuncts; chooses the access path.
-  // `covering_columns` (nullable) is the statement's full referenced-
-  // column set; an index covering it may answer without row fetches.
   // With `join_probe` the access path is that probe and every conjunct
   // filters above it.
   Result<PlanNodePtr> BuildScan(const TableRef& ref,
                                 std::vector<const Expr*> conjuncts,
                                 bool attach_metadata, bool try_ann_interval,
-                                const std::vector<size_t>* covering_columns,
                                 JoinProbe* join_probe = nullptr);
 
   // set-op recursion: rhs plans suppress their own LIMIT (it applies to

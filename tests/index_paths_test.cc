@@ -1,8 +1,8 @@
-// Coverage for the composite / index-only / LIKE-prefix / SP-GiST access
-// paths: composite key codec ordering and round-trips, golden EXPLAIN
-// output for each new path, differential result-identity against the
-// SeqScan pipeline, and DML + approval-rollback maintenance of
-// multi-column and sequence indexes.
+// Coverage for the composite / LIKE-prefix / SP-GiST access paths:
+// composite key codec ordering and prefix bounds, golden EXPLAIN output
+// for each path, differential result-identity against the SeqScan
+// pipeline, and DML + approval-rollback maintenance of multi-column and
+// sequence indexes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,28 +70,6 @@ TEST(CompositeKeyCodec, OrderPreservingAcrossComponents) {
   // Embedded NUL bytes survive the escape and keep ordering.
   expect_order({Value::Text("a")}, {Value::Text(std::string("a\0", 2))});
   expect_order({Value::Text(std::string("a\0", 2))}, {Value::Text("ab")});
-}
-
-TEST(CompositeKeyCodec, RoundTripsThroughDecode) {
-  std::vector<Value> row = {
-      Value::Int(-42),           Value::Double(-0.5),
-      Value::Text("hello"),      Value::Null(),
-      Value::Sequence("ACGT"),   Value::Text(std::string("nu\0l", 4)),
-  };
-  std::vector<DataType> types = {DataType::kInt,      DataType::kDouble,
-                                 DataType::kText,     DataType::kInt,
-                                 DataType::kSequence, DataType::kText};
-  std::string key = EncodeCompositeKey(row);
-  auto decoded = DecodeCompositeKey(key, types);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), row.size());
-  for (size_t i = 0; i < row.size(); ++i) {
-    EXPECT_EQ((*decoded)[i].type(), row[i].type()) << i;
-    EXPECT_EQ((*decoded)[i].Compare(row[i]), 0) << i;
-  }
-  // Truncated and trailing-garbage keys are rejected, not misread.
-  EXPECT_FALSE(DecodeCompositeKey(key.substr(0, key.size() - 1), types).ok());
-  EXPECT_FALSE(DecodeCompositeKey(key + "x", types).ok());
 }
 
 TEST(CompositeKeyCodec, PrefixUpperBoundCoversAllContinuations) {
@@ -212,25 +190,18 @@ TEST_F(IndexPathsFixture, CompositeProbeUsesLeadingEqualityPlusRange) {
             "(PID > 1)  (rows=1 cost=3.2)\n");
 }
 
-TEST_F(IndexPathsFixture, IndexOnlyScanWhenIndexCoversReferencedColumns) {
+TEST_F(IndexPathsFixture, KeyOnlyProjectionPlansLikeAnyOtherProjection) {
   EXEC_OK(db_, "CREATE INDEX idx_org_pid ON Prot (Org, PID)");
-  // Only Org and PID are referenced: the probe answers from the keys.
+  // Only key columns are referenced: the probe still fetches each row.
   EXPECT_EQ(Explain(db_,
                     "SELECT PID FROM Prot WHERE Org = 'ecoli' AND PID > 1"),
-            "Project [PID]  (rows=1 cost=3.0)\n"
-            "  IndexOnlyScan Prot USING idx_org_pid (Org = 'ecoli') AND "
-            "(PID > 1)  (rows=1 cost=2.9)\n");
-  // With no probe at all, a covering pass over the index still beats
-  // fetching and decoding every heap tuple.
-  EXPECT_EQ(Explain(db_, "SELECT Org, PID FROM Prot"),
-            "Project [Org, PID]  (rows=6 cost=6.4)\n"
-            "  IndexOnlyScan Prot USING idx_org_pid  (rows=6 cost=5.8)\n");
-  // Referencing an uncovered column falls back to the fetching scan.
-  EXPECT_EQ(Explain(db_,
-                    "SELECT Score FROM Prot WHERE Org = 'ecoli' AND PID > 1"),
-            "Project [Score]  (rows=1 cost=3.3)\n"
+            "Project [PID]  (rows=1 cost=3.3)\n"
             "  IndexScan Prot USING idx_org_pid (Org = 'ecoli') AND "
             "(PID > 1)  (rows=1 cost=3.2)\n");
+  // With no probe the index offers nothing: the heap is scanned.
+  EXPECT_EQ(Explain(db_, "SELECT Org, PID FROM Prot"),
+            "Project [Org, PID]  (rows=6 cost=6.6)\n"
+            "  SeqScan Prot  (rows=6 cost=6.0)\n");
 }
 
 TEST_F(IndexPathsFixture, LikePrefixFoldsIntoScanPrefix) {
@@ -261,9 +232,8 @@ TEST_F(IndexPathsFixture, SequenceIndexPlansSpgistScan) {
 }
 
 TEST_F(IndexPathsFixture, AWhereKeepsIntervalScanOverProbelessCoveringPass) {
-  // An AWHERE query with no index probe must keep the sparse
-  // annotation-interval scan: a probe-less covering pass would read every
-  // index entry where the interval scan visits only annotated rows.
+  // An AWHERE query with no index probe keeps the sparse
+  // annotation-interval scan, which visits only annotated rows.
   EXEC_OK(db_, "CREATE INDEX idx_pid ON Prot (PID)");
   EXPECT_EQ(Explain(db_, "SELECT PID FROM Prot AWHERE VALUE LIKE '%x%'"),
             "Project [PID]  (rows=1 cost=1.8)\n"
@@ -271,13 +241,64 @@ TEST_F(IndexPathsFixture, AWhereKeepsIntervalScanOverProbelessCoveringPass) {
             "    AnnIntervalScan Prot "
             "(annotated row intervals + outdated rows)"
             "  (rows=2 cost=1.5)\n");
-  // With a probe the index path still wins, exactly as before.
+  // With a probe the index path wins.
   EXPECT_EQ(Explain(db_, "SELECT PID FROM Prot WHERE PID = 3 "
                          "AWHERE VALUE LIKE '%x%'"),
-            "Project [PID]  (rows=1 cost=3.3)\n"
-            "  AWhere (VALUE LIKE '%x%')  (rows=1 cost=3.2)\n"
-            "    IndexOnlyScan Prot USING idx_pid (PID = 3)"
-            "  (rows=1 cost=3.1)\n");
+            "Project [PID]  (rows=1 cost=4.2)\n"
+            "  AWhere (VALUE LIKE '%x%')  (rows=1 cost=4.1)\n"
+            "    IndexScan Prot USING idx_pid (PID = 3)"
+            "  (rows=1 cost=4.0)\n");
+}
+
+// A probe-less pass over a B+-tree reads every entry and still fetches
+// every row, so COUNT(*) and key-only projections scan the heap. Their
+// answers must not depend on the index, also while a transaction's
+// update leaves the superseded key indexed next to the live one.
+TEST(KeyOnlyPasses, PlanSeqScanAndMatchTheAnswersWithoutTheIndex) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE T (Id INT, k TEXT)");
+  EXEC_OK(db,
+          "INSERT INTO T VALUES (0, 'k0'), (1, 'k1'), (2, 'k2'), "
+          "(3, 'k3'), (4, 'k4'), (5, 'k5')");
+  EXEC_OK(db, "CREATE INDEX t_k ON T (k)");
+  EXEC_OK(db, "ANALYZE T");
+  const std::vector<std::string> queries = {"SELECT COUNT(*) FROM T",
+                                            "SELECT k FROM T"};
+  auto answers = [&] {
+    std::string out;
+    for (const std::string& q : queries) {
+      auto r = db.Execute(q);
+      EXPECT_TRUE(r.ok()) << q << "\n-> " << r.status().ToString();
+      if (r.ok()) out += r->ToString(/*show_annotations=*/false);
+    }
+    return out;
+  };
+  auto expect_seq_scans = [&] {
+    for (const std::string& q : queries) {
+      std::string plan = Explain(db, q);
+      EXPECT_NE(plan.find("SeqScan T"), std::string::npos) << plan;
+      EXPECT_EQ(plan.find("Index"), std::string::npos) << plan;
+    }
+  };
+  expect_seq_scans();
+  const std::string committed = answers();
+
+  EXEC_OK(db, "BEGIN");
+  EXEC_OK(db, "UPDATE T SET k = 'new' WHERE Id = 1");
+  EXEC_OK(db, "DELETE FROM T WHERE Id = 4");
+  expect_seq_scans();
+  const std::string indexed = answers();
+  EXPECT_NE(indexed.find("new"), std::string::npos) << indexed;
+  EXPECT_EQ(indexed.find("k1"), std::string::npos) << indexed;
+  EXPECT_EQ(indexed.find("k4"), std::string::npos) << indexed;
+  EXEC_OK(db, "DROP INDEX t_k ON T");
+  EXPECT_EQ(answers(), indexed);
+  EXEC_OK(db, "ROLLBACK");
+
+  expect_seq_scans();
+  EXPECT_EQ(answers(), committed);
+  EXEC_OK(db, "DROP INDEX t_k ON T");
+  EXPECT_EQ(answers(), committed);
 }
 
 TEST_F(IndexPathsFixture, SequenceIndexDdlValidation) {

@@ -415,7 +415,7 @@ TEST_F(EscalatedIsolationTest, UpdateThroughTheOldKeyTouchesNothing) {
   EXPECT_EQ(Rows(s2_, "SELECT Id, K FROM T WHERE Id = 7"), "7|new;");
 }
 
-TEST_F(EscalatedIsolationTest, IndexOnlyScanSkipsTheOldKey) {
+TEST_F(EscalatedIsolationTest, IndexRangeScanSkipsTheOldKey) {
   SESSION_OK(s1_, "CREATE TABLE T (Id INT, K TEXT)");
   std::string insert = "INSERT INTO T VALUES (1, 'old'), (2, 'other')";
   // Keys above the probed range keep it selective enough for the index.
@@ -430,7 +430,7 @@ TEST_F(EscalatedIsolationTest, IndexOnlyScanSkipsTheOldKey) {
   SESSION_OK(s1_, "ANALYZE T");
   // The range holds row 1's stale 'old' entry and its live 'new' one.
   const std::string range = "SELECT K FROM T WHERE K >= 'a' AND K < 'p'";
-  EXPECT_NE(Rows(s1_, "EXPLAIN " + range).find("IndexOnlyScan T USING t_k"),
+  EXPECT_NE(Rows(s1_, "EXPLAIN " + range).find("IndexScan T USING t_k"),
             std::string::npos);
   EXPECT_EQ(Rows(s1_, range), "new;other;");
   SESSION_OK(s1_, "COMMIT");
