@@ -1,19 +1,56 @@
 #include "auth/approval.h"
 
+#include <algorithm>
+
+#include "index/secondary_index.h"
 #include "txn/mvcc.h"
 
 namespace bdbms {
 
+namespace {
+
+// Approval log columns (kApprovalLogTable), in schema order.
+enum LogColumn : size_t {
+  kTypeCol, kStateCol, kTableCol, kRowCol, kIssuerCol, kTimestampCol,
+  kInverseCol, kOldImageCol, kNewImageCol,
+};
+
+constexpr char kStateIndex[] = "bdbms_approval_log_state";
+
+// What the type and state columns hold, indexed by OpType and OpState.
+constexpr std::string_view kTypeNames[] = {"INSERT", "UPDATE", "DELETE"};
+constexpr std::string_view kStateNames[] = {"PENDING", "APPROVED",
+                                            "DISAPPROVED"};
+
+Value StateValue(OpState state) {
+  return Value::Text(std::string(kStateNames[static_cast<size_t>(state)]));
+}
+
+Result<LoggedOperation> FromLogRow(RowId row_id, const Row& row) {
+  LoggedOperation op;
+  op.op_id = row_id + 1;
+  // The enum value a name stands for is its index in the name list.
+  auto index_of = [](const auto& names, const Value& name) {
+    return std::find(std::begin(names), std::end(names), name.as_string()) -
+           std::begin(names);
+  };
+  op.type = static_cast<OpType>(index_of(kTypeNames, row[kTypeCol]));
+  op.state = static_cast<OpState>(index_of(kStateNames, row[kStateCol]));
+  op.table = row[kTableCol].as_string();
+  op.row = static_cast<RowId>(row[kRowCol].as_int());
+  op.issuer = row[kIssuerCol].as_string();
+  op.inverse_sql = row[kInverseCol].as_string();
+  BDBMS_ASSIGN_OR_RETURN(op.old_row,
+                         DecodeRowHex(row[kOldImageCol].as_string()));
+  BDBMS_ASSIGN_OR_RETURN(op.new_row,
+                         DecodeRowHex(row[kNewImageCol].as_string()));
+  return op;
+}
+
+}  // namespace
+
 std::string_view OpTypeName(OpType t) {
-  switch (t) {
-    case OpType::kInsert:
-      return "INSERT";
-    case OpType::kUpdate:
-      return "UPDATE";
-    case OpType::kDelete:
-      return "DELETE";
-  }
-  return "UNKNOWN";
+  return kTypeNames[static_cast<size_t>(t)];
 }
 
 Status ApprovalManager::StartContentApproval(
@@ -32,6 +69,21 @@ Status ApprovalManager::StartContentApproval(
       BDBMS_ASSIGN_OR_RETURN(size_t idx, schema.ColumnIndex(c));
       mask |= ColumnBit(idx);
     }
+  }
+  if (!catalog_->HasTable(kApprovalLogTable)) {
+    BDBMS_RETURN_IF_ERROR(catalog_->CreateTable(
+        TableSchema(kApprovalLogTable, {{"type", DataType::kText},
+                                        {"state", DataType::kText},
+                                        {"table_name", DataType::kText},
+                                        {"row_id", DataType::kInt},
+                                        {"issuer", DataType::kText},
+                                        {"timestamp", DataType::kInt},
+                                        {"inverse_sql", DataType::kText},
+                                        {"old_image", DataType::kText},
+                                        {"new_image", DataType::kText}})));
+    BDBMS_ASSIGN_OR_RETURN(Table * log, catalog_->GetTable(kApprovalLogTable));
+    BDBMS_RETURN_IF_ERROR(
+        log->CreateIndex(kStateIndex, {"state", "table_name"}));
   }
   RecordConfigUndo(table);
   ApprovalConfig& cfg = configs_[table];
@@ -123,56 +175,62 @@ Result<uint64_t> ApprovalManager::LogOperation(OpType type,
                                                RowId row,
                                                const std::string& issuer,
                                                Row old_row, Row new_row) {
-  LoggedOperation op;
-  op.op_id = next_op_id_++;
-  op.type = type;
-  op.state = OpState::kPending;
-  op.table = table;
-  op.row = row;
-  op.issuer = issuer;
-  op.timestamp = clock_->Tick();
-  op.old_row = std::move(old_row);
-  op.new_row = std::move(new_row);
-  BDBMS_ASSIGN_OR_RETURN(op.inverse_sql,
-                         BuildInverseSql(type, table, row, op.old_row));
-  uint64_t id = op.op_id;
-  log_[id] = std::move(op);
-  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
-    // The id was next_op_id_ before this append bumped it.
-    w->undo.push_back([this, id] {
-      log_.erase(id);
-      next_op_id_ = id;
-    });
-  }
-  return id;
+  const uint64_t timestamp = clock_->Tick();
+  BDBMS_ASSIGN_OR_RETURN(std::string inverse,
+                         BuildInverseSql(type, table, row, old_row));
+  BDBMS_ASSIGN_OR_RETURN(Table * log, catalog_->GetTable(kApprovalLogTable));
+  BDBMS_ASSIGN_OR_RETURN(
+      RowId id,
+      log->Insert({Value::Text(std::string(OpTypeName(type))),
+                   StateValue(OpState::kPending), Value::Text(table),
+                   Value::Int(static_cast<int64_t>(row)), Value::Text(issuer),
+                   Value::Int(static_cast<int64_t>(timestamp)),
+                   Value::Text(std::move(inverse)),
+                   Value::Text(EncodeRowHex(old_row)),
+                   Value::Text(EncodeRowHex(new_row))}));
+  return id + 1;
 }
 
-Status ApprovalManager::RestoreOperation(LoggedOperation op) {
-  if (op.op_id == 0) return Status::InvalidArgument("op_id 0 is reserved");
-  if (log_.count(op.op_id)) {
-    return Status::AlreadyExists("operation " + std::to_string(op.op_id) +
-                                 " already present");
-  }
-  if (op.op_id >= next_op_id_) next_op_id_ = op.op_id + 1;
-  uint64_t id = op.op_id;
-  log_[id] = std::move(op);
-  return Status::Ok();
-}
-
-std::vector<const LoggedOperation*> ApprovalManager::Pending(
-    const std::string& table) const {
-  std::vector<const LoggedOperation*> out;
-  for (const auto& [id, op] : log_) {
-    if (op.state != OpState::kPending) continue;
-    if (!table.empty() && op.table != table) continue;
-    out.push_back(&op);
+Result<std::vector<LoggedOperation>> ApprovalManager::Pending(
+    const std::string& table, const MvccSnapshot& snap) const {
+  std::vector<LoggedOperation> out;
+  auto log = catalog_->GetTable(kApprovalLogTable);
+  if (!log.ok()) return out;  // approval never started
+  const SecondaryIndex* index = (*log)->FindIndex(kStateIndex);
+  if (index == nullptr) return Status::Corruption("approval log index lost");
+  IndexProbe probe;
+  probe.eq.push_back(StateValue(OpState::kPending));
+  if (!table.empty()) probe.eq.push_back(Value::Text(table));
+  BDBMS_ASSIGN_OR_RETURN(std::vector<RowId> ids, index->Find(probe));
+  for (RowId id : ids) {
+    BDBMS_ASSIGN_OR_RETURN(std::optional<Row> row,
+                           (*log)->GetVisible(id, snap));
+    // IndexScan's recheck: a retained version keeps its old key indexed
+    // until vacuum, so the visible version may have settled since.
+    if (!row.has_value() || !ProbeMatchesRow(probe, index->columns(), *row)) {
+      continue;
+    }
+    BDBMS_ASSIGN_OR_RETURN(LoggedOperation op, FromLogRow(id, *row));
+    out.push_back(std::move(op));
   }
   return out;
 }
 
-Status ApprovalManager::CheckApprover(const LoggedOperation& op,
-                                      const std::string& principal) const {
-  if (access_->IsSuperuser(principal)) return Status::Ok();
+Result<LoggedOperation> ApprovalManager::FindPending(
+    uint64_t op_id, const std::string& principal, Table** log) const {
+  const Status not_found =
+      Status::NotFound("no logged operation " + std::to_string(op_id));
+  auto table = catalog_->GetTable(kApprovalLogTable);
+  if (op_id == 0 || !table.ok()) return not_found;
+  *log = *table;
+  // Settling runs escalated, alone: the current version is the latest.
+  auto row = (*log)->Get(op_id - 1);
+  if (!row.ok()) return row.status().IsNotFound() ? not_found : row.status();
+  BDBMS_ASSIGN_OR_RETURN(LoggedOperation op, FromLogRow(op_id - 1, *row));
+  if (op.state != OpState::kPending) {
+    return Status::FailedPrecondition("operation already settled");
+  }
+  if (access_->IsSuperuser(principal)) return op;
   auto it = configs_.find(op.table);
   // Use the table's current approver; if approval was stopped meanwhile,
   // only superusers can settle the backlog.
@@ -185,40 +243,20 @@ Status ApprovalManager::CheckApprover(const LoggedOperation& op,
     return Status::PermissionDenied(principal + " is not the approver for " +
                                     op.table);
   }
-  return Status::Ok();
+  return op;
 }
 
 Status ApprovalManager::Approve(uint64_t op_id, const std::string& principal) {
-  auto it = log_.find(op_id);
-  if (it == log_.end()) {
-    return Status::NotFound("no logged operation " + std::to_string(op_id));
-  }
-  LoggedOperation& op = it->second;
-  if (op.state != OpState::kPending) {
-    return Status::FailedPrecondition("operation already settled");
-  }
-  BDBMS_RETURN_IF_ERROR(CheckApprover(op, principal));
-  op.state = OpState::kApproved;
-  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
-    w->undo.push_back([this, op_id] {
-      auto entry = log_.find(op_id);
-      if (entry != log_.end()) entry->second.state = OpState::kPending;
-    });
-  }
-  return Status::Ok();
+  Table* log = nullptr;
+  BDBMS_RETURN_IF_ERROR(FindPending(op_id, principal, &log).status());
+  return log->UpdateCell(op_id - 1, kStateCol, StateValue(OpState::kApproved));
 }
 
 Result<LoggedOperation> ApprovalManager::Disapprove(
     uint64_t op_id, const std::string& principal) {
-  auto it = log_.find(op_id);
-  if (it == log_.end()) {
-    return Status::NotFound("no logged operation " + std::to_string(op_id));
-  }
-  LoggedOperation& op = it->second;
-  if (op.state != OpState::kPending) {
-    return Status::FailedPrecondition("operation already settled");
-  }
-  BDBMS_RETURN_IF_ERROR(CheckApprover(op, principal));
+  Table* log = nullptr;
+  BDBMS_ASSIGN_OR_RETURN(LoggedOperation op,
+                         FindPending(op_id, principal, &log));
   BDBMS_ASSIGN_OR_RETURN(Table * t, catalog_->GetTable(op.table));
 
   // Execute the inverse statement.
@@ -234,15 +272,8 @@ Result<LoggedOperation> ApprovalManager::Disapprove(
       break;
   }
   op.state = OpState::kDisapproved;
-  // The inverse-DML effects above are row versions, rolled back with the
-  // transaction's write set; only the settle-state flip needs its own
-  // compensation.
-  if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
-    w->undo.push_back([this, op_id] {
-      auto entry = log_.find(op_id);
-      if (entry != log_.end()) entry->second.state = OpState::kPending;
-    });
-  }
+  BDBMS_RETURN_IF_ERROR(log->UpdateCell(op_id - 1, kStateCol,
+                                        StateValue(OpState::kDisapproved)));
   return op;
 }
 

@@ -33,7 +33,14 @@ std::string_view OpTypeName(OpType t);
 
 enum class OpState : uint8_t { kPending = 0, kApproved = 1, kDisapproved = 2 };
 
-// One logged update operation with everything needed to undo it.
+// The approval log: an engine table with one row per logged operation,
+// created by the first START CONTENT APPROVAL. Columns: type, state,
+// table_name, row_id, issuer, timestamp, inverse_sql, old_image and
+// new_image (EncodeRowHex). An operation's id is its RowId + 1. A B+-tree
+// on (state, table_name) serves SHOW PENDING [ON t].
+inline constexpr char kApprovalLogTable[] = "bdbms_approval_log";
+
+// One logged operation (a decoded approval log row), enough to undo it.
 struct LoggedOperation {
   uint64_t op_id = 0;
   OpType type = OpType::kInsert;
@@ -41,7 +48,6 @@ struct LoggedOperation {
   std::string table;
   RowId row = 0;
   std::string issuer;
-  uint64_t timestamp = 0;
   Row old_row;  // pre-image (UPDATE, DELETE)
   Row new_row;  // post-image (INSERT, UPDATE)
   // Human-readable auto-generated inverse statement, e.g.
@@ -49,9 +55,8 @@ struct LoggedOperation {
   std::string inverse_sql;
 };
 
-struct MvccState;
-
-// The approval log + configuration store.
+// The approval configs, and the operations on the approval log, whose
+// rows version, journal and checkpoint like any table's.
 class ApprovalManager {
  public:
   ApprovalManager(Catalog* catalog, AccessControl* access, LogicalClock* clock)
@@ -60,13 +65,13 @@ class ApprovalManager {
   ApprovalManager(const ApprovalManager&) = delete;
   ApprovalManager& operator=(const ApprovalManager&) = delete;
 
-  // Transactions: while a writer is installed, config changes, log
-  // appends and settle-state flips push compensations restoring the prior
-  // state.
+  // Transactions: while a writer is installed, config changes push
+  // compensations restoring the prior config.
   void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
   // START CONTENT APPROVAL ON t [COLUMNS c...] APPROVED BY who.
-  // Empty `columns` monitors the whole table.
+  // Empty `columns` monitors the whole table. The first one creates the
+  // approval log.
   Status StartContentApproval(const std::string& table,
                               const std::vector<std::string>& columns,
                               const std::string& approver);
@@ -81,14 +86,20 @@ class ApprovalManager {
   bool ShouldLog(const std::string& table, OpType type,
                  ColumnMask touched) const;
 
-  // Appends a pending entry (the operation itself has already executed).
+  // Appends a pending entry (the operation itself has already executed)
+  // and returns its op id.
   Result<uint64_t> LogOperation(OpType type, const std::string& table,
                                 RowId row, const std::string& issuer,
                                 Row old_row, Row new_row);
 
-  // Pending entries, oldest first; filtered by table when given.
-  std::vector<const LoggedOperation*> Pending(
-      const std::string& table = "") const;
+  // Pending entries visible to `snap`, oldest first; filtered by table
+  // when given. An index probe on (state, table_name).
+  Result<std::vector<LoggedOperation>> Pending(const std::string& table,
+                                               const MvccSnapshot& snap) const;
+  // The same over the latest committed state; none on a read error.
+  std::vector<LoggedOperation> Pending(const std::string& table = "") const {
+    return Pending(table, MvccSnapshot{kLatestCsn, 0}).value_or({});
+  }
 
   // Marks the operation approved. `principal` must match the table's
   // APPROVED BY user/group (superusers always may).
@@ -101,32 +112,22 @@ class ApprovalManager {
   Result<LoggedOperation> Disapprove(uint64_t op_id,
                                      const std::string& principal);
 
-  uint64_t log_size() const { return log_.size(); }
-
-  // --- checkpoint serialization -------------------------------------------
-  // Full state enumeration: configs (including switched-off ones, which
-  // keep their column/approver fields) and the complete operation log,
-  // settled entries included — after recovery, log() still lists them and
-  // settling one again fails "already settled", not NotFound.
+  // Configs, including switched-off ones (they keep their column and
+  // approver fields), for the checkpoint; RestoreConfig is its inverse
+  // and overwrites whatever is there.
   const std::map<std::string, ApprovalConfig>& configs() const {
     return configs_;
   }
-  const std::map<uint64_t, LoggedOperation>& log() const { return log_; }
-  uint64_t next_op_id() const { return next_op_id_; }
-
-  // Recovery inverses. RestoreOperation keeps next_op_id_ past every
-  // restored id; RestoreConfig overwrites whatever is there.
   void RestoreConfig(const std::string& table, ApprovalConfig config) {
     configs_[table] = std::move(config);
   }
-  Status RestoreOperation(LoggedOperation op);
-  void RestoreNextOpId(uint64_t next) {
-    if (next > next_op_id_) next_op_id_ = next;
-  }
 
  private:
-  Status CheckApprover(const LoggedOperation& op,
-                       const std::string& principal) const;
+  // The pending operation `op_id` and its log, once `principal` may
+  // settle it.
+  Result<LoggedOperation> FindPending(uint64_t op_id,
+                                      const std::string& principal,
+                                      Table** log) const;
 
   // Renders the inverse statement string for the log.
   Result<std::string> BuildInverseSql(OpType type, const std::string& table,
@@ -140,8 +141,6 @@ class ApprovalManager {
   AccessControl* access_;
   LogicalClock* clock_;
   std::map<std::string, ApprovalConfig> configs_;
-  std::map<uint64_t, LoggedOperation> log_;
-  uint64_t next_op_id_ = 1;
   MvccState* mvcc_ = nullptr;
 };
 

@@ -4,8 +4,7 @@
 
 namespace bdbms {
 
-Status Catalog::CreateTable(const TableSchema& schema,
-                            const TableFactory& storage) {
+Status Catalog::CreateTable(const TableSchema& schema) {
   if (schema.name().empty()) {
     return Status::InvalidArgument("table name must not be empty");
   }
@@ -17,15 +16,23 @@ Status Catalog::CreateTable(const TableSchema& schema,
     return Status::AlreadyExists("table " + schema.name() + " already exists");
   }
   std::unique_ptr<Table> table;
-  if (storage) {
-    BDBMS_ASSIGN_OR_RETURN(table, storage(schema));
+  if (storage_) {
+    BDBMS_ASSIGN_OR_RETURN(table, storage_(schema));
   } else {
     BDBMS_ASSIGN_OR_RETURN(table, Table::CreateInMemory(schema));
   }
+  return AddTable(std::move(table));
+}
+
+Status Catalog::AddTable(std::unique_ptr<Table> table) {
+  const std::string name = table->schema().name();
+  if (tables_.count(name)) {
+    return Status::AlreadyExists("table " + name + " already exists");
+  }
   table->set_mvcc(mvcc_);
-  tables_[schema.name()] = std::move(table);
+  tables_[name] = std::move(table);
   if (MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr) {
-    w->undo.push_back([this, name = schema.name()] { tables_.erase(name); });
+    w->undo.push_back([this, name] { tables_.erase(name); });
   }
   return Status::Ok();
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "catalog/schema.h"
 #include "common/result.h"
@@ -19,12 +20,19 @@ struct MvccState;
 using TableFactory =
     std::function<Result<std::unique_ptr<Table>>(const TableSchema&)>;
 
-// System catalog: the one registry of user tables. It owns every Table;
-// a Table owns its indexes and ANALYZE statistics, and AnnotationManager
-// owns the annotation tables, so dropping a table drops its indexes and
-// statistics with it. Dependency rules live in DependencyManager,
-// ACL/approval state in AccessControl and ApprovalManager; all of them
-// resolve table names here.
+// Engine tables (the approval and deletion logs) are written only by the
+// engine; no statement but a read may name one (Executor::Execute).
+inline constexpr std::string_view kEngineTablePrefix = "bdbms_";
+inline bool IsEngineTable(std::string_view name) {
+  return name.substr(0, kEngineTablePrefix.size()) == kEngineTablePrefix;
+}
+
+// System catalog: the one registry of tables, and the one place that
+// builds their storage. It owns every Table; a Table owns its indexes and
+// ANALYZE statistics, and AnnotationManager owns the annotation tables,
+// so dropping a table drops its indexes and statistics with it.
+// Dependency rules live in DependencyManager, ACL/approval configs in
+// AccessControl and ApprovalManager; all of them resolve names here.
 class Catalog {
  public:
   Catalog() = default;
@@ -36,11 +44,17 @@ class Catalog {
   // that restores the prior registration (or absence) exactly.
   void set_mvcc(MvccState* mvcc) { mvcc_ = mvcc; }
 
+  // Installs how CreateTable builds storage; Database::Open installs the
+  // paged-heap factory once. Without one, tables are in-memory.
+  void set_storage(TableFactory storage) { storage_ = std::move(storage); }
+
   // Validates the schema (non-empty name, at least one column, name not
-  // taken), then registers the Table that `storage` builds for it — an
-  // in-memory one when `storage` is null.
-  Status CreateTable(const TableSchema& schema,
-                     const TableFactory& storage = nullptr);
+  // taken), then registers the Table the installed storage builds for it.
+  Status CreateTable(const TableSchema& schema);
+
+  // Registers a table whose storage already exists (checkpoint restore);
+  // AlreadyExists when the name is taken.
+  Status AddTable(std::unique_ptr<Table> table);
 
   // Unregisters `name`. While a writer is installed the Table — rows,
   // indexes and statistics — is parked in the compensation instead of
@@ -61,6 +75,7 @@ class Catalog {
 
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;
+  TableFactory storage_;
   MvccState* mvcc_ = nullptr;
 };
 

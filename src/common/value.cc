@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
 
@@ -199,6 +200,37 @@ Result<Value> Value::CoerceTo(DataType target) const {
   return Status::InvalidArgument(
       std::string("cannot coerce ") + std::string(DataTypeName(type_)) +
       " to " + std::string(DataTypeName(target)));
+}
+
+std::string EncodeRowHex(const Row& row) {
+  std::string bytes;
+  for (const Value& v : row) v.EncodeTo(&bytes);
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back("0123456789abcdef"[c >> 4]);
+    hex.push_back("0123456789abcdef"[c & 0xF]);
+  }
+  return hex;
+}
+
+Result<Row> DecodeRowHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    unsigned byte = 0;
+    const char* at = hex.data() + i;
+    if (i + 2 > hex.size() ||
+        std::from_chars(at, at + 2, byte, 16).ptr != at + 2) {
+      return Status::Corruption("row image: bad hex digits");
+    }
+    bytes.push_back(static_cast<char>(byte));
+  }
+  Row row;
+  size_t offset = 0;
+  while (offset < bytes.size()) {
+    BDBMS_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(bytes, &offset));
+    row.push_back(std::move(v));
+  }
+  return row;
 }
 
 }  // namespace bdbms

@@ -103,6 +103,12 @@ class Value {
 
 using Row = std::vector<Value>;
 
+// Exact, printable encoding of a whole row: the hex digits of its values'
+// binary encoding (Value::EncodeTo), so every type, NULL and byte of a
+// string round-trips. The engine tables store row images this way.
+std::string EncodeRowHex(const Row& row);
+Result<Row> DecodeRowHex(std::string_view hex);
+
 }  // namespace bdbms
 
 #endif  // BDBMS_COMMON_VALUE_H_

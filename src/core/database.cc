@@ -42,47 +42,9 @@ Result<Table*> Database::GetTable(const std::string& name) {
   return catalog_.GetTable(name);
 }
 
-const std::vector<DeletionLogEntry>& Database::DeletionLog(
-    const std::string& table) {
-  return deletion_log_[table];
-}
-
 Result<DependencyManager::PropagationReport> Database::NotifyCellUpdated(
     const std::string& table, RowId row, size_t col) {
   return dependencies_.OnCellUpdated(table, row, col);
-}
-
-Result<std::unique_ptr<Table>> Database::CreatePagedTable(
-    const TableSchema& schema) {
-  const std::string path = paged_->heap_dir + "/" + schema.name() + "." +
-                           std::to_string(paged_->next_heap_file++) + ".heap";
-  // A dead orphan from an earlier incarnation (GC runs only at open) may
-  // occupy the name; start from a clean slate.
-  for (const std::string& stale :
-       {path, Pager::SpillPath(path), Pager::JournalPath(path)}) {
-    if (paged_->env->FileExists(stale)) {
-      BDBMS_RETURN_IF_ERROR(paged_->env->RemoveFile(stale));
-    }
-  }
-  return Table::OpenPaged(schema, paged_->env, path, paged_->pool_pages);
-}
-
-ExecContext Database::MakeContext() {
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.annotations = &annotations_;
-  ctx.provenance = &provenance_;
-  ctx.dependencies = &dependencies_;
-  ctx.approvals = &approvals_;
-  ctx.access = &access_;
-  ctx.clock = &clock_;
-  if (paged_ != nullptr) {
-    ctx.new_table = [this](const TableSchema& schema) {
-      return CreatePagedTable(schema);
-    };
-  }
-  ctx.deletion_log = &deletion_log_;
-  return ctx;
 }
 
 bool Database::InTransaction(const void* session) const {
@@ -313,10 +275,10 @@ Result<QueryResult> Database::ExecuteUnder(const Statement& stmt,
   // Only mutating statements (under writer_mu_) install a writer; a
   // reader must leave the ambient one alone.
   if (writer) mvcc_state_.writer = writer;
-  ExecContext ctx = MakeContext();
-  ctx.writer = writer;
-  ctx.snapshot = snapshot;
-  Executor executor(std::move(ctx), user);
+  Executor executor(ExecContext{&catalog_, &annotations_, &provenance_,
+                                &dependencies_, &approvals_, &access_, &clock_,
+                                snapshot},
+                    user);
   auto result = executor.Execute(stmt);
   if (writer) mvcc_state_.writer = nullptr;
   return result;
@@ -889,6 +851,22 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     paged->heap_dir = dir + "/heap";
     paged->pool_pages = options.buffer_pool_pages;
     BDBMS_RETURN_IF_ERROR(env->CreateDir(paged->heap_dir));
+    // The storage of every table created from here on: a new paged heap.
+    db->catalog_.set_storage([paged = paged.get()](const TableSchema& schema)
+                                 -> Result<std::unique_ptr<Table>> {
+      const std::string path = paged->heap_dir + "/" + schema.name() + "." +
+                               std::to_string(paged->next_heap_file++) +
+                               ".heap";
+      // A dead orphan from an earlier incarnation (GC runs only at open)
+      // may occupy the name; start from a clean slate.
+      for (const std::string& stale :
+           {path, Pager::SpillPath(path), Pager::JournalPath(path)}) {
+        if (paged->env->FileExists(stale)) {
+          BDBMS_RETURN_IF_ERROR(paged->env->RemoveFile(stale));
+        }
+      }
+      return Table::OpenPaged(schema, paged->env, path, paged->pool_pages);
+    });
     db->paged_ = std::move(paged);
   }
   if (options.bootstrap) {

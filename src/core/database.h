@@ -207,10 +207,6 @@ class Database {
   // Storage object of a user table (the catalog's).
   Result<Table*> GetTable(const std::string& name);
 
-  // Rows removed via ADD ANNOTATION ... ON (DELETE ...), with the
-  // annotation explaining why (paper §3.2).
-  const std::vector<DeletionLogEntry>& DeletionLog(const std::string& table);
-
   // Runs the dependency engine's reaction to an externally performed cell
   // update (used by code driving Table objects directly).
   Result<DependencyManager::PropagationReport> NotifyCellUpdated(
@@ -246,8 +242,6 @@ class Database {
     kConcurrentDml,  // under the shared gate
     kExclusive,      // escalates: drains transactions, then runs alone
   };
-
-  ExecContext MakeContext();
 
   // Classification of a mutating statement; called under the shared gate
   // (rule/approval changes are exclusive, so the answer is stable for
@@ -420,10 +414,6 @@ class Database {
     uint64_t checkpoint_gen = 0;
   };
 
-  // Creates (replacing any stale files) the paged heap of a new table:
-  // the storage factory CREATE TABLE uses on a durable database.
-  Result<std::unique_ptr<Table>> CreatePagedTable(const TableSchema& schema);
-
   LogicalClock clock_;
   Catalog catalog_;
   AnnotationManager annotations_;
@@ -432,7 +422,6 @@ class Database {
   DependencyManager dependencies_;
   AccessControl access_;
   ApprovalManager approvals_;
-  std::map<std::string, std::vector<DeletionLogEntry>> deletion_log_;
   std::unique_ptr<Durable> dur_;
   std::unique_ptr<PagedStorage> paged_;
 

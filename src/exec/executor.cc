@@ -18,6 +18,44 @@ Result<Privilege> ParsePrivilege(const std::string& name) {
   return Status::InvalidArgument("unknown privilege " + name);
 }
 
+// The deletion log (paper §3.2): an engine table of the rows removed by
+// ADD ANNOTATION ... ON (DELETE ...), each image (EncodeRowHex) with the
+// annotation body explaining why. The first such statement creates it.
+constexpr char kDeletionLogTable[] = "bdbms_deletion_log";
+
+// The tables `stmt` would write, redefine, annotate, or hang a rule or an
+// approval config on. Reads (SELECT, EXPLAIN, ANALYZE, SHOW PENDING),
+// grants and principals name none.
+std::vector<std::string> NamedForWrite(const Statement& stmt) {
+  return std::visit(
+      [](const auto& node) -> std::vector<std::string> {
+        using T = std::decay_t<decltype(node)>;
+        std::vector<std::string> names;
+        if constexpr (std::is_same_v<T, AnalyzeStmt> ||
+                      std::is_same_v<T, ShowPendingStmt> ||
+                      std::is_same_v<T, GrantStmt>) {
+          return names;
+        } else if constexpr (requires { node.table; }) {
+          names.push_back(node.table);
+        } else if constexpr (std::is_same_v<T, CreateTableStmt>) {
+          names.push_back(node.schema.name());
+        } else if constexpr (requires { node.targets; }) {
+          // An ON (SELECT ...) only reads; the targets must be on its table.
+          if constexpr (std::is_same_v<T, AddAnnotationStmt>) {
+            if (node.on != nullptr) names = NamedForWrite(*node.on);
+          }
+          for (const auto& [table, ann] : node.targets) names.push_back(table);
+        } else if constexpr (std::is_same_v<T, CreateDependencyStmt>) {
+          names.push_back(node.rule.target.table);
+          for (const ColumnRef& src : node.rule.sources) {
+            names.push_back(src.table);
+          }
+        }
+        return names;
+      },
+      stmt.node);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -25,6 +63,14 @@ Result<Privilege> ParsePrivilege(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 Result<QueryResult> Executor::Execute(const Statement& stmt) {
+  // Only the engine writes its tables, superusers included.
+  for (const std::string& name : NamedForWrite(stmt)) {
+    if (IsEngineTable(name)) {
+      return Status::PermissionDenied(
+          name + " is an engine table: only reads may name a table starting " +
+          std::string(kEngineTablePrefix));
+    }
+  }
   return std::visit(
       [this](const auto& node) -> Result<QueryResult> {
         using T = std::decay_t<decltype(node)>;
@@ -222,8 +268,7 @@ Result<QueryResult> Executor::ExecCreateTable(const CreateTableStmt& stmt) {
   if (!ctx_.access->IsSuperuser(user_)) {
     return Status::PermissionDenied("only superusers may create tables");
   }
-  BDBMS_RETURN_IF_ERROR(
-      ctx_.catalog->CreateTable(stmt.schema, ctx_.new_table));
+  BDBMS_RETURN_IF_ERROR(ctx_.catalog->CreateTable(stmt.schema));
   QueryResult r;
   r.message = "table " + stmt.schema.name() + " created";
   return r;
@@ -248,11 +293,12 @@ Result<QueryResult> Executor::ExecDropTable(const DropTableStmt& stmt) {
   }
   // A pending operation settles by table name: disapproving it after a
   // drop and re-create would run its inverse on the new table.
-  const auto pending = ctx_.approvals->Pending(stmt.table);
+  BDBMS_ASSIGN_OR_RETURN(auto pending,
+                         ctx_.approvals->Pending(stmt.table, ctx_.snapshot));
   if (!pending.empty()) {
     return Status::FailedPrecondition(
         "cannot drop table " + stmt.table + ": pending operation " +
-        std::to_string(pending.front()->op_id) + " names it");
+        std::to_string(pending.front().op_id) + " names it");
   }
   BDBMS_RETURN_IF_ERROR(ctx_.catalog->DropTable(stmt.table));
   ctx_.annotations->DropAllFor(stmt.table);
@@ -445,18 +491,26 @@ Result<QueryResult> Executor::ExecDelete(const DeleteStmt& stmt,
                                                rid, user_, old_row, {})
                                 .status());
     }
-    if (!annotation_body.empty() && ctx_.deletion_log != nullptr) {
-      (*ctx_.deletion_log)[stmt.table].push_back(
-          {rid, old_row, annotation_body, user_, ctx_.clock->Tick()});
-      if (ctx_.writer != nullptr) {
-        auto* log = ctx_.deletion_log;
-        ctx_.writer->undo.push_back([log, table = stmt.table] {
-          auto it = log->find(table);
-          if (it == log->end() || it->second.empty()) return;
-          it->second.pop_back();
-          if (it->second.empty()) log->erase(it);
-        });
+    if (!annotation_body.empty()) {
+      if (!ctx_.catalog->HasTable(kDeletionLogTable)) {
+        BDBMS_RETURN_IF_ERROR(ctx_.catalog->CreateTable(
+            TableSchema(kDeletionLogTable, {{"table_name", DataType::kText},
+                                            {"row_id", DataType::kInt},
+                                            {"image", DataType::kText},
+                                            {"body", DataType::kText},
+                                            {"issuer", DataType::kText},
+                                            {"timestamp", DataType::kInt}})));
       }
+      BDBMS_ASSIGN_OR_RETURN(Table * log,
+                             ctx_.catalog->GetTable(kDeletionLogTable));
+      const auto now = static_cast<int64_t>(ctx_.clock->Tick());
+      BDBMS_RETURN_IF_ERROR(
+          log->Insert({Value::Text(stmt.table),
+                       Value::Int(static_cast<int64_t>(rid)),
+                       Value::Text(EncodeRowHex(old_row)),
+                       Value::Text(annotation_body), Value::Text(user_),
+                       Value::Int(now)})
+              .status());
     }
     BDBMS_RETURN_IF_ERROR(t->Delete(rid));
     BDBMS_RETURN_IF_ERROR(
@@ -742,14 +796,16 @@ Result<QueryResult> Executor::ExecApprove(const ApproveStmt& stmt) {
 Result<QueryResult> Executor::ExecShowPending(const ShowPendingStmt& stmt) {
   QueryResult r;
   r.columns = {"op_id", "type", "table", "row", "issuer", "inverse_sql"};
-  for (const LoggedOperation* op : ctx_.approvals->Pending(stmt.table)) {
+  BDBMS_ASSIGN_OR_RETURN(auto pending,
+                         ctx_.approvals->Pending(stmt.table, ctx_.snapshot));
+  for (const LoggedOperation& op : pending) {
     ResultRow row;
-    row.values = {Value::Int(static_cast<int64_t>(op->op_id)),
-                  Value::Text(std::string(OpTypeName(op->type))),
-                  Value::Text(op->table),
-                  Value::Int(static_cast<int64_t>(op->row)),
-                  Value::Text(op->issuer),
-                  Value::Text(op->inverse_sql)};
+    row.values = {Value::Int(static_cast<int64_t>(op.op_id)),
+                  Value::Text(std::string(OpTypeName(op.type))),
+                  Value::Text(op.table),
+                  Value::Int(static_cast<int64_t>(op.row)),
+                  Value::Text(op.issuer),
+                  Value::Text(op.inverse_sql)};
     row.annotations.resize(row.values.size());
     r.rows.push_back(std::move(row));
   }

@@ -99,6 +99,32 @@ bool ProbeMatchesEquality(DataType key_type, DataType column_type) {
   return false;
 }
 
+bool ProbeMatchesRow(const IndexProbe& probe, const std::vector<size_t>& cols,
+                     const Row& row) {
+  for (size_t i = 0; i < probe.eq.size(); ++i) {
+    if (row[cols[i]].Compare(probe.eq[i]) != 0) return false;
+  }
+  if (probe.lo || probe.hi || probe.like_prefix) {
+    const Value& cell = row[cols[probe.eq.size()]];
+    // No SQL comparison or LIKE predicate is ever true on NULL.
+    if (cell.is_null()) return false;
+    if (probe.like_prefix) {
+      if (!cell.is_string()) return false;
+      const std::string& s = cell.as_string();
+      return s.compare(0, probe.like_prefix->size(), *probe.like_prefix) == 0;
+    }
+    if (probe.lo) {
+      int c = cell.Compare(probe.lo->value);
+      if (c < 0 || (c == 0 && !probe.lo->inclusive)) return false;
+    }
+    if (probe.hi) {
+      int c = cell.Compare(probe.hi->value);
+      if (c > 0 || (c == 0 && !probe.hi->inclusive)) return false;
+    }
+  }
+  return true;
+}
+
 Result<std::vector<RowId>> SecondaryIndex::FindEqual(
     const Value& probe) const {
   if (probe.is_null()) return std::vector<RowId>{};

@@ -46,6 +46,12 @@ struct IndexProbe {
 // RowsWithKey and the planner's index nested-loop join — shares this rule.
 bool ProbeMatchesEquality(DataType key_type, DataType column_type);
 
+// Re-evaluates `probe` against the key cells `cols` of `row`: a retained
+// version keeps its old key indexed until vacuum, so snapshot readers of
+// an index recheck the visible version of each candidate.
+bool ProbeMatchesRow(const IndexProbe& probe, const std::vector<size_t>& cols,
+                     const Row& row);
+
 // A secondary index over one or more columns of a user table: a disk-paged
 // B+-tree mapping the order-preserving composite key encoding of the cell
 // values (key_codec.h) to the RowId. Maintained by Table on every

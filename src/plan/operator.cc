@@ -187,39 +187,6 @@ std::string SeqScanNode::Describe() const {
   return out;
 }
 
-namespace {
-
-// Re-evaluates an index probe against the indexed cells of a row — used by
-// index scans to reject candidates reached through a dead index entry
-// whose key differs from the version the snapshot sees.
-bool ProbeMatchesRow(const IndexProbe& probe, const std::vector<size_t>& cols,
-                     const Row& row) {
-  for (size_t i = 0; i < probe.eq.size(); ++i) {
-    if (row[cols[i]].Compare(probe.eq[i]) != 0) return false;
-  }
-  if (probe.lo || probe.hi || probe.like_prefix) {
-    const Value& cell = row[cols[probe.eq.size()]];
-    // No SQL comparison or LIKE predicate is ever true on NULL.
-    if (cell.is_null()) return false;
-    if (probe.like_prefix) {
-      if (!cell.is_string()) return false;
-      const std::string& s = cell.as_string();
-      return s.compare(0, probe.like_prefix->size(), *probe.like_prefix) == 0;
-    }
-    if (probe.lo) {
-      int c = cell.Compare(probe.lo->value);
-      if (c < 0 || (c == 0 && !probe.lo->inclusive)) return false;
-    }
-    if (probe.hi) {
-      int c = cell.Compare(probe.hi->value);
-      if (c > 0 || (c == 0 && !probe.hi->inclusive)) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<std::vector<RowId>> IndexScanNode::CollectCandidates() {
   return index_->Find(probe_);
 }

@@ -53,9 +53,9 @@ struct MvccWriter {
   std::vector<std::pair<AnnotationTable*, uint64_t>> annotations;
 
   // Compensations for the unversioned state (catalog entries, storage
-  // objects, index DDL, archive flags, grants and principals, the
-  // approval log, dependency rules and outdated bits, the deletion log),
-  // each undoing one primitive effect. A dropped storage object is parked
+  // objects, index DDL, archive flags, grants and principals, approval
+  // configs, dependency rules and outdated bits), each undoing one
+  // primitive effect. A dropped storage object is parked
   // inside its closure until the transaction settles, so every Table and
   // AnnotationTable that `rows` and `annotations` name stays alive.
   std::vector<std::function<void()>> undo;

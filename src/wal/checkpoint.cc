@@ -17,8 +17,9 @@ constexpr char kMagic[8] = {'B', 'D', 'B', 'M', 'S', 'C', 'P', '1'};
 constexpr uint32_t kFileVersion = 1;
 // The only snapshot format: a checkpoint generation + heap-file name
 // counter, and per table a heap-file reference (name + page count) instead
-// of a row dump. Every durable table is paged.
-constexpr uint32_t kSnapshotVersion = 2;
+// of a row dump. Every durable table is paged, the engine tables (the
+// approval and deletion logs) included.
+constexpr uint32_t kSnapshotVersion = 3;
 
 // Header page layout: magic[8], u32 file version, u64 payload length,
 // u32 payload CRC-32.
@@ -108,22 +109,6 @@ Result<std::string> ReadCheckpointFile(WalEnv* env, const std::string& dir) {
 
 namespace {
 
-void WriteRow(BinaryWriter* w, const Row& row) {
-  w->U32(static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) w->Val(v);
-}
-
-Result<Row> ReadRow(BinaryReader* r) {
-  BDBMS_ASSIGN_OR_RETURN(uint32_t n, r->U32());
-  Row row;
-  row.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    BDBMS_ASSIGN_OR_RETURN(Value v, r->Val());
-    row.push_back(std::move(v));
-  }
-  return row;
-}
-
 void WriteOptValue(BinaryWriter* w, const std::optional<Value>& v) {
   w->U8(v.has_value() ? 1 : 0);
   if (v.has_value()) w->Val(*v);
@@ -150,7 +135,7 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
   w.U64(gen);
   w.U64(paged_->next_heap_file);
 
-  // --- user tables: schema, heap rows, annotations, indexes, stats ------
+  // --- every table, engine tables too: schema, heap, annotations, stats --
   w.U32(static_cast<uint32_t>(catalog_.tables().size()));
   for (const auto& [name, owned] : catalog_.tables()) {
     const Table& table = *owned;
@@ -164,8 +149,7 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
     // The rows already live durably in the heap file (CheckpointPrepare
     // staged every dirty page under `gen` before this runs); record a
     // reference instead of dumping them. row_count doubles as a restore
-    // sanity check. The leading byte is the paged-table flag, always 1.
-    w.U8(1);
+    // sanity check.
     w.Str(table.heap_file_name());
     w.U32(table.heap_page_count());
     w.U64(table.next_row_id());
@@ -244,20 +228,6 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
     }
   }
 
-  // --- deletion log (kept even for since-dropped tables) -----------------
-  w.U32(static_cast<uint32_t>(deletion_log_.size()));
-  for (const auto& [tname, entries] : deletion_log_) {
-    w.Str(tname);
-    w.U32(static_cast<uint32_t>(entries.size()));
-    for (const DeletionLogEntry& e : entries) {
-      w.U64(e.row);
-      WriteRow(&w, e.old_values);
-      w.Str(e.annotation);
-      w.Str(e.issuer);
-      w.U64(e.timestamp);
-    }
-  }
-
   // --- dependency rules + outdated bitmaps -------------------------------
   const auto& rules = dependencies_.rules();
   w.U32(static_cast<uint32_t>(rules.size()));
@@ -315,7 +285,7 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
   // --- provenance system agents ------------------------------------------
   write_string_set(provenance_.system_agents());
 
-  // --- approvals ---------------------------------------------------------
+  // --- approval configs (the log is an engine table above) ---------------
   w.U32(static_cast<uint32_t>(approvals_.configs().size()));
   for (const auto& [tname, cfg] : approvals_.configs()) {
     w.Str(tname);
@@ -323,20 +293,6 @@ Status Database::SerializeSnapshot(uint64_t last_lsn, uint64_t gen,
     w.U64(cfg.columns);
     w.Str(cfg.approver);
   }
-  w.U32(static_cast<uint32_t>(approvals_.log().size()));
-  for (const auto& [op_id, op] : approvals_.log()) {
-    w.U64(op.op_id);
-    w.U8(static_cast<uint8_t>(op.type));
-    w.U8(static_cast<uint8_t>(op.state));
-    w.Str(op.table);
-    w.U64(op.row);
-    w.Str(op.issuer);
-    w.U64(op.timestamp);
-    WriteRow(&w, op.old_row);
-    WriteRow(&w, op.new_row);
-    w.Str(op.inverse_sql);
-  }
-  w.U64(approvals_.next_op_id());
   return Status::Ok();
 }
 
@@ -365,37 +321,28 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
       BDBMS_RETURN_IF_ERROR(
           schema.AddColumn(col_name, static_cast<DataType>(type)));
     }
-    BDBMS_ASSIGN_OR_RETURN(uint8_t paged_table, r.U8());
-    if (paged_table != 1) {
-      return Status::Corruption("table " + name +
-                                " is not a paged-heap reference");
-    }
     BDBMS_ASSIGN_OR_RETURN(std::string heap_name, r.Str());
     BDBMS_ASSIGN_OR_RETURN(uint32_t heap_pages, r.U32());
     BDBMS_ASSIGN_OR_RETURN(uint64_t next_row_id, r.U64());
     BDBMS_ASSIGN_OR_RETURN(uint64_t row_cnt, r.U64());
-    auto open_heap =
-        [&](const TableSchema& s) -> Result<std::unique_ptr<Table>> {
-      const std::string path = paged_->heap_dir + "/" + heap_name;
-      // Repair the heap to exactly the committed checkpoint's state (apply
-      // or discard a leftover redo journal, cut provisional extensions,
-      // drop the overlay) before scanning it.
-      BDBMS_RETURN_IF_ERROR(
-          Pager::RecoverPagedHeap(paged_->env, path, gen, heap_pages));
-      BDBMS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Table> table,
-          Table::OpenPaged(s, paged_->env, path, paged_->pool_pages));
-      if (table->row_count() != row_cnt) {
-        return Status::Corruption(
-            "paged heap " + heap_name + " holds " +
-            std::to_string(table->row_count()) + " rows, checkpoint records " +
-            std::to_string(row_cnt));
-      }
-      table->AdvanceNextRowId(next_row_id);
-      return table;
-    };
-    BDBMS_RETURN_IF_ERROR(catalog_.CreateTable(schema, open_heap));
-    BDBMS_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(name));
+    const std::string path = paged_->heap_dir + "/" + heap_name;
+    // Repair the heap to exactly the committed checkpoint's state (apply
+    // or discard a leftover redo journal, cut provisional extensions,
+    // drop the overlay) before scanning it.
+    BDBMS_RETURN_IF_ERROR(
+        Pager::RecoverPagedHeap(paged_->env, path, gen, heap_pages));
+    BDBMS_ASSIGN_OR_RETURN(
+        std::unique_ptr<Table> opened,
+        Table::OpenPaged(schema, paged_->env, path, paged_->pool_pages));
+    if (opened->row_count() != row_cnt) {
+      return Status::Corruption(
+          "paged heap " + heap_name + " holds " +
+          std::to_string(opened->row_count()) + " rows, checkpoint records " +
+          std::to_string(row_cnt));
+    }
+    opened->AdvanceNextRowId(next_row_id);
+    Table* table = opened.get();
+    BDBMS_RETURN_IF_ERROR(catalog_.AddTable(std::move(opened)));
 
     BDBMS_ASSIGN_OR_RETURN(uint32_t n_ann, r.U32());
     for (uint32_t a = 0; a < n_ann; ++a) {
@@ -473,23 +420,6 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
         stats.columns.push_back(std::move(cs));
       }
       table->SetStats(std::move(stats));
-    }
-  }
-
-  // --- deletion log ------------------------------------------------------
-  BDBMS_ASSIGN_OR_RETURN(uint32_t n_dl, r.U32());
-  for (uint32_t i = 0; i < n_dl; ++i) {
-    BDBMS_ASSIGN_OR_RETURN(std::string tname, r.Str());
-    BDBMS_ASSIGN_OR_RETURN(uint32_t n_entries, r.U32());
-    std::vector<DeletionLogEntry>& entries = deletion_log_[tname];
-    for (uint32_t e = 0; e < n_entries; ++e) {
-      DeletionLogEntry entry;
-      BDBMS_ASSIGN_OR_RETURN(entry.row, r.U64());
-      BDBMS_ASSIGN_OR_RETURN(entry.old_values, ReadRow(&r));
-      BDBMS_ASSIGN_OR_RETURN(entry.annotation, r.Str());
-      BDBMS_ASSIGN_OR_RETURN(entry.issuer, r.Str());
-      BDBMS_ASSIGN_OR_RETURN(entry.timestamp, r.U64());
-      entries.push_back(std::move(entry));
     }
   }
 
@@ -582,7 +512,7 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
   BDBMS_ASSIGN_OR_RETURN(std::vector<std::string> agents, read_string_set());
   for (const std::string& a : agents) provenance_.RegisterSystemAgent(a);
 
-  // --- approvals ---------------------------------------------------------
+  // --- approval configs --------------------------------------------------
   BDBMS_ASSIGN_OR_RETURN(uint32_t n_configs, r.U32());
   for (uint32_t i = 0; i < n_configs; ++i) {
     BDBMS_ASSIGN_OR_RETURN(std::string tname, r.Str());
@@ -593,25 +523,6 @@ Status Database::LoadSnapshot(std::string_view payload, uint64_t* last_lsn) {
     BDBMS_ASSIGN_OR_RETURN(cfg.approver, r.Str());
     approvals_.RestoreConfig(tname, std::move(cfg));
   }
-  BDBMS_ASSIGN_OR_RETURN(uint32_t n_ops, r.U32());
-  for (uint32_t i = 0; i < n_ops; ++i) {
-    LoggedOperation op;
-    BDBMS_ASSIGN_OR_RETURN(op.op_id, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(uint8_t type, r.U8());
-    op.type = static_cast<OpType>(type);
-    BDBMS_ASSIGN_OR_RETURN(uint8_t state, r.U8());
-    op.state = static_cast<OpState>(state);
-    BDBMS_ASSIGN_OR_RETURN(op.table, r.Str());
-    BDBMS_ASSIGN_OR_RETURN(op.row, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(op.issuer, r.Str());
-    BDBMS_ASSIGN_OR_RETURN(op.timestamp, r.U64());
-    BDBMS_ASSIGN_OR_RETURN(op.old_row, ReadRow(&r));
-    BDBMS_ASSIGN_OR_RETURN(op.new_row, ReadRow(&r));
-    BDBMS_ASSIGN_OR_RETURN(op.inverse_sql, r.Str());
-    BDBMS_RETURN_IF_ERROR(approvals_.RestoreOperation(std::move(op)));
-  }
-  BDBMS_ASSIGN_OR_RETURN(uint64_t next_op_id, r.U64());
-  approvals_.RestoreNextOpId(next_op_id);
 
   if (!r.AtEnd()) {
     return Status::Corruption("checkpoint payload has trailing bytes");

@@ -118,7 +118,7 @@ TEST_F(ApprovalFixture, InsertLoggedAndDisapprovedRollsBack) {
   EXPECT_TRUE(gene_->Get(*rid).ok());
   auto pending = mgr_->Pending("Gene");
   ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0]->inverse_sql,
+  EXPECT_EQ(pending[0].inverse_sql,
             "DELETE FROM Gene WHERE _rowid = " + std::to_string(*rid));
 
   // Disapproval executes the inverse.
@@ -140,9 +140,10 @@ TEST_F(ApprovalFixture, DeleteDisapprovalReinsertsOldRow) {
   auto op_id = mgr_->LogOperation(OpType::kDelete, "Gene", *rid, "member",
                                   *fetched, {});
   ASSERT_TRUE(op_id.ok());
-  auto op = mgr_->log().find(*op_id);
-  ASSERT_NE(op, mgr_->log().end());
-  EXPECT_EQ(op->second.inverse_sql,
+  auto pending = mgr_->Pending("Gene");
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].op_id, *op_id);
+  EXPECT_EQ(pending[0].inverse_sql,
             "INSERT INTO Gene VALUES ('JW0055', 'yabP', 'ATGAAAGTATC')");
 
   auto settled = mgr_->Disapprove(*op_id, "lab_admin");

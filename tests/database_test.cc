@@ -2,6 +2,9 @@
 // surface, reproducing the paper's running examples (Figures 2, 3, 7).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/database.h"
 
 namespace bdbms {
@@ -539,10 +542,20 @@ TEST(DatabaseTest, AddAnnotationOnDeleteLogsTuples) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 1u);
 
-  const auto& log = db.DeletionLog("T");
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].old_values[0].as_string(), "x");
-  EXPECT_EQ(log[0].annotation, "<A>obsolete entry</A>");
+  // The deletion log is an engine table: a plain SELECT reads it.
+  auto log = db.Execute(
+      "SELECT table_name, row_id, image, body, issuer "
+      "FROM bdbms_deletion_log");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->rows.size(), 1u);
+  const Row& entry = log->rows[0].values;
+  EXPECT_EQ(entry[0].as_string(), "T");
+  EXPECT_EQ(entry[1].as_int(), 0);
+  auto image = DecodeRowHex(entry[2].as_string());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ(*image, (Row{Value::Text("x"), Value::Int(1)}));
+  EXPECT_EQ(entry[3].as_string(), "<A>obsolete entry</A>");
+  EXPECT_EQ(entry[4].as_string(), "admin");
 }
 
 TEST(DatabaseTest, DropTableCascades) {
@@ -622,6 +635,165 @@ TEST(DatabaseTest, DropTableRefusedWhilePendingOperationNamesIt) {
   rows = db.Execute("SELECT v FROM P");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->rows.size(), 1u);
+}
+
+// The approval log is an engine table. Every statement but a read that
+// names it is refused, superusers included; SELECT follows ordinary
+// privileges and returns the whole history SHOW PENDING summarizes.
+TEST(ApprovalLogTest, EngineTablesRefuseWritesAndServeReads) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE Gene (GID TEXT, GSequence SEQUENCE)");
+  EXEC_OK(db, "CREATE ANNOTATION TABLE GNotes ON Gene");
+  EXPECT_FALSE(db.catalog().HasTable(kApprovalLogTable));
+  EXPECT_TRUE(db.Execute("CREATE TABLE bdbms_mine (k INT)")
+                  .status()
+                  .IsPermissionDenied());
+  EXEC_OK(db, "START CONTENT APPROVAL ON Gene APPROVED BY admin");
+  ASSERT_TRUE(db.catalog().HasTable(kApprovalLogTable));
+  EXEC_OK(db, "INSERT INTO Gene VALUES ('J1', 'ATG')");  // operation 1
+  EXEC_OK(db, "INSERT INTO Gene VALUES ('J2', 'CCC')");  // operation 2
+  EXEC_OK(db, "UPDATE Gene SET GSequence = 'TTT' WHERE GID = 'J1'");  // 3
+  EXEC_OK(db, "APPROVE OPERATION 1");
+  EXEC_OK(db, "DISAPPROVE OPERATION 2");
+
+  for (const std::string sql : {
+           "INSERT INTO bdbms_approval_log VALUES ('INSERT', 'PENDING', "
+           "'Gene', 0, 'admin', 0, '', '', '')",
+           "UPDATE bdbms_approval_log SET state = 'PENDING'",
+           "DELETE FROM bdbms_approval_log",
+           "DROP TABLE bdbms_approval_log",
+           "CREATE INDEX li ON bdbms_approval_log (issuer)",
+           "DROP INDEX bdbms_approval_log_state ON bdbms_approval_log",
+           "CREATE ANNOTATION TABLE Notes ON bdbms_approval_log",
+           "ADD ANNOTATION TO bdbms_approval_log.Notes VALUE '<A>x</A>' "
+           "ON (SELECT type FROM bdbms_approval_log)",
+           "ADD ANNOTATION TO Gene.GNotes VALUE '<A>x</A>' "
+           "ON (DELETE FROM bdbms_approval_log)",
+           "CREATE DEPENDENCY r FROM bdbms_approval_log.state TO Gene.GID "
+           "USING lab",
+           "START CONTENT APPROVAL ON bdbms_approval_log APPROVED BY admin",
+           "STOP CONTENT APPROVAL ON bdbms_approval_log",
+       }) {
+    auto r = db.Execute(sql, "admin");
+    EXPECT_TRUE(r.status().IsPermissionDenied())
+        << sql << "\n-> " << r.status().ToString();
+  }
+
+  auto history = db.Execute(
+      "SELECT type, state, table_name, row_id, issuer, inverse_sql "
+      "FROM bdbms_approval_log");
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  ASSERT_EQ(history->rows.size(), 3u);
+  EXPECT_EQ(history->rows[0].values[1].as_string(), "APPROVED");
+  EXPECT_EQ(history->rows[1].values[1].as_string(), "DISAPPROVED");
+  EXPECT_EQ(history->rows[2].values[1].as_string(), "PENDING");
+  auto pending = db.Execute("SHOW PENDING");
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  ASSERT_EQ(pending->rows.size(), 1u);
+  const Row& shown = pending->rows[0].values;
+  const Row& logged = history->rows[2].values;
+  EXPECT_EQ(shown[0].as_int(), 3);  // op id = RowId + 1
+  EXPECT_EQ(shown[1], logged[0]);   // type
+  EXPECT_EQ(shown[2], logged[2]);   // table
+  EXPECT_EQ(shown[3], logged[3]);   // row
+  EXPECT_EQ(shown[4], logged[4]);   // issuer
+  EXPECT_EQ(shown[5], logged[5]);   // inverse statement
+
+  EXEC_OK(db, "CREATE USER eve");
+  EXPECT_TRUE(db.Execute("SELECT state FROM bdbms_approval_log", "eve")
+                  .status()
+                  .IsPermissionDenied());
+  EXEC_OK(db, "GRANT SELECT ON bdbms_approval_log TO eve");
+  EXPECT_TRUE(db.Execute("SELECT state FROM bdbms_approval_log", "eve").ok());
+  EXEC_OK(db, "EXPLAIN SELECT row_id FROM bdbms_approval_log "
+              "WHERE state = 'PENDING'");
+  EXEC_OK(db, "ANALYZE bdbms_approval_log");
+}
+
+// Logging and settling are row versions of the approval log: a statement
+// reads the log at its own snapshot, and ROLLBACK restores the pending
+// state and hands the op ids back. A rolled-back first START CONTENT
+// APPROVAL or DELETE-form ADD ANNOTATION leaves no engine table.
+TEST(ApprovalLogTest, RollbackRestoresPendingStateAndReusesOpIds) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE Gene (GID TEXT, GSequence SEQUENCE)");
+  EXEC_OK(db, "CREATE ANNOTATION TABLE GNotes ON Gene");
+  EXEC_OK(db, "BEGIN");
+  EXEC_OK(db, "START CONTENT APPROVAL ON Gene APPROVED BY admin");
+  EXEC_OK(db, "INSERT INTO Gene VALUES ('J0', 'A')");
+  EXEC_OK(db, "ADD ANNOTATION TO Gene.GNotes VALUE '<A>gone</A>' "
+              "ON (DELETE FROM Gene WHERE GID = 'J0')");
+  EXEC_OK(db, "ROLLBACK");
+  EXPECT_FALSE(db.catalog().HasTable(kApprovalLogTable));
+  EXPECT_FALSE(db.catalog().HasTable("bdbms_deletion_log"));
+
+  EXEC_OK(db, "START CONTENT APPROVAL ON Gene APPROVED BY admin");
+  EXEC_OK(db, "INSERT INTO Gene VALUES ('J1', 'ATG')");  // operation 1
+  auto op_ids = [&db](const std::string& sql) {
+    std::vector<int64_t> ids;
+    auto r = db.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n-> " << r.status().ToString();
+    if (r.ok()) {
+      for (const ResultRow& row : r->rows) {
+        ids.push_back(row.values[0].as_int());
+      }
+    }
+    return ids;
+  };
+  EXEC_OK(db, "BEGIN");
+  EXEC_OK(db, "INSERT INTO Gene VALUES ('J2', 'CCC')");  // operation 2
+  // The transaction sees its own uncommitted entry.
+  EXPECT_EQ(op_ids("SHOW PENDING ON Gene"), (std::vector<int64_t>{1, 2}));
+  EXEC_OK(db, "APPROVE OPERATION 1");
+  EXEC_OK(db, "DISAPPROVE OPERATION 2");
+  EXPECT_TRUE(op_ids("SHOW PENDING").empty());
+  EXEC_OK(db, "ROLLBACK");
+
+  EXPECT_EQ(op_ids("SHOW PENDING"), (std::vector<int64_t>{1}));
+  auto states = db.Execute("SELECT state FROM bdbms_approval_log");
+  ASSERT_TRUE(states.ok()) << states.status().ToString();
+  ASSERT_EQ(states->rows.size(), 1u);
+  EXPECT_EQ(states->rows[0].values[0].as_string(), "PENDING");
+  // Operation 2 was handed back with its row.
+  EXEC_OK(db, "INSERT INTO Gene VALUES ('J3', 'GGG')");
+  EXPECT_EQ(op_ids("SHOW PENDING ON Gene"), (std::vector<int64_t>{1, 2}));
+  auto settled = db.Execute("APPROVE OPERATION 1");
+  ASSERT_TRUE(settled.ok()) << settled.status().ToString();
+  EXPECT_EQ(settled->message, "operation 1 approved");
+  EXPECT_EQ(db.Execute("APPROVE OPERATION 1").status().message(),
+            "operation already settled");
+  EXPECT_TRUE(db.Execute("APPROVE OPERATION 9").status().IsNotFound());
+}
+
+// A reader pinned by BEGIN answers SHOW PENDING at its snapshot: an
+// operation logged after it does not appear until the reader ends.
+// Logging escalates, so the writer waits for the pinned reader.
+TEST(ApprovalLogTest, PinnedReaderSeesPendingAtItsSnapshot) {
+  Database db;
+  EXEC_OK(db, "CREATE TABLE Gene (GID TEXT, GSequence SEQUENCE)");
+  EXEC_OK(db, "START CONTENT APPROVAL ON Gene APPROVED BY admin");
+  EXEC_OK(db, "INSERT INTO Gene VALUES ('J1', 'ATG')");  // operation 1
+  const int reader = 0;
+  auto pending = [&db, &reader]() {
+    auto r = db.Execute("SHOW PENDING", "admin", &reader);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->rows.size() : 0;
+  };
+  ASSERT_TRUE(db.Execute("BEGIN", "admin", &reader).ok());
+  EXPECT_EQ(pending(), 1u);
+  std::thread writer([&db] {
+    auto r = db.Execute("INSERT INTO Gene VALUES ('J2', 'CCC')");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(pending(), 1u);
+  // EXPECT, not ASSERT: the writer must be joined on every path.
+  EXPECT_TRUE(db.Execute("COMMIT", "admin", &reader).ok());
+  writer.join();
+  auto after = db.Execute("SHOW PENDING");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->rows.size(), 2u);
+  EXPECT_EQ(after->rows[1].values[0].as_int(), 2);
 }
 
 // Grants belong to the table: a new table of the same name starts with

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,50 @@ TEST(DurabilityTest, CheckpointTruncatesWalAndRecovers) {
   EXPECT_EQ((*db)->durability_stats().replayed_on_open, 0u);
   EXPECT_EQ(Fingerprint(**db), before);
   VerifyIndexConsistency(**db);
+}
+
+// Settled approval operations are rows of the approval log's paged heap,
+// not a dump in the checkpoint payload: 2,000 of them leave
+// checkpoint.bdb within one page of its size with none, and they survive
+// the reopen with their states.
+TEST(DurabilityTest, CheckpointSizeFlatAcrossSettledApprovalOperations) {
+  constexpr int kOps = 2000;
+  std::string dir = FreshDir("dur_ckpt_settled");
+  const std::string ckpt = dir + "/" + kCheckpointFileName;
+  {
+    auto db = Database::Open(dir, DurableOpts(0, /*group_commit=*/kOps));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXEC_OK(**db, "CREATE TABLE T (k INT)", "admin");
+    EXEC_OK(**db, "START CONTENT APPROVAL ON T APPROVED BY admin", "admin");
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    const uintmax_t none = std::filesystem::file_size(ckpt);
+    for (int op = 1; op <= kOps; ++op) {
+      EXEC_OK(**db, "INSERT INTO T VALUES (" + std::to_string(op) + ")",
+              "admin");
+      EXEC_OK(**db,
+              (op % 2 == 0 ? "APPROVE OPERATION " : "DISAPPROVE OPERATION ") +
+                  std::to_string(op),
+              "admin");
+    }
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    const uintmax_t settled = std::filesystem::file_size(ckpt);
+    EXPECT_LE(settled, none + kPageSize);
+    EXPECT_GE(settled + kPageSize, none);
+  }
+  auto db = Database::Open(dir, DurableOpts());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->durability_stats().replayed_on_open, 0u);
+  auto pending = (*db)->Execute("SHOW PENDING");
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  EXPECT_TRUE(pending->rows.empty());
+  auto approved = (*db)->Execute(
+      "SELECT row_id FROM bdbms_approval_log WHERE state = 'APPROVED'");
+  ASSERT_TRUE(approved.ok()) << approved.status().ToString();
+  EXPECT_EQ(approved->rows.size(), static_cast<size_t>(kOps / 2));
+  auto again = (*db)->Execute("APPROVE OPERATION 7", "admin");
+  EXPECT_TRUE(again.status().IsFailedPrecondition())
+      << again.status().ToString();
+  EXPECT_EQ(again.status().message(), "operation already settled");
 }
 
 TEST(DurabilityTest, CheckpointPlusLogTailRecovers) {
@@ -578,6 +623,20 @@ void ExpectOpenFailsWithCorruption(const std::string& dir) {
   EXPECT_EQ(std::filesystem::file_size(wal), size);
 }
 
+// Every file under `dir` with its bytes, by path relative to `dir`.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[std::filesystem::relative(entry.path(), dir).string()] =
+        std::string(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
 // Checkpoints `statements` in a fresh `dir` and returns the payload.
 std::string CheckpointPayload(const std::string& dir,
                               const std::vector<std::string>& statements) {
@@ -690,11 +749,14 @@ TEST(DurabilityGoldenTest, ForeignFormatsFailOpenLoudly) {
     ExpectOpenFailsWithCorruption(dir);
   }
   {
-    SCOPED_TRACE("table flag 0: an in-memory row dump");
-    std::string dir = FreshDir("dur_foreign_flag");
-    std::string payload = CheckpointPayload(dir, {"CREATE TABLE T (k INT)"});
-    // Walk to table T's flag byte: version, lsn, clock, gen, heap-file
-    // counter, table count, name, then each column's name and type.
+    SCOPED_TRACE("snapshot version 2");
+    // A version-2 payload is the version-3 one plus a paged-table flag
+    // byte (always 1) after each table's columns, an empty deletion-log
+    // section after the tables, and an empty approval log with its next
+    // op id at the end. Open must refuse it and touch nothing.
+    std::string dir = FreshDir("dur_foreign_v2");
+    std::string payload = CheckpointPayload(
+        dir, {"CREATE TABLE T (k INT)", "CREATE USER alice"});
     BinaryReader r(payload);
     ASSERT_TRUE(r.U32().ok() && r.U64().ok() && r.U64().ok() &&
                 r.U64().ok() && r.U64().ok() && r.U32().ok() &&
@@ -705,22 +767,27 @@ TEST(DurabilityGoldenTest, ForeignFormatsFailOpenLoudly) {
       ASSERT_TRUE(r.Str().ok() && r.U8().ok());
     }
     const size_t flag_at = r.position();
-    // Replace the heap-file reference (flag, name, page count, next row
-    // id, row count) with an empty in-memory dump (flag, next row id, row
-    // count).
-    ASSERT_TRUE(r.U8().ok() && r.Str().ok() && r.U32().ok());
-    auto next_row_id = r.U64();
-    auto row_count = r.U64();
-    ASSERT_TRUE(next_row_id.ok() && row_count.ok());
-    ASSERT_EQ(*row_count, 0u);
-    std::string dump;
-    BinaryWriter d(&dump);
-    d.U8(0);
-    d.U64(*next_row_id);
-    d.U64(0);
-    payload.replace(flag_at, r.position() - flag_at, dump);
-    ASSERT_TRUE(WriteCheckpointFile(WalEnv::Default(), dir, payload).ok());
+    // Heap name, page count, next row id, row count, no annotation
+    // tables, no indexes, no statistics.
+    ASSERT_TRUE(r.Str().ok() && r.U32().ok() && r.U64().ok() &&
+                r.U64().ok());
+    auto n_ann = r.U32();
+    auto n_idx = r.U32();
+    auto has_stats = r.U8();
+    ASSERT_TRUE(n_ann.ok() && n_idx.ok() && has_stats.ok());
+    ASSERT_EQ(*n_ann + *n_idx + *has_stats, 0u);
+    const size_t deletion_log_at = r.position();
+    std::string v2 = payload;
+    BinaryWriter tail(&v2);
+    tail.U32(0);  // no logged operations
+    tail.U64(1);  // next op id
+    v2.insert(deletion_log_at, std::string(4, '\0'));
+    v2.insert(flag_at, 1, '\1');
+    v2[0] = 2;
+    ASSERT_TRUE(WriteCheckpointFile(WalEnv::Default(), dir, v2).ok());
+    const auto before = DirContents(dir);
     ExpectOpenFailsWithCorruption(dir);
+    EXPECT_EQ(DirContents(dir), before);
   }
   {
     SCOPED_TRACE("autocommit record that writes rows, journaled with CSN 0");
